@@ -9,6 +9,7 @@ credentials living on the user's own device.
 
 from __future__ import annotations
 
+import hmac
 import json
 from dataclasses import dataclass, field, replace
 
@@ -279,7 +280,12 @@ def load_db(path, db_key: Key256) -> UserDatabase:
 
 class Gateway:
     """Single-home core gateway; all state mutation happens through its
-    methods, on simulated time only."""
+    methods, on simulated time only.
+
+    A session lives SESSION_TTL_MINUTES simulated minutes from its grant.
+    Device requests on an older session raise SessionExpired, and every
+    login drops all such sessions before it opens its own, so the session
+    table holds only the sessions granted in the last TTL window."""
 
     def __init__(
         self,
@@ -432,7 +438,7 @@ class Gateway:
         if profile is None or not profile.pw_hash:
             return False
         digest = hash_bytes(uid.encode() + password.encode() + bytes.fromhex(profile.pw_salt))
-        return digest.hex() == profile.pw_hash
+        return hmac.compare_digest(digest.hex().encode(), profile.pw_hash.encode())
 
     # --- stage 3: login ------------------------------------------------------------
 
@@ -534,7 +540,12 @@ class Gateway:
             reason="step-up retry exhausted" if is_retry else "confidence below device policies",
         )
 
+    def _expired(self, session: GatewaySession) -> bool:
+        return self.sim_minutes - session.established_minutes > SESSION_TTL_MINUTES
+
     def _open_session(self, uid, scheme, session_key, confidence, origin) -> GatewaySession:
+        for session_id in [sid for sid, s in self.sessions.items() if self._expired(s)]:
+            del self.sessions[session_id]
         session = GatewaySession(
             session_id=self.src.read(8).hex(),
             uid=uid,
@@ -557,7 +568,7 @@ class Gateway:
         live = self.sessions.get(session.session_id)
         if live is not session:
             raise SessionExpired("unknown or superseded session")
-        if self.sim_minutes - session.established_minutes > SESSION_TTL_MINUTES:
+        if self._expired(session):
             del self.sessions[session.session_id]
             raise SessionExpired(f"TTL {SESSION_TTL_MINUTES} min exceeded")
         info = self.devices.get(device_id)

@@ -12,7 +12,10 @@ a table of password-derived verifiers. The handshake is four messages:
 
 After each completed run both sides append a new history leaf, advance the
 counter, and ratchet the shared key forward, so a later state capture
-cannot recover earlier session keys.
+cannot recover earlier session keys. Appending a leaf updates only the
+tree's right spine, so a handshake over an n-leaf history costs O(log n)
+hashes; the updated levels equal a full rebuild, so roots and proofs are
+those of the tree built from scratch.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     GatewayAuthFailed,
     HistoryMismatch,
     IndexOutOfRange,
+    MalformedPacket,
     UnknownUser,
     UserAuthFailed,
 )
@@ -50,14 +54,19 @@ class MerkleProof:
 
 @dataclass
 class MerkleTree:
-    """Binary hash tree; an unpaired node is promoted unhashed."""
+    """Binary hash tree; an unpaired node is promoted unhashed.
+
+    ``levels`` is built once from ``leaves`` and then kept up to date by
+    :meth:`append`, which touches only the right spine: at most
+    ceil(log2 n) hashes per append. After every append ``levels`` equals a
+    full rebuild, ``_build_levels(leaves)``, element for element.
+    """
 
     leaves: list[Digest256]
-    levels: list[list[Digest256]] = field(default_factory=list)
+    levels: list[list[Digest256]] = field(init=False)
 
     def __post_init__(self):
-        if not self.levels:
-            self.levels = _build_levels(self.leaves)
+        self.levels = _build_levels(self.leaves)
 
     @property
     def root(self) -> Digest256:
@@ -65,7 +74,23 @@ class MerkleTree:
 
     def append(self, leaf: Digest256) -> None:
         self.leaves.append(leaf)
-        self.levels = _build_levels(self.leaves)
+        node, idx = leaf, len(self.levels[0])
+        self.levels[0].append(leaf)
+        depth = 0
+        while len(self.levels[depth]) > 1:
+            # The one parent the new node changes: a pair when the node is
+            # a right child, the node itself promoted when it is unpaired.
+            if idx % 2:
+                node = _combine(self.levels[depth][idx - 1], node)
+            idx //= 2
+            depth += 1
+            if depth == len(self.levels):
+                self.levels.append([])
+            parents = self.levels[depth]
+            if idx < len(parents):
+                parents[idx] = node
+            else:
+                parents.append(node)
 
 
 def _combine(left: Digest256, right: Digest256) -> Digest256:
@@ -122,8 +147,19 @@ def mht_verify(root: Digest256, leaf: Digest256, proof: MerkleProof) -> bool:
 # --- handshake messages --------------------------------------------------
 # Wire layout: 1-byte type tag, variable fields with 2-byte big-endian
 # length prefixes, counters as 8-byte big-endian, digests/nonces raw.
+# Decoders accept exactly the bytes their encoder produces and raise
+# MalformedPacket on anything else.
 
 M1_TYPE, M2_TYPE, M3_TYPE, M4_TYPE = 1, 2, 3, 4
+M2_HEADER_LEN = 87  # tag, n_g, root, tag, leaf index, sibling count
+SIBLING_LEN = 33  # side byte, digest
+
+
+def _check_frame(data: bytes, type_tag: int, length: int) -> None:
+    if not data or data[0] != type_tag:
+        raise MalformedPacket(f"not an M{type_tag} frame")
+    if len(data) != length:
+        raise MalformedPacket(f"M{type_tag} frame is {len(data)} bytes, expected {length}")
 
 
 @dataclass
@@ -144,11 +180,13 @@ class MhtM1:
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM1":
-        if not data or data[0] != M1_TYPE:
-            raise ValueError("not an M1 frame")
-        (uid_len,) = struct.unpack_from(">H", data, 1)
+        uid_len = int.from_bytes(data[1:3], "big")
+        _check_frame(data, M1_TYPE, 3 + uid_len + 16 + 8)
         off = 3
-        uid = data[off : off + uid_len].decode()
+        try:
+            uid = data[off : off + uid_len].decode()
+        except UnicodeDecodeError:
+            raise MalformedPacket("M1 uid is not UTF-8") from None
         off += uid_len
         n_u = Nonce128(data[off : off + 16])
         off += 16
@@ -175,8 +213,8 @@ class MhtM2:
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM2":
-        if not data or data[0] != M2_TYPE:
-            raise ValueError("not an M2 frame")
+        n_sib = int.from_bytes(data[M2_HEADER_LEN - 2 : M2_HEADER_LEN], "big")
+        _check_frame(data, M2_TYPE, M2_HEADER_LEN + SIBLING_LEN * n_sib)
         off = 1
         n_g = Nonce128(data[off : off + 16])
         off += 16
@@ -184,14 +222,16 @@ class MhtM2:
         off += 32
         tag = Digest256(data[off : off + 32])
         off += 32
-        leaf_index, n_sib = struct.unpack_from(">IH", data, off)
-        off += 6
+        (leaf_index,) = struct.unpack_from(">I", data, off)
+        off = M2_HEADER_LEN
         siblings = []
         for _ in range(n_sib):
+            if data[off] not in (0, 1):
+                raise MalformedPacket(f"M2 sibling side byte {data[off]}")
             side = LEFT if data[off] == 0 else RIGHT
-            digest = Digest256(data[off + 1 : off + 33])
+            digest = Digest256(data[off + 1 : off + SIBLING_LEN])
             siblings.append((digest, side))
-            off += 33
+            off += SIBLING_LEN
         return cls(n_g, MerkleProof(leaf_index, siblings), root, tag)
 
 
@@ -204,9 +244,8 @@ class MhtM3:
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM3":
-        if not data or data[0] != M3_TYPE:
-            raise ValueError("not an M3 frame")
-        return cls(Digest256(data[1:33]))
+        _check_frame(data, M3_TYPE, 33)
+        return cls(Digest256(data[1:]))
 
 
 @dataclass
@@ -218,9 +257,8 @@ class MhtM4:
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM4":
-        if not data or data[0] != M4_TYPE:
-            raise ValueError("not an M4 frame")
-        return cls(Digest256(data[1:33]))
+        _check_frame(data, M4_TYPE, 33)
+        return cls(Digest256(data[1:]))
 
 
 # --- protocol state ------------------------------------------------------

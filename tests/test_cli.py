@@ -91,6 +91,21 @@ def test_session_expiry_over_cli(tmp_path, capsys):
     assert code == 1  # SessionExpired
 
 
+def test_access_on_session_purged_by_later_login(tmp_path, capsys):
+    state = str(tmp_path / "state")
+    bootstrap_user(capsys, state)
+    login = ["login", "--state", state, "--uid", "alice", "--password", "pw-alice", "--bluetooth"]
+    code, out = run(capsys, *login, "--time", "600")
+    session = out.split("session=")[1].split()[0]
+    code, _ = run(capsys, *login, "--time", "700")
+    assert code == 0
+    code = main(
+        ["access", "--state", state, "--session", session, "--device", "thermostat",
+         "--time", "700"]
+    )
+    assert code == 2  # the login dropped it: no such session
+
+
 def test_bench_table1_csv_layout(capsys):
     code, out = run(capsys, "bench", "--table", "1", "--format", "csv", "--seed", SEED)
     assert code == 0

@@ -1,7 +1,10 @@
 """Lifecycle, decision wiring, and encrypted persistence tests."""
 
+import json
+
 import pytest
 
+from sshaf import persist
 from sshaf.context_engine import (
     DENY,
     GRANT,
@@ -284,6 +287,44 @@ def test_foreign_session_object_rejected():
     gw.sessions.clear()  # revoked behind the caller's back
     with pytest.raises(SessionExpired):
         gw.authorize_device_access(session, "thermostat", good_snapshot())
+
+
+def test_login_purges_sessions_past_ttl_and_keeps_live_ones():
+    gw = make_gateway()
+    register_and_activate(gw)
+    first = grant_session(gw)
+    gw.advance_time(10)
+    second = grant_session(gw)
+    gw.advance_time(20)  # first is exactly at the TTL: still live
+    third = grant_session(gw)
+    assert list(gw.sessions) == [first.session_id, second.session_id, third.session_id]
+    gw.advance_time(1)  # first is one minute past the TTL
+    fourth = grant_session(gw)
+    assert list(gw.sessions) == [second.session_id, third.session_id, fourth.session_id]
+
+
+def test_session_purged_by_login_still_raises_session_expired():
+    gw = make_gateway()
+    register_and_activate(gw)
+    stale = grant_session(gw)
+    gw.advance_time(31)
+    grant_session(gw)
+    assert stale.session_id not in gw.sessions
+    with pytest.raises(SessionExpired):
+        gw.authorize_device_access(stale, "thermostat", good_snapshot())
+
+
+def test_persisted_state_holds_only_live_sessions():
+    gw = make_gateway()
+    register_and_activate(gw)
+    grant_session(gw)
+    gw.advance_time(31)
+    live = grant_session(gw)
+    state = json.loads(persist.dumps(persist.gateway_state_to_dict(gw)))
+    assert list(state["sessions"]) == [live.session_id]
+    restored = make_gateway(b"\x31")
+    persist.restore_gateway_state(restored, state)
+    assert list(restored.sessions) == [live.session_id]
 
 
 # --- encrypted persistence ------------------------------------------------------------

@@ -2,10 +2,14 @@
 directly so they stay independent of the implementation they check."""
 
 import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sshaf import persist
 from sshaf.errors import (
     AlreadyRegistered,
     Busy,
@@ -15,6 +19,7 @@ from sshaf.errors import (
     GatewayAuthFailed,
     HistoryMismatch,
     IndexOutOfRange,
+    MalformedPacket,
     UnknownUser,
     UserAuthFailed,
 )
@@ -23,8 +28,11 @@ from sshaf.merkle_auth import (
     RIGHT,
     MerkleProof,
     MerkleTree,
+    MhtM1,
     MhtM2,
     MhtM3,
+    MhtM4,
+    _build_levels,
     mht_auth_challenge,
     mht_auth_finalize,
     mht_auth_initiate,
@@ -36,7 +44,7 @@ from sshaf.merkle_auth import (
     mht_try_resync,
     mht_verify,
 )
-from sshaf.primitives import Digest256, Key256, RandomSource, hash_bytes
+from sshaf.primitives import METER, Digest256, Key256, Nonce128, RandomSource, hash_bytes
 
 
 def sha(data: bytes) -> bytes:
@@ -304,7 +312,6 @@ def test_confirm_without_pending():
     user, _, registry = fresh_pair()
     src = RandomSource.seeded(b"\x09" * 32)
     user_key, _ = run_handshake(user, registry, src)
-    from sshaf.merkle_auth import MhtM4
     with pytest.raises(ConfirmFailed):
         mht_confirm(user, MhtM4(hash_bytes(b"nope")))
 
@@ -334,3 +341,140 @@ def test_message_wire_round_trips():
     m4, _ = mht_auth_finalize(registry, "alice", m3)
     assert type(m4).decode(m4.encode()) == m4
     mht_confirm(user, m4)
+
+
+# --- incremental append -----------------------------------------------------
+
+def grown_tree(n: int, seed: int = 3):
+    """Yield one growing tree at every size from 1 to n leaves."""
+    rng = random.Random(seed)
+    tree = MerkleTree([Digest256(rng.randbytes(32))])
+    yield tree
+    for _ in range(n - 1):
+        tree.append(Digest256(rng.randbytes(32)))
+        yield tree
+
+
+def test_append_keeps_levels_equal_to_full_rebuild():
+    for tree in grown_tree(600):
+        assert tree.levels == _build_levels(tree.leaves), len(tree.leaves)
+
+
+def test_latest_leaf_proof_after_append_matches_fresh_tree():
+    for tree in grown_tree(600):
+        latest = len(tree.leaves) - 1
+        proof = mht_prove(tree, latest)
+        fresh = MerkleTree(list(tree.leaves))
+        assert proof == mht_prove(fresh, latest)
+        assert mht_verify(tree.root, tree.leaves[latest], proof)
+
+
+def test_restored_tree_appends_like_one_never_persisted():
+    user, gateway, registry = fresh_pair()
+    src = RandomSource.seeded(b"\x0c" * 32)
+    for _ in range(37):
+        run_handshake(user, registry, src)
+    restored = persist.mht_gateway_from_dict(persist.mht_state_to_dict(gateway))
+    rng = random.Random(4)
+    for _ in range(40):
+        leaf = Digest256(rng.randbytes(32))
+        gateway.tree.append(leaf)
+        restored.tree.append(leaf)
+        assert restored.tree == gateway.tree
+
+
+def test_handshake_hash_cost_is_logarithmic_in_history():
+    # The proof check, plus one new-leaf hash and one append per side.
+    user, gateway, registry = fresh_pair()
+    src = RandomSource.seeded(b"\x0d" * 32)
+    for n in range(1, 1025):
+        assert len(gateway.tree.leaves) == n
+        before = METER.hash_count
+        run_handshake(user, registry, src)
+        hashes = METER.hash_count - before
+        assert hashes <= 3 * math.ceil(math.log2(n + 1)) + 2, (n, hashes)
+
+
+# --- decoders -------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+digests = st.binary(min_size=32, max_size=32).map(Digest256)
+nonces = st.binary(min_size=16, max_size=16).map(Nonce128)
+m1s = st.builds(MhtM1, st.text(max_size=40), nonces, st.integers(0, 2**64 - 1))
+proofs = st.builds(
+    MerkleProof,
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(digests, st.sampled_from([LEFT, RIGHT])), max_size=12),
+)
+m2s = st.builds(MhtM2, nonces, proofs, digests, digests)
+messages = st.one_of(m1s, m2s, st.builds(MhtM3, digests), st.builds(MhtM4, digests))
+DECODERS = [(MhtM1, 1), (MhtM2, 2), (MhtM3, 3), (MhtM4, 4)]
+
+
+@PROPERTY
+@given(messages)
+def test_decode_inverts_encode(msg):
+    assert type(msg).decode(msg.encode()) == msg
+
+
+@PROPERTY
+@given(messages, st.data())
+def test_truncated_or_extended_frames_rejected(msg, data):
+    wire = msg.encode()
+    cut = data.draw(st.integers(0, len(wire) - 1))
+    with pytest.raises(MalformedPacket):
+        type(msg).decode(wire[:cut])
+    with pytest.raises(MalformedPacket):
+        type(msg).decode(wire + data.draw(st.binary(min_size=1, max_size=40)))
+
+
+@pytest.mark.parametrize("cls,type_tag", DECODERS)
+@PROPERTY
+@given(data=st.data())
+def test_random_bytes_decode_canonically_or_raise_malformed(cls, type_tag, data):
+    raw = data.draw(
+        st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(lambda b: bytes([type_tag]) + b))
+    )
+    try:
+        msg = cls.decode(raw)
+    except MalformedPacket:
+        return
+    assert msg.encode() == raw
+
+
+def valid_frames():
+    """One honest encoding per message, with a non-empty uid and proof."""
+    n_u, n_g = Nonce128(b"\x01" * 16), Nonce128(b"\x02" * 16)
+    digest = Digest256(b"\x03" * 32)
+    proof = MerkleProof(5, [(digest, LEFT), (digest, RIGHT)])
+    return {
+        MhtM1: MhtM1("alice", n_u, 7).encode(),
+        MhtM2: MhtM2(n_g, proof, digest, digest).encode(),
+        MhtM3: MhtM3(digest).encode(),
+        MhtM4: MhtM4(digest).encode(),
+    }
+
+
+@pytest.mark.parametrize("cls,type_tag", DECODERS)
+def test_each_decoder_rejects_empty_and_wrong_tag_frames(cls, type_tag):
+    wire = valid_frames()[cls]
+    assert cls.decode(wire).encode() == wire
+    for bad in (b"", bytes([type_tag % 4 + 1]) + wire[1:]):
+        with pytest.raises(MalformedPacket):
+            cls.decode(bad)
+
+
+def test_m1_rejects_uid_that_is_not_utf8():
+    wire = bytearray(valid_frames()[MhtM1])
+    wire[3] = 0xFF  # first uid byte
+    with pytest.raises(MalformedPacket):
+        MhtM1.decode(bytes(wire))
+
+
+@pytest.mark.parametrize("side", [2, 0x80, 0xFF])
+def test_m2_rejects_side_byte_other_than_0_or_1(side):
+    wire = bytearray(valid_frames()[MhtM2])
+    wire[87] = side  # first sibling's side byte
+    with pytest.raises(MalformedPacket):
+        MhtM2.decode(bytes(wire))
