@@ -168,9 +168,20 @@ def _pack_uid(uid: str) -> bytes:
 
 
 def _unpack_uid(data: bytes, off: int = 0) -> tuple[str, int]:
-    (length,) = struct.unpack_from(">H", data, off)
-    end = off + 2 + length
-    return data[off + 2 : end].decode(), end
+    if len(data) < off + 2:
+        raise MalformedPacket("frame ends inside the uid length")
+    end = off + 2 + int.from_bytes(data[off : off + 2], "big")
+    if end > len(data):
+        raise MalformedPacket("uid runs past the end of the frame")
+    try:
+        return data[off + 2 : end].decode(), end
+    except UnicodeDecodeError:
+        raise MalformedPacket("uid is not UTF-8") from None
+
+
+def _check_length(data: bytes, expected: int, what: str) -> None:
+    if len(data) != expected:
+        raise MalformedPacket(f"{what} is {len(data)} bytes, expected {expected}")
 
 
 @dataclass
@@ -192,7 +203,8 @@ class Challenge:
     @classmethod
     def decode(cls, data: bytes) -> "Challenge":
         uid, off = _unpack_uid(data)
-        return cls(uid, Nonce128(data[off : off + 16]))
+        _check_length(data, off + 16, "challenge")
+        return cls(uid, Nonce128(data[off:]))
 
 
 @dataclass
@@ -206,7 +218,8 @@ class ConfirmMessage:
     @classmethod
     def decode(cls, data: bytes) -> "ConfirmMessage":
         uid, off = _unpack_uid(data)
-        return cls(uid, Digest256(data[off : off + 32]))
+        _check_length(data, off + 32, "confirm")
+        return cls(uid, Digest256(data[off:]))
 
 
 @dataclass
@@ -218,7 +231,8 @@ class AckMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "AckMessage":
-        return cls(Digest256(data[:32]))
+        _check_length(data, 32, "ack")
+        return cls(Digest256(data))
 
 
 # --- phases --------------------------------------------------------------------
@@ -283,12 +297,10 @@ def dhs_edge_verify(edge: EdgeServer, packet_bytes: bytes, src: RandomSource) ->
     """Phase 4, edge side: decapsulate, match the stored identifier, check
     the card-keyed tag via the binding, then issue a challenge nonce."""
     iid, record = dhs_decapsulate(packet_bytes)
-    try:
-        uid, off = _unpack_uid(record)
-        n_u = Nonce128(record[off : off + 16])
-        tag = Digest256(record[off + 16 : off + 48])
-    except (struct.error, ValueError, UnicodeDecodeError) as exc:
-        raise MalformedPacket(str(exc)) from None
+    uid, off = _unpack_uid(record)
+    _check_length(record, off + 48, "login record")
+    n_u = Nonce128(record[off : off + 16])
+    tag = Digest256(record[off + 16 :])
     entry = edge.db.get(uid)
     if entry is None or entry.current_iid != iid:
         raise IdentifierMismatch(f"unknown or stale identifier for {uid!r}")

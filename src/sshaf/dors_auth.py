@@ -14,10 +14,11 @@ the only secret behind a session key.
 
 from __future__ import annotations
 
+import hmac
 import struct
 from dataclasses import dataclass, field
 
-from .errors import AuthFailed, ForestExhausted, InvalidParams
+from .errors import AuthFailed, ForestExhausted, InvalidParams, MalformedPacket
 from .merkle_auth import mht_build
 from .primitives import Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf, random_nonce
 
@@ -83,7 +84,7 @@ class DorsSignature:
     def decode(cls, data: bytes, params: DorsParams) -> "DorsSignature":
         expected = 2 + params.k * 2 + params.k * 32
         if len(data) != expected:
-            raise ValueError(f"signature must be {expected} bytes, got {len(data)}")
+            raise MalformedPacket(f"signature must be {expected} bytes, got {len(data)}")
         (tree_index,) = struct.unpack_from(">H", data, 0)
         indices = list(struct.unpack_from(f">{params.k}H", data, 2))
         off = 2 + params.k * 2
@@ -109,8 +110,11 @@ class DorsSecretKey:
 
 @dataclass
 class DorsPublicKey:
+    """``leaf_digests[tree]`` packs that tree's t leaf digests into one
+    t*32-byte string: leaf i is bytes ``32*i .. 32*i+32``."""
+
     params: DorsParams
-    leaf_digests: list[list[Digest256]]  # [tree][leaf]
+    leaf_digests: list[bytes]
     roots: list[Digest256]
 
 
@@ -122,7 +126,7 @@ def dors_keygen(seed: Key256, params: DorsParams) -> tuple[DorsSecretKey, DorsPu
     roots = []
     for tree in range(params.f):
         digests = [hash_bytes(sk.leaf_secret(tree, leaf).bytes) for leaf in range(params.t)]
-        leaf_digests.append(digests)
+        leaf_digests.append(b"".join(d.bytes for d in digests))
         roots.append(mht_build(digests))
     pk = DorsPublicKey(params, leaf_digests, roots)
     genesis = hash_bytes(b"dors-genesis" + b"".join(r.bytes for r in roots))
@@ -181,7 +185,10 @@ def dors_verify(
         return False, chain
     tree_digests = pk.leaf_digests[sig.tree_index]
     for idx, reveal in zip(sig.subset_indices, sig.reveals):
-        if idx >= params.t or hash_bytes(reveal.bytes) != tree_digests[idx]:
+        if idx >= params.t:
+            return False, chain
+        published = tree_digests[32 * idx : 32 * idx + 32]
+        if not hmac.compare_digest(hash_bytes(reveal.bytes).bytes, published):
             return False, chain
     return True, chain.advanced(sig.encode())
 

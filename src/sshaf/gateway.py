@@ -9,6 +9,7 @@ credentials living on the user's own device.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import json
 from dataclasses import dataclass, field, replace
@@ -47,6 +48,7 @@ from .primitives import (
     mac,
     random_key,
     random_nonce,
+    xor_bytes,
 )
 
 ROLE_OWNER = "owner"
@@ -157,6 +159,12 @@ class LoginResult:
 # --- encrypted database file -------------------------------------------------
 # Layout: magic "SSHAF1" || 16-byte salt || ciphertext || 32-byte MAC,
 # encrypt-then-MAC over a canonical JSON serialization of the tables.
+# enc_key = kdf(db_key, "db-enc", salt) and mac_key = kdf(db_key, "db-mac",
+# salt). The ciphertext is the plaintext XOR a keystream whose block i is
+# SHA-256(enc_key || salt || i as 8 big-endian bytes), cut to the plaintext
+# length. The keystream is file encryption, not protocol work, so it calls
+# hashlib directly and stays off METER; the two kdfs and the MAC are
+# metered.
 
 def _db_to_dict(db: UserDatabase) -> dict:
     return {
@@ -228,11 +236,11 @@ def serialize_db(db: UserDatabase) -> bytes:
 
 
 def _keystream(enc_key: Key256, salt: bytes, length: int) -> bytes:
-    blocks = []
-    counter = 0
-    while 32 * len(blocks) < length:
-        blocks.append(hash_bytes(enc_key.bytes + salt + counter.to_bytes(8, "big")).bytes)
-        counter += 1
+    prefix = enc_key.bytes + salt
+    blocks = [
+        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+        for counter in range((length + 31) // 32)
+    ]
     return b"".join(blocks)[:length]
 
 
@@ -240,9 +248,7 @@ def encrypt_db(db: UserDatabase, db_key: Key256, salt: Nonce128) -> bytes:
     plaintext = serialize_db(db)
     enc_key = kdf(db_key, "db-enc", salt.bytes)
     mac_key = kdf(db_key, "db-mac", salt.bytes)
-    ciphertext = bytes(
-        p ^ k for p, k in zip(plaintext, _keystream(enc_key, salt.bytes, len(plaintext)))
-    )
+    ciphertext = xor_bytes(plaintext, _keystream(enc_key, salt.bytes, len(plaintext)))
     body = DB_MAGIC + salt.bytes + ciphertext
     return body + mac(mac_key, body).bytes
 
@@ -257,9 +263,7 @@ def decrypt_db(blob: bytes, db_key: Key256) -> UserDatabase:
         raise AuthenticatedDecryptionFailed("integrity check failed")
     ciphertext = body[len(DB_MAGIC) + 16 :]
     enc_key = kdf(db_key, "db-enc", salt)
-    plaintext = bytes(
-        c ^ k for c, k in zip(ciphertext, _keystream(enc_key, salt, len(ciphertext)))
-    )
+    plaintext = xor_bytes(ciphertext, _keystream(enc_key, salt, len(ciphertext)))
     try:
         return _db_from_dict(json.loads(plaintext.decode()))
     except (ValueError, KeyError, TypeError) as exc:

@@ -64,7 +64,7 @@ def _save(state_dir: Path, gw: Gateway, rng_seed: bytes, invocation: int) -> Non
         "invocation": invocation,
         "gateway": persist.gateway_state_to_dict(gw),
     }
-    (state_dir / STATE_FILE).write_text(json.dumps(state, sort_keys=True, indent=1))
+    (state_dir / STATE_FILE).write_bytes(persist.dumps(state))
     gw.save_database(state_dir / DB_FILE)
 
 

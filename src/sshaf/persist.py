@@ -9,10 +9,13 @@ explicitly asks for it (that inclusion is the documented attack window).
 from __future__ import annotations
 
 import json
+import struct
 
 from . import dhs_auth, dors_auth, gateway as gw_mod, merkle_auth
 from .context_engine import AccessPolicy, CalendarInterval, FactorWeights
-from .primitives import Digest256, Key256, Nonce128
+from .primitives import DIGEST_LEN, Digest256, Key256, Nonce128
+
+_HEX_DIGEST_LEN = 2 * DIGEST_LEN
 
 
 def _digests_to_hex(digests) -> list[str]:
@@ -21,6 +24,21 @@ def _digests_to_hex(digests) -> list[str]:
 
 def _digests_from_hex(items) -> list[Digest256]:
     return [Digest256.from_hex(h) for h in items]
+
+
+def _packed_to_hex(packed: bytes) -> list[str]:
+    return [digest.hex() for (digest,) in struct.iter_unpack(f"{DIGEST_LEN}s", packed)]
+
+
+def _packed_from_hex(items) -> bytes:
+    """Inverse of :func:`_packed_to_hex`. ``bytes.fromhex`` skips
+    whitespace, so the total length is checked after the per-item one."""
+    if any(len(h) != _HEX_DIGEST_LEN for h in items):
+        raise ValueError(f"leaf digests must be {_HEX_DIGEST_LEN} hex characters")
+    packed = bytes.fromhex("".join(items))
+    if len(packed) != DIGEST_LEN * len(items):
+        raise ValueError("leaf digests must be hex without whitespace")
+    return packed
 
 
 # --- merkle_auth ------------------------------------------------------------
@@ -114,7 +132,7 @@ def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide) -> dict:
     return {
         "uid": side.uid,
         "params": dors_params_to_dict(side.public_key.params),
-        "leaf_digests": [_digests_to_hex(tree) for tree in side.public_key.leaf_digests],
+        "leaf_digests": [_packed_to_hex(tree) for tree in side.public_key.leaf_digests],
         "roots": _digests_to_hex(side.public_key.roots),
         "chain": chain_to_dict(side.chain),
         "link_key": side.link_key.hex(),
@@ -124,7 +142,7 @@ def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide) -> dict:
 def dors_gateway_from_dict(data: dict) -> dors_auth.DorsGatewaySide:
     pk = dors_auth.DorsPublicKey(
         params=dors_params_from_dict(data["params"]),
-        leaf_digests=[_digests_from_hex(tree) for tree in data["leaf_digests"]],
+        leaf_digests=[_packed_from_hex(tree) for tree in data["leaf_digests"]],
         roots=_digests_from_hex(data["roots"]),
     )
     return dors_auth.DorsGatewaySide(

@@ -199,9 +199,11 @@ def random_key(src: RandomSource) -> Key256:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
+    """Bytewise XOR, done as one big-integer XOR; leading zero bytes
+    survive because the result is re-padded to ``len(a)``."""
     if len(a) != len(b):
         raise ValueError("xor operands must have equal length")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 # --- test-vector files ---------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end CLI flows, run in-process through main(argv)."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -119,6 +120,23 @@ def test_bench_table1_csv_layout(capsys):
     values = {row[0]: (int(row[1]), int(row[2])) for row in rows[1:]}
     no_auth = values["No authentication"]
     assert all(no_auth[0] <= v[0] and no_auth[1] <= v[1] for v in values.values())
+
+
+# SHA-256 of `sshaf bench --table N --format json --seed 11*32`. The
+# output holds every row's modelled ms and its hash, mac, wire-byte,
+# message and storage_bits counters, so any change to protocol work or to
+# the persisted bytes shows here.
+BENCH_JSON_SHA256 = {
+    "1": "0e0137e9f443d30f9becb6485aee5515b3682ee0ec0c1c9d534de69c1f77374a",
+    "2": "f158cc4bb830e2862e1cccacf16c70f1cdd4d56c47d05fd4bbdc31c0022a0061",
+}
+
+
+@pytest.mark.parametrize("table", sorted(BENCH_JSON_SHA256))
+def test_bench_json_tables_are_pinned(capsys, table):
+    code, out = run(capsys, "bench", "--table", table, "--format", "json", "--seed", SEED)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_JSON_SHA256[table]
 
 
 def test_bench_table3_all_resisted(capsys):

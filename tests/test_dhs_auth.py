@@ -2,6 +2,8 @@
 rotation, and the lockout rule."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sshaf.errors import (
     AgreeFailed,
@@ -15,6 +17,7 @@ from sshaf.errors import (
 from sshaf.dhs_auth import (
     AckMessage,
     Challenge,
+    ConfirmMessage,
     EdgeServer,
     InterfaceIdentifier,
     Ipv6Packet,
@@ -289,7 +292,84 @@ def test_wire_record_round_trips():
     challenge = dhs_edge_verify(edge, request.encode(), src)
     assert Challenge.decode(challenge.encode()) == challenge
     confirm, session = dhs_card_confirm(card, challenge)
-    from sshaf.dhs_auth import ConfirmMessage
     assert ConfirmMessage.decode(confirm.encode()) == confirm
     ack, _ = dhs_edge_complete(edge, confirm)
     assert AckMessage.decode(ack.encode()) == ack
+
+
+# --- decoders -------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+digests = st.binary(min_size=32, max_size=32).map(Digest256)
+nonces = st.binary(min_size=16, max_size=16).map(Nonce128)
+uids = st.text(max_size=40)
+messages = st.one_of(
+    st.builds(Challenge, uids, nonces),
+    st.builds(ConfirmMessage, uids, digests),
+    st.builds(AckMessage, digests),
+)
+DECODERS = [Challenge, ConfirmMessage, AckMessage]
+
+
+@PROPERTY
+@given(messages)
+def test_decode_inverts_encode(msg):
+    assert type(msg).decode(msg.encode()) == msg
+
+
+@PROPERTY
+@given(messages, st.data())
+def test_truncated_or_extended_frames_rejected(msg, data):
+    wire = msg.encode()
+    cut = data.draw(st.integers(0, len(wire) - 1))
+    with pytest.raises(MalformedPacket):
+        type(msg).decode(wire[:cut])
+    with pytest.raises(MalformedPacket):
+        type(msg).decode(wire + data.draw(st.binary(min_size=1, max_size=40)))
+
+
+@pytest.mark.parametrize("cls", DECODERS)
+@PROPERTY
+@given(raw=st.binary(max_size=120))
+def test_random_bytes_decode_canonically_or_raise_malformed(cls, raw):
+    try:
+        msg = cls.decode(raw)
+    except MalformedPacket:
+        return
+    assert msg.encode() == raw
+
+
+@pytest.mark.parametrize("cls,body_len", [(Challenge, 16), (ConfirmMessage, 32)])
+def test_uid_frames_reject_bad_uid_fields(cls, body_len):
+    body = b"\x07" * body_len
+    for bad in (
+        b"",
+        b"\x00",  # frame ends inside the uid length
+        b"\x00\x05bob" + body,  # uid length runs past the frame
+        b"\xff\xffbob",
+        b"\x00\x03b\xffb" + body,  # uid is not UTF-8
+    ):
+        with pytest.raises(MalformedPacket):
+            cls.decode(bad)
+    assert cls.decode(b"\x00\x03bob" + body).uid == "bob"
+
+
+def test_ack_rejects_trailing_bytes():
+    wire = AckMessage(Digest256(b"\x09" * 32)).encode()
+    with pytest.raises(MalformedPacket):
+        AckMessage.decode(wire + b"\x00")
+
+
+def test_edge_verify_rejects_malformed_login_record():
+    src, _, edge, card = make_world()
+    for record in (
+        b"\x00",
+        b"\x00\x40bob",
+        b"\x00\x03b\xffb" + bytes(48),
+        b"\x00\x03bob" + bytes(47),  # short tag
+        b"\x00\x03bob" + bytes(49),  # trailing byte
+    ):
+        packet = dhs_encapsulate(record, card.current_iid).encode()
+        with pytest.raises(MalformedPacket):
+            dhs_edge_verify(edge, packet, src)

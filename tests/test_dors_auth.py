@@ -5,8 +5,10 @@ the fresh subset lands inside the revealed set."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sshaf.errors import AuthFailed, ForestExhausted, InvalidParams
+from sshaf.errors import AuthFailed, ForestExhausted, InvalidParams, MalformedPacket
 from sshaf.dors_auth import (
     ChainState,
     DorsParams,
@@ -49,7 +51,8 @@ def test_keygen_deterministic():
 
 def test_keygen_leaf_count():
     _, pk, _ = dors_keygen(SEED, TINY)
-    assert sum(len(tree) for tree in pk.leaf_digests) == 8  # f*t = 2*4
+    # Each tree packs its t digests into one t*32-byte string.
+    assert sum(len(tree) // 32 for tree in pk.leaf_digests) == 8  # f*t = 2*4
 
 
 def test_subset_bit_extraction_oracle():
@@ -89,7 +92,8 @@ def test_sign_reveals_hash_to_public_digests():
     sk, pk, chain = dors_keygen(SEED, TINY)
     sig, _ = dors_sign(sk, chain, b"message")
     for idx, reveal in zip(sig.subset_indices, sig.reveals):
-        assert hash_bytes(reveal.bytes) == pk.leaf_digests[sig.tree_index][idx]
+        published = pk.leaf_digests[sig.tree_index][32 * idx : 32 * idx + 32]
+        assert hash_bytes(reveal.bytes).bytes == published
 
 
 def test_budget_exhaustion_single_tree():
@@ -261,3 +265,54 @@ def test_forgery_succeeds_exactly_when_subset_lands_in_revealed():
         assert forged_ok == in_revealed
         landed += in_revealed
     assert landed > 0, "seed produced no in-revealed subsets; weaken nothing, reseed"
+
+
+# --- signature decoder ------------------------------------------------------------
+
+PROPERTY = settings(max_examples=200, deadline=None)
+WIRE_PARAMS = [TINY, DorsParams()]
+
+
+def signatures(params):
+    k = params.k
+    return st.builds(
+        DorsSignature,
+        st.integers(0, 2**16 - 1),
+        st.lists(st.integers(0, 2**16 - 1), min_size=k, max_size=k),
+        st.binary(min_size=32 * k, max_size=32 * k).map(
+            lambda raw: [Key256(raw[32 * i : 32 * i + 32]) for i in range(k)]
+        ),
+    )
+
+
+@pytest.mark.parametrize("params", WIRE_PARAMS)
+@PROPERTY
+@given(data=st.data())
+def test_signature_decode_inverts_encode(params, data):
+    sig = data.draw(signatures(params))
+    assert DorsSignature.decode(sig.encode(), params) == sig
+
+
+@pytest.mark.parametrize("params", WIRE_PARAMS)
+@PROPERTY
+@given(data=st.data())
+def test_truncated_or_extended_signatures_rejected(params, data):
+    wire = data.draw(signatures(params)).encode()
+    cut = data.draw(st.integers(0, len(wire) - 1))
+    with pytest.raises(MalformedPacket):
+        DorsSignature.decode(wire[:cut], params)
+    with pytest.raises(MalformedPacket):
+        DorsSignature.decode(wire + data.draw(st.binary(min_size=1, max_size=40)), params)
+
+
+@pytest.mark.parametrize("params", WIRE_PARAMS)
+@PROPERTY
+@given(data=st.data())
+def test_random_bytes_decode_canonically_or_raise_malformed(params, data):
+    size = 2 + params.k * 34
+    raw = data.draw(st.one_of(st.binary(max_size=size + 8), st.binary(min_size=size, max_size=size)))
+    try:
+        sig = DorsSignature.decode(raw, params)
+    except MalformedPacket:
+        return
+    assert sig.encode() == raw

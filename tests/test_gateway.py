@@ -1,5 +1,6 @@
 """Lifecycle, decision wiring, and encrypted persistence tests."""
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from sshaf.context_engine import (
     SCHEME_DORS,
     SCHEME_MHT,
     STEP_UP,
+    AccessPolicy,
     CalendarInterval,
     ContextSnapshot,
 )
@@ -35,12 +37,16 @@ from sshaf.gateway import (
     CAP_CARD,
     CAP_DORS,
     Gateway,
+    UsageRecord,
     UserDatabase,
     UserProfile,
+    _keystream,
+    decrypt_db,
+    encrypt_db,
     load_db,
     store_db,
 )
-from sshaf.primitives import Key256, RandomSource
+from sshaf.primitives import METER, Key256, Nonce128, RandomSource
 
 DB_KEY = Key256(b"\x99" * 32)
 WORK_CAL = [CalendarInterval(weekday=d, start_minute=8 * 60, end_minute=22 * 60) for d in range(7)]
@@ -386,3 +392,61 @@ def test_no_plaintext_credentials_in_stored_file(tmp_path):
     assert b"sup3r-secret-pw" not in blob
     assert b"owner-pass" not in blob
     assert b"alice" not in blob  # whole table is ciphertext, not just secrets
+
+
+# --- database cipher bytes --------------------------------------------------------
+
+DB_SALT = Nonce128(b"\x5c" * 16)
+# SHA-256 of encrypt_db(fixed_database(), DB_KEY, DB_SALT), taken from the
+# per-byte implementation; a faster cipher must write the same file.
+FIXED_DB_BLOB_SHA256 = "8e0ed0edbe2ce1d0607042bdc424d57afe630b50c2f3b81c90f77d5c810583b5"
+
+
+def fixed_database() -> UserDatabase:
+    return UserDatabase(
+        profiles={
+            "alice": UserProfile(
+                "alice", "Alice", 30, "resident", "active", (CAP_DORS, CAP_CARD), "0a" * 16, "b7" * 32
+            ),
+            "bob": UserProfile("bob", "Bob \u00e9", 9, "guest"),
+        },
+        calendars={"alice": WORK_CAL[:3], "bob": []},
+        usage_patterns=[
+            UsageRecord("alice", "thermostat", 600 + 37 * i, i % 6, i % 7, IP_HOME, GRANT)
+            for i in range(40)
+        ],
+        access_policies={"front-lock": AccessPolicy(0.9), "thermostat": AccessPolicy(0.5, 0.1)},
+    )
+
+
+def reference_keystream(enc_key: Key256, salt: bytes, length: int) -> bytes:
+    out = b""
+    counter = 0
+    while len(out) < length:
+        out += hashlib.sha256(enc_key.bytes + salt + counter.to_bytes(8, "big")).digest()
+        counter += 1
+    return out[:length]
+
+
+def test_keystream_matches_per_block_reference():
+    enc_key = Key256(bytes(range(32)))
+    for length in range(131):
+        assert _keystream(enc_key, DB_SALT.bytes, length) == reference_keystream(
+            enc_key, DB_SALT.bytes, length
+        )
+
+
+def test_encrypt_db_bytes_are_pinned_and_round_trip():
+    blob = encrypt_db(fixed_database(), DB_KEY, DB_SALT)
+    assert hashlib.sha256(blob).hexdigest() == FIXED_DB_BLOB_SHA256
+    assert decrypt_db(blob, DB_KEY) == fixed_database()
+
+
+def test_db_crypto_meters_its_kdfs_and_mac_but_not_the_keystream():
+    # Each direction runs two kdfs and one MAC, each one mac_count.
+    db = fixed_database()
+    hashes, macs = METER.snapshot()
+    blob = encrypt_db(db, DB_KEY, DB_SALT)
+    assert METER.snapshot() == (hashes, macs + 3)
+    decrypt_db(blob, DB_KEY)
+    assert METER.snapshot() == (hashes, macs + 6)

@@ -1,6 +1,9 @@
 """State serialization round trips, and the ephemeral-exclusion rule."""
 
+import hashlib
 import json
+
+import pytest
 
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
 from sshaf.context_engine import ContextSnapshot
@@ -55,6 +58,44 @@ def test_dors_sides_round_trip():
     # The restored pair still completes a handshake with matching keys.
     uk, gk = dors_auth.dors_handshake(user2, gateway2, src)
     assert uk == gk
+
+
+# SHA-256 of the persisted gateway side for the production parameters,
+# taken while leaf digests were held as Digest256 objects; the packed form
+# must write the same JSON.
+DORS_GATEWAY_JSON_SHA256 = "c689386cf66f076141b797c2f7faefe510da900564bd31c4db97bd00b34a11f0"
+
+
+def production_dors_gateway():
+    user, gateway = dors_auth.dors_provision("alice", MASTER)
+    dors_auth.dors_handshake(user, gateway, RandomSource.seeded(b"\x0c" * 32))
+    return gateway
+
+
+def test_dors_gateway_json_bytes_are_pinned():
+    data = persist.dors_gateway_to_dict(production_dors_gateway())
+    assert all(len(h) == 64 for tree in data["leaf_digests"] for h in tree)
+    assert hashlib.sha256(persist.dumps(data)).hexdigest() == DORS_GATEWAY_JSON_SHA256
+    restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(data)))
+    assert persist.dors_gateway_to_dict(restored) == data
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda h: h[:63],  # one hex digit short
+        lambda h: h[:63] + "g",  # not hex
+        lambda h: h[:30] + "  " + h[32:],  # 64 chars, but whitespace inside
+        lambda h: h[:31] + " " + h[32:],  # 64 chars, odd digit count
+    ],
+)
+def test_dors_gateway_from_dict_rejects_malformed_leaf_digest(spoil):
+    params = dors_auth.DorsParams(t=16, k=4, f=2, r=2)
+    _, gateway = dors_auth.dors_provision("alice", MASTER, params)
+    data = persist.dors_gateway_to_dict(gateway)
+    data["leaf_digests"][1][5] = spoil(data["leaf_digests"][1][5])
+    with pytest.raises(ValueError):
+        persist.dors_gateway_from_dict(data)
 
 
 def test_dhs_entities_round_trip():

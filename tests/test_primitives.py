@@ -184,6 +184,21 @@ def test_xor_bytes():
     assert xor_bytes(b"\xff\x00", b"\x0f\x0f") == b"\xf0\x0f"
     with pytest.raises(ValueError):
         xor_bytes(b"\x00", b"\x00\x00")
+    # Per-byte reference on random inputs.
+    rng = random.Random(0x0B)
+    cases = [(b"", b""), (b"\x00\x00\x01", b"\x00\x00\x02"), (b"\x00" * 40, b"\x00" * 40)]
+    for n in [1, 2, 31, 32, 33, 4095, 4096] + rng.sample(range(3, 4095), 60):
+        a = rng.randbytes(n)
+        cases.append((a, rng.randbytes(n)))
+        # Equal leading bytes give leading zero bytes in the result.
+        shared = rng.randrange(n + 1)
+        cases.append((a, a[:shared] + rng.randbytes(n - shared)))
+        cases.append((b"\x00" * shared + a[shared:], b"\x00" * n))
+    for a, b in cases:
+        assert xor_bytes(a, b) == bytes(x ^ y for x, y in zip(a, b))
+    for a, b in [(b"", b"\x00"), (b"\x01" * 33, b"\x01" * 32), (b"\x00" * 4096, b"")]:
+        with pytest.raises(ValueError):
+            xor_bytes(a, b)
 
 
 def test_vector_file_round_trip(tmp_path):
