@@ -19,8 +19,18 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import AuthFailed, ForestExhausted, InvalidParams, MalformedPacket
-from .merkle_auth import mht_build
-from .primitives import Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf, random_nonce
+from .merkle_auth import merkle_root
+from .primitives import (
+    Digest256,
+    Key256,
+    Nonce128,
+    RandomSource,
+    hash_bytes,
+    kdf,
+    kdf_many,
+    random_nonce,
+    sha256_many,
+)
 
 
 @dataclass(frozen=True)
@@ -103,10 +113,6 @@ class DorsSecretKey:
     used_signatures: int = 0  # signatures spent in the active tree
     revealed: dict[int, set[int]] = field(default_factory=dict)
 
-    def leaf_secret(self, tree: int, leaf: int) -> Key256:
-        material = struct.pack(">HH", tree, leaf)
-        return kdf(self.forest_seed, "leaf", material)
-
 
 @dataclass
 class DorsPublicKey:
@@ -118,19 +124,31 @@ class DorsPublicKey:
     roots: list[Digest256]
 
 
+def _leaf_secrets(seed: Key256, tree: int, leaves) -> list[bytes]:
+    """One-time secrets of ``leaves`` in ``tree``: kdf(seed, "leaf",
+    tree || leaf as two big-endian 16-bit words), in one keyed batch."""
+    return kdf_many(seed, "leaf", [struct.pack(">HH", tree, leaf) for leaf in leaves])
+
+
 def dors_keygen(seed: Key256, params: DorsParams) -> tuple[DorsSecretKey, DorsPublicKey, ChainState]:
     """Deterministic key expansion; the initial chain value commits to the
-    whole public forest."""
-    sk = DorsSecretKey(params, seed)
+    whole public forest.
+
+    Each tree is derived in batches over raw bytes: its t leaf secrets in
+    one keyed ``kdf_many``, their SHA-256 leaf digests in one
+    ``sha256_many``, packed into the tree's t*32-byte string, and the
+    tree's Merkle root folded from those digests. ``METER`` counts
+    f*(2t-1)+1 hashes and f*t macs, as one call per leaf would.
+    """
     leaf_digests = []
     roots = []
     for tree in range(params.f):
-        digests = [hash_bytes(sk.leaf_secret(tree, leaf).bytes) for leaf in range(params.t)]
-        leaf_digests.append(b"".join(d.bytes for d in digests))
-        roots.append(mht_build(digests))
+        digests = sha256_many(_leaf_secrets(seed, tree, range(params.t)))
+        leaf_digests.append(b"".join(digests))
+        roots.append(Digest256(merkle_root(digests)))
     pk = DorsPublicKey(params, leaf_digests, roots)
     genesis = hash_bytes(b"dors-genesis" + b"".join(r.bytes for r in roots))
-    return sk, pk, ChainState(genesis)
+    return DorsSecretKey(params, seed), pk, ChainState(genesis)
 
 
 def dors_subset(message: bytes, chain: ChainState, params: DorsParams) -> list[int]:
@@ -160,7 +178,7 @@ def dors_sign(
         sk.used_signatures = 0
     tree = sk.active_tree
     indices = dors_subset(message, chain, params)
-    reveals = [sk.leaf_secret(tree, idx) for idx in indices]
+    reveals = [Key256(secret) for secret in _leaf_secrets(sk.forest_seed, tree, indices)]
     sk.revealed.setdefault(tree, set()).update(indices)
     sk.used_signatures += 1
     sig = DorsSignature(tree, indices, reveals)

@@ -29,7 +29,6 @@ CAP_RECORD_REPLAY = "record-replay"
 CAP_INJECT = "inject"
 CAP_PUBLIC_KEYS = "knows-public-keys"
 CAP_STOLEN_STATE = "holds-stolen-device-state"
-CAP_ONE_SESSION_KEY = "holds-one-session-key"
 
 # Labels the public kdf is used with anywhere in the framework; a disclosed
 # key that re-derives another session key through any of them is a break.

@@ -101,18 +101,24 @@ def run_dhs_over_link(link, card, edge, password, src):
 # --- scenario world -----------------------------------------------------------
 
 class ScenarioWorld:
-    """One user provisioned for all three schemes, built fresh per scenario
-    from a forked seed."""
+    """One user provisioned for the scenario's scheme, built fresh per
+    scenario from a forked seed.
+
+    MHT and DHS are always provisioned, so the seeded stream is read the
+    same way whatever the scheme. The DORS forest reads no randomness and
+    is by far the costliest to expand, so only a DORS scenario builds it.
+    """
 
     UID = "alice"
     PASSWORD = "scenario-pass"
 
-    def __init__(self, src: RandomSource):
+    def __init__(self, src: RandomSource, scheme: str):
         self.src = src
         self.master = Key256(src.read(32))
         self.mht_registry: dict[str, merkle_auth.MhtGatewayState] = {}
         self.mht_user, _ = merkle_auth.mht_register(self.mht_registry, self.UID, self.master)
-        self.dors_user, self.dors_gateway = dors_auth.dors_provision(self.UID, self.master)
+        if scheme == SCHEME_DORS:
+            self.dors_user, self.dors_gateway = dors_auth.dors_provision(self.UID, self.master)
         self.home = dhs_auth.dhs_initialize(src)
         self.edge = dhs_auth.EdgeServer()
         self.card = dhs_auth.dhs_register(self.home, self.edge, self.UID, self.PASSWORD, src)
@@ -183,7 +189,7 @@ def run_scenario(config: SimConfig, script: dict) -> tuple[Transcript, MetricsRe
 
     scenario_src = RandomSource.seeded(config.seed).fork(f"scenario:{name}:{link_name}")
     drop_stream = RandomSource.seeded(config.seed).fork(f"drops:{name}:{link_name}")
-    world = ScenarioWorld(scenario_src.fork("world"))
+    world = ScenarioWorld(scenario_src.fork("world"), scheme)
     clock = SimClock()
     transcript = Transcript()
     link = SimLink(config, link_name, clock, transcript, drop_stream)

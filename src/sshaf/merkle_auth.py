@@ -36,7 +36,17 @@ from .errors import (
     UnknownUser,
     UserAuthFailed,
 )
-from .primitives import Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf, mac, random_nonce
+from .primitives import (
+    Digest256,
+    Key256,
+    Nonce128,
+    RandomSource,
+    hash_bytes,
+    kdf,
+    mac,
+    random_nonce,
+    sha256_many,
+)
 
 LEFT = "left"
 RIGHT = "right"
@@ -97,24 +107,37 @@ def _combine(left: Digest256, right: Digest256) -> Digest256:
     return hash_bytes(left.bytes + right.bytes)
 
 
-def _build_levels(leaves: list[Digest256]) -> list[list[Digest256]]:
-    if not leaves:
+def merkle_levels(nodes: list[bytes]) -> list[list[bytes]]:
+    """Every level over raw 32-byte digests, leaves first and root last.
+
+    Each level's pairs are hashed in one batch; an unpaired last node is
+    promoted unhashed.
+    """
+    if not nodes:
         raise EmptyTree("tree needs at least one leaf")
-    levels = [list(leaves)]
+    levels = [list(nodes)]
     while len(levels[-1]) > 1:
         current = levels[-1]
-        nxt = []
-        for i in range(0, len(current) - 1, 2):
-            nxt.append(_combine(current[i], current[i + 1]))
+        nxt = sha256_many([current[i] + current[i + 1] for i in range(0, len(current) - 1, 2)])
         if len(current) % 2 == 1:
             nxt.append(current[-1])
         levels.append(nxt)
     return levels
 
 
+def merkle_root(nodes: list[bytes]) -> bytes:
+    """Raw root over raw 32-byte leaf digests."""
+    return merkle_levels(nodes)[-1][0]
+
+
+def _build_levels(leaves: list[Digest256]) -> list[list[Digest256]]:
+    levels = merkle_levels([leaf.bytes for leaf in leaves])
+    return [list(leaves)] + [[Digest256(node) for node in level] for level in levels[1:]]
+
+
 def mht_build(leaves: list[Digest256]) -> Digest256:
     """Root commitment over an ordered leaf sequence."""
-    return _build_levels(leaves)[-1][0]
+    return Digest256(merkle_root([leaf.bytes for leaf in leaves]))
 
 
 def mht_prove(tree: MerkleTree, leaf_index: int) -> MerkleProof:

@@ -140,10 +140,19 @@ def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide) -> dict:
 
 
 def dors_gateway_from_dict(data: dict) -> dors_auth.DorsGatewaySide:
+    """Raises ``ValueError`` unless the forest has exactly f trees of t
+    leaf digests and f roots, so a damaged file fails at load, not as a
+    rejected login."""
+    params = dors_params_from_dict(data["params"])
+    trees, roots = data["leaf_digests"], data["roots"]
+    if len(trees) != params.f or len(roots) != params.f:
+        raise ValueError(f"a DORS forest needs {params.f} trees and {params.f} roots")
+    if any(len(tree) != params.t for tree in trees):
+        raise ValueError(f"every DORS tree needs {params.t} leaf digests")
     pk = dors_auth.DorsPublicKey(
-        params=dors_params_from_dict(data["params"]),
-        leaf_digests=[_packed_from_hex(tree) for tree in data["leaf_digests"]],
-        roots=_digests_from_hex(data["roots"]),
+        params=params,
+        leaf_digests=[_packed_from_hex(tree) for tree in trees],
+        roots=_digests_from_hex(roots),
     )
     return dors_auth.DorsGatewaySide(
         uid=data["uid"],

@@ -5,6 +5,12 @@ HMAC-SHA-256 keyed integrity, a labelled key-derivation function, and a
 randomness source with a replayable seeded mode. All protocol-level hash
 and mac invocations are counted by a module-level meter so the harness can
 report exact computational costs.
+
+The batch helpers :func:`kdf_many` and :func:`sha256_many` return the
+bytes the one-call forms would, and charge ``METER`` once for each call
+they stand for. ``kdf_many`` keys its HMAC once per batch: it builds the
+SHA-256 states after ``key XOR ipad`` (plus the label) and ``key XOR opad``
+and copies them for every salt, the precomputation of RFC 2104 section 4.
 """
 
 from __future__ import annotations
@@ -105,10 +111,6 @@ class RandomSource:
     def seeded(cls, seed: bytes) -> "RandomSource":
         return cls(seed)
 
-    @property
-    def is_seeded(self) -> bool:
-        return self._seed is not None
-
     def read(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("cannot read a negative number of bytes")
@@ -165,7 +167,7 @@ def hmac_sha256(key: bytes, data: bytes) -> bytes:
     This is the core the RFC 4231 vectors exercise; protocol code goes
     through :func:`mac`, which fixes the key width at 32 bytes.
     """
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    return _hmac.digest(key, data, "sha256")
 
 
 def mac(key: Key256, data: bytes) -> Digest256:
@@ -174,20 +176,54 @@ def mac(key: Key256, data: bytes) -> Digest256:
     return Digest256(hmac_sha256(key.bytes, data))
 
 
-def kdf(secret: Key256, label: str, salt_material: bytes) -> Key256:
-    """Derive a 32-byte key bound to ``label`` and ``salt_material``.
-
-    The label is length-prefixed before keyed hashing, so distinct labels
-    can never collide with each other via salt content.
-    """
+def _label_prefix(label: str) -> bytes:
+    """The label, length-prefixed, as kdf feeds it ahead of the salt."""
     try:
         label_bytes = label.encode("ascii")
     except UnicodeEncodeError:
         raise InvalidLabel(f"label must be ASCII: {label!r}") from None
     if not label_bytes or len(label_bytes) > MAX_LABEL_LEN:
         raise InvalidLabel(f"label must be 1..{MAX_LABEL_LEN} bytes, got {len(label_bytes)}")
-    material = bytes([len(label_bytes)]) + label_bytes + salt_material
-    return Key256(mac(secret, material).bytes)
+    return bytes([len(label_bytes)]) + label_bytes
+
+
+def kdf(secret: Key256, label: str, salt_material: bytes) -> Key256:
+    """Derive a 32-byte key bound to ``label`` and ``salt_material``.
+
+    The label is length-prefixed before keyed hashing, so distinct labels
+    can never collide with each other via salt content.
+    """
+    return Key256(mac(secret, _label_prefix(label) + salt_material).bytes)
+
+
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def kdf_many(secret: Key256, label: str, salts: list[bytes]) -> list[bytes]:
+    """``[kdf(secret, label, s).bytes for s in salts]``, keying HMAC once.
+
+    Adds ``len(salts)`` to ``mac_count``, one per derivation.
+    """
+    block = secret.bytes.ljust(64, b"\0")  # a 32-byte key fills half a SHA-256 block
+    inner = hashlib.sha256(block.translate(_IPAD) + _label_prefix(label))
+    outer = hashlib.sha256(block.translate(_OPAD))
+    out = []
+    for salt in salts:
+        h = inner.copy()
+        h.update(salt)
+        o = outer.copy()
+        o.update(h.digest())
+        out.append(o.digest())
+    METER.mac_count += len(salts)
+    return out
+
+
+def sha256_many(chunks: list[bytes]) -> list[bytes]:
+    """Raw SHA-256 of each chunk; adds ``len(chunks)`` to ``hash_count``."""
+    METER.hash_count += len(chunks)
+    sha256 = hashlib.sha256
+    return [sha256(chunk).digest() for chunk in chunks]
 
 
 def random_nonce(src: RandomSource) -> Nonce128:

@@ -2,6 +2,7 @@
 forgery oracle: a forger limited to observed reveals succeeds exactly when
 the fresh subset lands inside the revealed set."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -23,7 +24,7 @@ from sshaf.dors_auth import (
     dors_subset,
     dors_verify,
 )
-from sshaf.primitives import Digest256, Key256, Nonce128, RandomSource, hash_bytes
+from sshaf.primitives import METER, Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf
 
 SEED = Key256(b"\x55" * 32)
 TINY = DorsParams(t=4, k=2, f=2, r=1)
@@ -53,6 +54,35 @@ def test_keygen_leaf_count():
     _, pk, _ = dors_keygen(SEED, TINY)
     # Each tree packs its t digests into one t*32-byte string.
     assert sum(len(tree) // 32 for tree in pk.leaf_digests) == 8  # f*t = 2*4
+
+
+# SHA-256 of the packed leaf digests, the roots and the genesis chain value
+# for the production parameters, taken when every leaf was derived and
+# hashed by its own kdf and hash_bytes call.
+PRODUCTION_FOREST_SHA256 = "22f1f00ee68a70ed018198c9beb2307cb59478cc95e3db032b98b17ce35e97b3"
+
+
+def test_production_keygen_bytes_and_counts_are_pinned():
+    METER.reset()
+    _, pk, chain = dors_keygen(Key256(b"\x44" * 32), DorsParams())
+    assert METER.snapshot() == (4089, 2048)  # f*(2t-1)+1 hashes, f*t macs
+    forest = b"".join(pk.leaf_digests) + b"".join(r.bytes for r in pk.roots) + chain.value.bytes
+    assert hashlib.sha256(forest).hexdigest() == PRODUCTION_FOREST_SHA256
+    METER.reset()
+    dors_provision("alice", Key256(b"\x44" * 32))
+    assert METER.snapshot() == (4089, 2050)  # plus the seed and link kdfs
+
+
+def test_sign_reveals_equal_per_leaf_kdf():
+    params = DorsParams(t=16, k=4, f=2, r=2)
+    sk, _, chain = dors_keygen(SEED, params)
+    for i in range(params.f * params.r):
+        sig, chain = dors_sign(sk, chain, b"msg%d" % i)
+        expected = [
+            kdf(SEED, "leaf", sig.tree_index.to_bytes(2, "big") + idx.to_bytes(2, "big"))
+            for idx in sig.subset_indices
+        ]
+        assert sig.reveals == expected
 
 
 def test_subset_bit_extraction_oracle():

@@ -1,5 +1,8 @@
 """Simulated-network determinism, cost-model orderings, and exact counters."""
 
+import ast
+import pathlib
+
 import pytest
 
 from sshaf.errors import ScriptError
@@ -144,10 +147,50 @@ def test_elapsed_reflects_link_latency_ordering():
         assert remote.elapsed_ms > local.elapsed_ms
 
 
+def test_cost_tables_never_expand_a_dors_forest(monkeypatch):
+    # Tables 1/2 run no DORS session, so they must not pay for a forest.
+    from sshaf import dors_auth
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cost-table scenario provisioned DORS")
+
+    monkeypatch.setattr(dors_auth, "dors_provision", refuse)
+    assert len(build_cost_table(TABLE1_ROWS + TABLE2_ROWS, CONFIG)) == 9
+
+
+def _hashing_uses(node, func=None):
+    """(enclosing function, use) for each hashlib use, and each HMAC built
+    other than by compare_digest, under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ImportFrom) and child.module in ("hashlib", "hmac"):
+            names = {alias.name for alias in child.names}
+            if child.module == "hashlib" or names - {"compare_digest"}:
+                yield func, f"from {child.module} import {sorted(names)}"
+        if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+            module, attr = child.value.id, child.attr
+            if module == "hashlib" or (module in ("hmac", "_hmac") and attr in ("new", "digest", "HMAC")):
+                yield func, f"{module}.{attr}"
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _hashing_uses(child, inner)
+
+
+def test_protocol_hashing_goes_through_primitives():
+    # Every protocol hash and mac must land on METER, so only primitives
+    # may call hashlib or build an HMAC. The DB keystream stays off METER
+    # by design and is the one exception.
+    import sshaf
+
+    root = pathlib.Path(sshaf.__file__).parent
+    for path in root.rglob("*.py"):
+        rel = path.relative_to(root).as_posix()
+        if rel == "primitives.py":
+            continue
+        for func, use in _hashing_uses(ast.parse(path.read_text())):
+            assert (rel, func) == ("gateway.py", "_keystream"), f"{rel} ({func}) uses {use}"
+
+
 def test_no_wall_clock_in_source_tree():
     # Freshness comes from counters, chains and identifiers, never clocks.
-    import pathlib
-
     import sshaf
 
     root = pathlib.Path(sshaf.__file__).parent

@@ -43,6 +43,7 @@ from sshaf.merkle_auth import (
     mht_register,
     mht_try_resync,
     mht_verify,
+    merkle_root,
 )
 from sshaf.primitives import METER, Digest256, Key256, Nonce128, RandomSource, hash_bytes
 
@@ -358,6 +359,13 @@ def grown_tree(n: int, seed: int = 3):
 def test_append_keeps_levels_equal_to_full_rebuild():
     for tree in grown_tree(600):
         assert tree.levels == _build_levels(tree.leaves), len(tree.leaves)
+
+
+def test_raw_root_equals_digest_roots():
+    for tree in grown_tree(600):
+        raw = merkle_root([leaf.bytes for leaf in tree.leaves])
+        assert raw == mht_build(tree.leaves).bytes == tree.root.bytes, len(tree.leaves)
+        assert raw == _build_levels(tree.leaves)[-1][0].bytes
 
 
 def test_latest_leaf_proof_after_append_matches_fresh_tree():

@@ -98,6 +98,26 @@ def test_dors_gateway_from_dict_rejects_malformed_leaf_digest(spoil):
         persist.dors_gateway_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda data: data["leaf_digests"][0].__delitem__(slice(3, None)),  # a 3-leaf tree
+        lambda data: data["leaf_digests"][1].append(data["leaf_digests"][1][0]),  # t+1 leaves
+        lambda data: data["leaf_digests"].pop(),  # a tree missing
+        lambda data: data["leaf_digests"].append(list(data["leaf_digests"][0])),  # a tree extra
+        lambda data: data["roots"].append(data["roots"][0]),  # a root extra
+        lambda data: data["roots"].pop(),  # a root missing
+    ],
+)
+def test_dors_gateway_from_dict_rejects_malformed_forest(spoil):
+    params = dors_auth.DorsParams(t=16, k=4, f=2, r=2)
+    _, gateway = dors_auth.dors_provision("alice", MASTER, params)
+    data = persist.dors_gateway_to_dict(gateway)
+    spoil(data)
+    with pytest.raises(ValueError):
+        persist.dors_gateway_from_dict(data)
+
+
 def test_dhs_entities_round_trip():
     src = RandomSource.seeded(b"\x04" * 32)
     home = dhs_auth.dhs_initialize(src)

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sshaf.errors import InvalidLabel
 from sshaf.primitives import (
+    METER,
     Digest256,
     Key256,
     Nonce128,
@@ -14,11 +17,13 @@ from sshaf.primitives import (
     hash_bytes,
     hmac_sha256,
     kdf,
+    kdf_many,
     load_vector_file,
     mac,
     parse_vector_line,
     random_nonce,
     save_vector_file,
+    sha256_many,
     xor_bytes,
 )
 
@@ -140,12 +145,46 @@ def test_kdf_deterministic_and_label_separated():
 
 def test_kdf_rejects_bad_labels():
     k = Key256(b"\x11" * 32)
-    with pytest.raises(InvalidLabel):
-        kdf(k, "", b"m")
-    with pytest.raises(InvalidLabel):
-        kdf(k, "x" * 33, b"m")
-    with pytest.raises(InvalidLabel):
-        kdf(k, "bad→label", b"m")
+    before = METER.snapshot()
+    for label in ("", "x" * 33, "bad→label"):
+        with pytest.raises(InvalidLabel) as single:
+            kdf(k, label, b"m")
+        for salts in ([b"m"], []):
+            with pytest.raises(InvalidLabel) as batch:
+                kdf_many(k, label, salts)
+            assert str(batch.value) == str(single.value)
+    assert METER.snapshot() == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.binary(min_size=32, max_size=32),
+    label=st.one_of(st.text(max_size=40), st.text(alphabet=st.characters(max_codepoint=127), max_size=34)),
+    salts=st.lists(st.binary(max_size=80), max_size=6),
+)
+def test_kdf_many_equals_one_kdf_per_salt(key, label, salts):
+    secret = Key256(key)
+    try:
+        expected = [kdf(secret, label, salt).bytes for salt in salts]
+        # An empty batch still checks its label, as kdf does.
+        kdf(secret, label, b"")
+    except InvalidLabel as exc:
+        with pytest.raises(InvalidLabel) as caught:
+            kdf_many(secret, label, salts)
+        assert str(caught.value) == str(exc)
+        return
+    before = METER.snapshot()
+    assert kdf_many(secret, label, salts) == expected
+    assert METER.snapshot() == (before[0], before[1] + len(salts))
+
+
+def test_sha256_many_equals_one_hash_per_chunk():
+    rng = random.Random(0x5A)
+    for chunks in ([], [b""], [rng.randbytes(n) for n in (1, 31, 32, 33, 64, 65, 1000)]):
+        expected = [hash_bytes(chunk).bytes for chunk in chunks]
+        before = METER.snapshot()
+        assert sha256_many(chunks) == expected
+        assert METER.snapshot() == (before[0] + len(chunks), before[1])
 
 
 def test_seeded_source_replays_identically():
