@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import (
     DegenerateTraining,
     InvalidWeights,
+    MalformedRecord,
     NoSchemeAvailable,
     UnknownFactor,
 )
@@ -313,47 +314,43 @@ def calendar_claims_presence(intervals: list[CalendarInterval], timestamp: int) 
 
 # --- line-delimited JSON ingest ------------------------------------------------
 
+def _read_jsonl(path, fields: dict[str, type]):
+    """Yield each non-blank line of a JSONL file as a dict holding every
+    named field with its JSON type; any other line raises
+    ``MalformedRecord`` carrying ``path:line``."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # also a line that is not UTF-8
+                raise MalformedRecord(f"{path}:{line_no}: not JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise MalformedRecord(f"{path}:{line_no}: not a JSON object")
+            for name, kind in fields.items():
+                if type(obj.get(name)) is not kind:
+                    problem = "missing" if name not in obj else f"not {kind.__name__}"
+                    raise MalformedRecord(f"{path}:{line_no}: field {name!r} {problem}")
+            yield obj
+
+
 def load_access_records(path) -> list[AccessRecord]:
     """Training records, one JSON object per line with fields uid,
     hour_bucket, weekday, ip_class, device_id, label."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            try:
-                records.append(
-                    AccessRecord(
-                        uid=obj["uid"],
-                        hour_bucket=int(obj["hour_bucket"]),
-                        weekday=int(obj["weekday"]),
-                        ip_class=obj["ip_class"],
-                        device_id=obj["device_id"],
-                        label=obj.get("label"),
-                    )
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{line_no}: missing field {exc}") from None
-    return records
+    fields = {"uid": str, "hour_bucket": int, "weekday": int, "ip_class": str, "device_id": str}
+    return [
+        AccessRecord(*(obj[name] for name in fields), label=obj.get("label"))
+        for obj in _read_jsonl(path, fields)
+    ]
 
 
 def load_calendar(path) -> dict[str, list[CalendarInterval]]:
     """Calendar intervals, one JSON object per line with fields uid,
     weekday, start_minute, end_minute."""
     calendars: dict[str, list[CalendarInterval]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            calendars.setdefault(obj["uid"], []).append(
-                CalendarInterval(
-                    weekday=int(obj["weekday"]),
-                    start_minute=int(obj["start_minute"]),
-                    end_minute=int(obj["end_minute"]),
-                )
-            )
+    for obj in _read_jsonl(path, {"uid": str, "weekday": int, "start_minute": int, "end_minute": int}):
+        calendars.setdefault(obj["uid"], []).append(
+            CalendarInterval(obj["weekday"], obj["start_minute"], obj["end_minute"])
+        )
     return calendars

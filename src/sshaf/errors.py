@@ -123,6 +123,11 @@ class NoSchemeAvailable(SshafError):
     """User has no provisioned authentication scheme."""
 
 
+class MalformedRecord(SshafError, ValueError):
+    """A JSONL input line is not JSON, misses a field, or has a field of
+    the wrong type; the message starts with ``path:line``."""
+
+
 # --- gateway ------------------------------------------------------------
 
 class NotVerified(SshafError):

@@ -12,7 +12,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import os
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from . import context_engine as ctx
 from . import dhs_auth, dors_auth, merkle_auth
@@ -64,7 +66,7 @@ CAP_CARD = "card"
 
 SESSION_TTL_MINUTES = 30
 
-DB_MAGIC = b"SSHAF1"
+DB_MAGIC = b"SSHAF2"
 
 # Device kinds reachable by each role when the request originates from the
 # internet; local requests are not role-restricted.
@@ -157,44 +159,27 @@ class LoginResult:
 
 
 # --- encrypted database file -------------------------------------------------
-# Layout: magic "SSHAF1" || 16-byte salt || ciphertext || 32-byte MAC,
+# Layout: magic "SSHAF2" || 16-byte salt || ciphertext || 32-byte MAC,
 # encrypt-then-MAC over a canonical JSON serialization of the tables.
 # enc_key = kdf(db_key, "db-enc", salt) and mac_key = kdf(db_key, "db-mac",
-# salt). The ciphertext is the plaintext XOR a keystream whose block i is
-# SHA-256(enc_key || salt || i as 8 big-endian bytes), cut to the plaintext
-# length. The keystream is file encryption, not protocol work, so it calls
-# hashlib directly and stays off METER; the two kdfs and the MAC are
-# metered.
+# salt). The ciphertext is the plaintext XOR the first plaintext-length
+# bytes of SHAKE-256(enc_key || salt) (FIPS 202), a prefix-keyed sponge
+# used as a PRF. The keystream is file encryption, not protocol work, so it
+# calls hashlib directly and stays off METER; the two kdfs and the MAC are
+# metered. Each usage row is the array [uid, device_id, sim_minutes,
+# hour_bucket, weekday, ip_class, decision], in UsageRecord field order.
 
 def _db_to_dict(db: UserDatabase) -> dict:
     return {
         "profiles": {
-            uid: {
-                "uid": p.uid,
-                "name": p.name,
-                "age": p.age,
-                "role": p.role,
-                "status": p.status,
-                "capabilities": list(p.capabilities),
-                "pw_salt": p.pw_salt,
-                "pw_hash": p.pw_hash,
-            }
-            for uid, p in db.profiles.items()
+            uid: {**vars(p), "capabilities": list(p.capabilities)} for uid, p in db.profiles.items()
         },
         "calendars": {
             uid: [[iv.weekday, iv.start_minute, iv.end_minute] for iv in ivs]
             for uid, ivs in db.calendars.items()
         },
         "usage_patterns": [
-            {
-                "uid": r.uid,
-                "device_id": r.device_id,
-                "sim_minutes": r.sim_minutes,
-                "hour_bucket": r.hour_bucket,
-                "weekday": r.weekday,
-                "ip_class": r.ip_class,
-                "decision": r.decision,
-            }
+            [r.uid, r.device_id, r.sim_minutes, r.hour_bucket, r.weekday, r.ip_class, r.decision]
             for r in db.usage_patterns
         ],
         "access_policies": {
@@ -205,6 +190,9 @@ def _db_to_dict(db: UserDatabase) -> dict:
 
 
 def _db_from_dict(data: dict) -> UserDatabase:
+    rows = data["usage_patterns"]
+    if not all(type(row) is list for row in rows):
+        raise TypeError("every usage row must be an array")
     return UserDatabase(
         profiles={
             uid: UserProfile(
@@ -223,7 +211,7 @@ def _db_from_dict(data: dict) -> UserDatabase:
             uid: [CalendarInterval(*iv) for iv in ivs]
             for uid, ivs in data["calendars"].items()
         },
-        usage_patterns=[UsageRecord(**row) for row in data["usage_patterns"]],
+        usage_patterns=[UsageRecord(*row) for row in rows],
         access_policies={
             device: AccessPolicy(row["threshold"], row["step_up_margin"])
             for device, row in data["access_policies"].items()
@@ -236,12 +224,7 @@ def serialize_db(db: UserDatabase) -> bytes:
 
 
 def _keystream(enc_key: Key256, salt: bytes, length: int) -> bytes:
-    prefix = enc_key.bytes + salt
-    blocks = [
-        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
-        for counter in range((length + 31) // 32)
-    ]
-    return b"".join(blocks)[:length]
+    return hashlib.shake_256(enc_key.bytes + salt).digest(length)
 
 
 def encrypt_db(db: UserDatabase, db_key: Key256, salt: Nonce128) -> bytes:
@@ -270,9 +253,21 @@ def decrypt_db(blob: bytes, db_key: Key256) -> UserDatabase:
         raise AuthenticatedDecryptionFailed(f"undecodable plaintext: {exc}") from None
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data``: write ``path.tmp``, then
+    rename it over ``path``. A process killed mid-write leaves the old file
+    whole, never a truncated one."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def store_db(db: UserDatabase, db_key: Key256, path, src: RandomSource) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encrypt_db(db, db_key, random_nonce(src)))
+    atomic_write(path, encrypt_db(db, db_key, random_nonce(src)))
 
 
 def load_db(path, db_key: Key256) -> UserDatabase:
@@ -289,7 +284,8 @@ class Gateway:
     A session lives SESSION_TTL_MINUTES simulated minutes from its grant.
     Device requests on an older session raise SessionExpired, and every
     login drops all such sessions before it opens its own, so the session
-    table holds only the sessions granted in the last TTL window."""
+    table holds only the sessions granted in the last TTL window. A step-up
+    retry token lives as long, and every login drops the older ones."""
 
     def __init__(
         self,
@@ -321,7 +317,7 @@ class Gateway:
 
         self.wallets: dict[str, UserWallet] = {}
         self.sessions: dict[str, GatewaySession] = {}
-        self._step_up_tokens: dict[str, str] = {}  # token -> uid
+        self._step_up_tokens: dict[str, tuple[str, int]] = {}  # token -> (uid, minted minutes)
         self._pending_cards: dict[str, dhs_auth.SmartCardState] = {}
 
         # First boot: the owner account exists and is active, otherwise no
@@ -531,13 +527,17 @@ class Gateway:
         confidence = ctx.score_confidence(scores, self.weights)
         decision = ctx.decide_access(confidence, self._least_sensitive_policy())
 
-        is_retry = retry_token is not None and self._step_up_tokens.pop(retry_token, None) == uid
+        self._step_up_tokens = {  # an expired token counts as no retry
+            token: (owner, minted) for token, (owner, minted) in self._step_up_tokens.items()
+            if self.sim_minutes - minted <= SESSION_TTL_MINUTES
+        }
+        is_retry = self._step_up_tokens.pop(retry_token, (None, 0))[0] == uid
         if decision == ctx.GRANT:
             session = self._open_session(uid, scheme, session_key, confidence, effective.origin)
             return LoginResult(ctx.GRANT, session=session)
         if decision == ctx.STEP_UP and not is_retry:
             token = self.src.read(8).hex()
-            self._step_up_tokens[token] = uid
+            self._step_up_tokens[token] = (uid, self.sim_minutes)
             return LoginResult(ctx.STEP_UP, retry_token=token, reason="confidence in step-up band")
         return LoginResult(
             ctx.DENY,
@@ -620,6 +620,3 @@ class Gateway:
 
     def save_database(self, path) -> None:
         store_db(self.db, self.db_key, path, self.src)
-
-    def load_database(self, path) -> None:
-        self.db = load_db(path, self.db_key)

@@ -25,7 +25,7 @@ from ..context_engine import (
     load_calendar,
 )
 from ..errors import SshafError
-from ..gateway import Gateway, load_db
+from ..gateway import Gateway, atomic_write, load_db
 from ..primitives import Key256, RandomSource
 from . import attacks
 from .scenarios import (
@@ -64,7 +64,7 @@ def _save(state_dir: Path, gw: Gateway, rng_seed: bytes, invocation: int) -> Non
         "invocation": invocation,
         "gateway": persist.gateway_state_to_dict(gw),
     }
-    (state_dir / STATE_FILE).write_bytes(persist.dumps(state))
+    atomic_write(state_dir / STATE_FILE, persist.dumps(state))
     gw.save_database(state_dir / DB_FILE)
 
 

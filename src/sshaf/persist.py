@@ -4,18 +4,20 @@ Used for two things: carrying gateway state across CLI invocations, and
 producing the exact persisted bytes the stolen-device adversary captures.
 Pending handshake material is ephemeral and excluded unless a capture
 explicitly asks for it (that inclusion is the documented attack window).
+
+Fixed-width values are lowercase hex strings. A DORS public forest is
+written as one hex string per tree, its t leaf digests concatenated in
+leaf order, which is the packed form ``DorsPublicKey.leaf_digests`` holds
+in memory. Step-up tokens are written as ``token: [uid, minted_minutes]``.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 
 from . import dhs_auth, dors_auth, gateway as gw_mod, merkle_auth
 from .context_engine import AccessPolicy, CalendarInterval, FactorWeights
 from .primitives import DIGEST_LEN, Digest256, Key256, Nonce128
-
-_HEX_DIGEST_LEN = 2 * DIGEST_LEN
 
 
 def _digests_to_hex(digests) -> list[str]:
@@ -24,21 +26,6 @@ def _digests_to_hex(digests) -> list[str]:
 
 def _digests_from_hex(items) -> list[Digest256]:
     return [Digest256.from_hex(h) for h in items]
-
-
-def _packed_to_hex(packed: bytes) -> list[str]:
-    return [digest.hex() for (digest,) in struct.iter_unpack(f"{DIGEST_LEN}s", packed)]
-
-
-def _packed_from_hex(items) -> bytes:
-    """Inverse of :func:`_packed_to_hex`. ``bytes.fromhex`` skips
-    whitespace, so the total length is checked after the per-item one."""
-    if any(len(h) != _HEX_DIGEST_LEN for h in items):
-        raise ValueError(f"leaf digests must be {_HEX_DIGEST_LEN} hex characters")
-    packed = bytes.fromhex("".join(items))
-    if len(packed) != DIGEST_LEN * len(items):
-        raise ValueError("leaf digests must be hex without whitespace")
-    return packed
 
 
 # --- merkle_auth ------------------------------------------------------------
@@ -132,7 +119,7 @@ def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide) -> dict:
     return {
         "uid": side.uid,
         "params": dors_params_to_dict(side.public_key.params),
-        "leaf_digests": [_packed_to_hex(tree) for tree in side.public_key.leaf_digests],
+        "leaf_digests": [tree.hex() for tree in side.public_key.leaf_digests],
         "roots": _digests_to_hex(side.public_key.roots),
         "chain": chain_to_dict(side.chain),
         "link_key": side.link_key.hex(),
@@ -147,11 +134,17 @@ def dors_gateway_from_dict(data: dict) -> dors_auth.DorsGatewaySide:
     trees, roots = data["leaf_digests"], data["roots"]
     if len(trees) != params.f or len(roots) != params.f:
         raise ValueError(f"a DORS forest needs {params.f} trees and {params.f} roots")
-    if any(len(tree) != params.t for tree in trees):
-        raise ValueError(f"every DORS tree needs {params.t} leaf digests")
+    size = params.t * DIGEST_LEN
+    # bytes.fromhex skips whitespace, so the decoded length is checked too.
+    forest = [
+        bytes.fromhex(tree) if isinstance(tree, str) and len(tree) == 2 * size else b""
+        for tree in trees
+    ]
+    if any(len(tree) != size for tree in forest):
+        raise ValueError(f"every DORS tree needs {params.t} leaf digests as {2 * size} hex digits")
     pk = dors_auth.DorsPublicKey(
         params=params,
-        leaf_digests=[_packed_from_hex(tree) for tree in trees],
+        leaf_digests=forest,
         roots=_digests_from_hex(roots),
     )
     return dors_auth.DorsGatewaySide(
@@ -282,7 +275,7 @@ def gateway_state_to_dict(gw: gw_mod.Gateway) -> dict:
         "home_registered": sorted(gw.home.registered),
         "wallets": {uid: wallet_to_dict(w) for uid, w in gw.wallets.items()},
         "sessions": {sid: session_to_dict(s) for sid, s in gw.sessions.items()},
-        "step_up_tokens": dict(gw._step_up_tokens),
+        "step_up_tokens": {token: list(minted) for token, minted in gw._step_up_tokens.items()},
         "pending_cards": {uid: card_to_dict(c) for uid, c in gw._pending_cards.items()},
     }
 
@@ -304,7 +297,7 @@ def restore_gateway_state(gw: gw_mod.Gateway, data: dict) -> None:
     )
     gw.wallets = {uid: wallet_from_dict(w) for uid, w in data["wallets"].items()}
     gw.sessions = {sid: session_from_dict(s) for sid, s in data["sessions"].items()}
-    gw._step_up_tokens = dict(data["step_up_tokens"])
+    gw._step_up_tokens = {t: (uid, minted) for t, (uid, minted) in data["step_up_tokens"].items()}
     gw._pending_cards = {uid: card_from_dict(c) for uid, c in data["pending_cards"].items()}
 
 

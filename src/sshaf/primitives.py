@@ -193,7 +193,9 @@ def kdf(secret: Key256, label: str, salt_material: bytes) -> Key256:
     The label is length-prefixed before keyed hashing, so distinct labels
     can never collide with each other via salt content.
     """
-    return Key256(mac(secret, _label_prefix(label) + salt_material).bytes)
+    data = _label_prefix(label) + salt_material
+    METER.mac_count += 1
+    return Key256(hmac_sha256(secret.bytes, data))
 
 
 _IPAD = bytes(x ^ 0x36 for x in range(256))

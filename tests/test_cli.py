@@ -48,6 +48,19 @@ def test_lifecycle_register_verify_login_access(tmp_path, capsys):
     )
     assert code == 0
     assert "grant" in out
+    # Each call replaced its state files whole, leaving no temporary file.
+    assert sorted(p.name for p in (tmp_path / "state").iterdir()) == ["db.enc", "gateway.key", "state.json"]
+
+
+def test_register_with_malformed_calendar_reports_the_line(tmp_path, capsys):
+    calendar = tmp_path / "calendar.jsonl"
+    calendar.write_text('{"uid": "bob", "weekday": 1, "start_minute": 540, "end_minute": 1020}\n{"uid": "bob"\n')
+    code = main(
+        ["register", "--state", str(tmp_path / "state"), "--seed", SEED,
+         "--uid", "bob", "--name", "Bob", "--password", "pw", "--calendar", str(calendar)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: MalformedRecord: {calendar}:2: not JSON")
 
 
 def test_login_before_verification_fails(tmp_path, capsys):

@@ -3,6 +3,7 @@ from the classifier implementation."""
 
 import math
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import make_synthetic_dataset
 from sshaf.errors import (
     DegenerateTraining,
     InvalidWeights,
+    MalformedRecord,
     NoSchemeAvailable,
     UnknownFactor,
 )
@@ -301,6 +303,48 @@ def test_jsonl_record_ingest_missing_field(tmp_path):
     path.write_text('{"uid": "a", "hour_bucket": 2}\n')
     with pytest.raises(ValueError):
         load_access_records(path)
+
+
+RECORD = '{"uid": "a", "hour_bucket": 2, "weekday": 3, "ip_class": "home-subnet", "device_id": "lock-1"}'
+INTERVAL = '{"uid": "a", "weekday": 1, "start_minute": 540, "end_minute": 1020}'
+
+
+def _bad_line(loader, bad, why):
+    words = re.sub(r"\W+", "_", why).strip("_")
+    return pytest.param(loader, bad, why, id=f"{loader.__name__}-{words}")
+
+
+@pytest.mark.parametrize(
+    "loader, bad, why",
+    [
+        _bad_line(load_access_records, '{"uid": "a", "hour_bucket": 2', "not JSON"),
+        _bad_line(load_access_records, '{"uid": "a", "hour_bucket": 2}', "field 'weekday' missing"),
+        _bad_line(load_access_records, RECORD.replace(": 3", ': "3"'), "field 'weekday' not int"),
+        _bad_line(load_access_records, RECORD.replace(": 2", ": 2.5"), "field 'hour_bucket' not int"),
+        _bad_line(load_access_records, RECORD.replace('"lock-1"', "7"), "field 'device_id' not str"),
+        _bad_line(load_access_records, "[1, 2]", "not a JSON object"),
+        _bad_line(load_calendar, "{,}", "not JSON"),
+        _bad_line(load_calendar, '{"uid": "a", "weekday": 1}', "field 'start_minute' missing"),
+        _bad_line(load_calendar, INTERVAL.replace("1020", "null"), "field 'end_minute' not int"),
+        _bad_line(load_calendar, INTERVAL.replace("540", "true"), "field 'start_minute' not int"),
+        _bad_line(load_calendar, INTERVAL.replace('"a"', '["a"]'), "field 'uid' not str"),
+    ],
+)
+def test_jsonl_loaders_reject_bad_lines_with_their_location(tmp_path, loader, bad, why):
+    good = RECORD if loader is load_access_records else INTERVAL
+    path = tmp_path / "input.jsonl"
+    path.write_text(f"{good}\n\n{bad}\n{good}\n")
+    with pytest.raises(MalformedRecord) as caught:
+        loader(path)
+    assert str(caught.value).startswith(f"{path}:3: ")
+    assert why in str(caught.value)
+
+
+def test_jsonl_loader_rejects_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(INTERVAL.encode() + b"\n" + b'{"uid": "\xff"}\n')
+    with pytest.raises(MalformedRecord, match=f"^{path}:2: not JSON"):
+        load_calendar(path)
 
 
 def test_jsonl_calendar_ingest(tmp_path):

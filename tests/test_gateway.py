@@ -1,9 +1,15 @@
 """Lifecycle, decision wiring, and encrypted persistence tests."""
 
+import dataclasses
 import hashlib
+import hmac
 import json
+import os
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sshaf import persist
 from sshaf.context_engine import (
@@ -36,6 +42,7 @@ from sshaf.errors import (
 from sshaf.gateway import (
     CAP_CARD,
     CAP_DORS,
+    DB_MAGIC,
     Gateway,
     UsageRecord,
     UserDatabase,
@@ -44,9 +51,10 @@ from sshaf.gateway import (
     decrypt_db,
     encrypt_db,
     load_db,
+    serialize_db,
     store_db,
 )
-from sshaf.primitives import METER, Key256, Nonce128, RandomSource
+from sshaf.primitives import METER, Key256, Nonce128, RandomSource, kdf, mac, xor_bytes
 
 DB_KEY = Key256(b"\x99" * 32)
 WORK_CAL = [CalendarInterval(weekday=d, start_minute=8 * 60, end_minute=22 * 60) for d in range(7)]
@@ -209,6 +217,52 @@ def test_step_up_retry_with_better_context_grants():
     first = gw.login("alice", "pw-alice", snap)
     assert first.status == STEP_UP
     improved = gw.login("alice", "pw-alice", good_snapshot(), retry_token=first.retry_token)
+    assert improved.status == GRANT
+
+
+WEAK_SNAPSHOT = dict(bluetooth_present=False, ip_class=IP_UNKNOWN, timestamp=0)
+
+
+@pytest.mark.parametrize("wait, retried", [(30, True), (31, False)])
+def test_step_up_token_gives_its_retry_only_within_the_ttl(wait, retried):
+    gw = make_gateway()
+    register_and_activate(gw)
+    snap = good_snapshot(**WEAK_SNAPSHOT)
+    first = gw.login("alice", "pw-alice", snap)
+    assert first.status == STEP_UP
+    gw.advance_time(wait)
+    second = gw.login("alice", "pw-alice", snap, retry_token=first.retry_token)
+    if retried:
+        assert second.status == DENY and "exhausted" in second.reason
+    else:
+        # An expired token counts as no retry: a fresh step-up, new token.
+        assert second.status == STEP_UP and second.retry_token != first.retry_token
+    assert first.retry_token not in gw._step_up_tokens
+
+
+def test_step_up_tokens_stay_bounded_over_simulated_hours():
+    gw = make_gateway()
+    register_and_activate(gw)
+    snap = good_snapshot(**WEAK_SNAPSHOT)
+    for _ in range(1000):
+        gw.advance_time(3)  # 1,000 step-ups over 50 simulated hours
+        assert gw.login("alice", "pw-alice", snap).status == STEP_UP
+        assert len(gw._step_up_tokens) <= 11  # minted in the last 30 minutes
+        assert all(gw.sim_minutes - minted <= 30 for _, minted in gw._step_up_tokens.values())
+
+
+def test_step_up_token_survives_persistence_with_its_mint_time():
+    gw = make_gateway()
+    register_and_activate(gw)
+    gw.advance_time(100)
+    first = gw.login("alice", "pw-alice", good_snapshot(**WEAK_SNAPSHOT))
+    state = json.loads(persist.dumps(persist.gateway_state_to_dict(gw)))
+    assert state["step_up_tokens"] == {first.retry_token: ["alice", 100]}
+    restored = make_gateway(b"\x31")
+    persist.restore_gateway_state(restored, state)
+    restored.db = gw.db  # the database travels in its own encrypted file
+    assert restored._step_up_tokens == {first.retry_token: ("alice", 100)}
+    improved = restored.login("alice", "pw-alice", good_snapshot(), retry_token=first.retry_token)
     assert improved.status == GRANT
 
 
@@ -379,8 +433,47 @@ def test_file_magic_layout(tmp_path):
     path = tmp_path / "db.enc"
     gw.save_database(path)
     blob = path.read_bytes()
-    assert blob[:6] == b"SSHAF1"
+    assert blob[:6] == b"SSHAF2"
     assert len(blob) >= 6 + 16 + 32
+
+
+def test_store_db_leaves_no_temporary_file(tmp_path):
+    gw = make_gateway()
+    path = tmp_path / "db.enc"
+    for _ in range(3):
+        store_db(gw.db, DB_KEY, path, gw.src)
+    assert [p.name for p in tmp_path.iterdir()] == ["db.enc"]
+    assert load_db(path, DB_KEY) == gw.db
+
+
+def _cut_write(path, data):
+    """Writes half of ``data``, then fails, as on a full disk."""
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError(28, "No space left on device")
+
+
+def _fail_replace(src, dst):
+    raise OSError("killed before the rename")
+
+
+@pytest.mark.parametrize(
+    "target, name, fake",
+    [(pathlib.Path, "write_bytes", _cut_write), (os, "replace", _fail_replace)],
+)
+def test_failed_store_db_leaves_the_old_file_intact(tmp_path, monkeypatch, target, name, fake):
+    gw = make_gateway()
+    path = tmp_path / "db.enc"
+    gw.save_database(path)
+    old = path.read_bytes()
+    register_and_activate(gw)
+    monkeypatch.setattr(target, name, fake)
+    with pytest.raises(OSError):
+        gw.save_database(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["db.enc"]
+    assert "alice" not in load_db(path, DB_KEY).profiles
 
 
 def test_no_plaintext_credentials_in_stored_file(tmp_path):
@@ -397,9 +490,9 @@ def test_no_plaintext_credentials_in_stored_file(tmp_path):
 # --- database cipher bytes --------------------------------------------------------
 
 DB_SALT = Nonce128(b"\x5c" * 16)
-# SHA-256 of encrypt_db(fixed_database(), DB_KEY, DB_SALT), taken from the
-# per-byte implementation; a faster cipher must write the same file.
-FIXED_DB_BLOB_SHA256 = "8e0ed0edbe2ce1d0607042bdc424d57afe630b50c2f3b81c90f77d5c810583b5"
+# SHA-256 of encrypt_db(fixed_database(), DB_KEY, DB_SALT); the test below
+# also rebuilds the file with reference_encrypt_db.
+FIXED_DB_BLOB_SHA256 = "0982054bf85afaeb26e0ad7b19cc56275b78bd808a54584c83c022fb08876879"
 
 
 def fixed_database() -> UserDatabase:
@@ -419,27 +512,143 @@ def fixed_database() -> UserDatabase:
     )
 
 
-def reference_keystream(enc_key: Key256, salt: bytes, length: int) -> bytes:
+def _keccak_f1600(lanes):
+    """Keccak-f[1600] (FIPS 202 section 3) on lanes[x][y], 64-bit ints."""
+    mask = (1 << 64) - 1
+
+    def rol(value, n):
+        n %= 64
+        return ((value << n) | (value >> (64 - n))) & mask
+
+    lfsr = 1
+    for _ in range(24):
+        c = [lanes[x][0] ^ lanes[x][1] ^ lanes[x][2] ^ lanes[x][3] ^ lanes[x][4] for x in range(5)]
+        d = [c[(x + 4) % 5] ^ rol(c[(x + 1) % 5], 1) for x in range(5)]
+        lanes = [[lanes[x][y] ^ d[x] for y in range(5)] for x in range(5)]
+        x, y = 1, 0
+        current = lanes[x][y]
+        for t in range(24):
+            x, y = y, (2 * x + 3 * y) % 5
+            current, lanes[x][y] = lanes[x][y], rol(current, (t + 1) * (t + 2) // 2)
+        for y in range(5):
+            row = [lanes[x][y] for x in range(5)]
+            for x in range(5):
+                lanes[x][y] = row[x] ^ (~row[(x + 1) % 5] & row[(x + 2) % 5])
+        for j in range(7):
+            lfsr = ((lfsr << 1) ^ ((lfsr >> 7) * 0x71)) % 256
+            if lfsr & 2:
+                lanes[0][0] ^= 1 << ((1 << j) - 1)
+    return lanes
+
+
+def reference_shake256(data: bytes, length: int) -> bytes:
+    """SHAKE-256 as a sponge that absorbs and squeezes one 136-byte block
+    at a time, independent of hashlib."""
+    rate = 136
+    padded = bytearray(data + b"\x1f" + bytes(-(len(data) + 1) % rate))
+    padded[-1] |= 0x80
+    lanes = [[0] * 5 for _ in range(5)]
+    for start in range(0, len(padded), rate):
+        for i in range(rate // 8):
+            lanes[i % 5][i // 5] ^= int.from_bytes(padded[start + 8 * i : start + 8 * i + 8], "little")
+        lanes = _keccak_f1600(lanes)
     out = b""
-    counter = 0
     while len(out) < length:
-        out += hashlib.sha256(enc_key.bytes + salt + counter.to_bytes(8, "big")).digest()
-        counter += 1
+        out += b"".join(lanes[i % 5][i // 5].to_bytes(8, "little") for i in range(rate // 8))
+        lanes = _keccak_f1600(lanes)
     return out[:length]
+
+
+def test_reference_shake256_known_answers():
+    # FIPS 202 SHAKE256 of the empty message, first 32 bytes.
+    assert reference_shake256(b"", 32).hex() == (
+        "46b9dd2b0ba88d13233b3feb743eeb243fcd52ea62b81b82b50c27646ed5762f"
+    )
+    # Inputs that fill a rate block exactly, and that spill into a second.
+    for data in (bytes(135), bytes(136), bytes(range(200))):
+        assert reference_shake256(data, 300) == hashlib.shake_256(data).digest(300)
 
 
 def test_keystream_matches_per_block_reference():
     enc_key = Key256(bytes(range(32)))
-    for length in range(131):
-        assert _keystream(enc_key, DB_SALT.bytes, length) == reference_keystream(
-            enc_key, DB_SALT.bytes, length
-        )
+    expected = reference_shake256(enc_key.bytes + DB_SALT.bytes, 300)
+    assert expected[:32].hex() == "d6f747266674af280bf7010c7999fa39aff61254d547311a51f35194432d68df"
+    for length in [*range(131), 136, 137, 272, 300]:
+        assert _keystream(enc_key, DB_SALT.bytes, length) == expected[:length]
+
+
+def reference_encrypt_db(db: UserDatabase, db_key: Key256, salt: bytes) -> bytes:
+    """The db.enc layout written out from the format description: kdf as
+    HMAC-SHA-256 over the length-prefixed label, a SHAKE-256 keystream
+    XORed byte by byte, and an HMAC-SHA-256 tag over magic, salt and
+    ciphertext."""
+    tables = {
+        "profiles": {
+            uid: dict(dataclasses.asdict(p), capabilities=list(p.capabilities))
+            for uid, p in db.profiles.items()
+        },
+        "calendars": {uid: [list(dataclasses.astuple(iv)) for iv in ivs] for uid, ivs in db.calendars.items()},
+        "usage_patterns": [list(dataclasses.astuple(r)) for r in db.usage_patterns],
+        "access_policies": {d: dataclasses.asdict(p) for d, p in db.access_policies.items()},
+    }
+    plaintext = json.dumps(tables, sort_keys=True, separators=(",", ":")).encode()
+    enc_key = hmac.digest(db_key.bytes, b"\x06db-enc" + salt, "sha256")
+    mac_key = hmac.digest(db_key.bytes, b"\x06db-mac" + salt, "sha256")
+    stream = reference_shake256(enc_key + salt, len(plaintext))
+    body = b"SSHAF2" + salt + bytes(p ^ k for p, k in zip(plaintext, stream))
+    return body + hmac.digest(mac_key, body, "sha256")
 
 
 def test_encrypt_db_bytes_are_pinned_and_round_trip():
     blob = encrypt_db(fixed_database(), DB_KEY, DB_SALT)
+    assert blob == reference_encrypt_db(fixed_database(), DB_KEY, DB_SALT.bytes)
     assert hashlib.sha256(blob).hexdigest() == FIXED_DB_BLOB_SHA256
     assert decrypt_db(blob, DB_KEY) == fixed_database()
+
+
+def test_usage_rows_are_arrays_in_field_order():
+    plaintext = json.loads(serialize_db(fixed_database()))
+    assert plaintext["usage_patterns"][1] == ["alice", "thermostat", 637, 1, 1, IP_HOME, GRANT]
+
+
+def _blob_with_plaintext(plaintext: bytes, magic: bytes = DB_MAGIC) -> bytes:
+    """A file under DB_KEY whose MAC verifies, over any plaintext."""
+    enc_key = kdf(DB_KEY, "db-enc", DB_SALT.bytes)
+    mac_key = kdf(DB_KEY, "db-mac", DB_SALT.bytes)
+    body = magic + DB_SALT.bytes + xor_bytes(plaintext, _keystream(enc_key, DB_SALT.bytes, len(plaintext)))
+    return body + mac(mac_key, body).bytes
+
+
+def test_blob_helper_matches_encrypt_db():
+    plaintext = serialize_db(fixed_database())
+    assert _blob_with_plaintext(plaintext) == encrypt_db(fixed_database(), DB_KEY, DB_SALT)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ["alice", "thermostat", 600, 1, 2, IP_HOME],  # one field short
+        ["alice", "thermostat", 600, 1, 2, IP_HOME, GRANT, "extra"],  # one field over
+        {  # the old keyed layout: seven keys would unpack as seven strings
+            "uid": "alice", "device_id": "thermostat", "sim_minutes": 600,
+            "hour_bucket": 1, "weekday": 2, "ip_class": IP_HOME, "decision": GRANT,
+        },
+        "abcdefg",  # seven characters
+        7,
+    ],
+)
+def test_malformed_usage_row_fails_authenticated_decryption(row):
+    tables = json.loads(serialize_db(fixed_database()))
+    tables["usage_patterns"][3] = row
+    blob = _blob_with_plaintext(json.dumps(tables).encode())
+    with pytest.raises(AuthenticatedDecryptionFailed):
+        decrypt_db(blob, DB_KEY)
+
+
+def test_old_format_file_with_valid_mac_is_rejected_at_the_magic():
+    blob = _blob_with_plaintext(serialize_db(fixed_database()), magic=b"SSHAF1")
+    with pytest.raises(AuthenticatedDecryptionFailed, match="magic"):
+        decrypt_db(blob, DB_KEY)
 
 
 def test_db_crypto_meters_its_kdfs_and_mac_but_not_the_keystream():
@@ -450,3 +659,49 @@ def test_db_crypto_meters_its_kdfs_and_mac_but_not_the_keystream():
     assert METER.snapshot() == (hashes, macs + 3)
     decrypt_db(blob, DB_KEY)
     assert METER.snapshot() == (hashes, macs + 6)
+
+
+# --- database codec properties ----------------------------------------------------
+
+_texts = st.text(max_size=12)
+_ints = st.integers(-(2**40), 2**40)
+_units = st.floats(0.0, 1.0)
+
+
+def _profiles():
+    profile = st.builds(
+        UserProfile, uid=_texts, name=_texts, age=_ints, role=_texts, status=_texts,
+        capabilities=st.lists(_texts, max_size=3).map(tuple), pw_salt=_texts, pw_hash=_texts,
+    )
+    return st.dictionaries(_texts, profile, max_size=4)
+
+
+_databases = st.builds(
+    UserDatabase,
+    profiles=_profiles(),
+    calendars=st.dictionaries(
+        _texts, st.lists(st.builds(CalendarInterval, _ints, _ints, _ints), max_size=4), max_size=3
+    ),
+    usage_patterns=st.lists(
+        st.builds(UsageRecord, _texts, _texts, _ints, _ints, _ints, _texts, _texts), max_size=500
+    ),
+    access_policies=st.dictionaries(_texts, st.builds(AccessPolicy, _units, _units), max_size=4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(db=_databases, salt=st.binary(min_size=16, max_size=16))
+def test_db_round_trips_through_the_cipher(db, salt):
+    assert decrypt_db(encrypt_db(db, DB_KEY, Nonce128(salt)), DB_KEY) == db
+
+
+_FIXED_BLOB = encrypt_db(fixed_database(), DB_KEY, DB_SALT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pos=st.integers(0, len(_FIXED_BLOB) - 1), flip=st.integers(1, 255))
+def test_any_flipped_byte_fails_authenticated_decryption(pos, flip):
+    corrupted = bytearray(_FIXED_BLOB)
+    corrupted[pos] ^= flip
+    with pytest.raises(AuthenticatedDecryptionFailed):
+        decrypt_db(bytes(corrupted), DB_KEY)

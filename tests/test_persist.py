@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
 from sshaf.context_engine import ContextSnapshot
@@ -60,10 +62,11 @@ def test_dors_sides_round_trip():
     assert uk == gk
 
 
-# SHA-256 of the persisted gateway side for the production parameters,
-# taken while leaf digests were held as Digest256 objects; the packed form
-# must write the same JSON.
-DORS_GATEWAY_JSON_SHA256 = "c689386cf66f076141b797c2f7faefe510da900564bd31c4db97bd00b34a11f0"
+# SHA-256 of the persisted gateway side for the production parameters.
+# The earlier layout, one hex string per leaf, pinned to the second value;
+# the test rebuilds it from the current one, so both carry the same leaves.
+DORS_GATEWAY_JSON_SHA256 = "835a831116980a3dccef001e2a6fe2386ac4d4e947241ab5875adb38c13ed0ab"
+PER_LEAF_JSON_SHA256 = "c689386cf66f076141b797c2f7faefe510da900564bd31c4db97bd00b34a11f0"
 
 
 def production_dors_gateway():
@@ -72,12 +75,26 @@ def production_dors_gateway():
     return gateway
 
 
+def _per_leaf(tree: str) -> list[str]:
+    return [tree[i : i + 64] for i in range(0, len(tree), 64)]
+
+
 def test_dors_gateway_json_bytes_are_pinned():
-    data = persist.dors_gateway_to_dict(production_dors_gateway())
-    assert all(len(h) == 64 for tree in data["leaf_digests"] for h in tree)
+    gateway = production_dors_gateway()
+    data = persist.dors_gateway_to_dict(gateway)
+    t = gateway.public_key.params.t
+    assert all(isinstance(tree, str) and len(tree) == 64 * t for tree in data["leaf_digests"])
     assert hashlib.sha256(persist.dumps(data)).hexdigest() == DORS_GATEWAY_JSON_SHA256
+    per_leaf = dict(data, leaf_digests=[_per_leaf(tree) for tree in data["leaf_digests"]])
+    assert hashlib.sha256(persist.dumps(per_leaf)).hexdigest() == PER_LEAF_JSON_SHA256
+    assert ["".join(leaves) for leaves in per_leaf["leaf_digests"]] == data["leaf_digests"]
     restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(data)))
     assert persist.dors_gateway_to_dict(restored) == data
+
+
+def _spoil_leaf(tree: str, leaf: int, spoil) -> str:
+    """``tree`` with leaf ``leaf``'s 64 hex digits replaced by ``spoil`` of them."""
+    return tree[: 64 * leaf] + spoil(tree[64 * leaf : 64 * leaf + 64]) + tree[64 * leaf + 64 :]
 
 
 @pytest.mark.parametrize(
@@ -93,7 +110,7 @@ def test_dors_gateway_from_dict_rejects_malformed_leaf_digest(spoil):
     params = dors_auth.DorsParams(t=16, k=4, f=2, r=2)
     _, gateway = dors_auth.dors_provision("alice", MASTER, params)
     data = persist.dors_gateway_to_dict(gateway)
-    data["leaf_digests"][1][5] = spoil(data["leaf_digests"][1][5])
+    data["leaf_digests"][1] = _spoil_leaf(data["leaf_digests"][1], 5, spoil)
     with pytest.raises(ValueError):
         persist.dors_gateway_from_dict(data)
 
@@ -101,12 +118,17 @@ def test_dors_gateway_from_dict_rejects_malformed_leaf_digest(spoil):
 @pytest.mark.parametrize(
     "spoil",
     [
-        lambda data: data["leaf_digests"][0].__delitem__(slice(3, None)),  # a 3-leaf tree
-        lambda data: data["leaf_digests"][1].append(data["leaf_digests"][1][0]),  # t+1 leaves
+        lambda data: data["leaf_digests"].__setitem__(0, data["leaf_digests"][0][: 3 * 64]),  # a 3-leaf tree
+        lambda data: data["leaf_digests"].__setitem__(
+            1, data["leaf_digests"][1] + data["leaf_digests"][1][:64]
+        ),  # t+1 leaves
         lambda data: data["leaf_digests"].pop(),  # a tree missing
-        lambda data: data["leaf_digests"].append(list(data["leaf_digests"][0])),  # a tree extra
+        lambda data: data["leaf_digests"].append(data["leaf_digests"][0]),  # a tree extra
         lambda data: data["roots"].append(data["roots"][0]),  # a root extra
         lambda data: data["roots"].pop(),  # a root missing
+        lambda data: data["leaf_digests"].__setitem__(
+            0, _per_leaf(data["leaf_digests"][0])
+        ),  # a tree in the per-leaf layout
     ],
 )
 def test_dors_gateway_from_dict_rejects_malformed_forest(spoil):
@@ -116,6 +138,27 @@ def test_dors_gateway_from_dict_rejects_malformed_forest(spoil):
     spoil(data)
     with pytest.raises(ValueError):
         persist.dors_gateway_from_dict(data)
+
+
+@st.composite
+def dors_params(draw):
+    t = 1 << draw(st.integers(1, 6))
+    k = draw(st.integers(1, t // 2))
+    r = draw(st.integers(1, t // 2 // k))
+    return dors_auth.DorsParams(t=t, k=k, f=draw(st.integers(1, 3)), r=r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=dors_params(), uid=st.text(min_size=1, max_size=8))
+def test_dors_forest_round_trips_for_any_params(params, uid):
+    _, gateway = dors_auth.dors_provision(uid, MASTER, params)
+    data = json.loads(persist.dumps(persist.dors_gateway_to_dict(gateway)))
+    assert [len(tree) for tree in data["leaf_digests"]] == [64 * params.t] * params.f
+    restored = persist.dors_gateway_from_dict(data)
+    assert restored.public_key.params == params
+    assert restored.public_key.leaf_digests == gateway.public_key.leaf_digests
+    assert restored.public_key.roots == gateway.public_key.roots
+    assert persist.dors_gateway_to_dict(restored) == data
 
 
 def test_dhs_entities_round_trip():

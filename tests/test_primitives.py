@@ -143,6 +143,21 @@ def test_kdf_deterministic_and_label_separated():
     assert len(set(keys)) == len(labels)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.binary(min_size=32, max_size=32),
+    label=st.text(alphabet=st.characters(min_codepoint=1, max_codepoint=127), min_size=1, max_size=32),
+    salt=st.binary(max_size=80),
+)
+def test_kdf_is_one_mac_of_the_prefixed_label_and_salt(key, label, salt):
+    secret = Key256(key)
+    expected = Key256(mac(secret, bytes([len(label)]) + label.encode() + salt).bytes)
+    before = METER.snapshot()
+    derived = kdf(secret, label, salt)
+    assert METER.snapshot() == (before[0], before[1] + 1)
+    assert type(derived) is Key256 and derived == expected
+
+
 def test_kdf_rejects_bad_labels():
     k = Key256(b"\x11" * 32)
     before = METER.snapshot()
