@@ -28,6 +28,7 @@ from .errors import (
     MalformedPacket,
     TagInvalid,
 )
+from .link import GATEWAY, USER
 from .primitives import (
     Digest256,
     Key256,
@@ -191,6 +192,10 @@ class LoginRequest:
     def encode(self) -> bytes:
         return self.packet.encode()
 
+    @classmethod
+    def decode(cls, data: bytes) -> "LoginRequest":
+        return cls(Ipv6Packet.decode(data))
+
 
 @dataclass
 class Challenge:
@@ -353,14 +358,31 @@ def dhs_card_finish(card: SmartCardState, challenge: Challenge, ack: AckMessage,
 
 
 def dhs_session_agree(
-    card: SmartCardState, edge: EdgeServer, challenge: Challenge
+    link, card: SmartCardState, edge: EdgeServer, challenge: Challenge
 ) -> tuple[Key256, Key256, InterfaceIdentifier]:
-    """Phase 5 end-to-end: returns both session keys and the rotated
-    identifier both parties installed."""
+    """Phase 5 end-to-end over ``link``, from the edge's challenge on:
+    returns both session keys and the rotated identifier both parties
+    installed."""
+    challenge = link.carry(GATEWAY, USER, challenge, Challenge.decode)
     confirm, card_session = dhs_card_confirm(card, challenge)
+    confirm = link.carry(USER, GATEWAY, confirm, ConfirmMessage.decode)
     ack, edge_session = dhs_edge_complete(edge, confirm)
+    ack = link.carry(GATEWAY, USER, ack, AckMessage.decode)
     dhs_card_finish(card, challenge, ack, card_session)
     return card_session, edge_session, card.current_iid
+
+
+def dhs_handshake(
+    link, card: SmartCardState, edge: EdgeServer, password: str, src: RandomSource
+) -> tuple[Key256, Key256]:
+    """Login, edge verification and session agreement over ``link``,
+    returning (card key, edge key). The edge verifies the packet bytes."""
+    request = link.carry(
+        USER, GATEWAY, dhs_login(card, card.uid, password, src), LoginRequest.decode
+    )
+    challenge = dhs_edge_verify(edge, request.encode(), src)
+    card_key, edge_key, _ = dhs_session_agree(link, card, edge, challenge)
+    return card_key, edge_key
 
 
 def dhs_password_update(

@@ -19,6 +19,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .errors import AuthFailed, ForestExhausted, InvalidParams, MalformedPacket
+from .link import GATEWAY, USER
 from .merkle_auth import merkle_root
 from .primitives import (
     Digest256,
@@ -283,10 +284,12 @@ def dors_gateway_verify(
 
 
 def dors_handshake(
-    user: DorsUserSide, gateway: DorsGatewaySide, src: RandomSource
+    link, user: DorsUserSide, gateway: DorsGatewaySide, src: RandomSource
 ) -> tuple[Key256, Key256]:
-    """Challenge/response run returning (user key, gateway key)."""
+    """Challenge/response run over ``link``, returning (user key, gateway
+    key)."""
     challenge = dors_challenge(src)
-    sig, user_key = dors_respond(user, challenge)
-    gateway_key = dors_gateway_verify(gateway, challenge, sig)
-    return user_key, gateway_key
+    sig, user_key = dors_respond(user, link.carry(GATEWAY, USER, challenge, Nonce128))
+    params = gateway.public_key.params
+    sig = link.carry(USER, GATEWAY, sig, lambda data: DorsSignature.decode(data, params))
+    return user_key, dors_gateway_verify(gateway, challenge, sig)

@@ -158,3 +158,7 @@ class AuthenticatedDecryptionFailed(SshafError):
 
 class ScriptError(SshafError):
     """Scenario script is malformed."""
+
+
+class StateCorrupt(SshafError):
+    """A state directory's state.json does not parse or restore."""

@@ -40,6 +40,7 @@ from .errors import (
     UnknownDevice,
     UnknownUser,
 )
+from .link import Loopback
 from .primitives import (
     Digest256,
     Key256,
@@ -462,35 +463,31 @@ class Gateway:
 
     def _run_scheme(self, scheme: str, uid: str, password: str) -> Key256:
         wallet = self.wallet_for(uid)
+        link = Loopback()
         if scheme == ctx.SCHEME_MHT:
-            m1 = merkle_auth.mht_auth_initiate(wallet.mht, self.src)
-            m2 = merkle_auth.mht_auth_challenge(self.mht_registry, m1, self.src)
-            m3 = merkle_auth.mht_auth_respond(wallet.mht, m2)
-            m4, gw_key = merkle_auth.mht_auth_finalize(self.mht_registry, uid, m3)
-            user_key = merkle_auth.mht_confirm(wallet.mht, m4)
-            if user_key != gw_key:
-                raise AuthFailed("session keys diverged")
-            return gw_key
-        if scheme == ctx.SCHEME_DORS:
+            user_key, gw_key = merkle_auth.mht_handshake(
+                link, wallet.mht, self.mht_registry, self.src
+            )
+        elif scheme == ctx.SCHEME_DORS:
             try:
-                _, gw_key = dors_auth.dors_handshake(
-                    wallet.dors, self.dors_registry[uid], self.src
+                user_key, gw_key = dors_auth.dors_handshake(
+                    link, wallet.dors, self.dors_registry[uid], self.src
                 )
             except ForestExhausted:
                 # Spent forest signals rekey: provision a fresh epoch, retry once.
                 self._provision_dors(uid, wallet)
-                _, gw_key = dors_auth.dors_handshake(
-                    wallet.dors, self.dors_registry[uid], self.src
+                user_key, gw_key = dors_auth.dors_handshake(
+                    link, wallet.dors, self.dors_registry[uid], self.src
                 )
-            return gw_key
-        if scheme == ctx.SCHEME_DHS:
-            request = dhs_auth.dhs_login(wallet.card, uid, password, self.src)
-            challenge = dhs_auth.dhs_edge_verify(self.edge, request.encode(), self.src)
-            card_key, edge_key, _ = dhs_auth.dhs_session_agree(wallet.card, self.edge, challenge)
-            if card_key != edge_key:
-                raise AuthFailed("session keys diverged")
-            return edge_key
-        raise AuthFailed(f"no such scheme {scheme!r}")
+        elif scheme == ctx.SCHEME_DHS:
+            user_key, gw_key = dhs_auth.dhs_handshake(
+                link, wallet.card, self.edge, password, self.src
+            )
+        else:
+            raise AuthFailed(f"no such scheme {scheme!r}")
+        if user_key != gw_key:
+            raise AuthFailed("session keys diverged")
+        return gw_key
 
     def _least_sensitive_policy(self) -> AccessPolicy:
         return min(self.db.access_policies.values(), key=lambda p: p.threshold)

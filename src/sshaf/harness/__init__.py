@@ -1,44 +1,2 @@
 """Deterministic simulation harness: scenario runner, cost metering,
 adversary suite, and the command-line interface."""
-
-from .attacks import (
-    AdversaryModel,
-    AttackOutcome,
-    attack_impersonate,
-    attack_replay,
-    attack_session_key_disclosure,
-    attack_stolen_device,
-    forgery_experiment,
-    run_attack_matrix,
-)
-from .scenarios import (
-    TABLE1_ROWS,
-    TABLE2_ROWS,
-    build_cost_table,
-    cost_table_to_csv,
-    measure_costs,
-    metrics_to_csv,
-    run_scenario,
-)
-from .simnet import MetricsReport, SimConfig, Transcript
-
-__all__ = [
-    "AdversaryModel",
-    "AttackOutcome",
-    "MetricsReport",
-    "SimConfig",
-    "TABLE1_ROWS",
-    "TABLE2_ROWS",
-    "Transcript",
-    "attack_impersonate",
-    "attack_replay",
-    "attack_session_key_disclosure",
-    "attack_stolen_device",
-    "build_cost_table",
-    "cost_table_to_csv",
-    "forgery_experiment",
-    "measure_costs",
-    "metrics_to_csv",
-    "run_attack_matrix",
-    "run_scenario",
-]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .. import dhs_auth, dors_auth, merkle_auth, persist
 from ..errors import SshafError
+from ..link import USER, Loopback
 from ..primitives import Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf
 
 ATTACK_REPLAY = "replay"
@@ -60,6 +61,13 @@ class SessionTrace:
 
 # --- per-scheme worlds --------------------------------------------------------
 
+def _trace(link: Loopback, key: Key256, public_material: list[bytes]) -> SessionTrace:
+    """A session run over ``link``: its client messages are the encoded
+    USER messages the loopback carried."""
+    client = [message.encode() for sender, message in link.carried if sender == USER]
+    return SessionTrace(key, client, public_material)
+
+
 class MhtWorld:
     UID = "alice"
 
@@ -70,46 +78,27 @@ class MhtWorld:
         self.user, self.gateway = merkle_auth.mht_register(self.registry, self.UID, self.master)
 
     def run_session(self) -> SessionTrace:
-        m1 = merkle_auth.mht_auth_initiate(self.user, self.src)
-        m2 = merkle_auth.mht_auth_challenge(self.registry, m1, self.src)
-        m3 = merkle_auth.mht_auth_respond(self.user, m2)
-        m4, key = merkle_auth.mht_auth_finalize(self.registry, self.UID, m3)
-        merkle_auth.mht_confirm(self.user, m4)
-        return SessionTrace(
-            session_key=key,
-            client_messages=[m1.encode(), m3.encode()],
-            public_material=[
-                m1.n_u.bytes + m2.n_g.bytes + m2.root.bytes,
-                m1.n_u.bytes,
-                m2.n_g.bytes,
-                m2.root.bytes,
-            ],
-        )
+        link = Loopback()
+        _, key = merkle_auth.mht_handshake(link, self.user, self.registry, self.src)
+        m1, m2 = (message for _, message in link.carried[:2])
+        n_u, n_g, root = m1.n_u.bytes, m2.n_g.bytes, m2.root.bytes
+        return _trace(link, key, [n_u + n_g + root, n_u, n_g, root])
 
 
 class DorsWorld:
     UID = "alice"
 
-    def __init__(self, src: RandomSource, params: dors_auth.DorsParams | None = None):
+    def __init__(self, src: RandomSource):
         self.src = src
         self.master = Key256(src.read(32))
-        self.user, self.gateway = dors_auth.dors_provision(
-            self.UID, self.master, params or dors_auth.DorsParams()
-        )
+        self.user, self.gateway = dors_auth.dors_provision(self.UID, self.master)
 
     def run_session(self) -> SessionTrace:
-        challenge = dors_auth.dors_challenge(self.src)
-        sig, _ = dors_auth.dors_respond(self.user, challenge)
-        key = dors_auth.dors_gateway_verify(self.gateway, challenge, sig)
-        return SessionTrace(
-            session_key=key,
-            client_messages=[sig.encode()],
-            public_material=[
-                challenge.bytes,
-                challenge.bytes + self.gateway.chain.value.bytes,
-                self.gateway.chain.value.bytes,
-            ],
-        )
+        link = Loopback()
+        _, key = dors_auth.dors_handshake(link, self.user, self.gateway, self.src)
+        _, challenge = link.carried[0]
+        chain = self.gateway.chain.value.bytes
+        return _trace(link, key, [challenge.bytes, challenge.bytes + chain, chain])
 
 
 class DhsWorld:
@@ -123,27 +112,18 @@ class DhsWorld:
         self.card = dhs_auth.dhs_register(self.home, self.edge, self.UID, self.PASSWORD, src)
 
     def run_session(self) -> SessionTrace:
-        request = dhs_auth.dhs_login(self.card, self.UID, self.PASSWORD, self.src)
-        challenge = dhs_auth.dhs_edge_verify(self.edge, request.encode(), self.src)
-        confirm, card_key = dhs_auth.dhs_card_confirm(self.card, challenge)
-        ack, edge_key = dhs_auth.dhs_edge_complete(self.edge, confirm)
-        dhs_auth.dhs_card_finish(self.card, challenge, ack, card_key)
-        return SessionTrace(
-            session_key=edge_key,
-            client_messages=[request.encode(), confirm.encode()],
-            public_material=[
-                challenge.n_e.bytes,
-                confirm.tag.bytes + challenge.n_e.bytes,
-            ],
-        )
+        link = Loopback()
+        _, key = dhs_auth.dhs_handshake(link, self.card, self.edge, self.PASSWORD, self.src)
+        challenge, confirm = (message for _, message in link.carried[1:3])
+        return _trace(link, key, [challenge.n_e.bytes, confirm.tag.bytes + challenge.n_e.bytes])
 
 
-def _world(scheme: str, seed: bytes, **kwargs):
+def _world(scheme: str, seed: bytes):
     src = RandomSource.seeded(seed).fork(f"attack:{scheme}")
     if scheme == "mht":
         return MhtWorld(src)
     if scheme == "dors":
-        return DorsWorld(src, **kwargs)
+        return DorsWorld(src)
     if scheme == "dhs":
         return DhsWorld(src)
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -24,7 +24,7 @@ from ..context_engine import (
     ContextSnapshot,
     load_calendar,
 )
-from ..errors import SshafError
+from ..errors import SshafError, StateCorrupt
 from ..gateway import Gateway, atomic_write, load_db
 from ..primitives import Key256, RandomSource
 from . import attacks
@@ -44,7 +44,7 @@ KEY_FILE = "gateway.key"
 
 # --- state directory ---------------------------------------------------------
 
-def _boot(state_dir: Path, seed_hex: str | None) -> Gateway:
+def _boot(state_dir: Path, seed_hex: str | None) -> None:
     state_dir.mkdir(parents=True, exist_ok=True)
     seed = bytes.fromhex(seed_hex) if seed_hex else secrets.token_bytes(32)
     if len(seed) != 32:
@@ -55,7 +55,6 @@ def _boot(state_dir: Path, seed_hex: str | None) -> Gateway:
     (state_dir / KEY_FILE).write_text(db_key_bytes.hex() + "\n")
     gw = Gateway(RandomSource.seeded(seed).fork("boot"), Key256(db_key_bytes))
     _save(state_dir, gw, seed, invocation=0)
-    return gw
 
 
 def _save(state_dir: Path, gw: Gateway, rng_seed: bytes, invocation: int) -> None:
@@ -71,14 +70,16 @@ def _save(state_dir: Path, gw: Gateway, rng_seed: bytes, invocation: int) -> Non
 def _load(state_dir: Path, seed_hex: str | None) -> tuple[Gateway, bytes, int]:
     state_path = state_dir / STATE_FILE
     if not state_path.exists():
-        gw = _boot(state_dir, seed_hex)
-        state_path = state_dir / STATE_FILE
-    state = json.loads(state_path.read_text())
-    rng_seed = bytes.fromhex(state["rng_seed"])
-    invocation = state["invocation"] + 1
+        _boot(state_dir, seed_hex)
     db_key = Key256.from_hex((state_dir / KEY_FILE).read_text().strip())
-    gw = Gateway(RandomSource.seeded(rng_seed).fork("boot"), db_key)
-    persist.restore_gateway_state(gw, state["gateway"])
+    try:
+        state = json.loads(state_path.read_text())
+        rng_seed = bytes.fromhex(state["rng_seed"])
+        invocation = state["invocation"] + 1
+        gw = Gateway(RandomSource.seeded(rng_seed).fork("boot"), db_key)
+        persist.restore_gateway_state(gw, state["gateway"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StateCorrupt(f"{state_path}: {type(exc).__name__}: {exc}") from exc
     gw.db = load_db(state_dir / DB_FILE, db_key)
     gw.src = RandomSource.seeded(rng_seed).fork(f"invocation:{invocation}")
     return gw, rng_seed, invocation

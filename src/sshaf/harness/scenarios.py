@@ -32,7 +32,8 @@ from ..context_engine import (
     score_confidence,
 )
 from ..errors import ScriptError
-from ..primitives import METER, Key256, Nonce128, RandomSource
+from ..link import GATEWAY, USER
+from ..primitives import METER, Key256, RandomSource
 from .simnet import (
     LINK_INTERNET,
     LINK_LOCAL,
@@ -48,54 +49,7 @@ from .simnet import (
 SCHEME_NONE = "none"
 _SCHEMES = (SCHEME_MHT, SCHEME_DORS, SCHEME_DHS, SCHEME_NONE)
 
-USER = "user"
-GATEWAY = "gateway"
-
 LOGIN_THRESHOLD = AccessPolicy(threshold=0.5)
-
-
-# --- wire-level protocol runners --------------------------------------------
-# Every message crosses the link as encoded bytes and is decoded on the far
-# side, so the byte counters measure the real wire formats.
-
-def run_mht_over_link(link, user_state, registry, src):
-    m1 = merkle_auth.mht_auth_initiate(user_state, src)
-    m1_wire = link.send(USER, GATEWAY, m1.encode())
-    m2 = merkle_auth.mht_auth_challenge(registry, merkle_auth.MhtM1.decode(m1_wire), src)
-    m2_wire = link.send(GATEWAY, USER, m2.encode())
-    m3 = merkle_auth.mht_auth_respond(user_state, merkle_auth.MhtM2.decode(m2_wire))
-    m3_wire = link.send(USER, GATEWAY, m3.encode())
-    m4, gw_key = merkle_auth.mht_auth_finalize(
-        registry, user_state.uid, merkle_auth.MhtM3.decode(m3_wire)
-    )
-    m4_wire = link.send(GATEWAY, USER, m4.encode())
-    user_key = merkle_auth.mht_confirm(user_state, merkle_auth.MhtM4.decode(m4_wire))
-    return user_key, gw_key
-
-
-def run_dors_over_link(link, user_side, gateway_side, src):
-    challenge = dors_auth.dors_challenge(src)
-    challenge_wire = link.send(GATEWAY, USER, challenge.bytes)
-    sig, user_key = dors_auth.dors_respond(user_side, Nonce128(challenge_wire))
-    sig_wire = link.send(USER, GATEWAY, sig.encode())
-    decoded = dors_auth.DorsSignature.decode(sig_wire, gateway_side.public_key.params)
-    gw_key = dors_auth.dors_gateway_verify(gateway_side, challenge, decoded)
-    return user_key, gw_key
-
-
-def run_dhs_over_link(link, card, edge, password, src):
-    request = dhs_auth.dhs_login(card, card.uid, password, src)
-    request_wire = link.send(USER, GATEWAY, request.encode())
-    challenge = dhs_auth.dhs_edge_verify(edge, request_wire, src)
-    challenge_wire = link.send(GATEWAY, USER, challenge.encode())
-    confirm, card_key = dhs_auth.dhs_card_confirm(card, dhs_auth.Challenge.decode(challenge_wire))
-    confirm_wire = link.send(USER, GATEWAY, confirm.encode())
-    ack, edge_key = dhs_auth.dhs_edge_complete(edge, dhs_auth.ConfirmMessage.decode(confirm_wire))
-    ack_wire = link.send(GATEWAY, USER, ack.encode())
-    dhs_auth.dhs_card_finish(
-        card, dhs_auth.Challenge.decode(challenge_wire), dhs_auth.AckMessage.decode(ack_wire), card_key
-    )
-    return card_key, edge_key
 
 
 # --- scenario world -----------------------------------------------------------
@@ -125,11 +79,11 @@ class ScenarioWorld:
 
     def run_scheme(self, scheme: str, link) -> None:
         if scheme == SCHEME_MHT:
-            run_mht_over_link(link, self.mht_user, self.mht_registry, self.src)
+            merkle_auth.mht_handshake(link, self.mht_user, self.mht_registry, self.src)
         elif scheme == SCHEME_DORS:
-            run_dors_over_link(link, self.dors_user, self.dors_gateway, self.src)
+            dors_auth.dors_handshake(link, self.dors_user, self.dors_gateway, self.src)
         elif scheme == SCHEME_DHS:
-            run_dhs_over_link(link, self.card, self.edge, self.PASSWORD, self.src)
+            dhs_auth.dhs_handshake(link, self.card, self.edge, self.PASSWORD, self.src)
 
     def persisted_state_bytes(self, scheme: str) -> bytes:
         """Gateway-side long-term state for the scheme, as persisted."""

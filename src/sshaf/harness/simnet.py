@@ -71,9 +71,6 @@ class Transcript:
     def to_bytes(self) -> bytes:
         return "\n".join(self.to_lines()).encode()
 
-    def messages_from(self, sender: str) -> list[bytes]:
-        return [e.data for e in self.events if e.sender == sender and e.outcome == "delivered"]
-
 
 class SimClock:
     """Integer simulated milliseconds, forward only."""
@@ -121,6 +118,12 @@ class SimLink:
             TranscriptEvent(self.clock.now_ms, sender, receiver, data, "delivered")
         )
         return data
+
+    def carry(self, sender: str, receiver: str, message, decode):
+        """A handshake message crosses as its encoded bytes and is decoded
+        on the far side, so the byte counters measure the real wire
+        formats."""
+        return decode(self.send(sender, receiver, message.encode()))
 
 
 @dataclass

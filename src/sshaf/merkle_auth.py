@@ -36,6 +36,7 @@ from .errors import (
     UnknownUser,
     UserAuthFailed,
 )
+from .link import GATEWAY, USER
 from .primitives import (
     Digest256,
     Key256,
@@ -438,6 +439,18 @@ def mht_confirm(user: MhtUserState, m4: MhtM4) -> Key256:
     user.shared_key = _ratchet(user.shared_key, pend.n_u, pend.n_g)
     user.pending = None
     return session
+
+
+def mht_handshake(
+    link, user: MhtUserState, registry: dict[str, MhtGatewayState], src: RandomSource
+) -> tuple[Key256, Key256]:
+    """M1 to M4 over ``link``, returning (user key, gateway key)."""
+    m1 = link.carry(USER, GATEWAY, mht_auth_initiate(user, src), MhtM1.decode)
+    m2 = link.carry(GATEWAY, USER, mht_auth_challenge(registry, m1, src), MhtM2.decode)
+    m3 = link.carry(USER, GATEWAY, mht_auth_respond(user, m2), MhtM3.decode)
+    m4, gateway_key = mht_auth_finalize(registry, user.uid, m3)
+    user_key = mht_confirm(user, link.carry(GATEWAY, USER, m4, MhtM4.decode))
+    return user_key, gateway_key
 
 
 def mht_try_resync(user: MhtUserState, gateway_counter: int, gateway_root: Digest256) -> bool:

@@ -82,9 +82,13 @@ class Key256(_FixedBytes):
 
 
 class Nonce128(_FixedBytes):
-    """16-byte freshness token, drawn fresh per protocol run."""
+    """16-byte freshness token, drawn fresh per protocol run. A bare nonce
+    is its own wire format."""
 
     LENGTH = NONCE_LEN
+
+    def encode(self) -> bytes:
+        return self.bytes
 
 
 class RandomSource:

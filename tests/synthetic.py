@@ -1,4 +1,4 @@
-"""Shared helpers: deterministic synthetic dataset for the classifier."""
+"""Deterministic synthetic dataset for the classifier tests."""
 
 import random
 

@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from conftest import make_synthetic_dataset
 from sshaf import dhs_auth, dors_auth, merkle_auth
 from sshaf.context_engine import (
     DENY,
@@ -34,6 +33,7 @@ from sshaf.errors import (
 )
 from sshaf.gateway import Gateway, GatewaySession, decrypt_db, encrypt_db
 from sshaf.harness.attacks import forgery_experiment, run_attack_matrix
+from sshaf.link import Loopback
 from sshaf.primitives import (
     Digest256,
     Key256,
@@ -42,6 +42,7 @@ from sshaf.primitives import (
     hash_bytes,
     hmac_sha256,
 )
+from synthetic import make_synthetic_dataset
 
 
 class Budget:
@@ -146,7 +147,7 @@ def _run_dors_100() -> list[bytes]:
     src = RandomSource.seeded(b"\x64" * 32)
     keys = []
     for i in range(100):
-        uk, gk = dors_auth.dors_handshake(user, gateway, src)
+        uk, gk = dors_auth.dors_handshake(Loopback(), user, gateway, src)
         assert uk == gk
         assert user.chain == gateway.chain
         assert gateway.chain.signature_count == i + 1
@@ -163,7 +164,7 @@ def _run_dhs_100() -> list[bytes]:
     for _ in range(100):
         request = dhs_auth.dhs_login(card, "alice", "pw", src)
         challenge = dhs_auth.dhs_edge_verify(edge, request.encode(), src)
-        ck, ek, new_iid = dhs_auth.dhs_session_agree(card, edge, challenge)
+        ck, ek, new_iid = dhs_auth.dhs_session_agree(Loopback(), card, edge, challenge)
         assert ck == ek
         assert edge.db["alice"].current_iid == card.current_iid == new_iid
         iids.add(new_iid.iid)

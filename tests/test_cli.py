@@ -120,6 +120,32 @@ def test_access_on_session_purged_by_later_login(tmp_path, capsys):
     assert code == 2  # the login dropped it: no such session
 
 
+def _truncate(state: dict, text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _drop_gateway(state: dict, text: str) -> str:
+    del state["gateway"]
+    return json.dumps(state)
+
+
+def _three_leaf_tree(state: dict, text: str) -> str:
+    state["gateway"]["dors_registry"]["alice"]["leaf_digests"][0] = "ab" * 32 * 3
+    return json.dumps(state)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _drop_gateway, _three_leaf_tree])
+def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state))
+    path = state / "state.json"
+    text = path.read_text()
+    path.write_text(damage(json.loads(text), text))
+    code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
+
+
 def test_bench_table1_csv_layout(capsys):
     code, out = run(capsys, "bench", "--table", "1", "--format", "csv", "--seed", SEED)
     assert code == 0

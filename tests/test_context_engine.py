@@ -7,7 +7,6 @@ import re
 
 import pytest
 
-from conftest import make_synthetic_dataset
 from sshaf.errors import (
     DegenerateTraining,
     InvalidWeights,
@@ -47,6 +46,7 @@ from sshaf.context_engine import (
     select_scheme,
     train_classifier,
 )
+from synthetic import make_synthetic_dataset
 
 
 def snap(**kwargs):

@@ -33,6 +33,7 @@ from sshaf.dhs_auth import (
     dhs_register,
     dhs_session_agree,
 )
+from sshaf.link import Loopback
 from sshaf.primitives import Digest256, Key256, Nonce128, RandomSource, hash_bytes
 
 
@@ -47,7 +48,7 @@ def make_world(seed=b"\x21"):
 def run_session(card, edge, src, password="hunter2"):
     request = dhs_login(card, card.uid, password, src)
     challenge = dhs_edge_verify(edge, request.encode(), src)
-    return dhs_session_agree(card, edge, challenge)
+    return dhs_session_agree(Loopback(), card, edge, challenge)
 
 
 # --- initialization / registration ---------------------------------------
@@ -182,7 +183,7 @@ def test_stale_iid_rejected_after_session():
     src, _, edge, card = make_world()
     first_request = dhs_login(card, "bob", "hunter2", src)
     challenge = dhs_edge_verify(edge, first_request.encode(), src)
-    dhs_session_agree(card, edge, challenge)
+    dhs_session_agree(Loopback(), card, edge, challenge)
     # Identifier rotated; the recorded login packet is now stale.
     with pytest.raises(IdentifierMismatch):
         dhs_edge_verify(edge, first_request.encode(), src)

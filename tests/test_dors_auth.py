@@ -24,6 +24,7 @@ from sshaf.dors_auth import (
     dors_subset,
     dors_verify,
 )
+from sshaf.link import Loopback
 from sshaf.primitives import METER, Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf
 
 SEED = Key256(b"\x55" * 32)
@@ -215,7 +216,7 @@ MASTER = Key256(b"\x66" * 32)
 def test_handshake_keys_agree_and_chains_advance():
     user, gateway = dors_provision("alice", MASTER, TINY)
     src = RandomSource.seeded(b"\x10" * 32)
-    uk, gk = dors_handshake(user, gateway, src)
+    uk, gk = dors_handshake(Loopback(), user, gateway, src)
     assert uk == gk
     assert user.chain == gateway.chain
     assert user.chain.signature_count == 1
@@ -227,7 +228,7 @@ def test_sequential_handshake_keys_distinct():
     src = RandomSource.seeded(b"\x11" * 32)
     keys = set()
     for _ in range(params.max_signatures):
-        uk, gk = dors_handshake(user, gateway, src)
+        uk, gk = dors_handshake(Loopback(), user, gateway, src)
         assert uk == gk
         keys.add(uk.bytes)
     assert len(keys) == params.max_signatures

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
 from sshaf.context_engine import ContextSnapshot
 from sshaf.gateway import CAP_CARD, CAP_DORS, Gateway
+from sshaf.link import Loopback
 from sshaf.primitives import Key256, RandomSource
 
 MASTER = Key256(b"\x41" * 32)
@@ -50,7 +51,7 @@ def test_dors_sides_round_trip():
     params = dors_auth.DorsParams(t=16, k=4, f=2, r=2)
     user, gateway = dors_auth.dors_provision("alice", MASTER, params)
     src = RandomSource.seeded(b"\x03" * 32)
-    dors_auth.dors_handshake(user, gateway, src)
+    dors_auth.dors_handshake(Loopback(), user, gateway, src)
 
     user2 = persist.dors_user_from_dict(persist.dors_user_to_dict(user))
     gateway2 = persist.dors_gateway_from_dict(persist.dors_gateway_to_dict(gateway))
@@ -58,7 +59,7 @@ def test_dors_sides_round_trip():
     assert user2.secret_key.revealed == user.secret_key.revealed
     assert gateway2.public_key.leaf_digests == gateway.public_key.leaf_digests
     # The restored pair still completes a handshake with matching keys.
-    uk, gk = dors_auth.dors_handshake(user2, gateway2, src)
+    uk, gk = dors_auth.dors_handshake(Loopback(), user2, gateway2, src)
     assert uk == gk
 
 
@@ -71,7 +72,7 @@ PER_LEAF_JSON_SHA256 = "c689386cf66f076141b797c2f7faefe510da900564bd31c4db97bd00
 
 def production_dors_gateway():
     user, gateway = dors_auth.dors_provision("alice", MASTER)
-    dors_auth.dors_handshake(user, gateway, RandomSource.seeded(b"\x0c" * 32))
+    dors_auth.dors_handshake(Loopback(), user, gateway, RandomSource.seeded(b"\x0c" * 32))
     return gateway
 
 
@@ -171,7 +172,7 @@ def test_dhs_entities_round_trip():
     edge2 = persist.edge_server_from_dict(persist.edge_server_to_dict(edge))
     request = dhs_auth.dhs_login(card2, "bob", "pw", src)
     challenge = dhs_auth.dhs_edge_verify(edge2, request.encode(), src)
-    ck, ek, _ = dhs_auth.dhs_session_agree(card2, edge2, challenge)
+    ck, ek, _ = dhs_auth.dhs_session_agree(Loopback(), card2, edge2, challenge)
     assert ck == ek
 
 
