@@ -39,6 +39,7 @@ SCHEME_DORS = "dors"
 SCHEME_DHS = "dhs"
 
 FACTORS = ("credentials", "bluetooth", "ip_location", "calendar", "history")
+_FACTOR_SET = frozenset(FACTORS)
 
 _IP_SCORES = {IP_HOME: 1.0, IP_KNOWN: 0.5, IP_UNKNOWN: 0.0}
 
@@ -72,27 +73,27 @@ class ContextSnapshot:
 
 @dataclass(frozen=True)
 class FactorWeights:
+    """Weights of the five factors, checked once at construction: each lies
+    in [0, 1] and they sum to 1. ``pairs`` holds (factor, weight) in
+    ``FACTORS`` order."""
+
     credentials: float = 0.40
     bluetooth: float = 0.20
     ip_location: float = 0.15
     calendar: float = 0.15
     history: float = 0.10
+    pairs: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         values = [self.credentials, self.bluetooth, self.ip_location, self.calendar, self.history]
         if any(not 0.0 <= v <= 1.0 for v in values):
             raise InvalidWeights("weights must lie in [0, 1]")
         if abs(sum(values) - 1.0) > 1e-9:
             raise InvalidWeights(f"weights must sum to 1, got {sum(values)}")
+        object.__setattr__(self, "pairs", tuple(zip(FACTORS, values)))
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "credentials": self.credentials,
-            "bluetooth": self.bluetooth,
-            "ip_location": self.ip_location,
-            "calendar": self.calendar,
-            "history": self.history,
-        }
+        return dict(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -120,13 +121,10 @@ class AccessRecord:
     device_id: str
     label: str | None = None
 
-    def features(self) -> dict[str, str]:
-        return {
-            "hour_bucket": str(self.hour_bucket),
-            "weekday": str(self.weekday),
-            "ip_class": self.ip_class,
-            "device_id": self.device_id,
-        }
+    def categories(self) -> tuple[str, str, str, str]:
+        """The record's category under each classifier feature, in
+        ``_FEATURES`` order."""
+        return str(self.hour_bucket), str(self.weekday), self.ip_class, self.device_id
 
 
 def record_from_snapshot(snapshot: ContextSnapshot, device_id: str = "unknown") -> AccessRecord:
@@ -143,19 +141,38 @@ def record_from_snapshot(snapshot: ContextSnapshot, device_id: str = "unknown") 
 
 # --- naive Bayes over categorical features ---------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class NaiveBayesModel:
     """Priors plus Laplace-smoothed (alpha=1) per-feature likelihoods.
 
     likelihoods[feature][label][category] covers every category observed in
     training; a category unseen at prediction time falls back to the
     smoothing floor 1 / (class_count + vocabulary size).
+
+    Construction takes the logarithm of every prior, likelihood and floor
+    once. ``log_tables`` holds, per label in ``priors`` order, the label,
+    its log prior, and per feature in ``_FEATURES`` order the pair
+    (log-likelihood by category, log floor). The model is frozen, so the
+    tables cannot drift from the probabilities: new counts need a new model.
     """
 
     priors: dict[str, float]
     likelihoods: dict[str, dict[str, dict[str, float]]]
     class_counts: dict[str, int]
     vocab_sizes: dict[str, int]
+    log_tables: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "log_tables", tuple(
+            (label, math.log(prior), tuple(
+                (
+                    {cat: math.log(p) for cat, p in self.likelihoods[f][label].items()},
+                    math.log(1.0 / (self.class_counts[label] + self.vocab_sizes[f])),
+                )
+                for f in _FEATURES
+            ))
+            for label, prior in self.priors.items()
+        ))
 
 
 def train_classifier(records: list[AccessRecord]) -> NaiveBayesModel:
@@ -176,9 +193,7 @@ def train_classifier(records: list[AccessRecord]) -> NaiveBayesModel:
         f: {label: {} for label in class_counts} for f in _FEATURES
     }
     for rec in labelled:
-        feats = rec.features()
-        for f in _FEATURES:
-            cat = feats[f]
+        for f, cat in zip(_FEATURES, rec.categories()):
             vocab[f].add(cat)
             by_cat = counts[f][rec.label]
             by_cat[cat] = by_cat.get(cat, 0) + 1
@@ -201,14 +216,11 @@ def train_classifier(records: list[AccessRecord]) -> NaiveBayesModel:
 
 def classify_access(model: NaiveBayesModel, record: AccessRecord) -> float:
     """Posterior probability that the record is legitimate."""
-    feats = record.features()
+    cats = record.categories()
     log_scores: dict[str, float] = {}
-    for label, prior in model.priors.items():
-        score = math.log(prior)
-        for f in _FEATURES:
-            table = model.likelihoods[f][label]
-            floor = 1.0 / (model.class_counts[label] + model.vocab_sizes[f])
-            score += math.log(table.get(feats[f], floor))
+    for label, score, tables in model.log_tables:
+        for (table, floor), cat in zip(tables, cats):
+            score += table.get(cat, floor)
         log_scores[label] = score
     peak = max(log_scores.values())
     total = sum(math.exp(s - peak) for s in log_scores.values())
@@ -221,10 +233,11 @@ def evaluate_factor(
     snapshot: ContextSnapshot,
     factor: str,
     model: NaiveBayesModel | None = None,
-    device_id: str = "unknown",
+    record: AccessRecord | None = None,
 ) -> float:
     """Score one contextual factor in [0, 1]. The history factor delegates
-    to the classifier; with no trained model it stays neutral at 0.5."""
+    to the classifier, on ``record`` or else on the snapshot's record for
+    an unknown device; with no trained model it stays neutral at 0.5."""
     if factor == "credentials":
         return 1.0 if snapshot.credentials_ok else 0.0
     if factor == "bluetooth":
@@ -236,19 +249,18 @@ def evaluate_factor(
     if factor == "history":
         if model is None:
             return 0.5
-        return classify_access(model, record_from_snapshot(snapshot, device_id))
+        if record is None:
+            record = record_from_snapshot(snapshot)
+        return classify_access(model, record)
     raise UnknownFactor(factor)
 
 
 def score_confidence(scores: dict[str, float], weights: FactorWeights) -> float:
     """Weighted sum of factor scores; factors absent from ``scores``
     contribute zero."""
-    weights.validate()
-    unknown = set(scores) - set(FACTORS)
-    if unknown:
-        raise UnknownFactor(", ".join(sorted(unknown)))
-    weight_map = weights.as_dict()
-    return sum(weight_map[f] * scores.get(f, 0.0) for f in FACTORS)
+    if not scores.keys() <= _FACTOR_SET:
+        raise UnknownFactor(", ".join(sorted(scores.keys() - _FACTOR_SET)))
+    return sum(weight * scores.get(f, 0.0) for f, weight in weights.pairs)
 
 
 def decide_access(confidence: float, policy: AccessPolicy) -> str:

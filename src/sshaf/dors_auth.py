@@ -289,7 +289,7 @@ def dors_handshake(
     """Challenge/response run over ``link``, returning (user key, gateway
     key)."""
     challenge = dors_challenge(src)
-    sig, user_key = dors_respond(user, link.carry(GATEWAY, USER, challenge, Nonce128))
+    sig, user_key = dors_respond(user, link.carry(GATEWAY, USER, challenge, Nonce128.decode))
     params = gateway.public_key.params
     sig = link.carry(USER, GATEWAY, sig, lambda data: DorsSignature.decode(data, params))
     return user_key, dors_gateway_verify(gateway, challenge, sig)

@@ -161,4 +161,5 @@ class ScriptError(SshafError):
 
 
 class StateCorrupt(SshafError):
-    """A state directory's state.json does not parse or restore."""
+    """A state directory's gateway.key or state.json does not parse or
+    restore."""

@@ -13,7 +13,7 @@ import hashlib
 import hmac
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import context_engine as ctx
@@ -457,8 +457,14 @@ class Gateway:
         calendar_present = calendar_claims_presence(
             self.db.calendars.get(uid, []), snapshot.timestamp
         )
-        return replace(
-            snapshot, credentials_ok=password_ok, calendar_claims_present=calendar_present
+        return ContextSnapshot(
+            uid=snapshot.uid,
+            origin=snapshot.origin,
+            ip_class=snapshot.ip_class,
+            bluetooth_present=snapshot.bluetooth_present,
+            timestamp=snapshot.timestamp,
+            calendar_claims_present=calendar_present,
+            credentials_ok=password_ok,
         )
 
     def _run_scheme(self, scheme: str, uid: str, password: str) -> Key256:
@@ -577,33 +583,33 @@ class Gateway:
             raise UnknownDevice(device_id)
 
         effective = self._effective_snapshot(session.uid, True, snapshot)
+        record = ctx.record_from_snapshot(effective, device_id)
         if effective.origin == ctx.ORIGIN_INTERNET:
             profile = self.db.profiles[session.uid]
             allowed = self.internet_allowlist.get(profile.role, set())
             if info.kind not in allowed:
-                self._log_usage(session.uid, device_id, effective, ctx.DENY)
+                self._log_usage(session.uid, record, ctx.DENY)
                 return ctx.DENY
 
         scores = {
-            f: ctx.evaluate_factor(effective, f, self.model, device_id) for f in ctx.FACTORS
+            f: ctx.evaluate_factor(effective, f, self.model, record) for f in ctx.FACTORS
         }
         confidence = ctx.score_confidence(scores, self.weights)
         decision = ctx.decide_access(confidence, self.db.access_policies[device_id])
-        self._log_usage(session.uid, device_id, effective, decision)
+        self._log_usage(session.uid, record, decision)
         if decision == ctx.GRANT:
             session.device_grants.add(device_id)
         return decision
 
-    def _log_usage(self, uid, device_id, snapshot: ContextSnapshot, decision: str) -> None:
-        record = ctx.record_from_snapshot(snapshot, device_id)
+    def _log_usage(self, uid: str, record: ctx.AccessRecord, decision: str) -> None:
         self.db.usage_patterns.append(
             UsageRecord(
                 uid=uid,
-                device_id=device_id,
+                device_id=record.device_id,
                 sim_minutes=self.sim_minutes,
                 hour_bucket=record.hour_bucket,
                 weekday=record.weekday,
-                ip_class=snapshot.ip_class,
+                ip_class=record.ip_class,
                 decision=decision,
             )
         )

@@ -24,7 +24,7 @@ from ..context_engine import (
     ContextSnapshot,
     load_calendar,
 )
-from ..errors import SshafError, StateCorrupt
+from ..errors import InvalidWeights, SshafError, StateCorrupt
 from ..gateway import Gateway, atomic_write, load_db
 from ..primitives import Key256, RandomSource
 from . import attacks
@@ -71,14 +71,18 @@ def _load(state_dir: Path, seed_hex: str | None) -> tuple[Gateway, bytes, int]:
     state_path = state_dir / STATE_FILE
     if not state_path.exists():
         _boot(state_dir, seed_hex)
-    db_key = Key256.from_hex((state_dir / KEY_FILE).read_text().strip())
+    key_path = state_dir / KEY_FILE
+    try:
+        db_key = Key256.from_hex(key_path.read_text().strip())
+    except (OSError, ValueError) as exc:
+        raise StateCorrupt(f"{key_path}: {type(exc).__name__}: {exc}") from exc
     try:
         state = json.loads(state_path.read_text())
         rng_seed = bytes.fromhex(state["rng_seed"])
         invocation = state["invocation"] + 1
         gw = Gateway(RandomSource.seeded(rng_seed).fork("boot"), db_key)
         persist.restore_gateway_state(gw, state["gateway"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, InvalidWeights) as exc:
         raise StateCorrupt(f"{state_path}: {type(exc).__name__}: {exc}") from exc
     gw.db = load_db(state_dir / DB_FILE, db_key)
     gw.src = RandomSource.seeded(rng_seed).fork(f"invocation:{invocation}")

@@ -20,7 +20,7 @@ import hmac as _hmac
 import secrets
 from dataclasses import dataclass
 
-from .errors import InvalidLabel
+from .errors import InvalidLabel, MalformedPacket
 
 DIGEST_LEN = 32
 KEY_LEN = 32
@@ -89,6 +89,12 @@ class Nonce128(_FixedBytes):
 
     def encode(self) -> bytes:
         return self.bytes
+
+    @classmethod
+    def decode(cls, data: bytes) -> "Nonce128":
+        if len(data) != NONCE_LEN:
+            raise MalformedPacket(f"nonce must be {NONCE_LEN} bytes, got {len(data)}")
+        return cls(data)
 
 
 class RandomSource:

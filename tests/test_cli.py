@@ -134,13 +134,32 @@ def _three_leaf_tree(state: dict, text: str) -> str:
     return json.dumps(state)
 
 
-@pytest.mark.parametrize("damage", [_truncate, _drop_gateway, _three_leaf_tree])
+def _weights_past_one(state: dict, text: str) -> str:
+    state["gateway"]["weights"]["credentials"] = 0.9
+    return json.dumps(state)
+
+
+@pytest.mark.parametrize("damage", [_truncate, _drop_gateway, _three_leaf_tree, _weights_past_one])
 def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
     state = tmp_path / "state"
     bootstrap_user(capsys, str(state))
     path = state / "state.json"
     text = path.read_text()
     path.write_text(damage(json.loads(text), text))
+    code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
+
+
+@pytest.mark.parametrize("key_text", ["abc\n", "", "ab" * 31 + "\n", None])
+def test_damaged_key_file_exits_with_state_corrupt(tmp_path, capsys, key_text):
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state))
+    path = state / "gateway.key"
+    if key_text is None:
+        path.unlink()
+    else:
+        path.write_text(key_text)
     code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")

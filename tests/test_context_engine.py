@@ -6,6 +6,8 @@ import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sshaf.errors import (
     DegenerateTraining,
@@ -80,8 +82,11 @@ def test_history_neutral_without_model():
 def test_history_delegates_to_classifier():
     model = train_classifier(make_synthetic_dataset())
     snapshot = snap(ip_class=IP_HOME, timestamp=10 * 60)  # hour bucket 2
-    expected = classify_access(model, record_from_snapshot(snapshot, "lock-1"))
-    assert evaluate_factor(snapshot, "history", model, "lock-1") == expected
+    record = record_from_snapshot(snapshot, "lock-1")
+    assert evaluate_factor(snapshot, "history", model, record) == classify_access(model, record)
+    # Without a record the snapshot is classified for an unknown device.
+    expected = classify_access(model, record_from_snapshot(snapshot, "unknown"))
+    assert evaluate_factor(snapshot, "history", model) == expected
 
 
 def test_snapshot_invariant_internet_excludes_bluetooth():
@@ -107,6 +112,21 @@ def test_confidence_rejects_bad_weights():
         score_confidence({}, FactorWeights(credentials=0.9))  # sums past 1
     with pytest.raises(InvalidWeights):
         score_confidence({}, FactorWeights(credentials=-0.1, bluetooth=0.7))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {"credentials": 0.9},  # sums past 1
+        {"credentials": -0.1, "bluetooth": 0.7},
+        {"history": 1.5, "credentials": 0.0, "bluetooth": 0.0, "ip_location": 0.0, "calendar": -0.5},
+        {"history": float("nan")},
+        {"credentials": 0.3},  # sums short of 1
+    ],
+)
+def test_invalid_weights_rejected_at_construction(weights):
+    with pytest.raises(InvalidWeights):
+        FactorWeights(**weights)
 
 
 def test_confidence_rejects_unknown_score_keys():
@@ -205,12 +225,15 @@ def test_symmetric_model_gives_half():
     assert classify_access(model, AccessRecord("u", 1, 1, IP_HOME, "d")) == pytest.approx(0.5)
 
 
-def test_posteriors_of_both_classes_sum_to_one():
-    model = train_classifier(make_synthetic_dataset())
-    probe = AccessRecord("u", 0, 2, IP_UNKNOWN, "camera-1")
-    p_legit = classify_access(model, probe)
-    # Independent recomputation of the anomalous posterior.
-    feats = probe.features()
+def reference_log_scores(model, record):
+    """Per-label log score, taking the logarithm of every table entry on
+    each call, as the engine did before it precomputed its log tables."""
+    feats = {
+        "hour_bucket": str(record.hour_bucket),
+        "weekday": str(record.weekday),
+        "ip_class": record.ip_class,
+        "device_id": record.device_id,
+    }
     logs = {}
     for label, prior in model.priors.items():
         s = math.log(prior)
@@ -218,6 +241,15 @@ def test_posteriors_of_both_classes_sum_to_one():
             floor = 1.0 / (model.class_counts[label] + model.vocab_sizes[f])
             s += math.log(model.likelihoods[f][label].get(cat, floor))
         logs[label] = s
+    return logs
+
+
+def test_posteriors_of_both_classes_sum_to_one():
+    model = train_classifier(make_synthetic_dataset())
+    probe = AccessRecord("u", 0, 2, IP_UNKNOWN, "camera-1")
+    p_legit = classify_access(model, probe)
+    # Independent recomputation of the anomalous posterior.
+    logs = reference_log_scores(model, probe)
     peak = max(logs.values())
     total = sum(math.exp(v - peak) for v in logs.values())
     p_anom = math.exp(logs[LABEL_ANOMALOUS] - peak) / total
@@ -356,3 +388,88 @@ def test_jsonl_calendar_ingest(tmp_path):
     calendars = load_calendar(path)
     assert len(calendars["a"]) == 2
     assert calendars["a"][0] == CalendarInterval(1, 540, 1020)
+
+
+# --- exactness of the precomputed decision tables -------------------------------
+# The references are the per-call formulas the engine used before it
+# precomputed its log tables and weight pairs; the engine must agree with
+# them bit for bit, so the properties compare with ``==``.
+
+PROPERTY = settings(max_examples=150, deadline=None)
+DEVICES = ("lock-1", "thermostat-1", "camera-1", "hub")
+
+
+def reference_classify(model, record):
+    log_scores = reference_log_scores(model, record)
+    peak = max(log_scores.values())
+    total = sum(math.exp(s - peak) for s in log_scores.values())
+    return math.exp(log_scores.get(LABEL_LEGIT, float("-inf")) - peak) / total
+
+
+def reference_confidence(scores, weights):
+    weight_map = {
+        "credentials": weights.credentials,
+        "bluetooth": weights.bluetooth,
+        "ip_location": weights.ip_location,
+        "calendar": weights.calendar,
+        "history": weights.history,
+    }
+    return sum(weight_map[f] * scores.get(f, 0.0) for f in FACTORS)
+
+
+def access_records(labels):
+    return st.builds(
+        AccessRecord,
+        uid=st.sampled_from(["u0", "u1"]),
+        hour_bucket=st.integers(0, 5),
+        weekday=st.integers(0, 6),
+        ip_class=st.sampled_from([IP_HOME, IP_KNOWN, IP_UNKNOWN]),
+        device_id=st.sampled_from(DEVICES),
+        label=labels,
+    )
+
+
+@st.composite
+def trained_models(draw):
+    labels = st.sampled_from([LABEL_LEGIT, LABEL_ANOMALOUS, "suspicious", None])
+    corpus = draw(st.lists(access_records(labels), min_size=2, max_size=60))
+    assume(len({r.label for r in corpus if r.label is not None}) >= 2)
+    return train_classifier(corpus)
+
+
+# Probes reach categories no corpus holds: hour buckets and weekdays out of
+# range and a device never trained on.
+probes = st.builds(
+    AccessRecord,
+    uid=st.just("probe"),
+    hour_bucket=st.integers(-1, 7),
+    weekday=st.integers(-1, 8),
+    ip_class=st.sampled_from([IP_HOME, IP_KNOWN, IP_UNKNOWN]),
+    device_id=st.sampled_from(DEVICES + ("brand-new",)),
+)
+
+
+@PROPERTY
+@given(model=trained_models(), probe=st.lists(probes, min_size=1, max_size=8))
+def test_classify_access_equals_per_call_log_formula(model, probe):
+    for record in probe:
+        assert classify_access(model, record) == reference_classify(model, record)
+
+
+@st.composite
+def valid_weights(draw):
+    parts = draw(st.lists(st.integers(0, 1000), min_size=5, max_size=5))
+    assume(sum(parts) > 0)
+    try:
+        return FactorWeights(*(p / sum(parts) for p in parts))
+    except InvalidWeights:
+        assume(False)
+
+
+@PROPERTY
+@given(
+    weights=st.one_of(st.just(FactorWeights()), valid_weights()),
+    scores=st.dictionaries(st.sampled_from(FACTORS), st.floats(0.0, 1.0)),
+)
+def test_score_confidence_equals_weighted_sum(weights, scores):
+    assert score_confidence(scores, weights) == reference_confidence(scores, weights)

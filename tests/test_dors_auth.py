@@ -24,7 +24,8 @@ from sshaf.dors_auth import (
     dors_subset,
     dors_verify,
 )
-from sshaf.link import Loopback
+from sshaf.harness.simnet import LINK_LOCAL, SimClock, SimConfig, SimLink, Transcript
+from sshaf.link import GATEWAY, Loopback
 from sshaf.primitives import METER, Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf
 
 SEED = Key256(b"\x55" * 32)
@@ -347,3 +348,37 @@ def test_random_bytes_decode_canonically_or_raise_malformed(params, data):
     except MalformedPacket:
         return
     assert sig.encode() == raw
+
+
+# --- challenge decoder -------------------------------------------------------------
+
+@PROPERTY
+@given(raw=st.binary(max_size=40))
+def test_challenge_decodes_exactly_16_bytes_or_raises_malformed(raw):
+    if len(raw) == 16:
+        assert Nonce128.decode(raw).encode() == raw
+    else:
+        with pytest.raises(MalformedPacket):
+            Nonce128.decode(raw)
+
+
+class ChallengeResizingLink(SimLink):
+    """Delivers the gateway's challenge frame at a different length."""
+
+    def __init__(self, resize):
+        super().__init__(SimConfig(), LINK_LOCAL, SimClock(), Transcript())
+        self.resize = resize
+
+    def send(self, sender, receiver, data):
+        data = super().send(sender, receiver, data)
+        return self.resize(data) if sender == GATEWAY else data
+
+
+@PROPERTY
+@given(cut=st.integers(0, 15), extra=st.binary(min_size=1, max_size=24), extend=st.booleans())
+def test_wrong_length_challenge_over_simlink_raises_malformed(cut, extra, extend):
+    user, gateway = dors_provision("alice", SEED, TINY)
+    link = ChallengeResizingLink(lambda data: data + extra if extend else data[:cut])
+    with pytest.raises(MalformedPacket):
+        dors_handshake(link, user, gateway, RandomSource.seeded(b"\x07" * 32))
+    assert user.chain.signature_count == 0  # rejected before the user signed
