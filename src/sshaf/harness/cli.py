@@ -4,6 +4,12 @@ A state directory carries the gateway across invocations: an encrypted
 user database (db.enc), the gateway runtime state (state.json), and the
 database key (gateway.key). Benchmarks, attacks, and reports are stateless
 and fully determined by their seed.
+
+Each command is declared once, in ``COMMANDS``: its help line, the function
+that adds its arguments, and its handler. A call builds only the parser of
+the command it names; the full parser, with every command, is built only to
+print the top-level usage or help, or to report an unknown command or
+argument.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import secrets
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .. import persist
 from ..context_engine import (
@@ -40,18 +47,18 @@ from .simnet import SimConfig
 STATE_FILE = "state.json"
 DB_FILE = "db.enc"
 KEY_FILE = "gateway.key"
+PROG = "sshaf"
+DEFAULT_SEED = b"\x42" * 32
 
 
 # --- state directory ---------------------------------------------------------
 
-def _boot(state_dir: Path, seed_hex: str | None) -> None:
+def _boot(state_dir: Path, seed: bytes | None) -> None:
     state_dir.mkdir(parents=True, exist_ok=True)
-    seed = bytes.fromhex(seed_hex) if seed_hex else secrets.token_bytes(32)
-    if len(seed) != 32:
-        raise SystemExit("--seed must be 32 bytes of hex")
-    db_key_bytes = secrets.token_bytes(32) if seed_hex is None else bytes(
-        b ^ 0x5A for b in seed
-    )
+    if seed is None:
+        seed, db_key_bytes = secrets.token_bytes(32), secrets.token_bytes(32)
+    else:
+        db_key_bytes = bytes(b ^ 0x5A for b in seed)
     (state_dir / KEY_FILE).write_text(db_key_bytes.hex() + "\n")
     gw = Gateway(RandomSource.seeded(seed).fork("boot"), Key256(db_key_bytes))
     _save(state_dir, gw, seed, invocation=0)
@@ -67,10 +74,10 @@ def _save(state_dir: Path, gw: Gateway, rng_seed: bytes, invocation: int) -> Non
     gw.save_database(state_dir / DB_FILE)
 
 
-def _load(state_dir: Path, seed_hex: str | None) -> tuple[Gateway, bytes, int]:
+def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int]:
     state_path = state_dir / STATE_FILE
     if not state_path.exists():
-        _boot(state_dir, seed_hex)
+        _boot(state_dir, seed)
     key_path = state_dir / KEY_FILE
     try:
         db_key = Key256.from_hex(key_path.read_text().strip())
@@ -97,10 +104,6 @@ def _snapshot_from_args(args, uid: str) -> ContextSnapshot:
         bluetooth_present=args.bluetooth,
         timestamp=args.time,
     )
-
-
-def _seed_from_args(args) -> bytes:
-    return bytes.fromhex(args.seed) if args.seed else b"\x42" * 32
 
 
 # --- commands -------------------------------------------------------------------
@@ -216,7 +219,7 @@ def _attack_matrix_rows(seed: bytes) -> list[dict]:
 
 
 def cmd_bench(args) -> int:
-    seed = _seed_from_args(args)
+    seed = args.seed
     if args.table in ("1", "2"):
         rows = TABLE1_ROWS if args.table == "1" else TABLE2_ROWS
         table = build_cost_table(rows, SimConfig(seed=seed))
@@ -237,7 +240,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    seed = _seed_from_args(args)
+    seed = args.seed
     schemes = attacks.SCHEMES if args.scheme == "all" else (args.scheme,)
     runners = {
         "replay": lambda s: attacks.attack_replay(s, seed),
@@ -263,7 +266,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_report(args) -> int:
-    seed = _seed_from_args(args)
+    seed = args.seed
     config = SimConfig(seed=seed)
     table1 = build_cost_table(TABLE1_ROWS, config)
     table2 = build_cost_table(TABLE2_ROWS, config)
@@ -313,29 +316,40 @@ def cmd_report(args) -> int:
     return 0 if ok else 1
 
 
-# --- parser ------------------------------------------------------------------------
+# --- command table -------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sshaf",
-        description="Smart-home authentication framework: lifecycle, benchmarks, attacks.",
+def _seed(text: str) -> bytes:
+    """The argparse type of every --seed: 32 bytes as hex, checked before any
+    file is touched."""
+    try:
+        seed = bytes.fromhex(text)
+    except ValueError:
+        seed = b""
+    if len(seed) != 32:
+        raise argparse.ArgumentTypeError(f"expected 64 hex digits (32 bytes), got {text!r}")
+    return seed
+
+
+def _add_state(p) -> None:
+    p.add_argument("--state", default="sshaf_state", help="state directory")
+    p.add_argument("--seed", type=_seed, help="32-byte hex seed (first boot only)")
+
+
+def _add_context(p) -> None:
+    p.add_argument("--origin", choices=[ORIGIN_LOCAL, ORIGIN_INTERNET], default=ORIGIN_LOCAL)
+    p.add_argument(
+        "--ip-class", choices=[IP_HOME, IP_KNOWN, IP_UNKNOWN], default=IP_HOME
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--bluetooth", action="store_true")
+    p.add_argument("--time", type=int, default=0, help="simulated minutes")
 
-    def add_state(p):
-        p.add_argument("--state", default="sshaf_state", help="state directory")
-        p.add_argument("--seed", help="32-byte hex seed (first boot only)")
 
-    def add_context(p):
-        p.add_argument("--origin", choices=[ORIGIN_LOCAL, ORIGIN_INTERNET], default=ORIGIN_LOCAL)
-        p.add_argument(
-            "--ip-class", choices=[IP_HOME, IP_KNOWN, IP_UNKNOWN], default=IP_HOME
-        )
-        p.add_argument("--bluetooth", action="store_true")
-        p.add_argument("--time", type=int, default=0, help="simulated minutes")
+def _add_stateless_seed(p) -> None:
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="32-byte hex seed")
 
-    p = sub.add_parser("register", help="create a pending user account")
-    add_state(p)
+
+def _register_arguments(p) -> None:
+    _add_state(p)
     p.add_argument("--uid", required=True)
     p.add_argument("--name", required=True)
     p.add_argument("--age", type=int, default=0)
@@ -343,56 +357,100 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--password", required=True)
     p.add_argument("--capabilities", help="comma list: dors,card")
     p.add_argument("--calendar", help="JSONL calendar file")
-    p.set_defaults(func=cmd_register)
 
-    p = sub.add_parser("verify", help="owner activates or rejects a pending account")
-    add_state(p)
+
+def _verify_arguments(p) -> None:
+    _add_state(p)
     p.add_argument("--owner", default="owner")
     p.add_argument("--uid", required=True)
     p.add_argument("--decision", choices=["activate", "reject"], required=True)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("login", help="authenticate and open a session")
-    add_state(p)
-    add_context(p)
+
+def _login_arguments(p) -> None:
+    _add_state(p)
+    _add_context(p)
     p.add_argument("--uid", required=True)
     p.add_argument("--password", required=True)
     p.add_argument("--retry-token", help="token from a step-up response")
-    p.set_defaults(func=cmd_login)
 
-    p = sub.add_parser("access", help="request a device under a session")
-    add_state(p)
-    add_context(p)
+
+def _access_arguments(p) -> None:
+    _add_state(p)
+    _add_context(p)
     p.add_argument("--session", required=True)
     p.add_argument("--device", required=True)
-    p.set_defaults(func=cmd_access)
 
-    p = sub.add_parser("bench", help="cost tables and the security matrix")
+
+def _bench_arguments(p) -> None:
     p.add_argument("--table", choices=["1", "2", "3"], required=True)
-    p.add_argument("--seed", help="32-byte hex seed")
+    _add_stateless_seed(p)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("attack", help="run one attack kind")
+
+def _attack_arguments(p) -> None:
     p.add_argument(
         "--kind", choices=["replay", "impersonate", "skd", "stolen"], required=True
     )
     p.add_argument("--scheme", choices=["mht", "dors", "dhs", "all"], default="all")
-    p.add_argument("--seed", help="32-byte hex seed")
-    p.set_defaults(func=cmd_attack)
+    _add_stateless_seed(p)
 
-    p = sub.add_parser("report", help="full evaluation report")
+
+def _report_arguments(p) -> None:
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.add_argument("--seed", help="32-byte hex seed")
-    p.set_defaults(func=cmd_report)
+    _add_stateless_seed(p)
 
+
+class Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+# Every command once, in the order the top-level usage lists them.
+COMMANDS = {
+    "register": Command("create a pending user account", _register_arguments, cmd_register),
+    "verify": Command("owner activates or rejects a pending account", _verify_arguments, cmd_verify),
+    "login": Command("authenticate and open a session", _login_arguments, cmd_login),
+    "access": Command("request a device under a session", _access_arguments, cmd_access),
+    "bench": Command("cost tables and the security matrix", _bench_arguments, cmd_bench),
+    "attack": Command("run one attack kind", _attack_arguments, cmd_attack),
+    "report": Command("full evaluation report", _report_arguments, cmd_report),
+}
+
+
+# --- parsers -----------------------------------------------------------------------
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: the top-level usage and help, every command."""
+    parser = argparse.ArgumentParser(
+        prog=PROG,
+        description="Smart-home authentication framework: lifecycle, benchmarks, attacks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        command.add_arguments(sub.add_parser(name, help=command.help))
+    return parser
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, the same as its subparser in build_parser()."""
+    parser = argparse.ArgumentParser(prog=f"{PROG} {name}")
+    COMMANDS[name].add_arguments(parser)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:
+        args, extra = _command_parser(name).parse_known_args(argv[1:])
+    if name not in COMMANDS or extra:
+        # No command, help, an unknown command, or arguments the command does
+        # not take: the full parser prints the usage, help or error and exits.
+        args = build_parser().parse_args(argv)
+        name = args.command
     try:
-        return args.func(args)
+        return COMMANDS[name].run(args)
     except SshafError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -4,9 +4,12 @@ import csv
 import hashlib
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from sshaf.harness import cli
 from sshaf.harness.cli import main
 
 SEED = "11" * 32
@@ -228,3 +231,84 @@ def test_report_csv_has_metric_columns(capsys):
     header = out.splitlines()[0].split(",")
     for column in ("elapsed_ms", "hash_count", "mac_count", "wire_bytes", "storage_bits"):
         assert column in header
+
+
+# Output and exit code of `sshaf` help, usage and parse errors, recorded
+# with COLUMNS=80 from the single argparse parser that held every command.
+# The command table must print the same bytes. argparse's wording changes
+# between Python minor versions; these are from 3.11.
+CLI_SURFACE = json.loads((Path(__file__).parent / "cli_surface_goldens.json").read_text())
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="goldens recorded from Python 3.11 argparse")
+@pytest.mark.parametrize("case", CLI_SURFACE, ids=lambda case: " ".join(case["argv"]) or "(none)")
+def test_parser_surface_matches_goldens(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["register", "--seed", "zz"],
+        ["register", "--seed", "abcd"],
+        ["bench", "--table", "1", "--seed", "zz"],
+        ["bench", "--table", "1", "--seed", "abcd"],
+        ["attack", "--kind", "replay", "--seed", "0g"],
+    ],
+    ids=" ".join,
+)
+def test_bad_seed_is_a_usage_error_before_any_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "register":
+        argv = [*argv, "--state", str(tmp_path / "state"), "--uid", "bob", "--name", "Bob", "--password", "pw"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    bad = argv[argv.index("--seed") + 1]
+    assert f"error: argument --seed: expected 64 hex digits (32 bytes), got {bad!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _no_full_parser():
+    raise AssertionError("a valid command call built the full parser")
+
+
+def test_stateful_commands_build_only_their_own_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", _no_full_parser)
+    state = str(tmp_path / "state")
+    bootstrap_user(capsys, state)
+    code, out = run(
+        capsys,
+        "login", "--state", state, "--uid", "alice", "--password", "pw-alice",
+        "--bluetooth", "--time", "600",
+    )
+    assert code == 0
+    session = out.split("session=")[1].split()[0]
+    code, out = run(
+        capsys,
+        "access", "--state", state, "--session", session, "--device", "porch-camera",
+        "--bluetooth", "--time", "610",
+    )
+    assert (code, out) == (0, "porch-camera: grant\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--table", "1", "--seed", SEED],
+        ["attack", "--kind", "replay", "--scheme", "mht", "--seed", SEED],
+        ["report", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stateless_commands_build_only_their_own_parser(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_parser", _no_full_parser)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out
