@@ -161,5 +161,5 @@ class ScriptError(SshafError):
 
 
 class StateCorrupt(SshafError):
-    """A state directory's gateway.key or state.json does not parse or
-    restore."""
+    """A file of a state directory is missing, unreadable, or does not
+    parse or restore: gateway.key, state.json, db.enc, or a DORS forest."""

@@ -1,9 +1,21 @@
 """Command-line driver for the whole framework.
 
-A state directory carries the gateway across invocations: an encrypted
-user database (db.enc), the gateway runtime state (state.json), and the
-database key (gateway.key). Benchmarks, attacks, and reports are stateless
-and fully determined by their seed.
+A state directory carries the gateway across invocations:
+
+- ``gateway.key``: the database key, as hex;
+- ``db.enc``: the encrypted user database, rewritten by every call;
+- ``state.json``: the gateway runtime state, rewritten by every call, with
+  each DORS user's roots, chain and link key but not the public forest;
+- ``dors-<first root, hex>.forest``: one DORS public forest, its f·t·32
+  leaf-digest bytes tree after tree. A forest never changes once
+  provisioned, so its file is written only by the call that provisions it
+  (``verify --decision activate`` of a ``dors`` user, or a re-key inside
+  ``login``), and deleted by the call that replaces it.
+
+A missing, unreadable or damaged file fails the call with ``StateCorrupt``
+naming it. Benchmarks, attacks, and reports are stateless and fully
+determined by their seed; only those commands import the scenario, network
+and attack harness.
 
 Each command is declared once, in ``COMMANDS``: its help line, the function
 that adds its arguments, and its handler. A call builds only the parser of
@@ -33,16 +45,7 @@ from ..context_engine import (
 )
 from ..errors import InvalidWeights, SshafError, StateCorrupt
 from ..gateway import Gateway, atomic_write, load_db
-from ..primitives import Key256, RandomSource
-from . import attacks
-from .scenarios import (
-    TABLE1_ROWS,
-    TABLE2_ROWS,
-    build_cost_table,
-    cost_table_to_csv,
-    metrics_to_csv,
-)
-from .simnet import SimConfig
+from ..primitives import DIGEST_LEN, Digest256, Key256, RandomSource
 
 STATE_FILE = "state.json"
 DB_FILE = "db.enc"
@@ -64,17 +67,58 @@ def _boot(state_dir: Path, seed: bytes | None) -> None:
     _save(state_dir, gw, seed, invocation=0)
 
 
-def _save(state_dir: Path, gw: Gateway, rng_seed: bytes, invocation: int) -> None:
+def _forest_file(root_hex: str) -> str:
+    return f"dors-{root_hex}.forest"
+
+
+def _save(
+    state_dir: Path,
+    gw: Gateway,
+    rng_seed: bytes,
+    invocation: int,
+    loaded_forests: frozenset[str] = frozenset(),
+) -> None:
+    """Write the call's state. ``loaded_forests`` names the forest files
+    ``_load`` read: any other forest was provisioned by this call, so its
+    file is written, and the files of forests it replaced are deleted once
+    state.json no longer names them."""
+    forests = set()
+    for side in gw.dors_registry.values():
+        name = _forest_file(side.public_key.roots[0].hex())
+        forests.add(name)
+        if name not in loaded_forests:
+            atomic_write(state_dir / name, b"".join(side.public_key.leaf_digests))
     state = {
         "rng_seed": rng_seed.hex(),
         "invocation": invocation,
-        "gateway": persist.gateway_state_to_dict(gw),
+        "gateway": persist.gateway_state_to_dict(gw, with_forests=False),
     }
     atomic_write(state_dir / STATE_FILE, persist.dumps(state))
     gw.save_database(state_dir / DB_FILE)
+    for name in loaded_forests - forests:
+        (state_dir / name).unlink(missing_ok=True)
 
 
-def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int]:
+def _state_corrupt(path: Path, exc: Exception) -> StateCorrupt:
+    return StateCorrupt(f"{path}: {type(exc).__name__}: {exc}")
+
+
+def _read_forest(path: Path, entry: dict) -> bytes:
+    params = persist.dors_params_from_dict(entry["params"])
+    try:
+        forest = path.read_bytes()
+    except OSError as exc:
+        raise _state_corrupt(path, exc) from exc
+    size = params.f * params.t * DIGEST_LEN
+    if len(forest) != size:
+        raise StateCorrupt(
+            f"{path}: {len(forest)} bytes, but {params.f} trees of {params.t} "
+            f"leaf digests take {size}"
+        )
+    return forest
+
+
+def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, frozenset[str]]:
     state_path = state_dir / STATE_FILE
     if not state_path.exists():
         _boot(state_dir, seed)
@@ -82,18 +126,27 @@ def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int]:
     try:
         db_key = Key256.from_hex(key_path.read_text().strip())
     except (OSError, ValueError) as exc:
-        raise StateCorrupt(f"{key_path}: {type(exc).__name__}: {exc}") from exc
+        raise _state_corrupt(key_path, exc) from exc
     try:
-        state = json.loads(state_path.read_text())
+        state = json.loads(state_path.read_bytes())
         rng_seed = bytes.fromhex(state["rng_seed"])
         invocation = state["invocation"] + 1
         gw = Gateway(RandomSource.seeded(rng_seed).fork("boot"), db_key)
-        persist.restore_gateway_state(gw, state["gateway"])
-    except (ValueError, KeyError, TypeError, InvalidWeights) as exc:
-        raise StateCorrupt(f"{state_path}: {type(exc).__name__}: {exc}") from exc
-    gw.db = load_db(state_dir / DB_FILE, db_key)
+        files, forests = set(), {}
+        for uid, entry in state["gateway"]["dors_registry"].items():
+            name = _forest_file(Digest256.from_hex(entry["roots"][0]).hex())
+            files.add(name)
+            forests[uid] = _read_forest(state_dir / name, entry)
+        persist.restore_gateway_state(gw, state["gateway"], forests)
+    except (OSError, ValueError, LookupError, TypeError, InvalidWeights) as exc:
+        raise _state_corrupt(state_path, exc) from exc
+    db_path = state_dir / DB_FILE
+    try:
+        gw.db = load_db(db_path, db_key)
+    except OSError as exc:
+        raise _state_corrupt(db_path, exc) from exc
     gw.src = RandomSource.seeded(rng_seed).fork(f"invocation:{invocation}")
-    return gw, rng_seed, invocation
+    return gw, rng_seed, invocation, frozenset(files)
 
 
 def _snapshot_from_args(args, uid: str) -> ContextSnapshot:
@@ -109,7 +162,7 @@ def _snapshot_from_args(args, uid: str) -> ContextSnapshot:
 # --- commands -------------------------------------------------------------------
 
 def cmd_register(args) -> int:
-    gw, seed, inv = _load(Path(args.state), args.seed)
+    gw, seed, inv, forests = _load(Path(args.state), args.seed)
     calendar = []
     if args.calendar:
         calendar = load_calendar(args.calendar).get(args.uid, [])
@@ -118,28 +171,28 @@ def cmd_register(args) -> int:
         args.uid, args.name, args.age, args.role, args.password,
         calendar=calendar, capabilities=caps,
     )
-    _save(Path(args.state), gw, seed, inv)
+    _save(Path(args.state), gw, seed, inv, forests)
     print(f"registered {profile.uid}: status={profile.status} role={profile.role}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    gw, seed, inv = _load(Path(args.state), args.seed)
+    gw, seed, inv, forests = _load(Path(args.state), args.seed)
     profile = gw.owner_verify(args.owner, args.uid, args.decision)
-    _save(Path(args.state), gw, seed, inv)
+    _save(Path(args.state), gw, seed, inv, forests)
     print(f"{profile.uid}: status={profile.status}")
     return 0
 
 
 def cmd_login(args) -> int:
-    gw, seed, inv = _load(Path(args.state), args.seed)
+    gw, seed, inv, forests = _load(Path(args.state), args.seed)
     if args.time > gw.sim_minutes:
         gw.advance_time(args.time - gw.sim_minutes)
     result = gw.login(
         args.uid, args.password, _snapshot_from_args(args, args.uid),
         retry_token=args.retry_token,
     )
-    _save(Path(args.state), gw, seed, inv)
+    _save(Path(args.state), gw, seed, inv, forests)
     if result.status == "grant":
         session = result.session
         print(
@@ -155,7 +208,7 @@ def cmd_login(args) -> int:
 
 
 def cmd_access(args) -> int:
-    gw, seed, inv = _load(Path(args.state), args.seed)
+    gw, seed, inv, forests = _load(Path(args.state), args.seed)
     session = gw.sessions.get(args.session)
     if session is None:
         print(f"no such session {args.session!r}", file=sys.stderr)
@@ -165,13 +218,15 @@ def cmd_access(args) -> int:
     decision = gw.authorize_device_access(
         session, args.device, _snapshot_from_args(args, session.uid)
     )
-    _save(Path(args.state), gw, seed, inv)
+    _save(Path(args.state), gw, seed, inv, forests)
     print(f"{args.device}: {decision}")
     return 0 if decision == "grant" else 4
 
 
 def _print_cost_table(table, fmt: str) -> None:
     if fmt == "csv":
+        from .scenarios import cost_table_to_csv
+
         print(cost_table_to_csv(table), end="")
     elif fmt == "json":
         rows = [
@@ -206,6 +261,8 @@ def _counters(report) -> dict:
 
 
 def _attack_matrix_rows(seed: bytes) -> list[dict]:
+    from . import attacks
+
     matrix = attacks.run_attack_matrix(seed)
     return [
         {
@@ -221,6 +278,9 @@ def _attack_matrix_rows(seed: bytes) -> list[dict]:
 def cmd_bench(args) -> int:
     seed = args.seed
     if args.table in ("1", "2"):
+        from .scenarios import TABLE1_ROWS, TABLE2_ROWS, build_cost_table
+        from .simnet import SimConfig
+
         rows = TABLE1_ROWS if args.table == "1" else TABLE2_ROWS
         table = build_cost_table(rows, SimConfig(seed=seed))
         _print_cost_table(table, args.format)
@@ -240,6 +300,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from . import attacks
+
     seed = args.seed
     schemes = attacks.SCHEMES if args.scheme == "all" else (args.scheme,)
     runners = {
@@ -266,6 +328,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import attacks
+    from .scenarios import TABLE1_ROWS, TABLE2_ROWS, build_cost_table, metrics_to_csv
+    from .simnet import SimConfig
+
     seed = args.seed
     config = SimConfig(seed=seed)
     table1 = build_cost_table(TABLE1_ROWS, config)

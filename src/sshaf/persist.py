@@ -9,6 +9,14 @@ Fixed-width values are lowercase hex strings. A DORS public forest is
 written as one hex string per tree, its t leaf digests concatenated in
 leaf order, which is the packed form ``DorsPublicKey.leaf_digests`` holds
 in memory. Step-up tokens are written as ``token: [uid, minted_minutes]``.
+
+The CLI's state directory keeps the forests out of ``state.json``: it
+calls ``gateway_state_to_dict(gw, with_forests=False)``, which leaves out
+each ``leaf_digests``, and stores every forest's f·t·32 digest bytes, tree
+after tree, in a file of its own that is written once, when the forest is
+provisioned. ``restore_gateway_state`` takes those bytes back by uid. Every
+other field, and the whole dict form with the forests, is the same either
+way.
 """
 
 from __future__ import annotations
@@ -115,36 +123,45 @@ def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
     )
 
 
-def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide) -> dict:
-    return {
+def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide, with_forest: bool = True) -> dict:
+    """``with_forest=False`` leaves out ``leaf_digests``; the caller then
+    keeps ``b"".join(side.public_key.leaf_digests)`` itself."""
+    data = {
         "uid": side.uid,
         "params": dors_params_to_dict(side.public_key.params),
-        "leaf_digests": [tree.hex() for tree in side.public_key.leaf_digests],
         "roots": _digests_to_hex(side.public_key.roots),
         "chain": chain_to_dict(side.chain),
         "link_key": side.link_key.hex(),
     }
+    if with_forest:
+        data["leaf_digests"] = [tree.hex() for tree in side.public_key.leaf_digests]
+    return data
 
 
-def dors_gateway_from_dict(data: dict) -> dors_auth.DorsGatewaySide:
-    """Raises ``ValueError`` unless the forest has exactly f trees of t
-    leaf digests and f roots, so a damaged file fails at load, not as a
-    rejected login."""
+def dors_gateway_from_dict(data: dict, forest: bytes | None = None) -> dors_auth.DorsGatewaySide:
+    """The forest comes from ``data["leaf_digests"]`` or, when given, from
+    ``forest``: its f·t·32 digest bytes, tree after tree. Raises
+    ``ValueError`` unless the forest has exactly f trees of t leaf digests
+    and f roots, so a damaged file fails at load, not as a rejected login."""
     params = dors_params_from_dict(data["params"])
-    trees, roots = data["leaf_digests"], data["roots"]
-    if len(trees) != params.f or len(roots) != params.f:
-        raise ValueError(f"a DORS forest needs {params.f} trees and {params.f} roots")
+    roots = data["roots"]
     size = params.t * DIGEST_LEN
-    # bytes.fromhex skips whitespace, so the decoded length is checked too.
-    forest = [
-        bytes.fromhex(tree) if isinstance(tree, str) and len(tree) == 2 * size else b""
-        for tree in trees
-    ]
-    if any(len(tree) != size for tree in forest):
-        raise ValueError(f"every DORS tree needs {params.t} leaf digests as {2 * size} hex digits")
+    if forest is None:
+        # bytes.fromhex skips whitespace, so the decoded length is checked too.
+        trees = [
+            bytes.fromhex(tree) if isinstance(tree, str) and len(tree) == 2 * size else b""
+            for tree in data["leaf_digests"]
+        ]
+    else:
+        trees = [forest[i : i + size] for i in range(0, len(forest), size)]
+    if len(trees) != params.f or len(roots) != params.f or any(len(tree) != size for tree in trees):
+        raise ValueError(
+            f"a DORS forest needs {params.f} roots and {params.f} trees of {params.t} "
+            f"leaf digests, each {2 * size} hex digits or {size} bytes"
+        )
     pk = dors_auth.DorsPublicKey(
         params=params,
-        leaf_digests=forest,
+        leaf_digests=trees,
         roots=_digests_from_hex(roots),
     )
     return dors_auth.DorsGatewaySide(
@@ -259,9 +276,10 @@ def session_from_dict(data: dict) -> gw_mod.GatewaySession:
     )
 
 
-def gateway_state_to_dict(gw: gw_mod.Gateway) -> dict:
+def gateway_state_to_dict(gw: gw_mod.Gateway, with_forests: bool = True) -> dict:
     """Runtime state except the user database, which is stored separately
-    in its encrypted file."""
+    in its encrypted file. ``with_forests=False`` leaves every DORS public
+    forest out (see the module docstring)."""
     return {
         "master_secret": gw.master_secret.hex(),
         "sim_minutes": gw.sim_minutes,
@@ -269,7 +287,9 @@ def gateway_state_to_dict(gw: gw_mod.Gateway) -> dict:
         "devices": {d: {"kind": i.kind, "threshold": i.threshold} for d, i in gw.devices.items()},
         "internet_allowlist": {role: sorted(kinds) for role, kinds in gw.internet_allowlist.items()},
         "mht_registry": {uid: mht_state_to_dict(s) for uid, s in gw.mht_registry.items()},
-        "dors_registry": {uid: dors_gateway_to_dict(s) for uid, s in gw.dors_registry.items()},
+        "dors_registry": {
+            uid: dors_gateway_to_dict(s, with_forests) for uid, s in gw.dors_registry.items()
+        },
         "dors_epochs": dict(gw.dors_epochs),
         "edge": edge_server_to_dict(gw.edge),
         "home_registered": sorted(gw.home.registered),
@@ -280,7 +300,11 @@ def gateway_state_to_dict(gw: gw_mod.Gateway) -> dict:
     }
 
 
-def restore_gateway_state(gw: gw_mod.Gateway, data: dict) -> None:
+def restore_gateway_state(
+    gw: gw_mod.Gateway, data: dict, forests: dict[str, bytes] | None = None
+) -> None:
+    """``forests``, when given, holds each DORS user's forest bytes by uid,
+    for a dict written with ``with_forests=False``."""
     gw.master_secret = Key256.from_hex(data["master_secret"])
     gw.sim_minutes = data["sim_minutes"]
     gw.weights = FactorWeights(**data["weights"])
@@ -289,7 +313,10 @@ def restore_gateway_state(gw: gw_mod.Gateway, data: dict) -> None:
     }
     gw.internet_allowlist = {role: set(kinds) for role, kinds in data["internet_allowlist"].items()}
     gw.mht_registry = {uid: mht_gateway_from_dict(s) for uid, s in data["mht_registry"].items()}
-    gw.dors_registry = {uid: dors_gateway_from_dict(s) for uid, s in data["dors_registry"].items()}
+    gw.dors_registry = {
+        uid: dors_gateway_from_dict(s, None if forests is None else forests[uid])
+        for uid, s in data["dors_registry"].items()
+    }
     gw.dors_epochs = {uid: int(n) for uid, n in data["dors_epochs"].items()}
     gw.edge = edge_server_from_dict(data["edge"])
     gw.home = dhs_auth.HomeServerState(

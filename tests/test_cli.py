@@ -4,11 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from sshaf import gateway as gw_mod
+from sshaf import persist
+from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, ContextSnapshot
 from sshaf.harness import cli
 from sshaf.harness.cli import main
 
@@ -33,6 +38,24 @@ def bootstrap_user(capsys, state, caps="dors,card"):
     assert code == 0
 
 
+def state_files(state) -> list[str]:
+    return sorted(p.name for p in Path(state).iterdir())
+
+
+def forest_files(state) -> list[str]:
+    """The forest file of every DORS user state.json names, sorted."""
+    registry = json.loads((Path(state) / "state.json").read_text())["gateway"]["dors_registry"]
+    return sorted(f"dors-{entry['roots'][0]}.forest" for entry in registry.values())
+
+
+def login(capsys, state, minutes: int) -> tuple[int, str]:
+    return run(
+        capsys,
+        "login", "--state", state, "--uid", "alice", "--password", "pw-alice",
+        "--bluetooth", "--time", str(minutes),
+    )
+
+
 def test_lifecycle_register_verify_login_access(tmp_path, capsys):
     state = str(tmp_path / "state")
     bootstrap_user(capsys, state)
@@ -51,8 +74,10 @@ def test_lifecycle_register_verify_login_access(tmp_path, capsys):
     )
     assert code == 0
     assert "grant" in out
-    # Each call replaced its state files whole, leaving no temporary file.
-    assert sorted(p.name for p in (tmp_path / "state").iterdir()) == ["db.enc", "gateway.key", "state.json"]
+    # Each call replaced its state files whole, leaving no temporary file;
+    # alice's DORS forest sits in a file of its own.
+    assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
+    assert len(forest_files(state)) == 1
 
 
 def test_register_with_malformed_calendar_reports_the_line(tmp_path, capsys):
@@ -132,17 +157,12 @@ def _drop_gateway(state: dict, text: str) -> str:
     return json.dumps(state)
 
 
-def _three_leaf_tree(state: dict, text: str) -> str:
-    state["gateway"]["dors_registry"]["alice"]["leaf_digests"][0] = "ab" * 32 * 3
-    return json.dumps(state)
-
-
 def _weights_past_one(state: dict, text: str) -> str:
     state["gateway"]["weights"]["credentials"] = 0.9
     return json.dumps(state)
 
 
-@pytest.mark.parametrize("damage", [_truncate, _drop_gateway, _three_leaf_tree, _weights_past_one])
+@pytest.mark.parametrize("damage", [_truncate, _drop_gateway, _weights_past_one])
 def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
     state = tmp_path / "state"
     bootstrap_user(capsys, str(state))
@@ -152,6 +172,121 @@ def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
     code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
+
+
+def _three_leaf_tree(path: Path) -> None:
+    path.write_bytes(b"\xab" * 32 * 3)
+
+
+@pytest.mark.parametrize(
+    "target, damage",
+    [
+        ("db.enc", Path.unlink),
+        ("forest", Path.unlink),
+        ("forest", lambda path: path.write_bytes(path.read_bytes()[:-1])),  # one byte short
+        ("forest", lambda path: path.write_bytes(path.read_bytes() + b"\0")),  # one byte long
+        ("forest", _three_leaf_tree),
+        ("state.json", lambda path: (path.unlink(), path.mkdir())),  # unreadable
+    ],
+    ids=["db-missing", "forest-missing", "forest-short", "forest-long", "forest-three-leaves",
+         "state-unreadable"],
+)
+def test_missing_or_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, target, damage):
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state))
+    path = state / (forest_files(state)[0] if target == "forest" else target)
+    damage(path)
+    code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
+
+
+def test_dors_rekey_over_cli_replaces_the_forest_file(tmp_path, capsys):
+    state = str(tmp_path / "state")
+    bootstrap_user(capsys, state, caps="dors")
+    first = forest_files(state)
+    # A production forest signs 64 logins; the 65th re-keys.
+    for i in range(64):
+        code, out = login(capsys, state, 600 + 60 * i)
+        assert (code, "scheme=dors" in out) == (0, True), out
+    assert forest_files(state) == first
+    code, out = login(capsys, state, 600 + 60 * 64)
+    assert (code, "scheme=dors" in out) == (0, True), out
+    second = forest_files(state)
+    assert len(second) == 1 and second != first
+    assert state_files(state) == ["db.enc", *second, "gateway.key", "state.json"]
+    code, out = login(capsys, state, 600 + 60 * 65)
+    assert (code, "scheme=dors" in out) == (0, True), out
+
+
+def test_save_then_load_restores_the_same_gateway_state(tmp_path, capsys):
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state))
+    code, _ = login(capsys, str(state), 600)
+    assert code == 0
+    gw, seed, inv, forests = cli._load(state, None)
+    result = gw.login("alice", "pw-alice", ContextSnapshot(
+        uid="alice", origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=True, timestamp=700,
+    ))
+    assert result.status == "grant"
+    before = persist.dumps(persist.gateway_state_to_dict(gw))
+    cli._save(state, gw, seed, inv, forests)
+    restored, *_ = cli._load(state, None)
+    assert persist.dumps(persist.gateway_state_to_dict(restored)) == before
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """Names of the files each call writes through atomic_write."""
+    written = []
+
+    def recording(path, data):
+        written.append(Path(path).name)
+        original(path, data)
+
+    original = gw_mod.atomic_write
+    monkeypatch.setattr(gw_mod, "atomic_write", recording)
+    monkeypatch.setattr(cli, "atomic_write", recording)
+    return written
+
+
+def test_only_a_provisioning_call_writes_a_forest(tmp_path, capsys, writes):
+    state = str(tmp_path / "state")
+    bootstrap_user(capsys, state, caps="dors")
+    writes.clear()
+    code, out = login(capsys, state, 600)
+    assert code == 0
+    assert sorted(writes) == ["db.enc", "state.json"]
+    writes.clear()
+    session = out.split("session=")[1].split()[0]
+    code, _ = run(capsys, "access", "--state", state, "--session", session,
+                  "--device", "porch-camera", "--bluetooth", "--time", "610")
+    assert code == 0
+    assert sorted(writes) == ["db.enc", "state.json"]
+    writes.clear()
+    code, _ = run(capsys, "register", "--state", state, "--uid", "bob", "--name", "Bob",
+                  "--password", "pw-bob", "--capabilities", "dors")
+    assert code == 0
+    assert sorted(writes) == ["db.enc", "state.json"]
+    writes.clear()
+    before = forest_files(state)
+    code, _ = run(capsys, "verify", "--state", state, "--uid", "bob", "--decision", "activate")
+    assert code == 0
+    (bob,) = set(forest_files(state)) - set(before)
+    assert sorted(writes) == ["db.enc", bob, "state.json"]
+    assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
+
+
+def test_stateful_import_leaves_the_harness_out():
+    code = (
+        "import sys, sshaf.harness.cli; "
+        "print(sorted(m for m in ('sshaf.harness.attacks', 'sshaf.harness.scenarios', "
+        "'sshaf.harness.simnet') if m in sys.modules))"
+    )
+    src = str(Path(cli.__file__).parents[2])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("key_text", ["abc\n", "", "ab" * 31 + "\n", None])

@@ -204,3 +204,33 @@ def test_full_gateway_state_round_trip():
     assert first.session.session_id in gw2.sessions
     second = gw2.login("alice", "pw", snapshot)
     assert second.status == "grant"
+
+
+def test_forest_bytes_restore_the_same_dors_gateway():
+    params = dors_auth.DorsParams(t=16, k=4, f=3, r=2)
+    _, gateway = dors_auth.dors_provision("alice", MASTER, params)
+    full = persist.dors_gateway_to_dict(gateway)
+    bare = persist.dors_gateway_to_dict(gateway, with_forest=False)
+    assert bare == {key: value for key, value in full.items() if key != "leaf_digests"}
+    forest = b"".join(gateway.public_key.leaf_digests)
+    restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(bare)), forest)
+    assert persist.dors_gateway_to_dict(restored) == full
+    for spoilt in (forest[:-1], forest + b"\0", forest[: 3 * 32], b""):
+        with pytest.raises(ValueError):
+            persist.dors_gateway_from_dict(bare, spoilt)
+    with pytest.raises(ValueError):
+        persist.dors_gateway_from_dict(dict(bare, roots=bare["roots"][:-1]), forest)
+
+
+def test_gateway_state_without_forests_restores_the_same_state():
+    gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
+    gw.register_user("alice", "Alice", 30, "resident", "pw", capabilities=(CAP_DORS,))
+    gw.owner_verify("owner", "alice", "activate")
+    full = persist.gateway_state_to_dict(gw)
+    bare = persist.gateway_state_to_dict(gw, with_forests=False)
+    assert "leaf_digests" not in bare["dors_registry"]["alice"]
+    assert dict(bare, dors_registry=None) == dict(full, dors_registry=None)
+    forests = {uid: b"".join(s.public_key.leaf_digests) for uid, s in gw.dors_registry.items()}
+    gw2 = Gateway(RandomSource.seeded(b"\x08" * 32), Key256(b"\x77" * 32))
+    persist.restore_gateway_state(gw2, json.loads(persist.dumps(bare)), forests)
+    assert persist.dumps(persist.gateway_state_to_dict(gw2)) == persist.dumps(full)
