@@ -68,6 +68,7 @@ CAP_CARD = "card"
 SESSION_TTL_MINUTES = 30
 
 DB_MAGIC = b"SSHAF2"
+USAGE_LOG_ROWS = 64  # recent rows kept for audit: nothing reads older ones; db.enc stays a few KB
 
 # Device kinds reachable by each role when the request originates from the
 # internet; local requests are not role-restricted.
@@ -168,7 +169,9 @@ class LoginResult:
 # used as a PRF. The keystream is file encryption, not protocol work, so it
 # calls hashlib directly and stays off METER; the two kdfs and the MAC are
 # metered. Each usage row is the array [uid, device_id, sim_minutes,
-# hour_bucket, weekday, ip_class, decision], in UsageRecord field order.
+# hour_bucket, weekday, ip_class, decision], in UsageRecord field order. The
+# usage log is a ring of the last USAGE_LOG_ROWS rows, oldest first: a file
+# holds at most that many, and decrypt_db rejects one that holds more.
 
 def _db_to_dict(db: UserDatabase) -> dict:
     return {
@@ -181,7 +184,7 @@ def _db_to_dict(db: UserDatabase) -> dict:
         },
         "usage_patterns": [
             [r.uid, r.device_id, r.sim_minutes, r.hour_bucket, r.weekday, r.ip_class, r.decision]
-            for r in db.usage_patterns
+            for r in db.usage_patterns[-USAGE_LOG_ROWS:]
         ],
         "access_policies": {
             device: {"threshold": p.threshold, "step_up_margin": p.step_up_margin}
@@ -194,6 +197,8 @@ def _db_from_dict(data: dict) -> UserDatabase:
     rows = data["usage_patterns"]
     if not all(type(row) is list for row in rows):
         raise TypeError("every usage row must be an array")
+    if len(rows) > USAGE_LOG_ROWS:
+        raise ValueError(f"{len(rows)} usage rows, more than the {USAGE_LOG_ROWS} kept")
     return UserDatabase(
         profiles={
             uid: UserProfile(
@@ -506,7 +511,9 @@ class Gateway:
         retry_token: str | None = None,
     ) -> LoginResult:
         """Select one scheme from context, run its handshake end to end,
-        then gate on confidence against the least sensitive device."""
+        then gate on confidence against the least sensitive device. A wrong
+        password never grants: context can then earn a step-up at most, and
+        a retry that still fails the password check is denied."""
         profile = self.db.profiles.get(uid)
         if profile is None:
             raise UnknownUser(uid)
@@ -529,6 +536,8 @@ class Gateway:
         }
         confidence = ctx.score_confidence(scores, self.weights)
         decision = ctx.decide_access(confidence, self._least_sensitive_policy())
+        if decision == ctx.GRANT and not password_ok:
+            decision = ctx.STEP_UP
 
         self._step_up_tokens = {  # an expired token counts as no retry
             token: (owner, minted) for token, (owner, minted) in self._step_up_tokens.items()
@@ -541,7 +550,8 @@ class Gateway:
         if decision == ctx.STEP_UP and not is_retry:
             token = self.src.read(8).hex()
             self._step_up_tokens[token] = (uid, self.sim_minutes)
-            return LoginResult(ctx.STEP_UP, retry_token=token, reason="confidence in step-up band")
+            reason = "confidence in step-up band" if password_ok else "password check failed"
+            return LoginResult(ctx.STEP_UP, retry_token=token, reason=reason)
         return LoginResult(
             ctx.DENY,
             reason="step-up retry exhausted" if is_retry else "confidence below device policies",
@@ -571,7 +581,8 @@ class Gateway:
         self, session: GatewaySession, device_id: str, snapshot: ContextSnapshot
     ) -> str:
         """Re-evaluate context against the device's own threshold on every
-        request; each call appends exactly one usage record."""
+        request; each call appends exactly one usage record, dropping the
+        oldest once the log holds USAGE_LOG_ROWS."""
         live = self.sessions.get(session.session_id)
         if live is not session:
             raise SessionExpired("unknown or superseded session")
@@ -602,7 +613,8 @@ class Gateway:
         return decision
 
     def _log_usage(self, uid: str, record: ctx.AccessRecord, decision: str) -> None:
-        self.db.usage_patterns.append(
+        rows = self.db.usage_patterns
+        rows.append(
             UsageRecord(
                 uid=uid,
                 device_id=record.device_id,
@@ -613,6 +625,7 @@ class Gateway:
                 decision=decision,
             )
         )
+        del rows[:-USAGE_LOG_ROWS]
 
     # --- classifier ------------------------------------------------------------
 

@@ -40,9 +40,6 @@ _KDF_LABELS = ("sk", "confirm", "mht-ratchet", "dors-sk", "dors-ratchet", "dhs-s
 class AdversaryModel:
     capabilities: frozenset[str] = frozenset({CAP_RECORD_REPLAY, CAP_INJECT, CAP_PUBLIC_KEYS})
 
-    def can(self, capability: str) -> bool:
-        return capability in self.capabilities
-
 
 @dataclass
 class AttackOutcome:

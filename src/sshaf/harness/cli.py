@@ -3,7 +3,8 @@
 A state directory carries the gateway across invocations:
 
 - ``gateway.key``: the database key, as hex;
-- ``db.enc``: the encrypted user database, rewritten by every call;
+- ``db.enc``: the encrypted user database, rewritten by every call except
+  ``login``, which changes none of its tables;
 - ``state.json``: the gateway runtime state, rewritten by every call, with
   each DORS user's roots, chain and link key but not the public forest;
 - ``dors-<first root, hex>.forest``: one DORS public forest, its f·t·32
@@ -77,11 +78,13 @@ def _save(
     rng_seed: bytes,
     invocation: int,
     loaded_forests: frozenset[str] = frozenset(),
+    db_changed: bool = True,
 ) -> None:
     """Write the call's state. ``loaded_forests`` names the forest files
     ``_load`` read: any other forest was provisioned by this call, so its
     file is written, and the files of forests it replaced are deleted once
-    state.json no longer names them."""
+    state.json no longer names them. ``db_changed=False`` leaves db.enc as
+    it is, for a call that changed no table of the user database."""
     forests = set()
     for side in gw.dors_registry.values():
         name = _forest_file(side.public_key.roots[0].hex())
@@ -94,7 +97,8 @@ def _save(
         "gateway": persist.gateway_state_to_dict(gw, with_forests=False),
     }
     atomic_write(state_dir / STATE_FILE, persist.dumps(state))
-    gw.save_database(state_dir / DB_FILE)
+    if db_changed:
+        gw.save_database(state_dir / DB_FILE)
     for name in loaded_forests - forests:
         (state_dir / name).unlink(missing_ok=True)
 
@@ -192,7 +196,7 @@ def cmd_login(args) -> int:
         args.uid, args.password, _snapshot_from_args(args, args.uid),
         retry_token=args.retry_token,
     )
-    _save(Path(args.state), gw, seed, inv, forests)
+    _save(Path(args.state), gw, seed, inv, forests, db_changed=False)
     if result.status == "grant":
         session = result.session
         print(

@@ -444,11 +444,21 @@ def mht_confirm(user: MhtUserState, m4: MhtM4) -> Key256:
 def mht_handshake(
     link, user: MhtUserState, registry: dict[str, MhtGatewayState], src: RandomSource
 ) -> tuple[Key256, Key256]:
-    """M1 to M4 over ``link``, returning (user key, gateway key)."""
-    m1 = link.carry(USER, GATEWAY, mht_auth_initiate(user, src), MhtM1.decode)
-    m2 = link.carry(GATEWAY, USER, mht_auth_challenge(registry, m1, src), MhtM2.decode)
-    m3 = link.carry(USER, GATEWAY, mht_auth_respond(user, m2), MhtM3.decode)
-    m4, gateway_key = mht_auth_finalize(registry, user.uid, m3)
+    """M1 to M4 over ``link``, returning (user key, gateway key).
+
+    A run that fails before the gateway commits (a lost or rejected M1-M3)
+    drops the user's pending run, so the next run can start. Once the
+    gateway has committed, a lost M4 leaves the pending run in place: its
+    candidate is what a resync would have to confirm."""
+    m1 = mht_auth_initiate(user, src)  # a Busy here is an earlier run's: keep its pending
+    try:
+        m1 = link.carry(USER, GATEWAY, m1, MhtM1.decode)
+        m2 = link.carry(GATEWAY, USER, mht_auth_challenge(registry, m1, src), MhtM2.decode)
+        m3 = link.carry(USER, GATEWAY, mht_auth_respond(user, m2), MhtM3.decode)
+        m4, gateway_key = mht_auth_finalize(registry, user.uid, m3)
+    except BaseException:
+        user.pending = None
+        raise
     user_key = mht_confirm(user, link.carry(GATEWAY, USER, m4, MhtM4.decode))
     return user_key, gateway_key
 

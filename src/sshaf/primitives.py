@@ -252,40 +252,3 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError("xor operands must have equal length")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-# --- test-vector files ---------------------------------------------------
-# One `input_hex → digest_hex` pair per line; blank lines and `#` comments
-# are skipped; an ASCII `->` separator is accepted on read.
-
-def format_vector_line(data: bytes, digest: Digest256) -> str:
-    return f"{data.hex()} → {digest.hex()}"
-
-
-def parse_vector_line(line: str) -> tuple[bytes, Digest256] | None:
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    if "→" in stripped:
-        left, _, right = stripped.partition("→")
-    elif "->" in stripped:
-        left, _, right = stripped.partition("->")
-    else:
-        raise ValueError(f"vector line has no separator: {line!r}")
-    return bytes.fromhex(left.strip()), Digest256.from_hex(right.strip())
-
-
-def load_vector_file(path) -> list[tuple[bytes, Digest256]]:
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parsed = parse_vector_line(line)
-            if parsed is not None:
-                pairs.append(parsed)
-    return pairs
-
-
-def save_vector_file(path, pairs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for data, digest in pairs:
-            fh.write(format_vector_line(data, digest) + "\n")

@@ -117,6 +117,29 @@ def test_denied_login_exit_code(tmp_path, capsys):
     assert "denied" in out
 
 
+def test_wrong_password_login_opens_no_session(tmp_path, capsys):
+    # Bluetooth, the home subnet, the calendar and a neutral history reach
+    # 0.55, above the thermostat's 0.5: context alone would grant.
+    state = str(tmp_path / "state")
+    calendar = tmp_path / "calendar.jsonl"
+    calendar.write_text('{"uid": "alice", "weekday": 0, "start_minute": 0, "end_minute": 1440}\n')
+    code, _ = run(capsys, "register", "--state", state, "--seed", SEED, "--uid", "alice",
+                  "--name", "Alice", "--password", "pw-alice", "--calendar", str(calendar))
+    assert code == 0
+    code, _ = run(capsys, "verify", "--state", state, "--uid", "alice", "--decision", "activate")
+    assert code == 0
+    wrong = ["login", "--state", state, "--uid", "alice", "--password", "WRONG",
+             "--bluetooth", "--time", "600"]
+    code, out = run(capsys, *wrong)
+    assert code == 3 and "session=" not in out
+    token = out.split("--retry-token ")[1].split()[0]
+    code, out = run(capsys, *wrong, "--retry-token", token)
+    assert code == 4 and "session=" not in out
+    code, out = run(capsys, "login", "--state", state, "--uid", "alice", "--password", "pw-alice",
+                    "--bluetooth", "--time", "600")
+    assert code == 0 and "session=" in out
+
+
 def test_session_expiry_over_cli(tmp_path, capsys):
     state = str(tmp_path / "state")
     bootstrap_user(capsys, state)
@@ -205,6 +228,7 @@ def test_dors_rekey_over_cli_replaces_the_forest_file(tmp_path, capsys):
     state = str(tmp_path / "state")
     bootstrap_user(capsys, state, caps="dors")
     first = forest_files(state)
+    db_file = (Path(state) / "db.enc").read_bytes()
     # A production forest signs 64 logins; the 65th re-keys.
     for i in range(64):
         code, out = login(capsys, state, 600 + 60 * i)
@@ -215,6 +239,7 @@ def test_dors_rekey_over_cli_replaces_the_forest_file(tmp_path, capsys):
     second = forest_files(state)
     assert len(second) == 1 and second != first
     assert state_files(state) == ["db.enc", *second, "gateway.key", "state.json"]
+    assert (Path(state) / "db.enc").read_bytes() == db_file  # a login changes no table
     code, out = login(capsys, state, 600 + 60 * 65)
     assert (code, "scheme=dors" in out) == (0, True), out
 
@@ -256,7 +281,7 @@ def test_only_a_provisioning_call_writes_a_forest(tmp_path, capsys, writes):
     writes.clear()
     code, out = login(capsys, state, 600)
     assert code == 0
-    assert sorted(writes) == ["db.enc", "state.json"]
+    assert writes == ["state.json"]  # a login changes no table of the user database
     writes.clear()
     session = out.split("session=")[1].split()[0]
     code, _ = run(capsys, "access", "--state", state, "--session", session,
@@ -275,6 +300,25 @@ def test_only_a_provisioning_call_writes_a_forest(tmp_path, capsys, writes):
     (bob,) = set(forest_files(state)) - set(before)
     assert sorted(writes) == ["db.enc", bob, "state.json"]
     assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["--password", "pw-alice", "--bluetooth"], 0),  # grant
+        (["--password", "pw-alice", "--ip-class", "unknown"], 3),  # step-up
+        (["--password", "WRONG", "--ip-class", "unknown"], 4),  # deny
+    ],
+    ids=["grant", "step-up", "deny"],
+)
+def test_login_leaves_the_user_database_file_as_it_was(tmp_path, capsys, argv, exit_code):
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state), caps="")
+    db_file, state_file = (state / "db.enc").read_bytes(), (state / "state.json").read_bytes()
+    code, _ = run(capsys, "login", "--state", str(state), "--uid", "alice", *argv, "--time", "600")
+    assert code == exit_code
+    assert (state / "db.enc").read_bytes() == db_file
+    assert (state / "state.json").read_bytes() != state_file
 
 
 def test_stateful_import_leaves_the_harness_out():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import hmac
+import itertools
 import json
 import os
 import pathlib
@@ -27,6 +28,9 @@ from sshaf.context_engine import (
     AccessPolicy,
     CalendarInterval,
     ContextSnapshot,
+    classify_access,
+    record_from_snapshot,
+    train_classifier,
 )
 from sshaf.errors import (
     AlreadyRegistered,
@@ -43,18 +47,21 @@ from sshaf.gateway import (
     CAP_CARD,
     CAP_DORS,
     DB_MAGIC,
+    USAGE_LOG_ROWS,
     Gateway,
     UsageRecord,
     UserDatabase,
     UserProfile,
     _keystream,
     decrypt_db,
+    default_devices,
     encrypt_db,
     load_db,
     serialize_db,
     store_db,
 )
 from sshaf.primitives import METER, Key256, Nonce128, RandomSource, kdf, mac, xor_bytes
+from synthetic import make_synthetic_dataset
 
 DB_KEY = Key256(b"\x99" * 32)
 WORK_CAL = [CalendarInterval(weekday=d, start_minute=8 * 60, end_minute=22 * 60) for d in range(7)]
@@ -196,6 +203,61 @@ def test_wrong_password_lowers_confidence_to_step_up_or_deny():
     assert result.status == DENY
 
 
+ALL_WEEK = [CalendarInterval(weekday=d, start_minute=0, end_minute=1440) for d in range(7)]
+
+
+def _history_settings():
+    """(model, login timestamp) for a neutral history factor, and for the
+    timestamps whose login record the synthetic model scores lowest and
+    highest on each IP class."""
+    model = train_classifier(make_synthetic_dataset())
+    stamps = [day * 1440 + bucket * 240 for day in range(7) for bucket in range(6)]
+
+    def score(ip_class, timestamp):
+        snap = ContextSnapshot("u", ORIGIN_LOCAL, ip_class, False, timestamp)
+        return classify_access(model, record_from_snapshot(snap))
+
+    def extreme(pick):
+        return {ip: pick(stamps, key=lambda t: score(ip, t)) for ip in (IP_HOME, IP_KNOWN, IP_UNKNOWN)}
+
+    neutral = dict.fromkeys((IP_HOME, IP_KNOWN, IP_UNKNOWN), 2 * 1440 + 600)
+    return {"neutral": (None, neutral), "floor": (model, extreme(min)), "ceiling": (model, extreme(max))}
+
+
+@pytest.mark.parametrize("history", ["neutral", "floor", "ceiling"])
+def test_no_wrong_password_login_opens_a_session(history):
+    model, stamps = _history_settings()[history]
+    gw = make_gateway()
+    gw.set_classifier(model)
+    for uid, calendar in (("cal", ALL_WEEK), ("nocal", [])):
+        gw.register_user(uid, uid, 30, "resident", f"pw-{uid}", calendar=calendar)
+        gw.owner_verify("owner", uid, "activate")
+    opened = set()  # sessions granted to the right password
+    lattice = itertools.product(
+        (True, False), (True, False), (IP_HOME, IP_KNOWN, IP_UNKNOWN), ("cal", "nocal"),
+        (ORIGIN_LOCAL, ORIGIN_INTERNET),
+    )
+    for password_ok, bluetooth, ip_class, uid, origin in lattice:
+        if origin == ORIGIN_INTERNET and bluetooth:
+            continue  # no such snapshot
+        snap = ContextSnapshot(uid, origin, ip_class, bluetooth, stamps[ip_class])
+        password = f"pw-{uid}" if password_ok else "WRONG"
+        result = gw.login(uid, password, snap)
+        if not password_ok:
+            assert result.session is None and result.status in (STEP_UP, DENY)
+            if result.status == STEP_UP:
+                retry = gw.login(uid, password, snap, retry_token=result.retry_token)
+                assert retry.session is None and retry.status == DENY
+            continue
+        if result.status == GRANT:
+            opened.add(result.session.session_id)
+            for device in default_devices():
+                gw.authorize_device_access(result.session, device, snap)
+    # Every device request ran on one of these sessions, so each rests on a
+    # correct password, as the credentials score of a device request assumes.
+    assert set(gw.sessions) == opened
+
+
 def test_step_up_band_issues_single_use_retry_token():
     gw = make_gateway()
     register_and_activate(gw)
@@ -307,6 +369,25 @@ def test_usage_log_grows_by_one_per_authorization():
     gw.authorize_device_access(session, "thermostat", good_snapshot())
     gw.authorize_device_access(session, "porch-camera", good_snapshot())
     assert len(gw.db.usage_patterns) == before + 2
+
+
+def test_usage_log_keeps_the_last_rows_in_order():
+    gw = make_gateway()
+    register_and_activate(gw)
+    gw.advance_time(1000)  # every row's sim_minutes has four digits
+    appended, db_bytes = [], {}
+    session = grant_session(gw)
+    for count in range(1, 3 * USAGE_LOG_ROWS + 1):
+        if gw.sim_minutes - session.established_minutes == 30:
+            session = grant_session(gw)
+        gw.authorize_device_access(session, "thermostat", good_snapshot())
+        appended.append(gw.db.usage_patterns[-1])
+        assert len(gw.db.usage_patterns) == min(count, USAGE_LOG_ROWS)
+        db_bytes[count] = len(serialize_db(gw.db))
+        gw.advance_time(1)
+    assert [r.sim_minutes for r in appended] == list(range(1000, 1000 + 3 * USAGE_LOG_ROWS))
+    assert gw.db.usage_patterns == appended[-USAGE_LOG_ROWS:]
+    assert db_bytes[3 * USAGE_LOG_ROWS] == db_bytes[USAGE_LOG_ROWS]
 
 
 def test_session_ttl_exact_boundary():
@@ -645,6 +726,17 @@ def test_malformed_usage_row_fails_authenticated_decryption(row):
         decrypt_db(blob, DB_KEY)
 
 
+def test_file_with_one_usage_row_too_many_fails_authenticated_decryption():
+    tables = json.loads(serialize_db(fixed_database()))
+    row = tables["usage_patterns"][0]
+    tables["usage_patterns"] = [row] * USAGE_LOG_ROWS
+    db = decrypt_db(_blob_with_plaintext(json.dumps(tables).encode()), DB_KEY)
+    assert db.usage_patterns == [UsageRecord(*row)] * USAGE_LOG_ROWS
+    tables["usage_patterns"].append(row)
+    with pytest.raises(AuthenticatedDecryptionFailed, match="usage rows"):
+        decrypt_db(_blob_with_plaintext(json.dumps(tables).encode()), DB_KEY)
+
+
 def test_old_format_file_with_valid_mac_is_rejected_at_the_magic():
     blob = _blob_with_plaintext(serialize_db(fixed_database()), magic=b"SSHAF1")
     with pytest.raises(AuthenticatedDecryptionFailed, match="magic"):
@@ -682,8 +774,12 @@ _databases = st.builds(
     calendars=st.dictionaries(
         _texts, st.lists(st.builds(CalendarInterval, _ints, _ints, _ints), max_size=4), max_size=3
     ),
-    usage_patterns=st.lists(
-        st.builds(UsageRecord, _texts, _texts, _ints, _ints, _ints, _texts, _texts), max_size=500
+    # Every length up to three rings, so the stored file is often trimmed.
+    usage_patterns=st.integers(0, 3 * USAGE_LOG_ROWS).flatmap(
+        lambda n: st.lists(
+            st.builds(UsageRecord, _texts, _texts, _ints, _ints, _ints, _texts, _texts),
+            min_size=n, max_size=n,
+        )
     ),
     access_policies=st.dictionaries(_texts, st.builds(AccessPolicy, _units, _units), max_size=4),
 )
@@ -692,7 +788,9 @@ _databases = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(db=_databases, salt=st.binary(min_size=16, max_size=16))
 def test_db_round_trips_through_the_cipher(db, salt):
-    assert decrypt_db(encrypt_db(db, DB_KEY, Nonce128(salt)), DB_KEY) == db
+    stored = decrypt_db(encrypt_db(db, DB_KEY, Nonce128(salt)), DB_KEY)
+    assert stored.usage_patterns == db.usage_patterns[-USAGE_LOG_ROWS:]
+    assert stored == dataclasses.replace(db, usage_patterns=db.usage_patterns[-USAGE_LOG_ROWS:])
 
 
 _FIXED_BLOB = encrypt_db(fixed_database(), DB_KEY, DB_SALT)

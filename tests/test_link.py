@@ -5,9 +5,10 @@ run can be dropped."""
 import pytest
 
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
+from sshaf.errors import Busy, UserAuthFailed
 from sshaf.harness.simnet import LINK_LOCAL, MessageDropped, SimClock, SimConfig, SimLink, Transcript
 from sshaf.link import USER, Loopback
-from sshaf.primitives import Key256, RandomSource
+from sshaf.primitives import Digest256, Key256, RandomSource
 
 SEEDS = (b"\x31" * 32, b"\x32" * 32, b"\x33" * 32)
 SMALL_DORS = dors_auth.DorsParams(t=16, k=4, f=2, r=2)
@@ -114,3 +115,48 @@ def test_every_drop_position_stops_the_run_there(pair):
             pair(SEEDS[0]).handshake(link)
         assert link.messages == position
         assert [e.outcome for e in link.transcript.events] == ["delivered"] * position + ["dropped"]
+
+
+class FlipM3(Loopback):
+    """Loopback that hands the gateway an M3 with one tag bit flipped."""
+
+    def carry(self, sender, receiver, message, decode):
+        if isinstance(message, merkle_auth.MhtM3):
+            tag = message.tag_u.bytes
+            message = merkle_auth.MhtM3(Digest256(bytes([tag[0] ^ 1]) + tag[1:]))
+        return super().carry(sender, receiver, message, decode)
+
+
+def assert_next_mht_run_succeeds(pair):
+    user_key, gateway_key = pair.handshake(Loopback())
+    assert user_key == gateway_key
+    assert pair.user.txn_counter == pair.gateway.txn_counter == 1
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_mht_run_lost_before_the_gateway_commits_leaves_nothing_pending(position):
+    pair = MhtPair(SEEDS[0])
+    with pytest.raises(MessageDropped):
+        pair.handshake(sim_link(DropAt(position), drop_rate=0.5))
+    assert pair.user.pending is None
+    assert_next_mht_run_succeeds(pair)
+
+
+def test_mht_run_whose_m3_the_gateway_rejects_leaves_nothing_pending():
+    pair = MhtPair(SEEDS[0])
+    with pytest.raises(UserAuthFailed):
+        pair.handshake(FlipM3())
+    assert pair.user.pending is None
+    assert_next_mht_run_succeeds(pair)
+
+
+def test_mht_run_lost_at_m4_still_blocks_the_next_run():
+    # The gateway has committed and the user keeps its candidate: recovering
+    # needs the authenticated resync of ROADMAP's loss-tolerant commits, which
+    # is not built yet.
+    pair = MhtPair(SEEDS[0])
+    with pytest.raises(MessageDropped):
+        pair.handshake(sim_link(DropAt(3), drop_rate=0.5))
+    assert pair.user.pending is not None
+    with pytest.raises(Busy):
+        pair.handshake(Loopback())

@@ -13,16 +13,12 @@ from sshaf.primitives import (
     Key256,
     Nonce128,
     RandomSource,
-    format_vector_line,
     hash_bytes,
     hmac_sha256,
     kdf,
     kdf_many,
-    load_vector_file,
     mac,
-    parse_vector_line,
     random_nonce,
-    save_vector_file,
     sha256_many,
     xor_bytes,
 )
@@ -253,21 +249,3 @@ def test_xor_bytes():
     for a, b in [(b"", b"\x00"), (b"\x01" * 33, b"\x01" * 32), (b"\x00" * 4096, b"")]:
         with pytest.raises(ValueError):
             xor_bytes(a, b)
-
-
-def test_vector_file_round_trip(tmp_path):
-    pairs = [(data, hash_bytes(data)) for data, _ in SHA256_VECTORS]
-    path = tmp_path / "vectors.txt"
-    save_vector_file(path, pairs)
-    assert load_vector_file(path) == pairs
-
-
-def test_vector_line_formats():
-    data = b"abc"
-    digest = hash_bytes(data)
-    line = format_vector_line(data, digest)
-    assert line == f"616263 → {digest.hex()}"
-    assert parse_vector_line(line) == (data, digest)
-    assert parse_vector_line(f"616263 -> {digest.hex()}") == (data, digest)
-    assert parse_vector_line("   ") is None
-    assert parse_vector_line("# comment") is None
