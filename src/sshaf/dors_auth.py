@@ -60,10 +60,6 @@ class DorsParams:
     def log2_t(self) -> int:
         return self.t.bit_length() - 1
 
-    @property
-    def max_signatures(self) -> int:
-        return self.f * self.r
-
 
 @dataclass
 class ChainState:
@@ -152,17 +148,17 @@ def dors_keygen(seed: Key256, params: DorsParams) -> tuple[DorsSecretKey, DorsPu
     return DorsSecretKey(params, seed), pk, ChainState(genesis)
 
 
-def dors_subset(message: bytes, chain: ChainState, params: DorsParams) -> list[int]:
-    """k indices below t, read as consecutive log2(t)-bit chunks of
-    hash(message || chain value), most-significant bits first."""
-    digest = hash_bytes(message + chain.value.bytes)
-    acc = int.from_bytes(digest.bytes, "big")
+def subset_of_digest(digest: bytes, params: DorsParams) -> list[int]:
+    """k indices below t, read as consecutive log2(t)-bit chunks of a
+    32-byte digest, most-significant bits first."""
+    acc = int.from_bytes(digest, "big")
     bits = params.log2_t
-    indices = []
-    for i in range(params.k):
-        shift = 256 - (i + 1) * bits
-        indices.append((acc >> shift) & (params.t - 1))
-    return indices
+    return [(acc >> (256 - (i + 1) * bits)) & (params.t - 1) for i in range(params.k)]
+
+
+def dors_subset(message: bytes, chain: ChainState, params: DorsParams) -> list[int]:
+    """The subset that hash(message || chain value) selects."""
+    return subset_of_digest(hash_bytes(message + chain.value.bytes).bytes, params)
 
 
 def dors_sign(

@@ -44,7 +44,7 @@ from ..context_engine import (
     ContextSnapshot,
     load_calendar,
 )
-from ..errors import InvalidWeights, SshafError, StateCorrupt
+from ..errors import AuthenticatedDecryptionFailed, InvalidWeights, SshafError, StateCorrupt
 from ..gateway import Gateway, atomic_write, load_db
 from ..primitives import DIGEST_LEN, Digest256, Key256, RandomSource
 
@@ -147,7 +147,7 @@ def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, fro
     db_path = state_dir / DB_FILE
     try:
         gw.db = load_db(db_path, db_key)
-    except OSError as exc:
+    except (OSError, AuthenticatedDecryptionFailed) as exc:
         raise _state_corrupt(db_path, exc) from exc
     gw.src = RandomSource.seeded(rng_seed).fork(f"invocation:{invocation}")
     return gw, rng_seed, invocation, frozenset(files)

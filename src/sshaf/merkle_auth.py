@@ -136,11 +136,6 @@ def _build_levels(leaves: list[Digest256]) -> list[list[Digest256]]:
     return [list(leaves)] + [[Digest256(node) for node in level] for level in levels[1:]]
 
 
-def mht_build(leaves: list[Digest256]) -> Digest256:
-    """Root commitment over an ordered leaf sequence."""
-    return Digest256(merkle_root([leaf.bytes for leaf in leaves]))
-
-
 def mht_prove(tree: MerkleTree, leaf_index: int) -> MerkleProof:
     if not 0 <= leaf_index < len(tree.leaves):
         raise IndexOutOfRange(f"leaf {leaf_index} of {len(tree.leaves)}")

@@ -201,18 +201,27 @@ def _three_leaf_tree(path: Path) -> None:
     path.write_bytes(b"\xab" * 32 * 3)
 
 
+def _flip_middle_byte(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
 @pytest.mark.parametrize(
     "target, damage",
     [
         ("db.enc", Path.unlink),
+        ("db.enc", _flip_middle_byte),
+        ("db.enc", lambda path: path.write_bytes(path.read_bytes()[:20])),  # truncated
+        ("db.enc", lambda path: path.write_bytes(b"XXXXXX" + path.read_bytes()[6:])),  # bad magic
         ("forest", Path.unlink),
         ("forest", lambda path: path.write_bytes(path.read_bytes()[:-1])),  # one byte short
         ("forest", lambda path: path.write_bytes(path.read_bytes() + b"\0")),  # one byte long
         ("forest", _three_leaf_tree),
         ("state.json", lambda path: (path.unlink(), path.mkdir())),  # unreadable
     ],
-    ids=["db-missing", "forest-missing", "forest-short", "forest-long", "forest-three-leaves",
-         "state-unreadable"],
+    ids=["db-missing", "db-flipped-byte", "db-truncated", "db-bad-magic", "forest-missing",
+         "forest-short", "forest-long", "forest-three-leaves", "state-unreadable"],
 )
 def test_missing_or_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, target, damage):
     state = tmp_path / "state"

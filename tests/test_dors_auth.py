@@ -147,7 +147,7 @@ def test_revealed_leaves_bounded_by_budget():
     params = DorsParams(t=16, k=4, f=3, r=2)
     sk, pk, chain = dors_keygen(SEED, params)
     verify_chain = ChainState(chain.value, 0)
-    for i in range(params.max_signatures):
+    for i in range(params.f * params.r):
         sig, chain = dors_sign(sk, chain, b"m" + bytes([i]))
         ok, verify_chain = dors_verify(pk, verify_chain, b"m" + bytes([i]), sig)
         assert ok
@@ -228,11 +228,11 @@ def test_sequential_handshake_keys_distinct():
     user, gateway = dors_provision("alice", MASTER, params)
     src = RandomSource.seeded(b"\x11" * 32)
     keys = set()
-    for _ in range(params.max_signatures):
+    for _ in range(params.f * params.r):
         uk, gk = dors_handshake(Loopback(), user, gateway, src)
         assert uk == gk
         keys.add(uk.bytes)
-    assert len(keys) == params.max_signatures
+    assert len(keys) == params.f * params.r
 
 
 def test_desynchronized_chains_fail():

@@ -37,7 +37,6 @@ from sshaf.merkle_auth import (
     mht_auth_finalize,
     mht_auth_initiate,
     mht_auth_respond,
-    mht_build,
     mht_confirm,
     mht_prove,
     mht_register,
@@ -57,25 +56,25 @@ def four_leaves():
 
 
 def test_single_leaf_root_is_leaf():
-    leaf = Digest256(sha(b"only"))
-    assert mht_build([leaf]) == leaf
+    leaf = sha(b"only")
+    assert merkle_root([leaf]) == leaf
 
 
 def test_four_leaf_root_matches_hand_computed_oracle():
     raw = [sha(b"t" + str(i).encode()) for i in range(4)]
     expected = sha(sha(raw[0] + raw[1]) + sha(raw[2] + raw[3]))
-    assert mht_build([Digest256(r) for r in raw]) == Digest256(expected)
+    assert merkle_root(raw) == expected
 
 
 def test_empty_leaves_rejected():
     with pytest.raises(EmptyTree):
-        mht_build([])
+        merkle_root([])
 
 
 def test_root_commits_to_leaf_order():
-    leaves = four_leaves()
+    leaves = [leaf.bytes for leaf in four_leaves()]
     permuted = [leaves[1], leaves[0], leaves[2], leaves[3]]
-    assert mht_build(leaves) != mht_build(permuted)
+    assert merkle_root(leaves) != merkle_root(permuted)
 
 
 def test_proof_for_index_2_matches_hand_computed_oracle():
@@ -364,7 +363,7 @@ def test_append_keeps_levels_equal_to_full_rebuild():
 def test_raw_root_equals_digest_roots():
     for tree in grown_tree(600):
         raw = merkle_root([leaf.bytes for leaf in tree.leaves])
-        assert raw == mht_build(tree.leaves).bytes == tree.root.bytes, len(tree.leaves)
+        assert raw == tree.root.bytes, len(tree.leaves)
         assert raw == _build_levels(tree.leaves)[-1][0].bytes
 
 
