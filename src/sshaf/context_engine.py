@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DegenerateTraining,
@@ -110,9 +111,9 @@ class AccessPolicy:
             raise ValueError("step-up margin must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class AccessRecord:
-    """One labelled access observation; hour_bucket is a 4-hour bin 0..5."""
+class AccessRecord(NamedTuple):
+    """One labelled access observation; hour_bucket is a 4-hour bin 0..5.
+    Immutable; a tuple, so a device request builds one in a single call."""
 
     uid: str
     hour_bucket: int
@@ -141,6 +142,9 @@ def record_from_snapshot(snapshot: ContextSnapshot, device_id: str = "unknown") 
 
 # --- naive Bayes over categorical features ---------------------------------
 
+_UNSEEN = None  # memo key of a category no label's table holds; categories are str
+
+
 @dataclass(frozen=True)
 class NaiveBayesModel:
     """Priors plus Laplace-smoothed (alpha=1) per-feature likelihoods.
@@ -154,6 +158,15 @@ class NaiveBayesModel:
     its log prior, and per feature in ``_FEATURES`` order the pair
     (log-likelihood by category, log floor). The model is frozen, so the
     tables cannot drift from the probabilities: new counts need a new model.
+
+    :meth:`posterior` memoises each posterior in ``memo``. Its key is the
+    record's categories with every category that no label's table holds
+    (``known_categories``) replaced by one unseen key: each label scores
+    such a category at its floor, so all of them give the same posterior,
+    and the memo holds at most prod(|known_f| + 1) entries over the
+    features f, whatever records arrive. A memoised posterior is the float
+    the computation returned, so it is exact. The memo stays valid because
+    the model is frozen; a model built from new counts starts empty.
     """
 
     priors: dict[str, float]
@@ -161,6 +174,8 @@ class NaiveBayesModel:
     class_counts: dict[str, int]
     vocab_sizes: dict[str, int]
     log_tables: tuple = field(init=False, repr=False, compare=False)
+    known_categories: tuple = field(init=False, repr=False, compare=False)
+    memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "log_tables", tuple(
@@ -173,6 +188,36 @@ class NaiveBayesModel:
             ))
             for label, prior in self.priors.items()
         ))
+        object.__setattr__(self, "known_categories", tuple(
+            frozenset().union(*(tables[i][0] for _, _, tables in self.log_tables))
+            for i in range(len(_FEATURES))
+        ))
+        object.__setattr__(self, "memo", {})
+
+    def posterior(self, categories: tuple[str, ...]) -> float:
+        """Posterior probability that a record with these categories, in
+        ``_FEATURES`` order, is legitimate."""
+        memo = self.memo
+        p = memo.get(categories)  # a record whose every category is known is its own key
+        if p is None:
+            key = tuple(
+                cat if cat in known else _UNSEEN
+                for cat, known in zip(categories, self.known_categories)
+            )
+            p = memo.get(key)
+            if p is None:
+                p = memo[key] = self._compute_posterior(key)
+        return p
+
+    def _compute_posterior(self, categories) -> float:
+        log_scores: dict[str, float] = {}
+        for label, score, tables in self.log_tables:
+            for (table, floor), cat in zip(tables, categories):
+                score += table.get(cat, floor)
+            log_scores[label] = score
+        peak = max(log_scores.values())
+        total = sum(math.exp(s - peak) for s in log_scores.values())
+        return math.exp(log_scores.get(LABEL_LEGIT, float("-inf")) - peak) / total
 
 
 def train_classifier(records: list[AccessRecord]) -> NaiveBayesModel:
@@ -216,15 +261,7 @@ def train_classifier(records: list[AccessRecord]) -> NaiveBayesModel:
 
 def classify_access(model: NaiveBayesModel, record: AccessRecord) -> float:
     """Posterior probability that the record is legitimate."""
-    cats = record.categories()
-    log_scores: dict[str, float] = {}
-    for label, score, tables in model.log_tables:
-        for (table, floor), cat in zip(tables, cats):
-            score += table.get(cat, floor)
-        log_scores[label] = score
-    peak = max(log_scores.values())
-    total = sum(math.exp(s - peak) for s in log_scores.values())
-    return math.exp(log_scores.get(LABEL_LEGIT, float("-inf")) - peak) / total
+    return model.posterior(record.categories())
 
 
 # --- factor scoring and decisions -------------------------------------------
@@ -318,10 +355,10 @@ class CalendarInterval:
 def calendar_claims_presence(intervals: list[CalendarInterval], timestamp: int) -> bool:
     weekday = (timestamp // MINUTES_PER_DAY) % 7
     minute_of_day = timestamp % MINUTES_PER_DAY
-    return any(
-        iv.weekday == weekday and iv.start_minute <= minute_of_day < iv.end_minute
-        for iv in intervals
-    )
+    for iv in intervals:
+        if iv.weekday == weekday and iv.start_minute <= minute_of_day < iv.end_minute:
+            return True
+    return False
 
 
 # --- line-delimited JSON ingest ------------------------------------------------

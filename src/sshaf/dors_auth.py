@@ -80,12 +80,8 @@ class DorsSignature:
     reveals: list[Key256]
 
     def encode(self) -> bytes:
-        out = bytearray(struct.pack(">H", self.tree_index))
-        for idx in self.subset_indices:
-            out += struct.pack(">H", idx)
-        for reveal in self.reveals:
-            out += reveal.bytes
-        return bytes(out)
+        words = (self.tree_index, *self.subset_indices)
+        return struct.pack(f">{len(words)}H", *words) + b"".join([r.bytes for r in self.reveals])
 
     @classmethod
     def decode(cls, data: bytes, params: DorsParams) -> "DorsSignature":

@@ -6,15 +6,28 @@ randomness source with a replayable seeded mode. All protocol-level hash
 and mac invocations are counted by a module-level meter so the harness can
 report exact computational costs.
 
-The batch helpers :func:`kdf_many` and :func:`sha256_many` return the
-bytes the one-call forms would, and charge ``METER`` once for each call
-they stand for. ``kdf_many`` keys its HMAC once per batch: it builds the
-SHA-256 states after ``key XOR ipad`` (plus the label) and ``key XOR opad``
-and copies them for every salt, the precomputation of RFC 2104 section 4.
+One HMAC-SHA-256 core serves :func:`hmac_sha256`, :func:`mac`, :func:`kdf`
+and :func:`kdf_many`: the RFC 2104 section 2 construction on ``hashlib``,
+with the key zero-padded to the 64-byte SHA-256 block (a longer key is
+hashed first) and XORed with ``ipad`` and ``opad``. ``kdf_many`` keys it
+once per batch: it builds the SHA-256 states after ``key XOR ipad`` (plus
+the label) and ``key XOR opad`` and copies them for every salt, the
+precomputation of RFC 2104 section 4. The batch helpers :func:`kdf_many`
+and :func:`sha256_many` return the bytes the one-call forms would, and
+charge ``METER`` once for each call they stand for.
+
+A fixed-width value checks its length when it is constructed. The values
+this module builds from a SHA-256 or HMAC output, or from a read of the
+length it asks for, have that length by construction, so
+:func:`hash_bytes`, :func:`mac`, :func:`kdf`, :func:`random_nonce` and
+:func:`random_key` wrap them with the private ``_unchecked``, which skips
+the copy and the check. ``_unchecked`` is for this module only: every
+decoder and every ``from_hex`` goes through the checked constructor.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import secrets
@@ -27,6 +40,8 @@ KEY_LEN = 32
 NONCE_LEN = 16
 MAX_LABEL_LEN = 32
 
+_sha256 = hashlib.sha256
+
 
 class _FixedBytes:
     """Immutable fixed-width byte value with constant-time equality."""
@@ -35,12 +50,13 @@ class _FixedBytes:
     LENGTH = 0
 
     def __init__(self, raw: bytes):
-        raw = bytes(raw)
+        if type(raw) is not bytes:
+            raw = bytes(raw)
         if len(raw) != self.LENGTH:
             raise ValueError(
                 f"{type(self).__name__} needs exactly {self.LENGTH} bytes, got {len(raw)}"
             )
-        object.__setattr__(self, "bytes", raw)
+        _set_bytes(self, raw)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -62,6 +78,18 @@ class _FixedBytes:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.bytes.hex()})"
+
+
+_new = object.__new__
+_set_bytes = _FixedBytes.bytes.__set__
+
+
+def _unchecked(cls, raw: bytes):
+    """A ``cls`` value over ``raw``, which must already be ``bytes`` of
+    ``cls.LENGTH``: only for values this module builds itself."""
+    value = _new(cls)
+    _set_bytes(value, raw)
+    return value
 
 
 class Digest256(_FixedBytes):
@@ -168,24 +196,41 @@ METER = CostMeter()
 def hash_bytes(data: bytes) -> Digest256:
     """SHA-256 of ``data`` (FIPS 180-4)."""
     METER.hash_count += 1
-    return Digest256(hashlib.sha256(data).digest())
+    return _unchecked(Digest256, _sha256(data).digest())
+
+
+_BLOCK_LEN = 64  # SHA-256's block, the width HMAC pads its key to
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def _hmac_pads(key: bytes) -> tuple[bytes, bytes]:
+    """``key XOR ipad`` and ``key XOR opad`` over the key zero-padded to
+    one block; a key longer than a block is hashed first (RFC 2104 §2)."""
+    if len(key) > _BLOCK_LEN:
+        key = _sha256(key).digest()
+    block = key.ljust(_BLOCK_LEN, b"\0")
+    return block.translate(_IPAD), block.translate(_OPAD)
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
-    """Raw HMAC-SHA-256 (RFC 2104) over an arbitrary-length key.
+    """Raw HMAC-SHA-256 (RFC 2104) over an arbitrary-length key:
+    H(key XOR opad || H(key XOR ipad || data)).
 
     This is the core the RFC 4231 vectors exercise; protocol code goes
     through :func:`mac`, which fixes the key width at 32 bytes.
     """
-    return _hmac.digest(key, data, "sha256")
+    inner, outer = _hmac_pads(key)
+    return _sha256(outer + _sha256(inner + data).digest()).digest()
 
 
 def mac(key: Key256, data: bytes) -> Digest256:
     """Keyed integrity tag for protocol messages."""
     METER.mac_count += 1
-    return Digest256(hmac_sha256(key.bytes, data))
+    return _unchecked(Digest256, hmac_sha256(key.bytes, data))
 
 
+@functools.lru_cache(maxsize=64)  # protocol code uses a handful of constant labels
 def _label_prefix(label: str) -> bytes:
     """The label, length-prefixed, as kdf feeds it ahead of the salt."""
     try:
@@ -205,11 +250,7 @@ def kdf(secret: Key256, label: str, salt_material: bytes) -> Key256:
     """
     data = _label_prefix(label) + salt_material
     METER.mac_count += 1
-    return Key256(hmac_sha256(secret.bytes, data))
-
-
-_IPAD = bytes(x ^ 0x36 for x in range(256))
-_OPAD = bytes(x ^ 0x5C for x in range(256))
+    return _unchecked(Key256, hmac_sha256(secret.bytes, data))
 
 
 def kdf_many(secret: Key256, label: str, salts: list[bytes]) -> list[bytes]:
@@ -217,9 +258,9 @@ def kdf_many(secret: Key256, label: str, salts: list[bytes]) -> list[bytes]:
 
     Adds ``len(salts)`` to ``mac_count``, one per derivation.
     """
-    block = secret.bytes.ljust(64, b"\0")  # a 32-byte key fills half a SHA-256 block
-    inner = hashlib.sha256(block.translate(_IPAD) + _label_prefix(label))
-    outer = hashlib.sha256(block.translate(_OPAD))
+    inner_pad, outer_pad = _hmac_pads(secret.bytes)
+    inner = _sha256(inner_pad + _label_prefix(label))
+    outer = _sha256(outer_pad)
     out = []
     for salt in salts:
         h = inner.copy()
@@ -234,16 +275,16 @@ def kdf_many(secret: Key256, label: str, salts: list[bytes]) -> list[bytes]:
 def sha256_many(chunks: list[bytes]) -> list[bytes]:
     """Raw SHA-256 of each chunk; adds ``len(chunks)`` to ``hash_count``."""
     METER.hash_count += len(chunks)
-    sha256 = hashlib.sha256
-    return [sha256(chunk).digest() for chunk in chunks]
+    new = _sha256
+    return [new(chunk).digest() for chunk in chunks]
 
 
 def random_nonce(src: RandomSource) -> Nonce128:
-    return Nonce128(src.read(NONCE_LEN))
+    return _unchecked(Nonce128, src.read(NONCE_LEN))
 
 
 def random_key(src: RandomSource) -> Key256:
-    return Key256(src.read(KEY_LEN))
+    return _unchecked(Key256, src.read(KEY_LEN))
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

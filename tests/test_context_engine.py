@@ -36,6 +36,7 @@ from sshaf.context_engine import (
     CalendarInterval,
     ContextSnapshot,
     FactorWeights,
+    NaiveBayesModel,
     SchemeCapabilities,
     calendar_claims_presence,
     classify_access,
@@ -473,3 +474,47 @@ def valid_weights(draw):
 )
 def test_score_confidence_equals_weighted_sum(weights, scores):
     assert score_confidence(scores, weights) == reference_confidence(scores, weights)
+
+
+# --- the posterior memo ---------------------------------------------------------
+
+# Any device id at all, trained on or not.
+stream_records = st.builds(
+    AccessRecord,
+    uid=st.just("probe"),
+    hour_bucket=st.integers(-1, 7),
+    weekday=st.integers(-1, 8),
+    ip_class=st.sampled_from([IP_HOME, IP_KNOWN, IP_UNKNOWN]),
+    device_id=st.one_of(st.sampled_from(DEVICES), st.text(max_size=12)),
+)
+
+
+@PROPERTY
+@given(model=trained_models(), stream=st.lists(stream_records, max_size=60))
+def test_posterior_memo_never_grows_past_its_bound(model, stream):
+    # One key per combination of a trained category or "unseen" per feature.
+    bound = math.prod(
+        len(set().union(*by_label.values())) + 1 for by_label in model.likelihoods.values()
+    )
+    for record in stream:
+        classify_access(model, record)
+        assert len(model.memo) <= bound
+
+
+@PROPERTY
+@given(model=trained_models(), stream=st.lists(stream_records, min_size=1, max_size=40))
+def test_memoised_posteriors_equal_fresh_computations(model, stream):
+    for record in stream * 2:  # the second pass reads every posterior from the memo
+        fresh = NaiveBayesModel(model.priors, model.likelihoods, model.class_counts, model.vocab_sizes)
+        assert fresh.memo == {}
+        expected = classify_access(fresh, record)
+        assert classify_access(model, record).hex() == expected.hex()
+        assert expected == reference_classify(model, record)
+
+
+def test_memo_maps_every_unseen_category_to_one_key():
+    model = train_classifier(make_synthetic_dataset())
+    for device in ("brand-new", "another", "yet-another"):
+        classify_access(model, AccessRecord("u", 2, 3, IP_HOME, device))
+    classify_access(model, AccessRecord("u", 2, 3, IP_HOME, "lock-1"))
+    assert len(model.memo) == 2

@@ -189,6 +189,24 @@ def test_protocol_hashing_goes_through_primitives():
             assert (rel, func) == ("gateway.py", "_keystream"), f"{rel} ({func}) uses {use}"
 
 
+def test_unchecked_construction_stays_in_primitives():
+    # Fixed-width values skip their length check only where primitives
+    # builds them from outputs of known length; every decoder keeps it.
+    import sshaf
+
+    root = pathlib.Path(sshaf.__file__).parent
+    for path in root.rglob("*.py"):
+        rel = path.relative_to(root).as_posix()
+        if rel == "primitives.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            # A name read, an attribute, or a name in an import.
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            assert name != "_unchecked", f"{rel}:{node.lineno} uses primitives._unchecked"
+
+
 def test_no_wall_clock_in_source_tree():
     # Freshness comes from counters, chains and identifiers, never clocks.
     import sshaf

@@ -1,5 +1,7 @@
 """Core primitive tests pinned to published FIPS 180-4 / RFC 4231 vectors."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -18,6 +20,7 @@ from sshaf.primitives import (
     kdf,
     kdf_many,
     mac,
+    random_key,
     random_nonce,
     sha256_many,
     xor_bytes,
@@ -208,6 +211,18 @@ def test_seeded_source_replays_identically():
     assert c.read(16) == RandomSource.seeded(seed).read(16)
 
 
+@pytest.mark.parametrize("size", [0, 1, 16, 31, 32, 33, 8192])
+def test_seeded_read_of_any_size_continues_the_byte_stream(size):
+    seed = bytes(range(32))
+    # The same stream read byte by byte, then continued with a short read.
+    reference = RandomSource.seeded(seed)
+    expected = [reference.read(1) for _ in range(3 + size)]
+    src = RandomSource.seeded(seed)
+    assert src.read(3) == b"".join(expected[:3])  # leave a partial block buffered
+    assert src.read(size) == b"".join(expected[3:])
+    assert src.read(5) == reference.read(5)
+
+
 def test_seeded_nonces_fresh_within_stream():
     src = RandomSource.seeded(b"\x00" * 32)
     n1 = random_nonce(src)
@@ -249,3 +264,47 @@ def test_xor_bytes():
     for a, b in [(b"", b"\x00"), (b"\x01" * 33, b"\x01" * 32), (b"\x00" * 4096, b"")]:
         with pytest.raises(ValueError):
             xor_bytes(a, b)
+
+
+# --- the HMAC core and the values primitives build ------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.binary(max_size=200), data=st.binary(max_size=300))
+def test_hmac_core_equals_the_library_hmac(key, data):
+    assert hmac_sha256(key, data) == hmac.digest(key, data, "sha256")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.binary(min_size=32, max_size=32),
+    label=st.text(alphabet=st.characters(min_codepoint=1, max_codepoint=127), min_size=1, max_size=32),
+    data=st.binary(max_size=300),
+)
+def test_mac_kdf_and_kdf_many_equal_the_library_hmac(key, label, data):
+    material = bytes([len(label)]) + label.encode() + data
+    expected = hmac.digest(key, material, "sha256")
+    assert mac(Key256(key), data).bytes == hmac.digest(key, data, "sha256")
+    assert kdf(Key256(key), label, data).bytes == expected
+    assert kdf_many(Key256(key), label, [data, data]) == [expected, expected]
+
+
+def _same_value(built, checked):
+    assert type(built) is type(checked)
+    assert built == checked and built.bytes == checked.bytes
+    assert hash(built) == hash(checked) and repr(built) == repr(checked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.binary(min_size=32, max_size=32),
+    data=st.binary(max_size=300),
+    seed=st.binary(min_size=32, max_size=32),
+)
+def test_built_values_equal_their_checked_constructions(key, data, seed):
+    _same_value(hash_bytes(data), Digest256(hashlib.sha256(data).digest()))
+    _same_value(mac(Key256(key), data), Digest256(hmac.digest(key, data, "sha256")))
+    _same_value(kdf(Key256(key), "sk", data), Key256(hmac.digest(key, b"\x02sk" + data, "sha256")))
+    src, reference = RandomSource.seeded(seed), RandomSource.seeded(seed)
+    _same_value(random_nonce(src), Nonce128(reference.read(16)))
+    _same_value(random_key(src), Key256(reference.read(32)))
+
