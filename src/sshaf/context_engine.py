@@ -363,43 +363,85 @@ def calendar_claims_presence(intervals: list[CalendarInterval], timestamp: int) 
 
 # --- line-delimited JSON ingest ------------------------------------------------
 
-def _read_jsonl(path, fields: dict[str, type]):
-    """Yield each non-blank line of a JSONL file as a dict holding every
-    named field with its JSON type; any other line raises
-    ``MalformedRecord`` carrying ``path:line``."""
-    with open(path, "rb") as fh:
+def _allowed(values) -> str:
+    """A field's allowed values as an error message shows them."""
+    if isinstance(values, range):
+        return f"{values.start}..{values.stop - 1}"
+    return ", ".join(map(repr, values))
+
+
+def _read_jsonl(path, fields: dict, optional: tuple[str, ...]):
+    """Yield ``(path:line, object)`` for each non-blank line of a JSONL
+    file. ``fields`` maps each field to its JSON type and the values it may
+    take (None for any); a line holds every field but those in ``optional``.
+    Any other line, or a file that cannot be opened, raises
+    ``MalformedRecord`` naming the path and, for a line, its number."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise MalformedRecord(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
+            where = f"{path}:{line_no}"
             try:
                 obj = json.loads(line)
             except ValueError as exc:  # also a line that is not UTF-8
-                raise MalformedRecord(f"{path}:{line_no}: not JSON: {exc}") from None
+                raise MalformedRecord(f"{where}: not JSON: {exc}") from None
             if not isinstance(obj, dict):
-                raise MalformedRecord(f"{path}:{line_no}: not a JSON object")
-            for name, kind in fields.items():
-                if type(obj.get(name)) is not kind:
+                raise MalformedRecord(f"{where}: not a JSON object")
+            for name, (kind, values) in fields.items():
+                if name not in obj and name in optional:
+                    continue
+                value = obj.get(name)
+                if type(value) is not kind:
                     problem = "missing" if name not in obj else f"not {kind.__name__}"
-                    raise MalformedRecord(f"{path}:{line_no}: field {name!r} {problem}")
-            yield obj
+                    raise MalformedRecord(f"{where}: field {name!r} {problem}")
+                if values is not None and value not in values:
+                    raise MalformedRecord(
+                        f"{where}: field {name!r} is {value!r}, not one of {_allowed(values)}"
+                    )
+            yield where, obj
+
+
+# AccessRecord's fields in order, each with its JSON type and allowed values.
+_RECORD_FIELDS = {
+    "uid": (str, None),
+    "hour_bucket": (int, range(6)),
+    "weekday": (int, range(7)),
+    "ip_class": (str, tuple(_IP_SCORES)),
+    "device_id": (str, None),
+    "label": (str, (LABEL_LEGIT, LABEL_ANOMALOUS)),
+}
 
 
 def load_access_records(path) -> list[AccessRecord]:
     """Training records, one JSON object per line with fields uid,
-    hour_bucket, weekday, ip_class, device_id, label."""
-    fields = {"uid": str, "hour_bucket": int, "weekday": int, "ip_class": str, "device_id": str}
+    hour_bucket (0..5), weekday (0..6), ip_class, device_id, and an
+    optional label."""
     return [
-        AccessRecord(*(obj[name] for name in fields), label=obj.get("label"))
-        for obj in _read_jsonl(path, fields)
+        AccessRecord(*map(obj.get, _RECORD_FIELDS))
+        for _, obj in _read_jsonl(path, _RECORD_FIELDS, ("label",))
     ]
+
+
+_INTERVAL_FIELDS = {
+    "uid": (str, None),
+    "weekday": (int, range(7)),
+    "start_minute": (int, range(MINUTES_PER_DAY)),
+    "end_minute": (int, range(1, MINUTES_PER_DAY + 1)),
+}
 
 
 def load_calendar(path) -> dict[str, list[CalendarInterval]]:
     """Calendar intervals, one JSON object per line with fields uid,
-    weekday, start_minute, end_minute."""
+    weekday (0..6), start_minute and a later end_minute, both within one
+    day; an interval that could never match is rejected."""
     calendars: dict[str, list[CalendarInterval]] = {}
-    for obj in _read_jsonl(path, {"uid": str, "weekday": int, "start_minute": int, "end_minute": int}):
-        calendars.setdefault(obj["uid"], []).append(
-            CalendarInterval(obj["weekday"], obj["start_minute"], obj["end_minute"])
-        )
+    for where, obj in _read_jsonl(path, _INTERVAL_FIELDS, ()):
+        start, end = obj["start_minute"], obj["end_minute"]
+        if start >= end:
+            raise MalformedRecord(f"{where}: field 'end_minute' is {end}, not after start_minute {start}")
+        calendars.setdefault(obj["uid"], []).append(CalendarInterval(obj["weekday"], start, end))
     return calendars

@@ -1,10 +1,12 @@
 """Smart-card authentication among user card, edge server and home server.
 
-Six phases: initialization, addressing, registration, login authentication,
-session agreement and password update. Every session rides on a per-session
-64-bit interface identifier carried in the low half of an IPv6-style
-address; the identifier rotates on each successful agreement, so a captured
-login packet is stale by the time it can be replayed.
+Five phases: initialization, addressing, registration, login authentication
+and session agreement. The card has no password update: its verifier and
+the edge's identifier are set at registration, so a new password means a
+new registration. Every session rides on a per-session 64-bit interface
+identifier carried in the low half of an IPv6-style address; the identifier
+rotates on each successful agreement, so a captured login packet is stale
+by the time it can be replayed.
 
 The edge server's user database holds only the current identifier and an
 edge key share. The value that actually verifies card-keyed tags is a
@@ -277,9 +279,7 @@ def _check_password(card: SmartCardState, password: str) -> bool:
     return probe == card.pw_verifier
 
 
-def dhs_login(
-    card: SmartCardState, uid: str, password: str, src: RandomSource, prefix: int = DEFAULT_PREFIX
-) -> LoginRequest:
+def dhs_login(card: SmartCardState, uid: str, password: str, src: RandomSource) -> LoginRequest:
     """Phase 4, card side: local password check first; only a successful
     check emits network traffic."""
     if card.locked:
@@ -295,7 +295,7 @@ def dhs_login(
     card.pending_n_u = n_u
     tag = mac(card.auth_base(), card.current_iid.to_bytes() + n_u.bytes)
     record = _pack_uid(uid) + n_u.bytes + tag.bytes
-    return LoginRequest(dhs_encapsulate(record, card.current_iid, prefix))
+    return LoginRequest(dhs_encapsulate(record, card.current_iid))
 
 
 def dhs_edge_verify(edge: EdgeServer, packet_bytes: bytes, src: RandomSource) -> Challenge:
@@ -383,20 +383,3 @@ def dhs_handshake(
     challenge = dhs_edge_verify(edge, request.encode(), src)
     card_key, edge_key, _ = dhs_session_agree(link, card, edge, challenge)
     return card_key, edge_key
-
-
-def dhs_password_update(
-    card: SmartCardState, old_pw: str, new_pw: str, src: RandomSource
-) -> SmartCardState:
-    """Phase 6, purely local: fresh salt and verifier, identifier
-    regenerated, card secret untouched. The edge learns nothing here, so a
-    login before re-registration will see an identifier mismatch."""
-    if card.locked:
-        raise CardLocked(card.uid)
-    if not _check_password(card, old_pw):
-        raise LocalAuthFailed("old password check failed")
-    new_salt = random_nonce(src)
-    card.card_salt = new_salt
-    card.pw_verifier = hash_bytes(card.uid.encode() + new_pw.encode() + new_salt.bytes)
-    card.current_iid = dhs_generate_iid(card.uid, new_salt, card.auth_base())
-    return card

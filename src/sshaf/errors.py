@@ -40,8 +40,9 @@ class UnknownUser(SshafError):
 
 
 class CounterDesync(SshafError):
-    """Transaction counters disagree; carries the gateway's view so the
-    user can attempt the conservative resync path."""
+    """Transaction counters disagree; carries the gateway's counter and
+    root. No recovery path reads them yet: a user left behind by a lost M4
+    cannot catch up, because the gateway has already ratcheted its key."""
 
     def __init__(self, gateway_counter: int, gateway_root=None):
         super().__init__(f"counter desync, gateway at {gateway_counter}")
@@ -124,8 +125,9 @@ class NoSchemeAvailable(SshafError):
 
 
 class MalformedRecord(SshafError, ValueError):
-    """A JSONL input line is not JSON, misses a field, or has a field of
-    the wrong type; the message starts with ``path:line``."""
+    """A JSONL input file cannot be opened, or one of its lines is not
+    JSON, misses a field, or has a field of the wrong type or out of range;
+    the message starts with the path, and for a line ``path:line``."""
 
 
 # --- gateway ------------------------------------------------------------

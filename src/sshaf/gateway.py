@@ -64,6 +64,7 @@ STATUS_REJECTED = "rejected"
 
 CAP_DORS = "dors"
 CAP_CARD = "card"
+CAPABILITIES = (CAP_DORS, CAP_CARD)
 
 SESSION_TTL_MINUTES = 30
 
@@ -299,19 +300,16 @@ class Gateway:
         db_key: Key256,
         owner_uid: str = "owner",
         owner_password: str = "owner-pass",
-        devices: dict[str, DeviceInfo] | None = None,
-        weights: FactorWeights | None = None,
-        internet_allowlist: dict[str, set[str]] | None = None,
     ):
         self.src = src
         self.db_key = db_key
         self.master_secret = random_key(src)
         self.db = UserDatabase()
-        self.devices = devices if devices is not None else default_devices()
+        self.devices = default_devices()
         for device_id, info in self.devices.items():
             self.db.access_policies[device_id] = AccessPolicy(info.threshold)
-        self.weights = weights or FactorWeights()
-        self.internet_allowlist = internet_allowlist or DEFAULT_INTERNET_ALLOWLIST
+        self.weights = FactorWeights()
+        self.internet_allowlist = DEFAULT_INTERNET_ALLOWLIST
         self.sim_minutes = 0
         self.model: NaiveBayesModel | None = None
 
@@ -371,6 +369,9 @@ class Gateway:
         activates them."""
         if role not in (ROLE_OWNER, ROLE_RESIDENT, ROLE_GUEST):
             raise ValueError(f"bad role {role!r}")
+        for cap in capabilities:
+            if cap not in CAPABILITIES:
+                raise ValueError(f"bad capability {cap!r}")
         self._create_profile(uid, name, age, role, password, calendar or [], capabilities)
         if CAP_CARD in capabilities:
             # The card's local verifier binds the real password, which only

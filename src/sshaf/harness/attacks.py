@@ -35,19 +35,9 @@ ATTACK_STOLEN = "stolen"
 ATTACK_KINDS = (ATTACK_REPLAY, ATTACK_IMPERSONATE, ATTACK_SKD, ATTACK_STOLEN)
 SCHEMES = ("mht", "dors", "dhs")
 
-CAP_RECORD_REPLAY = "record-replay"
-CAP_INJECT = "inject"
-CAP_PUBLIC_KEYS = "knows-public-keys"
-CAP_STOLEN_STATE = "holds-stolen-device-state"
-
 # Labels the public kdf is used with anywhere in the framework; a disclosed
 # key that re-derives another session key through any of them is a break.
 _KDF_LABELS = ("sk", "confirm", "mht-ratchet", "dors-sk", "dors-ratchet", "dhs-sk", "leaf")
-
-
-@dataclass(frozen=True)
-class AdversaryModel:
-    capabilities: frozenset[str] = frozenset({CAP_RECORD_REPLAY, CAP_INJECT, CAP_PUBLIC_KEYS})
 
 
 @dataclass
@@ -249,16 +239,9 @@ def _dhs_impersonate(world: DhsWorld, traces: list[SessionTrace]) -> list[str]:
     return accepted
 
 
-def attack_impersonate(
-    scheme: str,
-    seed: bytes = b"\x02" * 32,
-    adversary: AdversaryModel | None = None,
-) -> AttackOutcome:
+def attack_impersonate(scheme: str, seed: bytes = b"\x02" * 32) -> AttackOutcome:
     """Best-effort forgeries from public data and recorded transcripts; the
     adversary holds no long-term user secrets."""
-    adversary = adversary or AdversaryModel()
-    if CAP_STOLEN_STATE in adversary.capabilities:
-        raise ValueError("impersonation adversary must not hold stolen state")
     world = _world(scheme, seed)
     traces = [world.run_session() for _ in range(2)]
     if scheme == "mht":
@@ -274,16 +257,18 @@ def attack_impersonate(
 
 # --- session-key disclosure -----------------------------------------------------
 
-def attack_session_key_disclosure(
-    scheme: str, n_sessions: int = 3, disclose_index: int = 1, seed: bytes = b"\x03" * 32
-) -> AttackOutcome:
+# The disclosure and stolen-device attacks each run this many sessions; the
+# disclosure attack hands over the key of session #DISCLOSE_INDEX.
+N_SESSIONS = 3
+DISCLOSE_INDEX = 1
+
+
+def attack_session_key_disclosure(scheme: str, seed: bytes = b"\x03" * 32) -> AttackOutcome:
     """Hand the adversary one session key; the others must neither equal it
     nor be derivable from it through the public kdf over recorded material."""
     world = _world(scheme, seed)
-    traces = [world.run_session() for _ in range(n_sessions)]
-    if n_sessions == 1:
-        return AttackOutcome(False, f"{scheme}: single session, vacuously safe")
-    disclosed = traces[disclose_index].session_key
+    traces = [world.run_session() for _ in range(N_SESSIONS)]
+    disclosed = traces[DISCLOSE_INDEX].session_key
 
     derived = {disclosed.bytes}
     materials = [m for t in traces for m in t.public_material] + [b""]
@@ -294,12 +279,12 @@ def attack_session_key_disclosure(
     hits = [
         i
         for i, trace in enumerate(traces)
-        if i != disclose_index and trace.session_key.bytes in derived
+        if i != DISCLOSE_INDEX and trace.session_key.bytes in derived
     ]
     if hits:
-        return AttackOutcome(True, f"{scheme}: disclosure of #{disclose_index} exposed {hits}")
+        return AttackOutcome(True, f"{scheme}: disclosure of #{DISCLOSE_INDEX} exposed {hits}")
     return AttackOutcome(
-        False, f"{scheme}: other {n_sessions - 1} session keys unaffected by disclosure"
+        False, f"{scheme}: other {N_SESSIONS - 1} session keys unaffected by disclosure"
     )
 
 
@@ -339,18 +324,15 @@ def _derivation_attempts(scheme: str, captured: dict, traces: list[SessionTrace]
 
 
 def attack_stolen_device(
-    scheme: str,
-    n_sessions: int = 3,
-    seed: bytes = b"\x04" * 32,
-    capture_pending: bool = False,
+    scheme: str, seed: bytes = b"\x04" * 32, capture_pending: bool = False
 ) -> AttackOutcome:
-    """Capture the gateway-side persisted state after N sessions and try to
-    recover the past session keys from it plus the transcripts.
+    """Capture the gateway-side persisted state after N_SESSIONS sessions and
+    try to recover the past session keys from it plus the transcripts.
 
     With ``capture_pending`` the capture happens mid-handshake; that window
     is expected to leak the in-flight key and reports success."""
     world = _world(scheme, seed)
-    traces = [world.run_session() for _ in range(n_sessions)]
+    traces = [world.run_session() for _ in range(N_SESSIONS)]
 
     if capture_pending:
         if scheme != "mht":

@@ -45,7 +45,7 @@ from ..context_engine import (
     load_calendar,
 )
 from ..errors import AuthenticatedDecryptionFailed, InvalidWeights, SshafError, StateCorrupt
-from ..gateway import Gateway, atomic_write, load_db
+from ..gateway import CAPABILITIES, Gateway, atomic_write, load_db
 from ..primitives import DIGEST_LEN, Digest256, Key256, RandomSource
 
 STATE_FILE = "state.json"
@@ -166,14 +166,15 @@ def _snapshot_from_args(args, uid: str) -> ContextSnapshot:
 # --- commands -------------------------------------------------------------------
 
 def cmd_register(args) -> int:
-    gw, seed, inv, forests = _load(Path(args.state), args.seed)
+    # Read the calendar first, so a bad file fails the call before any
+    # state file is touched.
     calendar = []
     if args.calendar:
         calendar = load_calendar(args.calendar).get(args.uid, [])
-    caps = tuple(c for c in (args.capabilities or "").split(",") if c)
+    gw, seed, inv, forests = _load(Path(args.state), args.seed)
     profile = gw.register_user(
         args.uid, args.name, args.age, args.role, args.password,
-        calendar=calendar, capabilities=caps,
+        calendar=calendar, capabilities=args.capabilities,
     )
     _save(Path(args.state), gw, seed, inv, forests)
     print(f"registered {profile.uid}: status={profile.status} role={profile.role}")
@@ -400,6 +401,18 @@ def _seed(text: str) -> bytes:
     return seed
 
 
+def _capabilities(text: str) -> tuple[str, ...]:
+    """The argparse type of --capabilities: a comma list of known
+    capabilities, checked before any file is touched."""
+    caps = tuple(c for c in text.split(",") if c)
+    for cap in caps:
+        if cap not in CAPABILITIES:
+            raise argparse.ArgumentTypeError(
+                f"unknown capability {cap!r}, expected a comma list of {', '.join(CAPABILITIES)}"
+            )
+    return caps
+
+
 def _add_state(p) -> None:
     p.add_argument("--state", default="sshaf_state", help="state directory")
     p.add_argument("--seed", type=_seed, help="32-byte hex seed (first boot only)")
@@ -425,7 +438,7 @@ def _register_arguments(p) -> None:
     p.add_argument("--age", type=int, default=0)
     p.add_argument("--role", choices=["owner", "resident", "guest"], default="resident")
     p.add_argument("--password", required=True)
-    p.add_argument("--capabilities", help="comma list: dors,card")
+    p.add_argument("--capabilities", type=_capabilities, default=(), help="comma list: dors,card")
     p.add_argument("--calendar", help="JSONL calendar file")
 
 

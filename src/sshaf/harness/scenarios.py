@@ -35,6 +35,7 @@ from ..errors import ScriptError
 from ..link import GATEWAY, USER
 from ..primitives import METER, Key256, RandomSource
 from .simnet import (
+    DEFAULT_FACTOR_COST_MS,
     LINK_INTERNET,
     LINK_LOCAL,
     MessageDropped,
@@ -155,7 +156,7 @@ def run_scenario(config: SimConfig, script: dict) -> tuple[Transcript, MetricsRe
             # Base service exchange: the request that authentication gates.
             link.send(USER, GATEWAY, b"service-request")
             for factor in factors:
-                clock.advance(config.factor_cost_ms[factor])
+                clock.advance(DEFAULT_FACTOR_COST_MS[factor])
                 transcript.add(
                     TranscriptEvent(
                         clock.now_ms, GATEWAY, "context", f"collect:{factor}".encode(), "collected"
@@ -190,9 +191,8 @@ def run_scenario(config: SimConfig, script: dict) -> tuple[Transcript, MetricsRe
     return transcript, report
 
 
-def measure_costs(scheme: str, factors: list[str], config: SimConfig, link: str | None = None) -> MetricsReport:
-    """One table cell: a single session of `scheme` with `factors`."""
-    link = link or config.link
+def measure_costs(scheme: str, factors: list[str], config: SimConfig, link: str) -> MetricsReport:
+    """One table cell: a single session of `scheme` with `factors` over `link`."""
     script = {
         "name": f"{scheme}-{'+'.join(factors) if factors else 'none'}",
         "link": link,

@@ -32,9 +32,6 @@ class MessageDropped(SshafError):
 @dataclass
 class SimConfig:
     seed: bytes = b"\x00" * 32
-    link: str = LINK_LOCAL
-    base_latency_ms: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_LATENCY_MS))
-    factor_cost_ms: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_FACTOR_COST_MS))
     drop_rate: float = 0.0
 
     def __post_init__(self):
@@ -89,9 +86,9 @@ class SimLink:
     deterministic drop stream drawn from the scenario seed."""
 
     def __init__(self, config: SimConfig, link: str, clock: SimClock, transcript: Transcript, drop_stream=None):
-        if link not in config.base_latency_ms:
+        if link not in DEFAULT_LATENCY_MS:
             raise ValueError(f"no latency configured for link {link!r}")
-        self.latency_ms = config.base_latency_ms[link]
+        self.latency_ms = DEFAULT_LATENCY_MS[link]
         self.drop_rate = config.drop_rate
         self.clock = clock
         self.transcript = transcript

@@ -456,19 +456,3 @@ def mht_handshake(
         raise
     user_key = mht_confirm(user, link.carry(GATEWAY, USER, m4, MhtM4.decode))
     return user_key, gateway_key
-
-
-def mht_try_resync(user: MhtUserState, gateway_counter: int, gateway_root: Digest256) -> bool:
-    """Conservative recovery after CounterDesync.
-
-    Restart is possible only when the gateway sits at the user's own height
-    with a matching root (a stuck pending run); the forward-secrecy ratchet
-    makes cross-height restarts impossible, so any counter gap means manual
-    re-registration.
-    """
-    if gateway_counter != user.txn_counter:
-        return False
-    if gateway_root != user.tree.root:
-        return False
-    user.pending = None
-    return True

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 
 from . import dhs_auth, dors_auth, gateway as gw_mod, merkle_auth
-from .context_engine import AccessPolicy, CalendarInterval, FactorWeights
+from .context_engine import FactorWeights
 from .primitives import DIGEST_LEN, Digest256, Key256, Nonce128
 
 

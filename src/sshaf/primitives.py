@@ -2,9 +2,9 @@
 
 Fixed-width value types (Digest256, Key256, Nonce128), SHA-256 hashing,
 HMAC-SHA-256 keyed integrity, a labelled key-derivation function, and a
-randomness source with a replayable seeded mode. All protocol-level hash
-and mac invocations are counted by a module-level meter so the harness can
-report exact computational costs.
+seeded, replayable randomness source. All protocol-level hash and mac
+invocations are counted by a module-level meter so the harness can report
+exact computational costs.
 
 One HMAC-SHA-256 core serves :func:`hmac_sha256`, :func:`mac`, :func:`kdf`
 and :func:`kdf_many`: the RFC 2104 section 2 construction on ``hashlib``,
@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as _hmac
-import secrets
 from dataclasses import dataclass
 
 from .errors import InvalidLabel, MalformedPacket
@@ -126,24 +125,19 @@ class Nonce128(_FixedBytes):
 
 
 class RandomSource:
-    """Byte stream in one of two modes.
-
-    ``system()`` draws OS entropy. ``seeded(seed)`` replays a deterministic
-    stream (SHA-256 in counter mode over the 32-byte seed), so two sources
-    built from the same seed emit bit-identical bytes -- the property every
-    simulation and attack transcript relies on for replayability.
+    """Deterministic byte stream: SHA-256 in counter mode over a 32-byte
+    seed, so two sources built from the same seed emit bit-identical bytes
+    -- the property every simulation and attack transcript relies on for
+    replayability. Fresh entropy enters only as a seed: the CLI draws one
+    from the OS at first boot and persists it.
     """
 
-    def __init__(self, seed: bytes | None = None):
-        if seed is not None and len(seed) != KEY_LEN:
+    def __init__(self, seed: bytes):
+        if len(seed) != KEY_LEN:
             raise ValueError("seed must be exactly 32 bytes")
         self._seed = seed
         self._counter = 0
         self._buffer = b""
-
-    @classmethod
-    def system(cls) -> "RandomSource":
-        return cls(None)
 
     @classmethod
     def seeded(cls, seed: bytes) -> "RandomSource":
@@ -152,8 +146,6 @@ class RandomSource:
     def read(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("cannot read a negative number of bytes")
-        if self._seed is None:
-            return secrets.token_bytes(n)
         while len(self._buffer) < n:
             block = hashlib.sha256(
                 self._seed + self._counter.to_bytes(8, "big")
@@ -164,9 +156,7 @@ class RandomSource:
         return out
 
     def fork(self, label: str) -> "RandomSource":
-        """Independent child stream; system sources fork to system sources."""
-        if self._seed is None:
-            return RandomSource(None)
+        """Independent child stream, seeded from this one's seed and ``label``."""
         child = hashlib.sha256(self._seed + b"fork:" + label.encode()).digest()
         return RandomSource(child)
 

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from sshaf import dors_auth
 from sshaf.errors import InvalidParams
 from sshaf.harness.attacks import (
-    AdversaryModel,
-    CAP_STOLEN_STATE,
     SCHEMES,
     SessionTrace,
     _derivation_attempts,
@@ -39,14 +37,8 @@ def test_impersonation_resisted(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_session_key_disclosure_contained(scheme):
-    outcome = attack_session_key_disclosure(scheme, n_sessions=3, disclose_index=1, seed=SEED)
+    outcome = attack_session_key_disclosure(scheme, seed=SEED)
     assert not outcome.succeeded, outcome.detail
-
-
-def test_session_key_disclosure_single_session_vacuous():
-    outcome = attack_session_key_disclosure("mht", n_sessions=1, disclose_index=0, seed=SEED)
-    assert not outcome.succeeded
-    assert "vacuous" in outcome.detail
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -65,12 +57,6 @@ def test_full_matrix_is_twelve_resisted():
     matrix = run_attack_matrix(SEED)
     assert len(matrix) == 12
     assert all(not outcome.succeeded for outcome in matrix.values())
-
-
-def test_impersonation_rejects_stolen_state_capability():
-    adversary = AdversaryModel(capabilities=frozenset({CAP_STOLEN_STATE}))
-    with pytest.raises(ValueError):
-        attack_impersonate("mht", SEED, adversary)
 
 
 def test_derivation_recipes_cover_the_real_session_key_formula():

@@ -80,15 +80,25 @@ def test_lifecycle_register_verify_login_access(tmp_path, capsys):
     assert len(forest_files(state)) == 1
 
 
-def test_register_with_malformed_calendar_reports_the_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        ('{"uid": "bob", "weekday": 1, "start_minute": 540, "end_minute": 1020}\n{"uid": "bob"\n', ":2: not JSON"),
+        (None, ": cannot open: No such file or directory"),
+    ],
+    ids=["malformed", "missing"],
+)
+def test_register_with_malformed_calendar_reports_the_line(tmp_path, capsys, content, where):
     calendar = tmp_path / "calendar.jsonl"
-    calendar.write_text('{"uid": "bob", "weekday": 1, "start_minute": 540, "end_minute": 1020}\n{"uid": "bob"\n')
+    if content is not None:
+        calendar.write_text(content)
     code = main(
         ["register", "--state", str(tmp_path / "state"), "--seed", SEED,
          "--uid", "bob", "--name", "Bob", "--password", "pw", "--calendar", str(calendar)]
     )
     assert code == 1
-    assert capsys.readouterr().err.startswith(f"error: MalformedRecord: {calendar}:2: not JSON")
+    assert capsys.readouterr().err.startswith(f"error: MalformedRecord: {calendar}{where}")
+    assert not (tmp_path / "state").exists()  # the calendar is read before any state file
 
 
 def test_login_before_verification_fails(tmp_path, capsys):
@@ -460,6 +470,18 @@ def test_bad_seed_is_a_usage_error_before_any_file(tmp_path, capsys, monkeypatch
     assert exc.value.code == 2
     bad = argv[argv.index("--seed") + 1]
     assert f"error: argument --seed: expected 64 hex digits (32 bytes), got {bad!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("caps, bad", [("dros", "dros"), ("dors,cards", "cards"), (",card,x", "x")])
+def test_unknown_capability_is_a_usage_error_before_any_file(tmp_path, capsys, monkeypatch, caps, bad):
+    monkeypatch.chdir(tmp_path)
+    argv = ["register", "--state", str(tmp_path / "state"), "--uid", "bob", "--name", "Bob",
+            "--password", "pw", "--capabilities", caps]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument --capabilities: unknown capability {bad!r}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

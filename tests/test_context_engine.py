@@ -356,11 +356,23 @@ def _bad_line(loader, bad, why):
         _bad_line(load_access_records, RECORD.replace(": 2", ": 2.5"), "field 'hour_bucket' not int"),
         _bad_line(load_access_records, RECORD.replace('"lock-1"', "7"), "field 'device_id' not str"),
         _bad_line(load_access_records, "[1, 2]", "not a JSON object"),
+        _bad_line(load_access_records, RECORD.replace(": 2", ": 99"), "field 'hour_bucket' is 99, not one of 0..5"),
+        _bad_line(load_access_records, RECORD.replace(": 2", ": -1"), "field 'hour_bucket' is -1, not one of 0..5"),
+        _bad_line(load_access_records, RECORD.replace(": 3", ": 12"), "field 'weekday' is 12, not one of 0..6"),
+        _bad_line(load_access_records, RECORD.replace("home-subnet", "moon"), "field 'ip_class' is 'moon', not one of"),
+        _bad_line(load_access_records, RECORD[:-1] + ', "label": "Legitimate"}', "field 'label' is 'Legitimate', not one of"),
+        _bad_line(load_access_records, RECORD[:-1] + ', "label": 7}', "field 'label' not str"),
+        _bad_line(load_access_records, RECORD[:-1] + ', "label": null}', "field 'label' not str"),
         _bad_line(load_calendar, "{,}", "not JSON"),
         _bad_line(load_calendar, '{"uid": "a", "weekday": 1}', "field 'start_minute' missing"),
         _bad_line(load_calendar, INTERVAL.replace("1020", "null"), "field 'end_minute' not int"),
         _bad_line(load_calendar, INTERVAL.replace("540", "true"), "field 'start_minute' not int"),
         _bad_line(load_calendar, INTERVAL.replace('"a"', '["a"]'), "field 'uid' not str"),
+        _bad_line(load_calendar, INTERVAL.replace(": 1,", ": 9,"), "field 'weekday' is 9, not one of 0..6"),
+        _bad_line(load_calendar, INTERVAL.replace("540", "-5"), "field 'start_minute' is -5, not one of 0..1439"),
+        _bad_line(load_calendar, INTERVAL.replace("1020", "1441"), "field 'end_minute' is 1441, not one of 1..1440"),
+        _bad_line(load_calendar, INTERVAL.replace("1020", "540"), "field 'end_minute' is 540, not after start_minute 540"),
+        _bad_line(load_calendar, INTERVAL.replace("1020", "60"), "field 'end_minute' is 60, not after start_minute 540"),
     ],
 )
 def test_jsonl_loaders_reject_bad_lines_with_their_location(tmp_path, loader, bad, why):
@@ -371,6 +383,21 @@ def test_jsonl_loaders_reject_bad_lines_with_their_location(tmp_path, loader, ba
         loader(path)
     assert str(caught.value).startswith(f"{path}:3: ")
     assert why in str(caught.value)
+
+
+def test_jsonl_loaders_take_the_bounds_of_each_range(tmp_path):
+    path = tmp_path / "input.jsonl"
+    path.write_text(
+        RECORD.replace(": 2", ": 0").replace(": 3", ": 0") + "\n"
+        + RECORD.replace(": 2", ": 5").replace(": 3", ": 6").replace("home-subnet", "known-external")
+        + "\n"
+    )
+    assert [(r.hour_bucket, r.weekday, r.ip_class, r.label) for r in load_access_records(path)] == [
+        (0, 0, IP_HOME, None),
+        (5, 6, IP_KNOWN, None),
+    ]
+    path.write_text(INTERVAL.replace("540", "0").replace("1020", "1440").replace(": 1,", ": 6,") + "\n")
+    assert load_calendar(path) == {"a": [CalendarInterval(6, 0, 1440)]}
 
 
 def test_jsonl_loader_rejects_a_line_that_is_not_utf8(tmp_path):

@@ -29,7 +29,6 @@ from sshaf.dhs_auth import (
     dhs_generate_iid,
     dhs_initialize,
     dhs_login,
-    dhs_password_update,
     dhs_register,
     dhs_session_agree,
 )
@@ -252,39 +251,6 @@ def test_bad_ack_leaves_card_iid_unchanged():
     with pytest.raises(AgreeFailed):
         dhs_card_finish(card, challenge, AckMessage(hash_bytes(b"garbage")), session)
     assert card.current_iid == iid_before
-
-
-# --- password update ---------------------------------------------------------------
-
-def test_password_update_replaces_verifier_and_iid():
-    src, _, _, card = make_world()
-    old_iid = card.current_iid
-    old_verifier = card.pw_verifier
-    dhs_password_update(card, "hunter2", "correct horse", src)
-    assert card.current_iid != old_iid
-    assert card.pw_verifier != old_verifier
-    with pytest.raises(LocalAuthFailed):
-        dhs_login(card, "bob", "hunter2", src)
-
-
-def test_password_update_wrong_old_password():
-    src, _, _, card = make_world()
-    before = (card.pw_verifier, card.card_salt, card.current_iid)
-    with pytest.raises(LocalAuthFailed):
-        dhs_password_update(card, "wrong", "new", src)
-    assert (card.pw_verifier, card.card_salt, card.current_iid) == before
-
-
-def test_update_is_local_so_edge_sees_stale_identifier():
-    src, _, edge, card = make_world()
-    # Complete one session first so card and edge stay aligned, then update.
-    run_session(card, edge, src)
-    dhs_password_update(card, "hunter2", "correct horse", src)
-    # The new password passes the local check and a request goes out...
-    request = dhs_login(card, "bob", "correct horse", src)
-    # ...but the edge still holds the pre-update identifier.
-    with pytest.raises(IdentifierMismatch):
-        dhs_edge_verify(edge, request.encode(), src)
 
 
 def test_wire_record_round_trips():

@@ -110,6 +110,17 @@ def test_duplicate_registration():
         gw.register_user("alice", "Alice II", 31, "guest", "pw2")
 
 
+@pytest.mark.parametrize(
+    "role, caps, bad",
+    [("admin", (), "bad role 'admin'"), ("resident", (CAP_DORS, "dros"), "bad capability 'dros'")],
+)
+def test_registration_rejects_an_unknown_role_or_capability(role, caps, bad):
+    gw = make_gateway()
+    with pytest.raises(ValueError, match=bad):
+        gw.register_user("alice", "Alice", 30, role, "pw", capabilities=caps)
+    assert "alice" not in gw.db.profiles
+
+
 def test_unknown_user_login():
     gw = make_gateway()
     with pytest.raises(UnknownUser):

@@ -207,6 +207,61 @@ def test_unchecked_construction_stays_in_primitives():
             assert name != "_unchecked", f"{rel}:{node.lineno} uses primitives._unchecked"
 
 
+# Module-level symbols of src/sshaf that nothing in src/ or perfbench's
+# non-test files uses yet, each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    ("context_engine.py", "load_access_records"): "the planned `sshaf train` command reads its corpus with it",
+}
+
+
+def _top_level_definitions(tree):
+    """(statement index, name) of each module-level function, class and
+    assigned name, dunders aside."""
+    for index, stmt in enumerate(tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield index, stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield index, target.id
+
+
+def _names_used(node):
+    """Every name ``node`` reads, takes as an attribute or imports, and every
+    identifier-shaped string in it (perfbench names what it wraps by string)."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name.rpartition(".")[2]
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str) and child.value.isidentifier():
+            yield child.value
+
+
+def test_every_module_level_symbol_has_a_caller():
+    # A symbol that only its own tests reach is dead code: delete it, or
+    # list it above with the reason it stays. Matching is by name, so a
+    # name that also means something else elsewhere always passes.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = root / "src" / "sshaf"
+    perfbench = [p for p in (root / "perfbench").glob("*.py") if not p.name.startswith(("test_", "conftest"))]
+    trees = {path: ast.parse(path.read_text()) for path in [*package.rglob("*.py"), *perfbench]}
+    users: dict[str, set] = {}
+    for path, tree in trees.items():
+        for index, stmt in enumerate(tree.body):
+            for name in _names_used(stmt):
+                users.setdefault(name, set()).add((path, index))
+    unused = set()
+    for path in package.rglob("*.py"):
+        for index, name in _top_level_definitions(trees[path]):
+            if not users.get(name, set()) - {(path, index)}:
+                unused.add((path.relative_to(package).as_posix(), name))
+    assert unused == set(UNREFERENCED_ALLOWED)
+
+
 def test_no_wall_clock_in_source_tree():
     # Freshness comes from counters, chains and identifiers, never clocks.
     import sshaf

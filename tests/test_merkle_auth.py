@@ -40,7 +40,6 @@ from sshaf.merkle_auth import (
     mht_confirm,
     mht_prove,
     mht_register,
-    mht_try_resync,
     mht_verify,
     merkle_root,
 )
@@ -314,17 +313,6 @@ def test_confirm_without_pending():
     user_key, _ = run_handshake(user, registry, src)
     with pytest.raises(ConfirmFailed):
         mht_confirm(user, MhtM4(hash_bytes(b"nope")))
-
-
-def test_resync_only_at_matching_height_and_root():
-    user, gateway, registry = fresh_pair()
-    src = RandomSource.seeded(b"\x0a" * 32)
-    mht_auth_initiate(user, src)  # stuck pending, no commits anywhere
-    assert mht_try_resync(user, gateway.txn_counter, gateway.tree.root)
-    assert user.pending is None
-    # After a gateway-side commit the heights differ: conservative refusal.
-    run_handshake(user, registry, src)
-    assert not mht_try_resync(user, user.txn_counter + 1, gateway.tree.root)
 
 
 def test_message_wire_round_trips():

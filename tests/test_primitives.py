@@ -230,12 +230,6 @@ def test_seeded_nonces_fresh_within_stream():
     assert n1 != n2
 
 
-def test_system_source_draws_fresh_bytes():
-    src = RandomSource.system()
-    assert src.read(16) != src.read(16)
-    assert len(src.read(32)) == 32
-
-
 def test_fork_gives_independent_deterministic_streams():
     seed = b"\x42" * 32
     a = RandomSource.seeded(seed).fork("left")
