@@ -412,6 +412,36 @@ def test_attack_command_exit_codes(capsys):
         assert "VULNERABLE" not in out
 
 
+# Exit code and SHA-256 of the stdout of every stateless command at
+# `--seed 11*32`: each cost table and the matrix in each format, each attack
+# kind on every scheme, and the report in each format. Any change to a
+# seeded transcript, counter, modelled time or the attack harness shows here.
+STATELESS_OUTPUTS = [
+    ("bench --table 1 --format text", 0, "09b65dd197fb53d1d0ab4fcf7540bb51fdc5ea8d319d5fcbf8e28e2f59e46a02"),
+    ("bench --table 1 --format csv", 0, "778e68bfcec41378c055ba3ba9c5ce3780228558d8759dbeacbdf83dd9e44851"),
+    ("bench --table 1 --format json", 0, "0e0137e9f443d30f9becb6485aee5515b3682ee0ec0c1c9d534de69c1f77374a"),
+    ("bench --table 2 --format text", 0, "a4c21b174ca3849fe7ea0a3765d6b7558aa921048391e9b1ec86af0f00fc4556"),
+    ("bench --table 2 --format csv", 0, "e941896dbaa84cda39acb727cbc448b1b8914785b3b6f67162f83350f9a9214c"),
+    ("bench --table 2 --format json", 0, "f158cc4bb830e2862e1cccacf16c70f1cdd4d56c47d05fd4bbdc31c0022a0061"),
+    ("bench --table 3 --format text", 0, "cc8a101be29be610c4a700e611d2665b5a27b0f1de1e81fb30bc1aa84d1476dc"),
+    ("bench --table 3 --format csv", 0, "cc2b5921f4369781ef59bc0ef6b761eb8cf9a60169fde97e24b3f1056db34660"),
+    ("bench --table 3 --format json", 0, "f2424e62edb139f41b58b8bfbe9cd888277986d2e899e30d3b119e8155b3372d"),
+    ("attack --kind replay", 0, "64016cc34da53f607e2e847d2fae477c8add675ffac61ce333db161ef3ff6c2d"),
+    ("attack --kind impersonate", 0, "e764cd47098c5c1607b23b428b605b5e5072231a16ee79209250e6071f67e856"),
+    ("attack --kind skd", 0, "ca6cc0f3b3adeefb8c1639b31b5ac65bbcb8c56db568b82554ac67f26483c35c"),
+    ("attack --kind stolen", 0, "55c6d159ec7dc84b40c108c75fe08ea4905cde528c167e0fb8c7da269e3e0bb8"),
+    ("report --format text", 0, "1c6d967be531e09568863b66f5af93b91873b002acd562e127b6c306b680ad72"),
+    ("report --format csv", 0, "d81372811b514045e28c050f347b3d360e801bc322fe83883d5377078b1f3f4c"),
+    ("report --format json", 0, "d0e52afeac6eef54d0eb3d847ed56ff9c0a8e263d52fa323089ae97d741d1c08"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, sha256", STATELESS_OUTPUTS, ids=[c[0] for c in STATELESS_OUTPUTS])
+def test_stateless_outputs_are_pinned(capsys, command, exit_code, sha256):
+    code, out = run(capsys, *command.split(), "--seed", SEED)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha256)
+
+
 def test_report_json_shape(capsys):
     code, out = run(capsys, "report", "--format", "json", "--seed", SEED)
     assert code == 0
