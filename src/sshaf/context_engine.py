@@ -93,9 +93,6 @@ class FactorWeights:
             raise InvalidWeights(f"weights must sum to 1, got {sum(values)}")
         object.__setattr__(self, "pairs", tuple(zip(FACTORS, values)))
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.pairs)
-
 
 @dataclass(frozen=True)
 class AccessPolicy:

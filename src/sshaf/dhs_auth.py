@@ -188,18 +188,6 @@ def _check_length(data: bytes, expected: int, what: str) -> None:
 
 
 @dataclass
-class LoginRequest:
-    packet: Ipv6Packet
-
-    def encode(self) -> bytes:
-        return self.packet.encode()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "LoginRequest":
-        return cls(Ipv6Packet.decode(data))
-
-
-@dataclass
 class Challenge:
     uid: str
     n_e: Nonce128
@@ -279,7 +267,7 @@ def _check_password(card: SmartCardState, password: str) -> bool:
     return probe == card.pw_verifier
 
 
-def dhs_login(card: SmartCardState, uid: str, password: str, src: RandomSource) -> LoginRequest:
+def dhs_login(card: SmartCardState, uid: str, password: str, src: RandomSource) -> Ipv6Packet:
     """Phase 4, card side: local password check first; only a successful
     check emits network traffic."""
     if card.locked:
@@ -295,7 +283,7 @@ def dhs_login(card: SmartCardState, uid: str, password: str, src: RandomSource) 
     card.pending_n_u = n_u
     tag = mac(card.auth_base(), card.current_iid.to_bytes() + n_u.bytes)
     record = _pack_uid(uid) + n_u.bytes + tag.bytes
-    return LoginRequest(dhs_encapsulate(record, card.current_iid))
+    return dhs_encapsulate(record, card.current_iid)
 
 
 def dhs_edge_verify(edge: EdgeServer, packet_bytes: bytes, src: RandomSource) -> Challenge:
@@ -377,9 +365,7 @@ def dhs_handshake(
 ) -> tuple[Key256, Key256]:
     """Login, edge verification and session agreement over ``link``,
     returning (card key, edge key). The edge verifies the packet bytes."""
-    request = link.carry(
-        USER, GATEWAY, dhs_login(card, card.uid, password, src), LoginRequest.decode
-    )
-    challenge = dhs_edge_verify(edge, request.encode(), src)
+    packet = link.carry(USER, GATEWAY, dhs_login(card, card.uid, password, src), Ipv6Packet.decode)
+    challenge = dhs_edge_verify(edge, packet.encode(), src)
     card_key, edge_key, _ = dhs_session_agree(link, card, edge, challenge)
     return card_key, edge_key

@@ -149,7 +149,7 @@ class SessionExpired(SshafError):
 
 
 class UnknownDevice(SshafError):
-    """Device id is not in the registry."""
+    """Device id is not one of the gateway's ``DEVICES``."""
 
 
 class AuthenticatedDecryptionFailed(SshafError):
@@ -157,10 +157,6 @@ class AuthenticatedDecryptionFailed(SshafError):
 
 
 # --- harness ------------------------------------------------------------
-
-class ScriptError(SshafError):
-    """Scenario script is malformed."""
-
 
 class StateCorrupt(SshafError):
     """A file of a state directory is missing, unreadable, or does not

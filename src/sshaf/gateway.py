@@ -1,10 +1,12 @@
 """Gateway orchestration of the five lifecycle stages: registration,
 owner verification, login, utilization, and continuous authentication.
 
-The gateway owns the encrypted user database, the device registry, the
-gateway side of all three protocol engines, and a simulated-minutes clock.
-Issued user wallets (card, signature keys, history state) model the
-credentials living on the user's own device.
+The gateway owns the encrypted user database, the gateway side of all
+three protocol engines, and a simulated-minutes clock. Issued user wallets
+(card, signature keys, history state) model the credentials living on the
+user's own device. The home's configuration is fixed in code, not state:
+its devices with their access policies, the roles each device kind admits
+from the internet, and the factor weights.
 """
 
 from __future__ import annotations
@@ -71,31 +73,25 @@ SESSION_TTL_MINUTES = 30
 DB_MAGIC = b"SSHAF2"
 USAGE_LOG_ROWS = 64  # recent rows kept for audit: nothing reads older ones; db.enc stays a few KB
 
-# Device kinds reachable by each role when the request originates from the
-# internet; local requests are not role-restricted.
-DEFAULT_INTERNET_ALLOWLIST = {
-    ROLE_OWNER: {"lock", "thermostat", "camera"},
-    ROLE_RESIDENT: {"thermostat", "camera"},
-    ROLE_GUEST: set(),
+# Each device of the home: its kind and the policy every request for it meets.
+DEVICES: dict[str, tuple[str, AccessPolicy]] = {
+    "front-lock": ("lock", AccessPolicy(0.9)),
+    "thermostat": ("thermostat", AccessPolicy(0.5)),
+    "porch-camera": ("camera", AccessPolicy(0.8)),
 }
 
+# A login is gated against the least sensitive device.
+LOGIN_POLICY = min((policy for _, policy in DEVICES.values()), key=lambda p: p.threshold)
 
-@dataclass
-class DeviceInfo:
-    kind: str  # lock | thermostat | camera
-    threshold: float
+# Device kinds reachable by each role when the request originates from the
+# internet; local requests are not role-restricted.
+INTERNET_ALLOWLIST = {
+    ROLE_OWNER: frozenset({"lock", "thermostat", "camera"}),
+    ROLE_RESIDENT: frozenset({"thermostat", "camera"}),
+    ROLE_GUEST: frozenset(),
+}
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("device threshold must lie in [0, 1]")
-
-
-def default_devices() -> dict[str, DeviceInfo]:
-    return {
-        "front-lock": DeviceInfo("lock", 0.9),
-        "thermostat": DeviceInfo("thermostat", 0.5),
-        "porch-camera": DeviceInfo("camera", 0.8),
-    }
+WEIGHTS = FactorWeights()
 
 
 @dataclass
@@ -123,12 +119,12 @@ class UsageRecord:
 
 @dataclass
 class UserDatabase:
-    """The four persisted tables; stored on disk only as ciphertext."""
+    """The three persisted tables: profiles, calendars and the usage log;
+    stored on disk only as ciphertext."""
 
     profiles: dict[str, UserProfile] = field(default_factory=dict)
     calendars: dict[str, list[CalendarInterval]] = field(default_factory=dict)
     usage_patterns: list[UsageRecord] = field(default_factory=list)
-    access_policies: dict[str, AccessPolicy] = field(default_factory=dict)
 
 
 @dataclass
@@ -172,7 +168,8 @@ class LoginResult:
 # metered. Each usage row is the array [uid, device_id, sim_minutes,
 # hour_bucket, weekday, ip_class, decision], in UsageRecord field order. The
 # usage log is a ring of the last USAGE_LOG_ROWS rows, oldest first: a file
-# holds at most that many, and decrypt_db rejects one that holds more.
+# holds at most that many, and decrypt_db rejects one that holds more. Any
+# other table, such as an older file's access_policies, is ignored on read.
 
 def _db_to_dict(db: UserDatabase) -> dict:
     return {
@@ -187,10 +184,6 @@ def _db_to_dict(db: UserDatabase) -> dict:
             [r.uid, r.device_id, r.sim_minutes, r.hour_bucket, r.weekday, r.ip_class, r.decision]
             for r in db.usage_patterns[-USAGE_LOG_ROWS:]
         ],
-        "access_policies": {
-            device: {"threshold": p.threshold, "step_up_margin": p.step_up_margin}
-            for device, p in db.access_policies.items()
-        },
     }
 
 
@@ -219,10 +212,6 @@ def _db_from_dict(data: dict) -> UserDatabase:
             for uid, ivs in data["calendars"].items()
         },
         usage_patterns=[UsageRecord(*row) for row in rows],
-        access_policies={
-            device: AccessPolicy(row["threshold"], row["step_up_margin"])
-            for device, row in data["access_policies"].items()
-        },
     )
 
 
@@ -256,7 +245,7 @@ def decrypt_db(blob: bytes, db_key: Key256) -> UserDatabase:
     plaintext = xor_bytes(ciphertext, _keystream(enc_key, salt, len(ciphertext)))
     try:
         return _db_from_dict(json.loads(plaintext.decode()))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise AuthenticatedDecryptionFailed(f"undecodable plaintext: {exc}") from None
 
 
@@ -305,11 +294,6 @@ class Gateway:
         self.db_key = db_key
         self.master_secret = random_key(src)
         self.db = UserDatabase()
-        self.devices = default_devices()
-        for device_id, info in self.devices.items():
-            self.db.access_policies[device_id] = AccessPolicy(info.threshold)
-        self.weights = FactorWeights()
-        self.internet_allowlist = DEFAULT_INTERNET_ALLOWLIST
         self.sim_minutes = 0
         self.model: NaiveBayesModel | None = None
 
@@ -369,9 +353,11 @@ class Gateway:
         activates them."""
         if role not in (ROLE_OWNER, ROLE_RESIDENT, ROLE_GUEST):
             raise ValueError(f"bad role {role!r}")
-        for cap in capabilities:
+        for i, cap in enumerate(capabilities):
             if cap not in CAPABILITIES:
                 raise ValueError(f"bad capability {cap!r}")
+            if cap in capabilities[:i]:
+                raise ValueError(f"repeated capability {cap!r}")
         self._create_profile(uid, name, age, role, password, calendar or [], capabilities)
         if CAP_CARD in capabilities:
             # The card's local verifier binds the real password, which only
@@ -501,9 +487,6 @@ class Gateway:
             raise AuthFailed("session keys diverged")
         return gw_key
 
-    def _least_sensitive_policy(self) -> AccessPolicy:
-        return min(self.db.access_policies.values(), key=lambda p: p.threshold)
-
     def login(
         self,
         uid: str,
@@ -535,8 +518,8 @@ class Gateway:
         scores = {
             f: ctx.evaluate_factor(effective, f, self.model) for f in ctx.FACTORS
         }
-        confidence = ctx.score_confidence(scores, self.weights)
-        decision = ctx.decide_access(confidence, self._least_sensitive_policy())
+        confidence = ctx.score_confidence(scores, WEIGHTS)
+        decision = ctx.decide_access(confidence, LOGIN_POLICY)
         if decision == ctx.GRANT and not password_ok:
             decision = ctx.STEP_UP
 
@@ -590,24 +573,24 @@ class Gateway:
         if self._expired(session):
             del self.sessions[session.session_id]
             raise SessionExpired(f"TTL {SESSION_TTL_MINUTES} min exceeded")
-        info = self.devices.get(device_id)
-        if info is None:
+        device = DEVICES.get(device_id)
+        if device is None:
             raise UnknownDevice(device_id)
+        kind, policy = device
 
         effective = self._effective_snapshot(session.uid, True, snapshot)
         record = ctx.record_from_snapshot(effective, device_id)
         if effective.origin == ctx.ORIGIN_INTERNET:
             profile = self.db.profiles[session.uid]
-            allowed = self.internet_allowlist.get(profile.role, set())
-            if info.kind not in allowed:
+            if kind not in INTERNET_ALLOWLIST.get(profile.role, frozenset()):
                 self._log_usage(session.uid, record, ctx.DENY)
                 return ctx.DENY
 
         scores = {
             f: ctx.evaluate_factor(effective, f, self.model, record) for f in ctx.FACTORS
         }
-        confidence = ctx.score_confidence(scores, self.weights)
-        decision = ctx.decide_access(confidence, self.db.access_policies[device_id])
+        confidence = ctx.score_confidence(scores, WEIGHTS)
+        decision = ctx.decide_access(confidence, policy)
         self._log_usage(session.uid, record, decision)
         if decision == ctx.GRANT:
             session.device_grants.add(device_id)

@@ -44,7 +44,7 @@ from ..context_engine import (
     ContextSnapshot,
     load_calendar,
 )
-from ..errors import AuthenticatedDecryptionFailed, InvalidWeights, SshafError, StateCorrupt
+from ..errors import AuthenticatedDecryptionFailed, SshafError, StateCorrupt
 from ..gateway import CAPABILITIES, Gateway, atomic_write, load_db
 from ..primitives import DIGEST_LEN, Digest256, Key256, RandomSource
 
@@ -142,7 +142,7 @@ def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, fro
             files.add(name)
             forests[uid] = _read_forest(state_dir / name, entry)
         persist.restore_gateway_state(gw, state["gateway"], forests)
-    except (OSError, ValueError, LookupError, TypeError, InvalidWeights) as exc:
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         raise _state_corrupt(state_path, exc) from exc
     db_path = state_dir / DB_FILE
     try:
@@ -403,13 +403,15 @@ def _seed(text: str) -> bytes:
 
 def _capabilities(text: str) -> tuple[str, ...]:
     """The argparse type of --capabilities: a comma list of known
-    capabilities, checked before any file is touched."""
+    capabilities, each at most once, checked before any file is touched."""
     caps = tuple(c for c in text.split(",") if c)
-    for cap in caps:
+    for i, cap in enumerate(caps):
         if cap not in CAPABILITIES:
             raise argparse.ArgumentTypeError(
                 f"unknown capability {cap!r}, expected a comma list of {', '.join(CAPABILITIES)}"
             )
+        if cap in caps[:i]:
+            raise argparse.ArgumentTypeError(f"repeated capability {cap!r}")
     return caps
 
 

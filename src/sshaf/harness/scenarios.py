@@ -1,8 +1,8 @@
 """Scenario execution and cost metering.
 
-A scenario is a small JSON document: which link, which scheme, which
-contextual factors get collected, how many sessions. Runs are fully
-deterministic in the config seed; reports carry exact hash/mac/byte
+A scenario is one session of a scheme over a link, with a list of
+contextual factors collected before it. Runs are fully deterministic in the
+config seed; reports carry exact hash/mac/byte
 counters plus the modelled elapsed milliseconds. The generated tables
 reproduce the structural orderings of the evaluation (no-authentication
 row minimal, integrated factor sets no costlier than the sum of their
@@ -16,7 +16,6 @@ import io
 
 from .. import dhs_auth, dors_auth, merkle_auth, persist
 from ..context_engine import (
-    FACTORS,
     IP_HOME,
     IP_KNOWN,
     ORIGIN_INTERNET,
@@ -31,7 +30,6 @@ from ..context_engine import (
     evaluate_factor,
     score_confidence,
 )
-from ..errors import ScriptError
 from ..link import GATEWAY, USER
 from ..primitives import METER, Key256, RandomSource
 from .simnet import (
@@ -48,7 +46,6 @@ from .simnet import (
 )
 
 SCHEME_NONE = "none"
-_SCHEMES = (SCHEME_MHT, SCHEME_DORS, SCHEME_DHS, SCHEME_NONE)
 
 LOGIN_THRESHOLD = AccessPolicy(threshold=0.5)
 
@@ -97,31 +94,7 @@ class ScenarioWorld:
         return b""
 
 
-# --- scenario scripts -----------------------------------------------------------
-
-def validate_script(script: dict) -> dict:
-    if not isinstance(script, dict):
-        raise ScriptError("script must be a JSON object")
-    unknown = set(script) - {"name", "link", "scheme", "factors", "sessions"}
-    if unknown:
-        raise ScriptError(f"unknown script fields: {sorted(unknown)}")
-    name = script.get("name")
-    if not name or not isinstance(name, str):
-        raise ScriptError("script needs a name")
-    link = script.get("link", LINK_LOCAL)
-    if link not in (LINK_LOCAL, LINK_INTERNET):
-        raise ScriptError(f"bad link {link!r}")
-    scheme = script.get("scheme", SCHEME_NONE)
-    if scheme not in _SCHEMES:
-        raise ScriptError(f"bad scheme {scheme!r}")
-    factors = script.get("factors", [])
-    if not isinstance(factors, list) or any(f not in FACTORS for f in factors):
-        raise ScriptError(f"bad factors {factors!r}")
-    sessions = script.get("sessions", 1)
-    if not isinstance(sessions, int) or sessions < 1:
-        raise ScriptError(f"sessions must be a positive integer, got {sessions!r}")
-    return {"name": name, "link": link, "scheme": scheme, "factors": list(factors), "sessions": sessions}
-
+# --- scenarios --------------------------------------------------------------------
 
 def _scenario_snapshot(factors: list[str], link: str) -> ContextSnapshot:
     """The context the collected factors would report when satisfied."""
@@ -137,11 +110,14 @@ def _scenario_snapshot(factors: list[str], link: str) -> ContextSnapshot:
     )
 
 
-def run_scenario(config: SimConfig, script: dict) -> tuple[Transcript, MetricsReport]:
-    """Execute one scenario deterministically and meter it."""
-    spec = validate_script(script)
-    name, link_name, scheme, factors = spec["name"], spec["link"], spec["scheme"], spec["factors"]
-
+def run_scenario(
+    config: SimConfig, scheme: str, factors: list[str], link_name: str
+) -> tuple[Transcript, MetricsReport]:
+    """Execute one session of ``scheme`` with ``factors`` over the link
+    named ``link_name``, deterministically, and meter it. The scenario's
+    name, which labels its seed forks and its report, is derived from the
+    scheme and factors."""
+    name = f"{scheme}-{'+'.join(factors) or 'none'}"
     scenario_src = RandomSource.seeded(config.seed).fork(f"scenario:{name}:{link_name}")
     drop_stream = RandomSource.seeded(config.seed).fork(f"drops:{name}:{link_name}")
     world = ScenarioWorld(scenario_src.fork("world"), scheme)
@@ -152,25 +128,24 @@ def run_scenario(config: SimConfig, script: dict) -> tuple[Transcript, MetricsRe
     METER.reset()
     outcome = "completed"
     try:
-        for _ in range(spec["sessions"]):
-            # Base service exchange: the request that authentication gates.
-            link.send(USER, GATEWAY, b"service-request")
-            for factor in factors:
-                clock.advance(DEFAULT_FACTOR_COST_MS[factor])
-                transcript.add(
-                    TranscriptEvent(
-                        clock.now_ms, GATEWAY, "context", f"collect:{factor}".encode(), "collected"
-                    )
+        # Base service exchange: the request that authentication gates.
+        link.send(USER, GATEWAY, b"service-request")
+        for factor in factors:
+            clock.advance(DEFAULT_FACTOR_COST_MS[factor])
+            transcript.add(
+                TranscriptEvent(
+                    clock.now_ms, GATEWAY, "context", f"collect:{factor}".encode(), "collected"
                 )
-            world.run_scheme(scheme, link)
-            if scheme == SCHEME_NONE:
-                decision = "grant"
-            else:
-                snapshot = _scenario_snapshot(factors, link_name)
-                scores = {f: evaluate_factor(snapshot, f) for f in factors}
-                confidence = score_confidence(scores, FactorWeights())
-                decision = decide_access(confidence, LOGIN_THRESHOLD)
-            link.send(GATEWAY, USER, f"service-reply:{decision}".encode())
+            )
+        world.run_scheme(scheme, link)
+        if scheme == SCHEME_NONE:
+            decision = "grant"
+        else:
+            snapshot = _scenario_snapshot(factors, link_name)
+            scores = {f: evaluate_factor(snapshot, f) for f in factors}
+            confidence = score_confidence(scores, FactorWeights())
+            decision = decide_access(confidence, LOGIN_THRESHOLD)
+        link.send(GATEWAY, USER, f"service-reply:{decision}".encode())
     except MessageDropped:
         outcome = "aborted:drop"
 
@@ -189,19 +164,6 @@ def run_scenario(config: SimConfig, script: dict) -> tuple[Transcript, MetricsRe
         outcome=outcome,
     )
     return transcript, report
-
-
-def measure_costs(scheme: str, factors: list[str], config: SimConfig, link: str) -> MetricsReport:
-    """One table cell: a single session of `scheme` with `factors` over `link`."""
-    script = {
-        "name": f"{scheme}-{'+'.join(factors) if factors else 'none'}",
-        "link": link,
-        "scheme": scheme,
-        "factors": factors,
-        "sessions": 1,
-    }
-    _, report = run_scenario(config, script)
-    return report
 
 
 # --- evaluation tables -------------------------------------------------------------
@@ -240,10 +202,10 @@ def build_cost_table(rows, config: SimConfig) -> list[dict]:
     two-column layout of the evaluation tables, plus the exact counters."""
     table = []
     for label, factors in rows:
-        cells = {}
-        for link in (LINK_INTERNET, LINK_LOCAL):
-            report = measure_costs(_row_scheme(factors, link), factors, config, link)
-            cells[link] = report
+        cells = {
+            link: run_scenario(config, _row_scheme(factors, link), factors, link)[1]
+            for link in (LINK_INTERNET, LINK_LOCAL)
+        }
         table.append(
             {
                 "parameter": label,

@@ -2,6 +2,16 @@
 
 Used for two things: carrying gateway state across CLI invocations, and
 producing the exact persisted bytes the stolen-device adversary captures.
+
+The gateway's dict holds only what the gateway changes as it runs: the
+master secret, the simulated clock, the MHT and DORS registries and DORS
+epochs, the DHS edge table and home registrations, the issued wallets, open
+sessions, step-up tokens and cards awaiting activation. The user database
+has its own encrypted file, and the home's configuration (devices, access
+policies, factor weights, internet allow-list) is code in ``gateway``.
+``restore_gateway_state`` reads only the keys it writes, so a key an older
+file carries, such as ``weights``, ``devices`` or ``internet_allowlist``, is
+ignored and is gone after the next save.
 Pending handshake material is ephemeral and excluded unless a capture
 explicitly asks for it (that inclusion is the documented attack window).
 
@@ -24,7 +34,6 @@ from __future__ import annotations
 import json
 
 from . import dhs_auth, dors_auth, gateway as gw_mod, merkle_auth
-from .context_engine import FactorWeights
 from .primitives import DIGEST_LEN, Digest256, Key256, Nonce128
 
 
@@ -283,9 +292,6 @@ def gateway_state_to_dict(gw: gw_mod.Gateway, with_forests: bool = True) -> dict
     return {
         "master_secret": gw.master_secret.hex(),
         "sim_minutes": gw.sim_minutes,
-        "weights": gw.weights.as_dict(),
-        "devices": {d: {"kind": i.kind, "threshold": i.threshold} for d, i in gw.devices.items()},
-        "internet_allowlist": {role: sorted(kinds) for role, kinds in gw.internet_allowlist.items()},
         "mht_registry": {uid: mht_state_to_dict(s) for uid, s in gw.mht_registry.items()},
         "dors_registry": {
             uid: dors_gateway_to_dict(s, with_forests) for uid, s in gw.dors_registry.items()
@@ -307,11 +313,6 @@ def restore_gateway_state(
     for a dict written with ``with_forests=False``."""
     gw.master_secret = Key256.from_hex(data["master_secret"])
     gw.sim_minutes = data["sim_minutes"]
-    gw.weights = FactorWeights(**data["weights"])
-    gw.devices = {
-        d: gw_mod.DeviceInfo(row["kind"], row["threshold"]) for d, row in data["devices"].items()
-    }
-    gw.internet_allowlist = {role: set(kinds) for role, kinds in data["internet_allowlist"].items()}
     gw.mht_registry = {uid: mht_gateway_from_dict(s) for uid, s in data["mht_registry"].items()}
     gw.dors_registry = {
         uid: dors_gateway_from_dict(s, None if forests is None else forests[uid])

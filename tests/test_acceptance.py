@@ -202,7 +202,7 @@ def test_criterion_attack_matrix():
 # --- criterion 4: cost-table structure ----------------------------------------------
 
 def test_criterion_cost_table_structure():
-    from sshaf.harness.scenarios import TABLE1_ROWS, TABLE2_ROWS, build_cost_table, measure_costs
+    from sshaf.harness.scenarios import TABLE1_ROWS, TABLE2_ROWS, build_cost_table, run_scenario
     from sshaf.harness.simnet import LINK_LOCAL, SimConfig
 
     with Budget("cost-tables", 30):
@@ -247,10 +247,10 @@ def test_criterion_cost_table_structure():
         sig, _ = dors_auth.dors_sign(sk, chain, b"sizing")
         assert len(sig.encode()) == 546  # 2 + 16*2 + 16*32
 
-        no_auth_report = measure_costs("none", [], config, LINK_LOCAL)
+        _, no_auth_report = run_scenario(config, "none", [], LINK_LOCAL)
         assert no_auth_report.hash_count == 0
         for scheme in ("mht", "dors", "dhs"):
-            report = measure_costs(scheme, [], config, LINK_LOCAL)
+            _, report = run_scenario(config, scheme, [], LINK_LOCAL)
             assert report.storage_bits % 8 == 0 and report.storage_bits > 0
 
 

@@ -16,6 +16,7 @@ from sshaf import persist
 from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, ContextSnapshot
 from sshaf.harness import cli
 from sshaf.harness.cli import main
+from sshaf.primitives import Key256, Nonce128
 
 SEED = "11" * 32
 
@@ -190,12 +191,26 @@ def _drop_gateway(state: dict, text: str) -> str:
     return json.dumps(state)
 
 
-def _weights_past_one(state: dict, text: str) -> str:
-    state["gateway"]["weights"]["credentials"] = 0.9
-    return json.dumps(state)
+def _section_as_array(section: str):
+    """A section restore reads as a JSON object, written as an array."""
+
+    def damage(state: dict, text: str) -> str:
+        state["gateway"][section] = list(state["gateway"][section].values())
+        return json.dumps(state)
+
+    damage.__name__ = f"_{section}_as_array"
+    return damage
 
 
-@pytest.mark.parametrize("damage", [_truncate, _drop_gateway, _weights_past_one])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _truncate,
+        _drop_gateway,
+        *map(_section_as_array, ["mht_registry", "dors_registry", "wallets", "sessions",
+                                 "step_up_tokens", "pending_cards"]),
+    ],
+)
 def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
     state = tmp_path / "state"
     bootstrap_user(capsys, str(state))
@@ -241,6 +256,50 @@ def test_missing_or_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys
     code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
+
+
+# The home's configuration as a state directory once carried it: in
+# state.json, and as an access_policies table in db.enc.
+OLD_CONFIGURATION = {
+    "weights": {"credentials": 0.4, "bluetooth": 0.2, "ip_location": 0.15, "calendar": 0.15, "history": 0.1},
+    "devices": {
+        "front-lock": {"kind": "lock", "threshold": 0.9},
+        "thermostat": {"kind": "thermostat", "threshold": 0.5},
+        "porch-camera": {"kind": "camera", "threshold": 0.8},
+    },
+    "internet_allowlist": {"owner": ["camera", "lock", "thermostat"], "resident": ["camera", "thermostat"], "guest": []},
+}
+OLD_ACCESS_POLICIES = {
+    device: {"threshold": row["threshold"], "step_up_margin": 0.2}
+    for device, row in OLD_CONFIGURATION["devices"].items()
+}
+
+
+def test_state_directory_carrying_the_configuration_loads_and_sheds_it(tmp_path, capsys, monkeypatch):
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state))
+    path = state / "state.json"
+    doc = json.loads(path.read_text())
+    doc["gateway"].update(OLD_CONFIGURATION)
+    path.write_text(json.dumps(doc))
+    key = Key256.from_hex((state / "gateway.key").read_text().strip())
+    db = gw_mod.load_db(state / "db.enc", key)
+    tables = {**json.loads(gw_mod.serialize_db(db)), "access_policies": OLD_ACCESS_POLICIES}
+    with monkeypatch.context() as patch:
+        patch.setattr(gw_mod, "serialize_db", lambda _: json.dumps(tables).encode())
+        (state / "db.enc").write_bytes(gw_mod.encrypt_db(db, key, Nonce128(bytes(16))))
+    assert gw_mod.load_db(state / "db.enc", key) == db
+
+    code, out = login(capsys, str(state), 600)
+    assert code == 0, out
+    session = out.split("session=")[1].split()[0]
+    code, out = run(capsys, "access", "--state", str(state), "--session", session,
+                    "--device", "thermostat", "--bluetooth", "--time", "610")
+    assert (code, out) == (0, "thermostat: grant\n")
+    assert not set(OLD_CONFIGURATION) & set(json.loads(path.read_text())["gateway"])
+    # db.enc now holds exactly the serialized tables: the policies are gone.
+    db = gw_mod.load_db(state / "db.enc", key)
+    assert len((state / "db.enc").read_bytes()) == len(gw_mod.DB_MAGIC) + 16 + len(gw_mod.serialize_db(db)) + 32
 
 
 def test_dors_rekey_over_cli_replaces_the_forest_file(tmp_path, capsys):
@@ -503,15 +562,23 @@ def test_bad_seed_is_a_usage_error_before_any_file(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("caps, bad", [("dros", "dros"), ("dors,cards", "cards"), (",card,x", "x")])
-def test_unknown_capability_is_a_usage_error_before_any_file(tmp_path, capsys, monkeypatch, caps, bad):
+@pytest.mark.parametrize(
+    "caps, error",
+    [
+        ("dros", "unknown capability 'dros'"),
+        ("dors,cards", "unknown capability 'cards'"),
+        (",card,x", "unknown capability 'x'"),
+        ("dors,card,dors", "repeated capability 'dors'"),
+    ],
+)
+def test_unknown_capability_is_a_usage_error_before_any_file(tmp_path, capsys, monkeypatch, caps, error):
     monkeypatch.chdir(tmp_path)
     argv = ["register", "--state", str(tmp_path / "state"), "--uid", "bob", "--name", "Bob",
             "--password", "pw", "--capabilities", caps]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"error: argument --capabilities: unknown capability {bad!r}" in capsys.readouterr().err
+    assert f"error: argument --capabilities: {error}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -25,7 +25,6 @@ from sshaf.context_engine import (
     SCHEME_DORS,
     SCHEME_MHT,
     STEP_UP,
-    AccessPolicy,
     CalendarInterval,
     ContextSnapshot,
     classify_access,
@@ -47,6 +46,7 @@ from sshaf.gateway import (
     CAP_CARD,
     CAP_DORS,
     DB_MAGIC,
+    DEVICES,
     USAGE_LOG_ROWS,
     Gateway,
     UsageRecord,
@@ -54,7 +54,6 @@ from sshaf.gateway import (
     UserProfile,
     _keystream,
     decrypt_db,
-    default_devices,
     encrypt_db,
     load_db,
     serialize_db,
@@ -112,7 +111,11 @@ def test_duplicate_registration():
 
 @pytest.mark.parametrize(
     "role, caps, bad",
-    [("admin", (), "bad role 'admin'"), ("resident", (CAP_DORS, "dros"), "bad capability 'dros'")],
+    [
+        ("admin", (), "bad role 'admin'"),
+        ("resident", (CAP_DORS, "dros"), "bad capability 'dros'"),
+        ("resident", (CAP_DORS, CAP_CARD, CAP_DORS), "repeated capability 'dors'"),
+    ],
 )
 def test_registration_rejects_an_unknown_role_or_capability(role, caps, bad):
     gw = make_gateway()
@@ -262,7 +265,7 @@ def test_no_wrong_password_login_opens_a_session(history):
             continue
         if result.status == GRANT:
             opened.add(result.session.session_id)
-            for device in default_devices():
+            for device in DEVICES:
                 gw.authorize_device_access(result.session, device, snap)
     # Every device request ran on one of these sessions, so each rests on a
     # correct password, as the credentials score of a device request assumes.
@@ -584,7 +587,7 @@ def test_no_plaintext_credentials_in_stored_file(tmp_path):
 DB_SALT = Nonce128(b"\x5c" * 16)
 # SHA-256 of encrypt_db(fixed_database(), DB_KEY, DB_SALT); the test below
 # also rebuilds the file with reference_encrypt_db.
-FIXED_DB_BLOB_SHA256 = "0982054bf85afaeb26e0ad7b19cc56275b78bd808a54584c83c022fb08876879"
+FIXED_DB_BLOB_SHA256 = "12297927a7d77204e6fff787056b81997f1912f4918d640e0786104c1c38bacd"
 
 
 def fixed_database() -> UserDatabase:
@@ -600,7 +603,6 @@ def fixed_database() -> UserDatabase:
             UsageRecord("alice", "thermostat", 600 + 37 * i, i % 6, i % 7, IP_HOME, GRANT)
             for i in range(40)
         ],
-        access_policies={"front-lock": AccessPolicy(0.9), "thermostat": AccessPolicy(0.5, 0.1)},
     )
 
 
@@ -681,7 +683,6 @@ def reference_encrypt_db(db: UserDatabase, db_key: Key256, salt: bytes) -> bytes
         },
         "calendars": {uid: [list(dataclasses.astuple(iv)) for iv in ivs] for uid, ivs in db.calendars.items()},
         "usage_patterns": [list(dataclasses.astuple(r)) for r in db.usage_patterns],
-        "access_policies": {d: dataclasses.asdict(p) for d, p in db.access_policies.items()},
     }
     plaintext = json.dumps(tables, sort_keys=True, separators=(",", ":")).encode()
     enc_key = hmac.digest(db_key.bytes, b"\x06db-enc" + salt, "sha256")
@@ -737,6 +738,14 @@ def test_malformed_usage_row_fails_authenticated_decryption(row):
         decrypt_db(blob, DB_KEY)
 
 
+@pytest.mark.parametrize("table", ["profiles", "calendars"])
+def test_table_written_as_an_array_fails_authenticated_decryption(table):
+    tables = json.loads(serialize_db(fixed_database()))
+    tables[table] = list(tables[table].values())
+    with pytest.raises(AuthenticatedDecryptionFailed):
+        decrypt_db(_blob_with_plaintext(json.dumps(tables).encode()), DB_KEY)
+
+
 def test_file_with_one_usage_row_too_many_fails_authenticated_decryption():
     tables = json.loads(serialize_db(fixed_database()))
     row = tables["usage_patterns"][0]
@@ -768,7 +777,6 @@ def test_db_crypto_meters_its_kdfs_and_mac_but_not_the_keystream():
 
 _texts = st.text(max_size=12)
 _ints = st.integers(-(2**40), 2**40)
-_units = st.floats(0.0, 1.0)
 
 
 def _profiles():
@@ -792,7 +800,6 @@ _databases = st.builds(
             min_size=n, max_size=n,
         )
     ),
-    access_policies=st.dictionaries(_texts, st.builds(AccessPolicy, _units, _units), max_size=4),
 )
 
 

@@ -22,7 +22,7 @@ from sshaf.context_engine import (
     train_classifier,
 )
 from sshaf.errors import AuthFailed
-from sshaf.gateway import CAP_CARD, CAP_DORS, Gateway, serialize_db
+from sshaf.gateway import CAP_CARD, CAP_DORS, DEVICES, Gateway, serialize_db
 from sshaf.primitives import Key256, RandomSource
 from synthetic import make_synthetic_dataset
 
@@ -150,17 +150,17 @@ def gateway_visits(model) -> str:
             continue
         sha.update(f"{result.status}/{result.reason};".encode())
         if result.session is not None:
-            for device in gw.devices:
+            for device in DEVICES:
                 sha.update(gw.authorize_device_access(result.session, device, snapshot).encode())
     sha.update(persist.dumps(persist.gateway_state_to_dict(gw)) + serialize_db(gw.db))
     return sha.hexdigest()
 
 
 GATEWAY_SHA256 = {
-    "no-model": (None, "f5526d5b6f6de62c5582ebbc94870530a08d62455a07527395546c1406b61835"),
+    "no-model": (None, "f1828b554bcb95de53aade5429506d174c87d766e67c38630d18d5243c9d21eb"),
     "synthetic-model": (
         make_synthetic_dataset,
-        "1fe57cb6f90ce40b2d5300e0f904bcd338df4cfcb78eec63c6105dbc355668aa",
+        "6251ee8e7d5b09550516a37099e12b996399e35f9b3807d06101ae55a45a2f56",
     ),
 }
 

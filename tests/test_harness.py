@@ -5,13 +5,11 @@ import pathlib
 
 import pytest
 
-from sshaf.errors import ScriptError
 from sshaf.harness.scenarios import (
     TABLE1_ROWS,
     TABLE2_ROWS,
     build_cost_table,
     cost_table_to_csv,
-    measure_costs,
     run_scenario,
 )
 from sshaf.harness.simnet import (
@@ -26,40 +24,20 @@ CONFIG = SimConfig(seed=b"\x42" * 32)
 
 
 def test_same_seed_gives_byte_identical_transcripts():
-    script = {"name": "det", "scheme": "mht", "factors": ["bluetooth"], "link": "local"}
-    t1, r1 = run_scenario(SimConfig(seed=b"\x42" * 32), script)
-    t2, r2 = run_scenario(SimConfig(seed=b"\x42" * 32), script)
+    t1, r1 = run_scenario(SimConfig(seed=b"\x42" * 32), "mht", ["bluetooth"], LINK_LOCAL)
+    t2, r2 = run_scenario(SimConfig(seed=b"\x42" * 32), "mht", ["bluetooth"], LINK_LOCAL)
     assert t1.to_bytes() == t2.to_bytes()
     assert r1 == r2
 
 
 def test_different_seed_changes_transcript():
-    script = {"name": "det", "scheme": "mht", "factors": [], "link": "local"}
-    t1, _ = run_scenario(SimConfig(seed=b"\x42" * 32), script)
-    t2, _ = run_scenario(SimConfig(seed=b"\x43" * 32), script)
+    t1, _ = run_scenario(SimConfig(seed=b"\x42" * 32), "mht", [], LINK_LOCAL)
+    t2, _ = run_scenario(SimConfig(seed=b"\x43" * 32), "mht", [], LINK_LOCAL)
     assert t1.to_bytes() != t2.to_bytes()
 
 
-@pytest.mark.parametrize(
-    "script",
-    [
-        {"scheme": "mht"},  # no name
-        {"name": "x", "scheme": "quantum"},
-        {"name": "x", "factors": ["astrology"]},
-        {"name": "x", "link": "carrier-pigeon"},
-        {"name": "x", "sessions": 0},
-        {"name": "x", "bogus_field": 1},
-        "not-an-object",
-    ],
-)
-def test_malformed_scripts_rejected(script):
-    with pytest.raises(ScriptError):
-        run_scenario(CONFIG, script)
-
-
 def test_transcript_time_nondecreasing():
-    script = {"name": "times", "scheme": "dhs", "factors": ["credentials", "calendar"]}
-    transcript, _ = run_scenario(CONFIG, script)
+    transcript, _ = run_scenario(CONFIG, "dhs", ["credentials", "calendar"], LINK_LOCAL)
     times = [e.time_ms for e in transcript.events]
     assert times == sorted(times)
     assert len(times) > 0
@@ -102,7 +80,7 @@ def test_integrated_scenario_costs_at_least_no_auth():
 
 
 def test_no_auth_runs_zero_hash_invocations():
-    report = measure_costs("none", [], CONFIG, LINK_LOCAL)
+    _, report = run_scenario(CONFIG, "none", [], LINK_LOCAL)
     assert report.hash_count == 0
     assert report.mac_count == 0
     assert report.messages == 2  # bare request/reply
@@ -110,23 +88,21 @@ def test_no_auth_runs_zero_hash_invocations():
 
 def test_storage_bits_exactly_eight_per_byte():
     for scheme in ("mht", "dors", "dhs"):
-        report = measure_costs(scheme, [], CONFIG, LINK_LOCAL)
+        _, report = run_scenario(CONFIG, scheme, [], LINK_LOCAL)
         assert report.storage_bits % 8 == 0
         assert report.storage_bits > 0
-    assert measure_costs("none", [], CONFIG, LINK_LOCAL).storage_bits == 0
+    assert run_scenario(CONFIG, "none", [], LINK_LOCAL)[1].storage_bits == 0
 
 
 def test_dors_signature_dominates_dors_wire_bytes():
-    report = measure_costs("dors", [], CONFIG, LINK_LOCAL)
+    _, report = run_scenario(CONFIG, "dors", [], LINK_LOCAL)
     # challenge(16) + signature(546) + service request/reply framing
     assert report.wire_bytes >= 16 + 546
 
 
 def test_drop_rate_one_aborts_handshake():
     config = SimConfig(seed=b"\x42" * 32, drop_rate=1.0)
-    transcript, report = run_scenario(
-        config, {"name": "lossy", "scheme": "mht", "factors": [], "link": "local"}
-    )
+    transcript, report = run_scenario(config, "mht", [], LINK_LOCAL)
     assert report.outcome == "aborted:drop"
     assert any(e.outcome == "dropped" for e in transcript.events)
     assert report.messages == 0
@@ -142,8 +118,8 @@ def test_csv_has_table_layout():
 
 def test_elapsed_reflects_link_latency_ordering():
     for scheme in ("mht", "dors", "dhs"):
-        local = measure_costs(scheme, [], CONFIG, LINK_LOCAL)
-        remote = measure_costs(scheme, [], CONFIG, LINK_INTERNET)
+        _, local = run_scenario(CONFIG, scheme, [], LINK_LOCAL)
+        _, remote = run_scenario(CONFIG, scheme, [], LINK_INTERNET)
         assert remote.elapsed_ms > local.elapsed_ms
 
 
@@ -260,6 +236,54 @@ def test_every_module_level_symbol_has_a_caller():
             if not users.get(name, set()) - {(path, index)}:
                 unused.add((path.relative_to(package).as_posix(), name))
     assert unused == set(UNREFERENCED_ALLOWED)
+
+
+# Settable options in src/sshaf. Raise it only with a CHANGES.md line that
+# names the two callers that need different values.
+OPTION_CEILING = 89
+
+
+def _is_record_class(node) -> bool:
+    """A dataclass (decorated ``dataclass`` or ``dataclass(...)``) or a
+    ``NamedTuple`` subclass."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+            return True
+    return any("NamedTuple" in (getattr(b, "id", None), getattr(b, "attr", None)) for b in node.bases)
+
+
+def _init_false(value) -> bool:
+    """``field(..., init=False)``: a computed field, not settable."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords
+    )
+
+
+def _options(tree) -> int:
+    """Defaulted parameters of every function, method and lambda, keyword-only
+    ones included, plus defaulted fields of every dataclass and NamedTuple,
+    except ``field(init=False)``. A caller may leave each of them out, so
+    each is a value some caller could set differently."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_record_class(node):
+            count += sum(
+                isinstance(stmt, ast.AnnAssign) and stmt.value is not None and not _init_false(stmt.value)
+                for stmt in node.body
+            )
+    return count
+
+
+def test_settable_options_stay_under_their_ceiling():
+    import sshaf
+
+    root = pathlib.Path(sshaf.__file__).parent
+    count = sum(_options(ast.parse(path.read_text())) for path in root.rglob("*.py"))
+    assert count <= OPTION_CEILING, f"{count} settable options, over the ceiling of {OPTION_CEILING}"
 
 
 def test_no_wall_clock_in_source_tree():
