@@ -459,9 +459,11 @@ class Gateway:
             credentials_ok=password_ok,
         )
 
-    def _run_scheme(self, scheme: str, uid: str, password: str) -> Key256:
+    def run_scheme(self, scheme: str, uid: str, password: str, link) -> Key256:
+        """Run one ``scheme`` handshake between ``uid``'s wallet and this
+        gateway over ``link``, which the caller supplies, and return the
+        session key."""
         wallet = self.wallet_for(uid)
-        link = Loopback()
         if scheme == ctx.SCHEME_MHT:
             user_key, gw_key = merkle_auth.mht_handshake(
                 link, wallet.mht, self.mht_registry, self.src
@@ -509,7 +511,7 @@ class Gateway:
         scheme = ctx.select_scheme(effective, self.capabilities_for(uid))
 
         try:
-            session_key = self._run_scheme(scheme, uid, password)
+            session_key = self.run_scheme(scheme, uid, password, Loopback())
         except AuthFailed:
             raise
         except SshafError as exc:

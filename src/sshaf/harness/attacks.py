@@ -1,6 +1,12 @@
 """Adversary suite: replay, impersonation, session-key disclosure, and
 stolen-device capture against all three schemes.
 
+Each attack's world is a seeded one-user ``Gateway``: its user is
+registered and activated with the attacked scheme's capability, every
+honest session runs through the gateway's own scheme dispatch, and the
+adversary reads and targets the gateway's own registries, wallets and edge
+table.
+
 Success criteria are operational: an attack succeeds only when the
 adversary gets a forged or replayed message accepted, equates or derives a
 session key it was not given, or finds secret material inside captured
@@ -15,7 +21,8 @@ from dataclasses import dataclass, field
 
 from .. import dhs_auth, dors_auth, merkle_auth, persist
 from ..errors import InvalidParams, SshafError
-from ..link import USER, Loopback
+from ..gateway import CAP_CARD, CAP_DORS, ROLE_RESIDENT, Gateway
+from ..link import GATEWAY, USER, Loopback
 from ..primitives import (
     NONCE_LEN,
     Digest256,
@@ -24,6 +31,7 @@ from ..primitives import (
     RandomSource,
     hash_bytes,
     kdf,
+    random_key,
     sha256_many,
 )
 
@@ -55,74 +63,43 @@ class SessionTrace:
     public_material: list[bytes] = field(default_factory=list)
 
 
-# --- per-scheme worlds --------------------------------------------------------
+# --- the attacked gateway ------------------------------------------------------
 
-def _trace(link: Loopback, key: Key256, public_material: list[bytes]) -> SessionTrace:
-    """A session run over ``link``: its client messages are the encoded
-    USER messages the loopback carried."""
-    client = [message.encode() for sender, message in link.carried if sender == USER]
-    return SessionTrace(key, client, public_material)
-
-
-class MhtWorld:
-    UID = "alice"
-
-    def __init__(self, src: RandomSource):
-        self.src = src
-        self.master = Key256(src.read(32))
-        self.registry: dict[str, merkle_auth.MhtGatewayState] = {}
-        self.user, self.gateway = merkle_auth.mht_register(self.registry, self.UID, self.master)
-
-    def run_session(self) -> SessionTrace:
-        link = Loopback()
-        _, key = merkle_auth.mht_handshake(link, self.user, self.registry, self.src)
-        m1, m2 = (message for _, message in link.carried[:2])
-        n_u, n_g, root = m1.n_u.bytes, m2.n_g.bytes, m2.root.bytes
-        return _trace(link, key, [n_u + n_g + root, n_u, n_g, root])
+UID = "alice"
+PASSWORD = "attack-lab-pass"
+# The capability each scheme needs on top of the MHT state every user gets.
+_CAPABILITIES = {"mht": (), "dors": (CAP_DORS,), "dhs": (CAP_CARD,)}
 
 
-class DorsWorld:
-    UID = "alice"
-
-    def __init__(self, src: RandomSource):
-        self.src = src
-        self.master = Key256(src.read(32))
-        self.user, self.gateway = dors_auth.dors_provision(self.UID, self.master)
-
-    def run_session(self) -> SessionTrace:
-        link = Loopback()
-        _, key = dors_auth.dors_handshake(link, self.user, self.gateway, self.src)
-        _, challenge = link.carried[0]
-        chain = self.gateway.chain.value.bytes
-        return _trace(link, key, [challenge.bytes, challenge.bytes + chain, chain])
-
-
-class DhsWorld:
-    UID = "alice"
-    PASSWORD = "attack-lab-pass"
-
-    def __init__(self, src: RandomSource):
-        self.src = src
-        self.home = dhs_auth.dhs_initialize(src)
-        self.edge = dhs_auth.EdgeServer()
-        self.card = dhs_auth.dhs_register(self.home, self.edge, self.UID, self.PASSWORD, src)
-
-    def run_session(self) -> SessionTrace:
-        link = Loopback()
-        _, key = dhs_auth.dhs_handshake(link, self.card, self.edge, self.PASSWORD, self.src)
-        challenge, confirm = (message for _, message in link.carried[1:3])
-        return _trace(link, key, [challenge.n_e.bytes, confirm.tag.bytes + challenge.n_e.bytes])
-
-
-def _world(scheme: str, seed: bytes):
+def _gateway(scheme: str, seed: bytes) -> Gateway:
+    """A seeded gateway whose one user, ``UID``, is registered with the
+    scheme's capability and activated by the owner."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     src = RandomSource.seeded(seed).fork(f"attack:{scheme}")
+    gw = Gateway(src, random_key(src))
+    gw.register_user(UID, "Alice", 30, ROLE_RESIDENT, PASSWORD, capabilities=_CAPABILITIES[scheme])
+    gw.owner_verify("owner", UID, "activate")
+    return gw
+
+
+def _run_session(gw: Gateway, scheme: str) -> SessionTrace:
+    """One session through the gateway's own dispatch, over a loopback whose
+    USER messages are the client messages."""
+    link = Loopback()
+    key = gw.run_scheme(scheme, UID, PASSWORD, link)
+    messages = [message for _, message in link.carried]
     if scheme == "mht":
-        return MhtWorld(src)
-    if scheme == "dors":
-        return DorsWorld(src)
-    if scheme == "dhs":
-        return DhsWorld(src)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        n_u, n_g, root = messages[0].n_u.bytes, messages[1].n_g.bytes, messages[1].root.bytes
+        public = [n_u + n_g + root, n_u, n_g, root]
+    elif scheme == "dors":
+        challenge, chain = messages[0].bytes, gw.dors_registry[UID].chain.value.bytes
+        public = [challenge, challenge + chain, chain]
+    else:
+        challenge, confirm = messages[1:3]
+        public = [challenge.n_e.bytes, confirm.tag.bytes + challenge.n_e.bytes]
+    client = [message.encode() for sender, message in link.carried if sender == USER]
+    return SessionTrace(key, client, public)
 
 
 # --- replay ---------------------------------------------------------------------
@@ -130,8 +107,8 @@ def _world(scheme: str, seed: bytes):
 def attack_replay(scheme: str, seed: bytes = b"\x01" * 32) -> AttackOutcome:
     """Re-inject every recorded client message against the live gateway
     after the session completed."""
-    world = _world(scheme, seed)
-    trace = world.run_session()
+    gw = _gateway(scheme, seed)
+    trace = _run_session(gw, scheme)
     accepted = []
 
     if scheme == "mht":
@@ -139,22 +116,21 @@ def attack_replay(scheme: str, seed: bytes = b"\x01" * 32) -> AttackOutcome:
             try:
                 if wire[0] == merkle_auth.M1_TYPE:
                     merkle_auth.mht_auth_challenge(
-                        world.registry, merkle_auth.MhtM1.decode(wire), world.src
+                        gw.mht_registry, merkle_auth.MhtM1.decode(wire), gw.src
                     )
                 else:
                     merkle_auth.mht_auth_finalize(
-                        world.registry, world.UID, merkle_auth.MhtM3.decode(wire)
+                        gw.mht_registry, UID, merkle_auth.MhtM3.decode(wire)
                     )
                 accepted.append(wire[0])
             except SshafError:
                 pass
     elif scheme == "dors":
-        sig = dors_auth.DorsSignature.decode(
-            trace.client_messages[0], world.gateway.public_key.params
-        )
+        gateway = gw.dors_registry[UID]
+        sig = dors_auth.DorsSignature.decode(trace.client_messages[0], gateway.public_key.params)
         challenge = Nonce128(trace.public_material[0])
         try:
-            dors_auth.dors_gateway_verify(world.gateway, challenge, sig)
+            dors_auth.dors_gateway_verify(gateway, challenge, sig)
             accepted.append("signature")
         except SshafError:
             pass
@@ -162,9 +138,9 @@ def attack_replay(scheme: str, seed: bytes = b"\x01" * 32) -> AttackOutcome:
         for wire, kind in zip(trace.client_messages, ("login", "confirm")):
             try:
                 if kind == "login":
-                    dhs_auth.dhs_edge_verify(world.edge, wire, world.src)
+                    dhs_auth.dhs_edge_verify(gw.edge, wire, gw.src)
                 else:
-                    dhs_auth.dhs_edge_complete(world.edge, dhs_auth.ConfirmMessage.decode(wire))
+                    dhs_auth.dhs_edge_complete(gw.edge, dhs_auth.ConfirmMessage.decode(wire))
                 accepted.append(kind)
             except SshafError:
                 pass
@@ -176,49 +152,50 @@ def attack_replay(scheme: str, seed: bytes = b"\x01" * 32) -> AttackOutcome:
 
 # --- impersonation ----------------------------------------------------------------
 
-def _mht_impersonate(world: MhtWorld, traces: list[SessionTrace]) -> list[str]:
+def _mht_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
     accepted = []
     # The adversary can open a handshake (uid and counter are public)...
-    m1 = merkle_auth.MhtM1(world.UID, Nonce128(b"\xaa" * 16), world.gateway.txn_counter)
-    m2 = merkle_auth.mht_auth_challenge(world.registry, m1, world.src)
+    m1 = merkle_auth.MhtM1(UID, Nonce128(b"\xaa" * 16), gw.mht_registry[UID].txn_counter)
+    m2 = merkle_auth.mht_auth_challenge(gw.mht_registry, m1, gw.src)
     # ...but must then produce the keyed response tag. Candidate forgeries:
     candidates = [Digest256(b"\x00" * 32), hash_bytes(m1.n_u.bytes + m2.n_g.bytes + m2.root.bytes)]
     for trace in traces:
         candidates.append(merkle_auth.MhtM3.decode(trace.client_messages[1]).tag_u)
     for tag in candidates:
         try:
-            merkle_auth.mht_auth_finalize(world.registry, world.UID, merkle_auth.MhtM3(tag))
+            merkle_auth.mht_auth_finalize(gw.mht_registry, UID, merkle_auth.MhtM3(tag))
             accepted.append("m3-forgery")
         except SshafError:
             # A failed finalize clears the pending run; reopen for the next try.
-            m1 = merkle_auth.MhtM1(world.UID, Nonce128(b"\xaa" * 16), world.gateway.txn_counter)
-            m2 = merkle_auth.mht_auth_challenge(world.registry, m1, world.src)
+            m1 = merkle_auth.MhtM1(UID, Nonce128(b"\xaa" * 16), gw.mht_registry[UID].txn_counter)
+            m2 = merkle_auth.mht_auth_challenge(gw.mht_registry, m1, gw.src)
     return accepted
 
 
-def _dors_impersonate(world: DorsWorld, traces: list[SessionTrace]) -> list[str]:
+def _dors_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
     accepted = []
-    params = world.gateway.public_key.params
+    gateway = gw.dors_registry[UID]
+    params = gateway.public_key.params
     observed = dors_auth.DorsSignature.decode(traces[-1].client_messages[0], params)
     revealed = dict(zip(observed.subset_indices, observed.reveals))
-    challenge = dors_auth.dors_challenge(world.src)
-    message = challenge.bytes + world.UID.encode()
-    indices = dors_auth.dors_subset(message, world.gateway.chain, params)
+    challenge = dors_auth.dors_challenge(gw.src)
+    message = challenge.bytes + UID.encode()
+    indices = dors_auth.dors_subset(message, gateway.chain, params)
     fallback = observed.reveals[0]
     forged = dors_auth.DorsSignature(
         observed.tree_index, indices, [revealed.get(i, fallback) for i in indices]
     )
     try:
-        dors_auth.dors_gateway_verify(world.gateway, challenge, forged)
+        dors_auth.dors_gateway_verify(gateway, challenge, forged)
         accepted.append("subset-forgery")
     except SshafError:
         pass
     return accepted
 
 
-def _dhs_impersonate(world: DhsWorld, traces: list[SessionTrace]) -> list[str]:
+def _dhs_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
     accepted = []
-    current_iid = world.edge.db[world.UID].current_iid
+    current_iid = gw.edge.db[UID].current_iid
     old_request = traces[-1].client_messages[0]
     _, old_record = dhs_auth.dhs_decapsulate(old_request)
     # Replay the old record under the rotated identifier, and try guessed tags.
@@ -232,7 +209,7 @@ def _dhs_impersonate(world: DhsWorld, traces: list[SessionTrace]) -> list[str]:
         candidates.append(dhs_auth.dhs_encapsulate(record, current_iid).encode())
     for wire in candidates:
         try:
-            dhs_auth.dhs_edge_verify(world.edge, wire, world.src)
+            dhs_auth.dhs_edge_verify(gw.edge, wire, gw.src)
             accepted.append("login-forgery")
         except SshafError:
             pass
@@ -242,14 +219,14 @@ def _dhs_impersonate(world: DhsWorld, traces: list[SessionTrace]) -> list[str]:
 def attack_impersonate(scheme: str, seed: bytes = b"\x02" * 32) -> AttackOutcome:
     """Best-effort forgeries from public data and recorded transcripts; the
     adversary holds no long-term user secrets."""
-    world = _world(scheme, seed)
-    traces = [world.run_session() for _ in range(2)]
+    gw = _gateway(scheme, seed)
+    traces = [_run_session(gw, scheme) for _ in range(2)]
     if scheme == "mht":
-        accepted = _mht_impersonate(world, traces)
+        accepted = _mht_impersonate(gw, traces)
     elif scheme == "dors":
-        accepted = _dors_impersonate(world, traces)
+        accepted = _dors_impersonate(gw, traces)
     else:
-        accepted = _dhs_impersonate(world, traces)
+        accepted = _dhs_impersonate(gw, traces)
     if accepted:
         return AttackOutcome(True, f"{scheme}: forged message accepted: {accepted}")
     return AttackOutcome(False, f"{scheme}: every forgery attempt rejected")
@@ -266,8 +243,8 @@ DISCLOSE_INDEX = 1
 def attack_session_key_disclosure(scheme: str, seed: bytes = b"\x03" * 32) -> AttackOutcome:
     """Hand the adversary one session key; the others must neither equal it
     nor be derivable from it through the public kdf over recorded material."""
-    world = _world(scheme, seed)
-    traces = [world.run_session() for _ in range(N_SESSIONS)]
+    gw = _gateway(scheme, seed)
+    traces = [_run_session(gw, scheme) for _ in range(N_SESSIONS)]
     disclosed = traces[DISCLOSE_INDEX].session_key
 
     derived = {disclosed.bytes}
@@ -290,15 +267,15 @@ def attack_session_key_disclosure(scheme: str, seed: bytes = b"\x03" * 32) -> At
 
 # --- stolen device ------------------------------------------------------------------
 
-def _captured_state(scheme: str, world, include_pending: bool) -> bytes:
+def _captured_state(scheme: str, gw: Gateway, include_pending: bool) -> bytes:
     if scheme == "mht":
         return persist.dumps(
-            persist.mht_state_to_dict(world.registry[world.UID], include_pending=include_pending)
+            persist.mht_state_to_dict(gw.mht_registry[UID], include_pending=include_pending)
         )
     if scheme == "dors":
-        return persist.dumps(persist.dors_gateway_to_dict(world.gateway))
+        return persist.dumps(persist.dors_gateway_to_dict(gw.dors_registry[UID]))
     # DHS: the edge *database table* alone, per the stolen-database model.
-    return persist.dumps(persist.edge_db_to_dict(world.edge.db))
+    return persist.dumps(persist.edge_db_to_dict(gw.edge.db))
 
 
 def _derivation_attempts(scheme: str, captured: dict, traces: list[SessionTrace]) -> set[bytes]:
@@ -323,6 +300,20 @@ def _derivation_attempts(scheme: str, captured: dict, traces: list[SessionTrace]
     return out
 
 
+class _CaptureAtChallenge(Loopback):
+    """A loopback that captures the gateway's persisted MHT state, pending
+    run included, as it carries the gateway's first message, M2."""
+
+    def __init__(self, gw: Gateway):
+        super().__init__()
+        self.gw, self.blob = gw, b""
+
+    def carry(self, sender, receiver, message, decode):
+        if sender == GATEWAY and not self.blob:
+            self.blob = _captured_state("mht", self.gw, include_pending=True)
+        return super().carry(sender, receiver, message, decode)
+
+
 def attack_stolen_device(
     scheme: str, seed: bytes = b"\x04" * 32, capture_pending: bool = False
 ) -> AttackOutcome:
@@ -331,16 +322,15 @@ def attack_stolen_device(
 
     With ``capture_pending`` the capture happens mid-handshake; that window
     is expected to leak the in-flight key and reports success."""
-    world = _world(scheme, seed)
-    traces = [world.run_session() for _ in range(N_SESSIONS)]
+    gw = _gateway(scheme, seed)
+    traces = [_run_session(gw, scheme) for _ in range(N_SESSIONS)]
 
     if capture_pending:
         if scheme != "mht":
             raise ValueError("pending-window capture is modelled for the mht scheme")
-        m1 = merkle_auth.mht_auth_initiate(world.user, world.src)
-        m2 = merkle_auth.mht_auth_challenge(world.registry, m1, world.src)
-        blob = _captured_state(scheme, world, include_pending=True)
-        captured = json.loads(blob)
+        link = _CaptureAtChallenge(gw)
+        real_key = gw.run_scheme(scheme, UID, PASSWORD, link)
+        captured = json.loads(link.blob)
         pend = captured.get("pending")
         if pend and "n_u" in pend and "n_g" in pend:
             shared = Key256.from_hex(captured["shared_key"])
@@ -349,8 +339,6 @@ def attack_stolen_device(
                 "sk",
                 bytes.fromhex(pend["n_u"]) + bytes.fromhex(pend["n_g"]) + bytes.fromhex(pend["root"]),
             )
-            m3 = merkle_auth.mht_auth_respond(world.user, m2)
-            _, real_key = merkle_auth.mht_auth_finalize(world.registry, world.UID, m3)
             if in_flight == real_key:
                 return AttackOutcome(
                     True,
@@ -359,7 +347,7 @@ def attack_stolen_device(
                 )
         return AttackOutcome(False, "mht: pending capture leaked nothing")
 
-    blob = _captured_state(scheme, world, include_pending=False)
+    blob = _captured_state(scheme, gw, include_pending=False)
 
     # Ephemeral nonces and session keys must not sit in persisted bytes.
     hex_blob = blob.decode()
@@ -380,7 +368,7 @@ def attack_stolen_device(
 
     if scheme == "dhs":
         # A stolen edge table must also not authorize a fresh login.
-        fresh = _dhs_impersonate(world, traces)
+        fresh = _dhs_impersonate(gw, traces)
         if fresh:
             return AttackOutcome(True, "dhs: stolen edge table enabled a fresh login")
 

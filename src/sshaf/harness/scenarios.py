@@ -23,13 +23,12 @@ from ..context_engine import (
     SCHEME_DHS,
     SCHEME_DORS,
     SCHEME_MHT,
-    AccessPolicy,
     ContextSnapshot,
-    FactorWeights,
     decide_access,
     evaluate_factor,
     score_confidence,
 )
+from ..gateway import LOGIN_POLICY, WEIGHTS
 from ..link import GATEWAY, USER
 from ..primitives import METER, Key256, RandomSource
 from .simnet import (
@@ -46,8 +45,6 @@ from .simnet import (
 )
 
 SCHEME_NONE = "none"
-
-LOGIN_THRESHOLD = AccessPolicy(threshold=0.5)
 
 
 # --- scenario world -----------------------------------------------------------
@@ -143,8 +140,8 @@ def run_scenario(
         else:
             snapshot = _scenario_snapshot(factors, link_name)
             scores = {f: evaluate_factor(snapshot, f) for f in factors}
-            confidence = score_confidence(scores, FactorWeights())
-            decision = decide_access(confidence, LOGIN_THRESHOLD)
+            confidence = score_confidence(scores, WEIGHTS)
+            decision = decide_access(confidence, LOGIN_POLICY)
         link.send(GATEWAY, USER, f"service-reply:{decision}".encode())
     except MessageDropped:
         outcome = "aborted:drop"

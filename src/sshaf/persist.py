@@ -45,6 +45,14 @@ def _digests_from_hex(items) -> list[Digest256]:
     return [Digest256.from_hex(h) for h in items]
 
 
+def _set_from_array(items, kind: type) -> set:
+    """The set of a JSON array of ``kind`` values; anything else, such as a
+    string (whose ``set`` is its characters), raises ``TypeError``."""
+    if type(items) is not list or not all(type(item) is kind for item in items):
+        raise TypeError(f"expected an array of {kind.__name__}, got {items!r}")
+    return set(items)
+
+
 # --- merkle_auth ------------------------------------------------------------
 
 def mht_state_to_dict(state, include_pending: bool = False) -> dict:
@@ -122,7 +130,9 @@ def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
         forest_seed=Key256.from_hex(data["forest_seed"]),
         active_tree=data["active_tree"],
         used_signatures=data["used_signatures"],
-        revealed={int(tree): set(leaves) for tree, leaves in data["revealed"].items()},
+        revealed={
+            int(tree): _set_from_array(leaves, int) for tree, leaves in data["revealed"].items()
+        },
     )
     return dors_auth.DorsUserSide(
         uid=data["uid"],
@@ -281,7 +291,7 @@ def session_from_dict(data: dict) -> gw_mod.GatewaySession:
         confidence=data["confidence"],
         origin=data["origin"],
         established_minutes=data["established_minutes"],
-        device_grants=set(data["device_grants"]),
+        device_grants=_set_from_array(data["device_grants"], str),
     )
 
 
@@ -321,7 +331,7 @@ def restore_gateway_state(
     gw.dors_epochs = {uid: int(n) for uid, n in data["dors_epochs"].items()}
     gw.edge = edge_server_from_dict(data["edge"])
     gw.home = dhs_auth.HomeServerState(
-        master_secret=gw.master_secret, registered=set(data["home_registered"])
+        master_secret=gw.master_secret, registered=_set_from_array(data["home_registered"], str)
     )
     gw.wallets = {uid: wallet_from_dict(w) for uid, w in data["wallets"].items()}
     gw.sessions = {sid: session_from_dict(s) for sid, s in data["sessions"].items()}

@@ -1,14 +1,33 @@
 """Adversary-suite tests: the full matrix resists, the detectors are not
 vacuous, and the documented pending-capture window reports itself."""
 
+import ast
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sshaf import dors_auth
+from sshaf import dors_auth, persist
+from sshaf.context_engine import (
+    GRANT,
+    IP_HOME,
+    IP_KNOWN,
+    ORIGIN_INTERNET,
+    ORIGIN_LOCAL,
+    ContextSnapshot,
+)
 from sshaf.errors import InvalidParams
+from sshaf.harness import attacks
 from sshaf.harness.attacks import (
+    ATTACK_IMPERSONATE,
+    ATTACK_REPLAY,
+    ATTACK_SKD,
+    ATTACK_STOLEN,
+    PASSWORD,
     SCHEMES,
+    UID,
     SessionTrace,
     _derivation_attempts,
     attack_impersonate,
@@ -57,6 +76,72 @@ def test_full_matrix_is_twelve_resisted():
     matrix = run_attack_matrix(SEED)
     assert len(matrix) == 12
     assert all(not outcome.succeeded for outcome in matrix.values())
+
+
+ATTACKS = {
+    ATTACK_REPLAY: lambda scheme: attack_replay(scheme, SEED),
+    ATTACK_IMPERSONATE: lambda scheme: attack_impersonate(scheme, SEED),
+    ATTACK_SKD: lambda scheme: attack_session_key_disclosure(scheme, seed=SEED),
+    ATTACK_STOLEN: lambda scheme: attack_stolen_device(scheme, seed=SEED),
+}
+
+
+@pytest.fixture
+def attacked(monkeypatch):
+    """The gateways the attacks build, in the order they were built."""
+    built = []
+    build = attacks._gateway
+
+    def recorded(scheme, seed):
+        built.append(build(scheme, seed))
+        return built[-1]
+
+    monkeypatch.setattr(attacks, "_gateway", recorded)
+    return built
+
+
+@pytest.mark.parametrize("kind", ATTACKS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_attacked_user_logs_in_afterwards(attacked, kind, scheme):
+    """An honest login on the attacked gateway, local with Bluetooth for mht
+    and dors and from the internet for dhs, is granted over the scheme."""
+    assert not ATTACKS[kind](scheme).succeeded
+    (gw,) = attacked
+    remote = scheme == "dhs"
+    snapshot = ContextSnapshot(
+        uid=UID,
+        origin=ORIGIN_INTERNET if remote else ORIGIN_LOCAL,
+        ip_class=IP_KNOWN if remote else IP_HOME,
+        bluetooth_present=not remote,
+        timestamp=2 * 1440 + 10 * 60,
+    )
+    result = gw.login(UID, PASSWORD, snapshot)
+    assert (result.status, result.session.scheme) == (GRANT, scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stolen_capture_is_the_users_entry_in_the_gateway_state(attacked, scheme):
+    attack_stolen_device(scheme, seed=SEED)
+    (gw,) = attacked
+    captured = json.loads(attacks._captured_state(scheme, gw, include_pending=False))
+    state = persist.gateway_state_to_dict(gw)
+    if scheme == "mht":
+        assert captured == state["mht_registry"][UID]
+    elif scheme == "dors":
+        assert captured == state["dors_registry"][UID]
+    else:
+        assert captured == {UID: state["edge"]["db"][UID]} == state["edge"]["db"]
+
+
+def test_attacks_provision_only_through_the_gateway():
+    # Users come from register_user/owner_verify, never from a scheme's own
+    # provisioning, so the matrix attacks the gateway users meet.
+    path = pathlib.Path(attacks.__file__)
+    banned = {"mht_register", "dors_provision", "dhs_register", "dhs_initialize"}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            assert name not in banned, f"attacks.py:{node.lineno} calls {name}"
 
 
 def test_derivation_recipes_cover_the_real_session_key_formula():

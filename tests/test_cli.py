@@ -202,11 +202,17 @@ def _section_as_array(section: str):
     return damage
 
 
+def _home_registered_as_string(state: dict, text: str) -> str:
+    state["gateway"]["home_registered"] = "alice"
+    return json.dumps(state)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
         _truncate,
         _drop_gateway,
+        _home_registered_as_string,
         *map(_section_as_array, ["mht_registry", "dors_registry", "wallets", "sessions",
                                  "step_up_tokens", "pending_cards"]),
     ],

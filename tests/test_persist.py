@@ -206,6 +206,46 @@ def test_full_gateway_state_round_trip():
     assert second.status == "grant"
 
 
+def _set_holder(state: dict, field: str) -> tuple[dict, str]:
+    """The dict that holds ``field`` in a gateway state dict, and its key."""
+    if field == "home_registered":
+        return state, field
+    if field == "device_grants":
+        (session,) = state["sessions"].values()
+        return session, field
+    revealed = state["wallets"]["alice"]["dors"]["revealed"]
+    return revealed, next(iter(revealed))
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("home_registered", "alice"),
+        ("home_registered", [7]),
+        ("home_registered", {"alice": 1}),
+        ("device_grants", "thermostat"),
+        ("device_grants", [None]),
+        ("revealed", "0"),
+        ("revealed", ["3"]),
+        ("revealed", [True]),
+    ],
+)
+def test_a_set_restores_only_from_an_array_of_its_element_type(field, bad):
+    """A string is not the set of its characters: ``home_registered:
+    "alice"`` once restored as {'a', 'c', 'e', 'i', 'l'}."""
+    gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
+    gw.register_user("alice", "Alice", 30, "resident", "pw", capabilities=(CAP_DORS, CAP_CARD))
+    gw.owner_verify("owner", "alice", "activate")
+    snapshot = ContextSnapshot(uid="alice", bluetooth_present=True, timestamp=600)
+    assert gw.login("alice", "pw", snapshot).status == "grant"
+    state = json.loads(persist.dumps(persist.gateway_state_to_dict(gw)))
+    holder, key = _set_holder(state, field)
+    holder[key] = bad
+    gw2 = Gateway(RandomSource.seeded(b"\x08" * 32), Key256(b"\x77" * 32))
+    with pytest.raises(TypeError):
+        persist.restore_gateway_state(gw2, state)
+
+
 def test_forest_bytes_restore_the_same_dors_gateway():
     params = dors_auth.DorsParams(t=16, k=4, f=3, r=2)
     _, gateway = dors_auth.dors_provision("alice", MASTER, params)
