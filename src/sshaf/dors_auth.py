@@ -6,6 +6,17 @@ back into the chain, so consecutive signatures are ordered and a replayed
 signature can never match the advanced chain. Trees rotate automatically
 once their signature budget is spent.
 
+A forest's lifecycle at the gateway: ``dors_verify`` accepts a signature
+only from the tree the chain has reached (or the next), so once a signature
+verifies with a tree, every tree below it is spent, and the gateway drops
+their leaf digests; the signer likewise drops a tree's revealed set when it
+rotates off it. While the last tree signs, the gateway builds the next
+epoch's forest with ``dors_tree``, ⌈f/r⌉ trees per verified signature, so
+the re-key at ``ForestExhausted`` hands ``dors_provision`` a forest already
+built, and only the genesis and link key remain to derive. The trees, the
+chain and every session key are the same as a forest expanded whole at the
+re-key.
+
 The handshake wrapper mixes a provisioned link key into the session key
 and ratchets it per run: the chain value itself is recomputable from
 public transcripts, so it can order and bind signatures but must never be
@@ -116,6 +127,15 @@ class DorsPublicKey:
     leaf_digests: list[bytes]
     roots: list[Digest256]
 
+    def grow(self, seed: Key256, trees: int) -> None:
+        """Append up to ``trees`` more trees of the forest ``seed`` expands,
+        in tree order, stopping at f."""
+        params = self.params
+        for tree in range(len(self.roots), min(params.f, len(self.roots) + trees)):
+            digests, root = dors_tree(seed, tree, params)
+            self.leaf_digests.append(digests)
+            self.roots.append(root)
+
 
 def _leaf_secrets(seed: Key256, tree: int, leaves) -> list[bytes]:
     """One-time secrets of ``leaves`` in ``tree``: kdf(seed, "leaf",
@@ -123,24 +143,36 @@ def _leaf_secrets(seed: Key256, tree: int, leaves) -> list[bytes]:
     return kdf_many(seed, "leaf", [struct.pack(">HH", tree, leaf) for leaf in leaves])
 
 
-def dors_keygen(seed: Key256, params: DorsParams) -> tuple[DorsSecretKey, DorsPublicKey, ChainState]:
+def dors_tree(seed: Key256, tree: int, params: DorsParams) -> tuple[bytes, Digest256]:
+    """Tree ``tree`` of the forest ``seed`` expands: its t leaf digests packed
+    into one t*32-byte string, and its Merkle root.
+
+    Derived in batches over raw bytes: the t leaf secrets in one keyed
+    ``kdf_many``, their SHA-256 leaf digests in one ``sha256_many``, and the
+    root folded from those digests. ``METER`` counts 2t-1 hashes and t macs,
+    as one call per leaf would.
+    """
+    digests = sha256_many(_leaf_secrets(seed, tree, range(params.t)))
+    return b"".join(digests), Digest256(merkle_root(digests))
+
+
+def dors_keygen(
+    seed: Key256, forest: DorsParams | DorsPublicKey
+) -> tuple[DorsSecretKey, DorsPublicKey, ChainState]:
     """Deterministic key expansion; the initial chain value commits to the
     whole public forest.
 
-    Each tree is derived in batches over raw bytes: its t leaf secrets in
-    one keyed ``kdf_many``, their SHA-256 leaf digests in one
-    ``sha256_many``, packed into the tree's t*32-byte string, and the
-    tree's Merkle root folded from those digests. ``METER`` counts
-    f*(2t-1)+1 hashes and f*t macs, as one call per leaf would.
+    ``forest`` is the forest's ``DorsParams``, or a ``DorsPublicKey`` that
+    already holds its first trees, as a gateway builds them ahead; only the
+    missing trees are built here, each by ``dors_tree``. A whole forest
+    counts f*(2t-1)+1 hashes and f*t macs on ``METER``.
     """
-    leaf_digests = []
-    roots = []
-    for tree in range(params.f):
-        digests = sha256_many(_leaf_secrets(seed, tree, range(params.t)))
-        leaf_digests.append(b"".join(digests))
-        roots.append(Digest256(merkle_root(digests)))
-    pk = DorsPublicKey(params, leaf_digests, roots)
-    genesis = hash_bytes(b"dors-genesis" + b"".join(r.bytes for r in roots))
+    if isinstance(forest, DorsParams):
+        forest = DorsPublicKey(forest, [], [])
+    params = forest.params
+    pk = DorsPublicKey(params, list(forest.leaf_digests), list(forest.roots))
+    pk.grow(seed, params.f)
+    genesis = hash_bytes(b"dors-genesis" + b"".join(r.bytes for r in pk.roots))
     return DorsSecretKey(params, seed), pk, ChainState(genesis)
 
 
@@ -162,11 +194,12 @@ def dors_sign(
 ) -> tuple[DorsSignature, ChainState]:
     """Reveal the subset the message selects; advances the signer's budget
     and returns the advanced chain. Rotates to the next tree when the
-    active one is spent."""
+    active one is spent, dropping the spent tree's revealed set."""
     params = sk.params
     if sk.used_signatures >= params.r:
         if sk.active_tree + 1 >= params.f:
             raise ForestExhausted("all trees spent; rekey required")
+        sk.revealed.clear()
         sk.active_tree += 1
         sk.used_signatures = 0
     tree = sk.active_tree
@@ -216,20 +249,34 @@ class DorsUserSide:
 
 @dataclass
 class DorsGatewaySide:
+    """``public_key.leaf_digests`` holds ``b""`` for each spent tree the
+    gateway has dropped; ``next_forest`` holds the next epoch's first
+    trees, built ahead while the last tree signs."""
+
     uid: str
     public_key: DorsPublicKey
     chain: ChainState
     link_key: Key256
+    next_forest: DorsPublicKey = field(init=False)
+
+    def __post_init__(self):
+        self.next_forest = DorsPublicKey(self.public_key.params, [], [])
+
+
+def dors_seed(uid: str, master_secret: Key256) -> Key256:
+    """The seed of ``uid``'s forest, derived from the gateway master secret."""
+    return kdf(master_secret, "dors-seed", uid.encode())
 
 
 def dors_provision(
-    uid: str, master_secret: Key256, params: DorsParams | None = None
+    uid: str, master_secret: Key256, forest: DorsParams | DorsPublicKey | None = None
 ) -> tuple[DorsUserSide, DorsGatewaySide]:
-    """Expand a per-user forest and link key from the gateway master secret."""
-    params = params or DorsParams()
-    seed = kdf(master_secret, "dors-seed", uid.encode())
+    """Expand a per-user forest and link key from the gateway master secret.
+    ``forest`` is as ``dors_keygen`` takes it (``DorsParams()`` when None):
+    trees a gateway built ahead are not built again."""
+    seed = dors_seed(uid, master_secret)
     link = kdf(master_secret, "dors-link", uid.encode())
-    sk, pk, chain = dors_keygen(seed, params)
+    sk, pk, chain = dors_keygen(seed, forest or DorsParams())
     return (
         DorsUserSide(uid, sk, chain, link),
         DorsGatewaySide(uid, pk, ChainState(chain.value, 0), link),

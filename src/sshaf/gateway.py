@@ -408,9 +408,13 @@ class Gateway:
         self.wallets[uid] = wallet
 
     def _provision_dors(self, uid: str, wallet: UserWallet) -> None:
+        """Provision ``uid``'s next DORS epoch. A re-key passes the trees
+        built ahead during the spent forest's last tree; a first provision
+        or an older state's re-key has none, and builds the whole forest."""
         epoch = self.dors_epochs.get(uid, 0)
+        previous = self.dors_registry.get(uid)
         user_side, gateway_side = dors_auth.dors_provision(
-            f"{uid}#{epoch}", self.master_secret
+            f"{uid}#{epoch}", self.master_secret, previous and previous.next_forest
         )
         user_side.uid = uid
         gateway_side.uid = uid
@@ -474,11 +478,13 @@ class Gateway:
                     link, wallet.dors, self.dors_registry[uid], self.src
                 )
             except ForestExhausted:
-                # Spent forest signals rekey: provision a fresh epoch, retry once.
+                # A spent forest signals the re-key: provision the next epoch
+                # from the trees built during the last tree, and retry once.
                 self._provision_dors(uid, wallet)
                 user_key, gw_key = dors_auth.dors_handshake(
                     link, wallet.dors, self.dors_registry[uid], self.src
                 )
+            self._roll_dors_forest(uid)
         elif scheme == ctx.SCHEME_DHS:
             user_key, gw_key = dhs_auth.dhs_handshake(
                 link, wallet.card, self.edge, password, self.src
@@ -488,6 +494,19 @@ class Gateway:
         if user_key != gw_key:
             raise AuthFailed("session keys diverged")
         return gw_key
+
+    def _roll_dors_forest(self, uid: str) -> None:
+        """After a verified DORS signature: drop the leaf digests of the
+        trees below the one it used, which ``dors_verify`` can never accept
+        again, and, when it used the last tree, build ⌈f/r⌉ trees of the
+        next epoch, so all f are built when the forest is spent."""
+        side = self.dors_registry[uid]
+        params = side.public_key.params
+        tree = (side.chain.signature_count - 1) // params.r
+        side.public_key.leaf_digests[:tree] = [b""] * tree
+        if tree == params.f - 1 and len(side.next_forest.roots) < params.f:
+            seed = dors_auth.dors_seed(f"{uid}#{self.dors_epochs[uid]}", self.master_secret)
+            side.next_forest.grow(seed, -(-params.f // params.r))
 
     def login(
         self,

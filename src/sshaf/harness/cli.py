@@ -7,11 +7,15 @@ A state directory carries the gateway across invocations:
   ``login``, which changes none of its tables;
 - ``state.json``: the gateway runtime state, rewritten by every call, with
   each DORS user's roots, chain and link key but not the public forest;
-- ``dors-<first root, hex>.forest``: one DORS public forest, its f·t·32
-  leaf-digest bytes tree after tree. A forest never changes once
-  provisioned, so its file is written only by the call that provisions it
-  (``verify --decision activate`` of a ``dors`` user, or a re-key inside
-  ``login``), and deleted by the call that replaces it.
+- ``dors-<first root, hex>.forest``: one DORS user's public trees, t·32
+  leaf-digest bytes each, tree after tree: the forest's live trees, then the
+  next epoch's trees built ahead during its last tree (see ``persist``).
+  Once trees are dropped or built ahead, the name carries both counts,
+  ``dors-<first root, hex>-<dropped>-<built ahead>.forest``, so a file is
+  named by its content: a call that changes a user's trees (a ``login``
+  that rotates off a tree, signs with the last one, or re-keys, and
+  ``verify --decision activate`` of a ``dors`` user) writes a new file
+  before ``state.json`` names it, and deletes the old one after.
 
 A missing, unreadable or damaged file fails the call with ``StateCorrupt``
 naming it. Benchmarks, attacks, and reports are stateless and fully
@@ -68,8 +72,13 @@ def _boot(state_dir: Path, seed: bytes | None) -> None:
     _save(state_dir, gw, seed, invocation=0)
 
 
-def _forest_file(root_hex: str) -> str:
-    return f"dors-{root_hex}.forest"
+def _forest_file(entry: dict) -> tuple[str, int]:
+    """The name of the forest file a DORS user's state.json entry names, and
+    its length in bytes (see the module docstring)."""
+    params, dropped, ahead = persist.dors_forest_shape(entry)
+    root = Digest256.from_hex(entry["roots"][0]).hex()
+    name = f"dors-{root}-{dropped}-{ahead}.forest" if dropped or ahead else f"dors-{root}.forest"
+    return name, (params.f - dropped + ahead) * params.t * DIGEST_LEN
 
 
 def _save(
@@ -81,21 +90,21 @@ def _save(
     db_changed: bool = True,
 ) -> None:
     """Write the call's state. ``loaded_forests`` names the forest files
-    ``_load`` read: any other forest was provisioned by this call, so its
-    file is written, and the files of forests it replaced are deleted once
-    state.json no longer names them. ``db_changed=False`` leaves db.enc as
-    it is, for a call that changed no table of the user database."""
-    forests = set()
-    for side in gw.dors_registry.values():
-        name = _forest_file(side.public_key.roots[0].hex())
-        forests.add(name)
-        if name not in loaded_forests:
-            atomic_write(state_dir / name, b"".join(side.public_key.leaf_digests))
+    ``_load`` read: any other forest file holds trees this call changed, so
+    it is written, and the files it replaced are deleted once state.json no
+    longer names them. ``db_changed=False`` leaves db.enc as it is, for a
+    call that changed no table of the user database."""
     state = {
         "rng_seed": rng_seed.hex(),
         "invocation": invocation,
         "gateway": persist.gateway_state_to_dict(gw, with_forests=False),
     }
+    forests = set()
+    for uid, entry in state["gateway"]["dors_registry"].items():
+        name, _ = _forest_file(entry)
+        forests.add(name)
+        if name not in loaded_forests:
+            atomic_write(state_dir / name, b"".join(persist.dors_forest(gw.dors_registry[uid])))
     atomic_write(state_dir / STATE_FILE, persist.dumps(state))
     if db_changed:
         gw.save_database(state_dir / DB_FILE)
@@ -107,19 +116,17 @@ def _state_corrupt(path: Path, exc: Exception) -> StateCorrupt:
     return StateCorrupt(f"{path}: {type(exc).__name__}: {exc}")
 
 
-def _read_forest(path: Path, entry: dict) -> bytes:
-    params = persist.dors_params_from_dict(entry["params"])
+def _read_forest(state_dir: Path, entry: dict) -> tuple[str, bytes]:
+    """The name and bytes of the forest file ``entry`` names."""
+    name, size = _forest_file(entry)
+    path = state_dir / name
     try:
         forest = path.read_bytes()
     except OSError as exc:
         raise _state_corrupt(path, exc) from exc
-    size = params.f * params.t * DIGEST_LEN
     if len(forest) != size:
-        raise StateCorrupt(
-            f"{path}: {len(forest)} bytes, but {params.f} trees of {params.t} "
-            f"leaf digests take {size}"
-        )
-    return forest
+        raise StateCorrupt(f"{path}: {len(forest)} bytes, but the trees state.json names take {size}")
+    return name, forest
 
 
 def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, frozenset[str]]:
@@ -138,9 +145,8 @@ def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, fro
         gw = Gateway(RandomSource.seeded(rng_seed).fork("boot"), db_key)
         files, forests = set(), {}
         for uid, entry in state["gateway"]["dors_registry"].items():
-            name = _forest_file(Digest256.from_hex(entry["roots"][0]).hex())
+            name, forests[uid] = _read_forest(state_dir, entry)
             files.add(name)
-            forests[uid] = _read_forest(state_dir / name, entry)
         persist.restore_gateway_state(gw, state["gateway"], forests)
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         raise _state_corrupt(state_path, exc) from exc

@@ -20,13 +20,20 @@ written as one hex string per tree, its t leaf digests concatenated in
 leaf order, which is the packed form ``DorsPublicKey.leaf_digests`` holds
 in memory. Step-up tokens are written as ``token: [uid, minted_minutes]``.
 
+A DORS gateway side persists only the trees it still holds: its forest's
+live trees, then the next epoch's trees built ahead during the last tree
+(``dors_forest``). ``dropped`` counts the spent trees left out at the front
+and ``next_roots`` lists the roots of the trees built ahead; each key is
+written only when it is not zero or empty, so a whole forest with nothing
+built ahead is written as it always was, and a file written before trees
+were dropped or built ahead still loads.
+
 The CLI's state directory keeps the forests out of ``state.json``: it
 calls ``gateway_state_to_dict(gw, with_forests=False)``, which leaves out
-each ``leaf_digests``, and stores every forest's f·t·32 digest bytes, tree
-after tree, in a file of its own that is written once, when the forest is
-provisioned. ``restore_gateway_state`` takes those bytes back by uid. Every
-other field, and the whole dict form with the forests, is the same either
-way.
+each ``leaf_digests``, and stores each DORS user's trees, t·32 digest bytes
+each, tree after tree, in a file of its own. ``restore_gateway_state`` takes
+those bytes back by uid. Every other field, and the whole dict form with the
+forests, is the same either way.
 """
 
 from __future__ import annotations
@@ -142,9 +149,31 @@ def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
     )
 
 
+def dors_forest(side: dors_auth.DorsGatewaySide) -> list[bytes]:
+    """The trees a DORS gateway side persists: its forest's live trees, those
+    not dropped, then the next epoch's trees built ahead."""
+    return [tree for tree in side.public_key.leaf_digests if tree] + side.next_forest.leaf_digests
+
+
+def dors_forest_shape(data: dict) -> tuple[dors_auth.DorsParams, int, int]:
+    """The params of a persisted DORS gateway side, the trees it dropped and
+    the trees it built ahead: its ``dropped`` count and the length of
+    ``next_roots``, each 0 when absent. Raises ``ValueError`` unless they
+    are an integer and an array, each at most f."""
+    params = dors_params_from_dict(data["params"])
+    dropped = data.get("dropped", 0)
+    next_roots = data.get("next_roots", [])
+    if type(dropped) is not int or type(next_roots) is not list:
+        raise ValueError(f"dropped must be an integer and next_roots an array: {dropped!r}, {next_roots!r}")
+    if not 0 <= dropped <= params.f or len(next_roots) > params.f:
+        raise ValueError(f"{dropped} trees dropped and {len(next_roots)} built ahead, of f={params.f}")
+    return params, dropped, len(next_roots)
+
+
 def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide, with_forest: bool = True) -> dict:
     """``with_forest=False`` leaves out ``leaf_digests``; the caller then
-    keeps ``b"".join(side.public_key.leaf_digests)`` itself."""
+    keeps ``b"".join(dors_forest(side))`` itself. ``dropped`` and
+    ``next_roots`` are written only when not zero or empty."""
     data = {
         "uid": side.uid,
         "params": dors_params_to_dict(side.public_key.params),
@@ -152,17 +181,24 @@ def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide, with_forest: bool = Tr
         "chain": chain_to_dict(side.chain),
         "link_key": side.link_key.hex(),
     }
+    dropped = side.public_key.leaf_digests.count(b"")
+    if dropped:
+        data["dropped"] = dropped
+    if side.next_forest.roots:
+        data["next_roots"] = _digests_to_hex(side.next_forest.roots)
     if with_forest:
-        data["leaf_digests"] = [tree.hex() for tree in side.public_key.leaf_digests]
+        data["leaf_digests"] = [tree.hex() for tree in dors_forest(side)]
     return data
 
 
 def dors_gateway_from_dict(data: dict, forest: bytes | None = None) -> dors_auth.DorsGatewaySide:
-    """The forest comes from ``data["leaf_digests"]`` or, when given, from
-    ``forest``: its f·t·32 digest bytes, tree after tree. Raises
-    ``ValueError`` unless the forest has exactly f trees of t leaf digests
-    and f roots, so a damaged file fails at load, not as a rejected login."""
-    params = dors_params_from_dict(data["params"])
+    """The trees come from ``data["leaf_digests"]`` or, when given, from
+    ``forest``: their t·32 digest bytes, tree after tree. Either holds the
+    forest's f - ``dropped`` live trees, then the ``next_roots`` trees built
+    ahead. Raises ``ValueError`` unless it holds exactly that many trees of t
+    leaf digests, there are f roots and no unspent tree is dropped, so a
+    damaged file fails at load, not as a rejected login."""
+    params, dropped, ahead = dors_forest_shape(data)
     roots = data["roots"]
     size = params.t * DIGEST_LEN
     if forest is None:
@@ -173,22 +209,28 @@ def dors_gateway_from_dict(data: dict, forest: bytes | None = None) -> dors_auth
         ]
     else:
         trees = [forest[i : i + size] for i in range(0, len(forest), size)]
-    if len(trees) != params.f or len(roots) != params.f or any(len(tree) != size for tree in trees):
+    live = params.f - dropped
+    if len(trees) != live + ahead or len(roots) != params.f or any(len(tree) != size for tree in trees):
         raise ValueError(
-            f"a DORS forest needs {params.f} roots and {params.f} trees of {params.t} "
+            f"a DORS forest needs {params.f} roots and {live + ahead} trees of {params.t} "
             f"leaf digests, each {2 * size} hex digits or {size} bytes"
         )
     pk = dors_auth.DorsPublicKey(
         params=params,
-        leaf_digests=trees,
+        leaf_digests=[b""] * dropped + trees[:live],
         roots=_digests_from_hex(roots),
     )
-    return dors_auth.DorsGatewaySide(
+    side = dors_auth.DorsGatewaySide(
         uid=data["uid"],
         public_key=pk,
         chain=chain_from_dict(data["chain"]),
         link_key=Key256.from_hex(data["link_key"]),
     )
+    if dropped > side.chain.signature_count // params.r:
+        raise ValueError(f"{dropped} trees dropped, but the chain has spent fewer")
+    side.next_forest.leaf_digests = trees[live:]
+    side.next_forest.roots = _digests_from_hex(data.get("next_roots", []))
+    return side
 
 
 # --- dhs_auth --------------------------------------------------------------------

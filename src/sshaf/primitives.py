@@ -146,14 +146,22 @@ class RandomSource:
     def read(self, n: int) -> bytes:
         if n < 0:
             raise ValueError("cannot read a negative number of bytes")
-        while len(self._buffer) < n:
-            block = hashlib.sha256(
-                self._seed + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            self._buffer += block
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+        buffer = self._buffer
+        short = n - len(buffer)
+        if short > 0:
+            seed, start = self._seed, self._counter
+            if short <= 32:  # one block: nonces, keys and identifiers
+                self._counter = start + 1
+                buffer += _sha256(seed + start.to_bytes(8, "big")).digest()
+            else:
+                # Join the missing blocks once: growing the buffer block by
+                # block would copy it whole each time.
+                self._counter = end = start + -(-short // 32)
+                buffer += b"".join(
+                    [_sha256(seed + counter.to_bytes(8, "big")).digest() for counter in range(start, end)]
+                )
+        self._buffer = buffer[n:]
+        return buffer[:n]
 
     def fork(self, label: str) -> "RandomSource":
         """Independent child stream, seeded from this one's seed and ``label``."""

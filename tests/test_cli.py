@@ -44,9 +44,16 @@ def state_files(state) -> list[str]:
 
 
 def forest_files(state) -> list[str]:
-    """The forest file of every DORS user state.json names, sorted."""
+    """The forest file of every DORS user state.json names, sorted: named by
+    the forest's first root and, once it has trees dropped or built ahead,
+    by both counts."""
     registry = json.loads((Path(state) / "state.json").read_text())["gateway"]["dors_registry"]
-    return sorted(f"dors-{entry['roots'][0]}.forest" for entry in registry.values())
+    names = []
+    for entry in registry.values():
+        counts = (entry.get("dropped", 0), len(entry.get("next_roots", [])))
+        suffix = "-%d-%d" % counts if any(counts) else ""
+        names.append(f"dors-{entry['roots'][0]}{suffix}.forest")
+    return sorted(names)
 
 
 def login(capsys, state, minutes: int) -> tuple[int, str]:
@@ -207,6 +214,16 @@ def _home_registered_as_string(state: dict, text: str) -> str:
     return json.dumps(state)
 
 
+def _dors_entry(name: str, **fields):
+    """Damage ``name``: set ``fields`` in alice's DORS entry."""
+    def damage(state: dict, text: str) -> str:
+        state["gateway"]["dors_registry"]["alice"].update(fields)
+        return json.dumps(state)
+
+    damage.__name__ = name
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -215,6 +232,11 @@ def _home_registered_as_string(state: dict, text: str) -> str:
         _home_registered_as_string,
         *map(_section_as_array, ["mht_registry", "dors_registry", "wallets", "sessions",
                                  "step_up_tokens", "pending_cards"]),
+        _dors_entry("_dors_dropped_as_string", dropped="1"),
+        _dors_entry("_dors_dropped_negative", dropped=-1),
+        _dors_entry("_dors_dropped_past_f", dropped=9),
+        _dors_entry("_dors_next_roots_as_string", next_roots="ab"),
+        _dors_entry("_dors_next_roots_past_f", next_roots=["00" * 32] * 9),
     ],
 )
 def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
@@ -309,23 +331,59 @@ def test_state_directory_carrying_the_configuration_loads_and_sheds_it(tmp_path,
 
 
 def test_dors_rekey_over_cli_replaces_the_forest_file(tmp_path, capsys):
+    """The forest file changes when a login rotates onto a new tree (the
+    spent one is dropped), at each login with the last tree (one tree of
+    the next epoch is built), and at the re-key; each change writes a new
+    file and deletes the old one."""
     state = str(tmp_path / "state")
     bootstrap_user(capsys, state, caps="dors")
     first = forest_files(state)
     db_file = (Path(state) / "db.enc").read_bytes()
+    names = [first]
     # A production forest signs 64 logins; the 65th re-keys.
-    for i in range(64):
+    for i in range(65):
         code, out = login(capsys, state, 600 + 60 * i)
         assert (code, "scheme=dors" in out) == (0, True), out
-    assert forest_files(state) == first
-    code, out = login(capsys, state, 600 + 60 * 64)
-    assert (code, "scheme=dors" in out) == (0, True), out
-    second = forest_files(state)
-    assert len(second) == 1 and second != first
-    assert state_files(state) == ["db.enc", *second, "gateway.key", "state.json"]
+        assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
+        names.append(forest_files(state))
+        if i == 63:  # 7 trees dropped, 8 of the next epoch built: 9 held
+            assert names[-1] == [first[0].replace(".forest", "-7-8.forest")]
+            assert (Path(state) / names[-1][0]).stat().st_size == 9 * 256 * 32
+    changed = [n for n in range(1, 66) if names[n] != names[n - 1]]
+    assert changed == [9, 17, 25, 33, 41, 49, *range(57, 66)]
+    second = names[65]
+    assert len(second) == 1 and second != first and second[0].count("-") == 1
     assert (Path(state) / "db.enc").read_bytes() == db_file  # a login changes no table
     code, out = login(capsys, state, 600 + 60 * 65)
     assert (code, "scheme=dors" in out) == (0, True), out
+
+
+def test_state_directory_without_trees_built_ahead_loads_and_rekeys(tmp_path, capsys, monkeypatch):
+    """A directory whose forest file holds the whole forest and nothing
+    built ahead, as one was written before trees were dropped or built
+    ahead, even six signatures into the last tree."""
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state), caps="dors")
+    gw, seed, inv, forests = cli._load(state, None)
+    with monkeypatch.context() as patch:
+        patch.setattr(gw_mod.Gateway, "_roll_dors_forest", lambda self, uid: None)
+        for minutes in range(600, 600 + 62 * 60, 60):
+            gw.advance_time(minutes - gw.sim_minutes)
+            result = gw.login("alice", "pw-alice", ContextSnapshot(
+                uid="alice", origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=True,
+                timestamp=minutes,
+            ))
+            assert (result.status, result.session.scheme) == ("grant", "dors")
+        cli._save(state, gw, seed, inv, forests)
+    (whole,) = forest_files(state)
+    assert state_files(state) == ["db.enc", whole, "gateway.key", "state.json"]
+    assert (state / whole).stat().st_size == 8 * 256 * 32
+    for i in range(62, 66):  # two in the last tree, the re-key, one more
+        code, out = login(capsys, str(state), 600 + 60 * i)
+        assert (code, "scheme=dors" in out) == (0, True), out
+        assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
+    (rekeyed,) = forest_files(state)
+    assert rekeyed.count("-") == 1 and rekeyed != whole
 
 
 def test_save_then_load_restores_the_same_gateway_state(tmp_path, capsys):

@@ -13,6 +13,7 @@ from sshaf.errors import AuthFailed, ForestExhausted, InvalidParams, MalformedPa
 from sshaf.dors_auth import (
     ChainState,
     DorsParams,
+    DorsPublicKey,
     DorsSignature,
     dors_challenge,
     dors_gateway_verify,
@@ -73,6 +74,29 @@ def test_production_keygen_bytes_and_counts_are_pinned():
     METER.reset()
     dors_provision("alice", Key256(b"\x44" * 32))
     assert METER.snapshot() == (4089, 2050)  # plus the seed and link kdfs
+
+
+def test_keygen_builds_only_the_trees_not_built_ahead():
+    params = DorsParams(t=16, k=4, f=3, r=2)
+    _, whole, genesis = dors_keygen(SEED, params)
+    for built in range(params.f + 1):
+        ahead = DorsPublicKey(params, [], [])
+        ahead.grow(SEED, built)
+        assert ahead.roots == whole.roots[:built]
+        METER.reset()
+        _, pk, chain = dors_keygen(SEED, ahead)
+        missing = params.f - built
+        assert METER.snapshot() == (missing * (2 * params.t - 1) + 1, missing * params.t)
+        assert (pk.leaf_digests, pk.roots, chain) == (whole.leaf_digests, whole.roots, genesis)
+
+
+def test_signer_keeps_only_the_active_trees_revealed_set():
+    params = DorsParams(t=16, k=4, f=3, r=2)
+    sk, _, chain = dors_keygen(SEED, params)
+    for i in range(params.f * params.r):
+        sig, chain = dors_sign(sk, chain, b"m%d" % i)
+        assert list(sk.revealed) == [sig.tree_index]
+        assert sk.revealed[sig.tree_index] >= set(sig.subset_indices)
 
 
 def test_sign_reveals_equal_per_leaf_kdf():

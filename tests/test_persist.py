@@ -130,6 +130,18 @@ def test_dors_gateway_from_dict_rejects_malformed_leaf_digest(spoil):
         lambda data: data["leaf_digests"].__setitem__(
             0, _per_leaf(data["leaf_digests"][0])
         ),  # a tree in the per-leaf layout
+        lambda data: data.update(dropped="1"),  # a count as a string
+        lambda data: data.update(dropped=True),  # a count as a boolean
+        lambda data: data.update(dropped=-1),
+        lambda data: data.update(dropped=3),  # more trees dropped than f
+        lambda data: (data.update(dropped=1), data["leaf_digests"].pop()),  # dropped before spent
+        lambda data: data.update(next_roots=data["roots"][0]),  # roots as a string
+        lambda data: data.update(next_roots=data["roots"] * 2),  # more built ahead than f
+        lambda data: data.update(next_roots=data["roots"][:1]),  # a tree built ahead missing
+        lambda data: (
+            data.update(next_roots=data["roots"][:1]),
+            data["leaf_digests"].append(data["leaf_digests"][0][: 3 * 64]),
+        ),  # a 3-leaf tree built ahead
     ],
 )
 def test_dors_gateway_from_dict_rejects_malformed_forest(spoil):

@@ -223,6 +223,24 @@ def test_seeded_read_of_any_size_continues_the_byte_stream(size):
     assert src.read(5) == reference.read(5)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(0, 300), max_size=12))
+def test_reads_of_any_sizes_give_the_one_block_stream(sizes):
+    # The stream is SHA-256(seed || 8-byte counter), one 32-byte block per
+    # counter value; after the reads, the counter has produced just enough
+    # blocks and the buffer carries the rest of the last one.
+    seed = bytes(range(32))
+    total = sum(sizes)
+    blocks = -(-total // 32)
+    stream = b"".join(
+        hashlib.sha256(seed + counter.to_bytes(8, "big")).digest() for counter in range(blocks)
+    )
+    src = RandomSource.seeded(seed)
+    assert b"".join(src.read(size) for size in sizes) == stream[:total]
+    assert src._counter == blocks
+    assert src._buffer == stream[total:]
+
+
 def test_seeded_nonces_fresh_within_stream():
     src = RandomSource.seeded(b"\x00" * 32)
     n1 = random_nonce(src)
