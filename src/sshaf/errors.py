@@ -23,10 +23,6 @@ class EmptyTree(SshafError):
     """A Merkle tree needs at least one leaf."""
 
 
-class IndexOutOfRange(SshafError):
-    """Requested leaf index is not inside the tree."""
-
-
 class AlreadyRegistered(SshafError):
     """The uid already has state registered with this party."""
 

@@ -1,7 +1,7 @@
 """Mutual authentication bound to a Merkle-committed transaction history.
 
-Both parties hold a shared key, a transaction counter, and a Merkle tree
-over the handshake history. Freshness comes from the counter plus per-run
+Both parties hold a shared key, a transaction counter, and the Merkle root
+of the handshake history. Freshness comes from the counter plus per-run
 nonces -- no clocks -- and the gateway keeps only live protocol state, never
 a table of password-derived verifiers. The handshake is four messages:
 
@@ -12,10 +12,14 @@ a table of password-derived verifiers. The handshake is four messages:
 
 After each completed run both sides append a new history leaf, advance the
 counter, and ratchet the shared key forward, so a later state capture
-cannot recover earlier session keys. Appending a leaf updates only the
-tree's right spine, so a handshake over an n-leaf history costs O(log n)
-hashes; the updated levels equal a full rebuild, so roots and proofs are
-those of the tree built from scratch.
+cannot recover earlier session keys.
+
+The handshake only ever proves the latest leaf, so each side keeps its
+history as a ``MerkleHistory``: the latest leaf, its path inside its peak
+and the tree's peaks, O(log n) digests for n leaves. Appending a leaf costs
+O(log n) hashes, and roots and proofs are those of the full tree built from
+scratch. The user's device keeps nothing more; the gateway also keeps the
+plain leaf log, which is what it persists.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .errors import (
     EmptyTree,
     GatewayAuthFailed,
     HistoryMismatch,
-    IndexOutOfRange,
     MalformedPacket,
     UnknownUser,
     UserAuthFailed,
@@ -53,7 +56,15 @@ LEFT = "left"
 RIGHT = "right"
 
 
-# --- Merkle tree ---------------------------------------------------------
+# --- Merkle history -----------------------------------------------------
+# The history is a binary hash tree over the leaves in order, built level by
+# level; an unpaired last node is promoted unhashed. Such a tree over n
+# leaves is a row of perfect subtrees, the peaks, one for each set bit of n.
+# With P_0 the largest peak and P_m the smallest, the root folds them from
+# the smallest up: root = H(P_0 || H(P_1 || ... H(P_m-1 || P_m))). The
+# latest leaf is the last leaf of P_m, so every sibling on its path is a
+# left one: first its tz(n) siblings inside P_m, then the other peaks from
+# the smallest up (tz(n) = trailing zero bits of n).
 
 @dataclass
 class MerkleProof:
@@ -64,48 +75,88 @@ class MerkleProof:
 
 
 @dataclass
-class MerkleTree:
-    """Binary hash tree; an unpaired node is promoted unhashed.
+class MerkleHistory:
+    """The history as a compact range (RFC 9162's tree; Crosby and Wallach,
+    USENIX Security 2009): enough to append and to prove the latest leaf,
+    which is all the handshake proves, in O(log n) digests.
 
-    ``levels`` is built once from ``leaves`` and then kept up to date by
-    :meth:`append`, which touches only the right spine: at most
-    ceil(log2 n) hashes per append. After every append ``levels`` equals a
-    full rebuild, ``_build_levels(leaves)``, element for element.
+    ``path`` holds the latest leaf's left siblings inside its peak, bottom
+    up, and ``peaks`` every peak from the smallest up; the first is the
+    latest leaf's own, kept so an append needs no hash to rebuild it.
+    ``path + peaks[1:]`` are the latest leaf's proof siblings. ``root`` is
+    cached at each change. An append costs popcount(n) hashes for a history
+    of n leaves, the same as updating the right spine of the full tree.
     """
 
-    leaves: list[Digest256]
-    levels: list[list[Digest256]] = field(init=False)
+    count: int
+    latest: Digest256
+    path: list[Digest256]
+    peaks: list[Digest256]
+    root: Digest256 = field(init=False)
 
     def __post_init__(self):
-        self.levels = _build_levels(self.leaves)
+        self.root = _fold(self.peaks[0], self.peaks[1:])
 
-    @property
-    def root(self) -> Digest256:
-        return self.levels[-1][0]
+    @classmethod
+    def from_range(cls, count: int, digests: list[Digest256]) -> "MerkleHistory":
+        """The history of ``count`` leaves from :meth:`compact_range`'s
+        digests, at most 2·log2(count) hashes. Raises ``ValueError`` unless
+        there are exactly 1 + tz(count) + popcount(count) - 1 of them."""
+        in_peak = _trailing_zeros(count)
+        if count < 1 or len(digests) != in_peak + count.bit_count():
+            raise ValueError(f"a history of {count} leaves is not {len(digests)} digests")
+        latest, path, others = digests[0], digests[1 : 1 + in_peak], digests[1 + in_peak :]
+        return cls(count, latest, path, [_fold(latest, path), *others])
+
+    @classmethod
+    def from_leaves(cls, leaves: list[Digest256]) -> "MerkleHistory":
+        """The history of ``leaves``: n - 1 hashes, as a full tree build."""
+        raw, n = [leaf.bytes for leaf in leaves], len(leaves)
+        if not n:
+            raise EmptyTree("a history needs at least one leaf")
+        peaks, start = [], 0
+        for bit in reversed(range(n.bit_length())):
+            if n >> bit & 1:
+                levels = merkle_levels(raw[start : start + (1 << bit)])
+                peaks.append(Digest256(levels[-1][0]))
+                start += 1 << bit
+        path = [Digest256(level[-2]) for level in levels[:-1]]
+        return cls(n, leaves[-1], path, peaks[::-1])
+
+    def compact_range(self) -> list[Digest256]:
+        """The latest leaf, then its proof's siblings: what
+        :meth:`from_range` needs besides the count."""
+        return [self.latest, *self.path, *self.peaks[1:]]
+
+    def proof(self) -> MerkleProof:
+        """The latest leaf's authentication path; every sibling is a left one."""
+        siblings = self.path + self.peaks[1:]
+        return MerkleProof(self.count - 1, [(digest, LEFT) for digest in siblings])
 
     def append(self, leaf: Digest256) -> None:
-        self.leaves.append(leaf)
-        node, idx = leaf, len(self.levels[0])
-        self.levels[0].append(leaf)
-        depth = 0
-        while len(self.levels[depth]) > 1:
-            # The one parent the new node changes: a pair when the node is
-            # a right child, the node itself promoted when it is unpaired.
-            if idx % 2:
-                node = _combine(self.levels[depth][idx - 1], node)
-            idx //= 2
-            depth += 1
-            if depth == len(self.levels):
-                self.levels.append([])
-            parents = self.levels[depth]
-            if idx < len(parents):
-                parents[idx] = node
-            else:
-                parents.append(node)
+        # The new leaf merges with one peak per trailing one bit of count,
+        # smallest first; those peaks are its new path.
+        merged = _trailing_zeros(self.count + 1)
+        self.path = self.peaks[:merged]
+        self.peaks = [_fold(leaf, self.path), *self.peaks[merged:]]
+        self.latest = leaf
+        self.count += 1
+        self.root = _fold(self.peaks[0], self.peaks[1:])
+
+
+def _trailing_zeros(n: int) -> int:
+    return (n & -n).bit_length() - 1
 
 
 def _combine(left: Digest256, right: Digest256) -> Digest256:
     return hash_bytes(left.bytes + right.bytes)
+
+
+def _fold(node: Digest256, lefts: list[Digest256]) -> Digest256:
+    """``node`` hashed under each of ``lefts`` in turn, each on the left."""
+    for left in lefts:
+        node = hash_bytes(left.bytes + node.bytes)
+    return node
 
 
 def merkle_levels(nodes: list[bytes]) -> list[list[bytes]]:
@@ -129,26 +180,6 @@ def merkle_levels(nodes: list[bytes]) -> list[list[bytes]]:
 def merkle_root(nodes: list[bytes]) -> bytes:
     """Raw root over raw 32-byte leaf digests."""
     return merkle_levels(nodes)[-1][0]
-
-
-def _build_levels(leaves: list[Digest256]) -> list[list[Digest256]]:
-    levels = merkle_levels([leaf.bytes for leaf in leaves])
-    return [list(leaves)] + [[Digest256(node) for node in level] for level in levels[1:]]
-
-
-def mht_prove(tree: MerkleTree, leaf_index: int) -> MerkleProof:
-    if not 0 <= leaf_index < len(tree.leaves):
-        raise IndexOutOfRange(f"leaf {leaf_index} of {len(tree.leaves)}")
-    siblings: list[tuple[Digest256, str]] = []
-    idx = leaf_index
-    for level in tree.levels[:-1]:
-        if idx % 2 == 0:
-            if idx + 1 < len(level):
-                siblings.append((level[idx + 1], RIGHT))
-        else:
-            siblings.append((level[idx - 1], LEFT))
-        idx //= 2
-    return MerkleProof(leaf_index, siblings)
 
 
 def mht_verify(root: Digest256, leaf: Digest256, proof: MerkleProof) -> bool:
@@ -302,7 +333,7 @@ class MhtUserState:
     uid: str
     shared_key: Key256
     txn_counter: int
-    tree: MerkleTree
+    history: MerkleHistory
     pending: MhtPendingUser | None = None
 
 
@@ -311,7 +342,8 @@ class MhtGatewayState:
     uid: str
     shared_key: Key256
     txn_counter: int
-    tree: MerkleTree
+    history: MerkleHistory
+    leaves: list[Digest256]  # the plain leaf log, which the gateway persists
     pending: MhtPendingGateway | None = None
 
 
@@ -344,14 +376,14 @@ def _ratchet(key: Key256, n_u: Nonce128, n_g: Nonce128) -> Key256:
 def mht_register(
     registry: dict[str, MhtGatewayState], uid: str, master_secret: Key256
 ) -> tuple[MhtUserState, MhtGatewayState]:
-    """Provision symmetric state on both sides; the trees start with a
+    """Provision symmetric state on both sides; the histories start with a
     single genesis leaf and the counter at zero."""
     if uid in registry:
         raise AlreadyRegistered(uid)
     shared = kdf(master_secret, "mht-user", uid.encode())
     genesis = _genesis_leaf(uid)
-    user = MhtUserState(uid, shared, 0, MerkleTree([genesis]))
-    gateway = MhtGatewayState(uid, shared, 0, MerkleTree([genesis]))
+    user = MhtUserState(uid, shared, 0, MerkleHistory(1, genesis, [], [genesis]))
+    gateway = MhtGatewayState(uid, shared, 0, MerkleHistory(1, genesis, [], [genesis]), [genesis])
     registry[uid] = gateway
     return user, gateway
 
@@ -371,11 +403,11 @@ def mht_auth_challenge(
     if gateway is None:
         raise UnknownUser(m1.uid)
     if m1.counter != gateway.txn_counter:
-        raise CounterDesync(gateway.txn_counter, gateway.tree.root)
+        raise CounterDesync(gateway.txn_counter, gateway.history.root)
     n_g = random_nonce(src)
-    root = gateway.tree.root
+    root = gateway.history.root
     gateway.pending = MhtPendingGateway(n_u=m1.n_u, n_g=n_g, root=root)
-    proof = mht_prove(gateway.tree, len(gateway.tree.leaves) - 1)
+    proof = gateway.history.proof()
     tag = _challenge_tag(gateway.shared_key, m1.n_u, n_g, root)
     return MhtM2(n_g, proof, root, tag)
 
@@ -384,14 +416,13 @@ def mht_auth_respond(user: MhtUserState, m2: MhtM2) -> MhtM3:
     if user.pending is None:
         raise ConfirmFailed("no handshake pending")
     n_u = user.pending.n_u
-    if m2.root != user.tree.root:
+    if m2.root != user.history.root:
         user.pending = None
         raise HistoryMismatch("gateway root differs from local history")
     if m2.tag != _challenge_tag(user.shared_key, n_u, m2.n_g, m2.root):
         user.pending = None
         raise GatewayAuthFailed("challenge tag invalid")
-    latest = user.tree.leaves[-1]
-    if not mht_verify(m2.root, latest, m2.proof):
+    if not mht_verify(m2.root, user.history.latest, m2.proof):
         user.pending = None
         raise GatewayAuthFailed("history proof invalid")
     user.pending.n_g = m2.n_g
@@ -414,7 +445,9 @@ def mht_auth_finalize(
         raise UserAuthFailed("response tag invalid")
     session = _session_key(gateway.shared_key, pend.n_u, pend.n_g, pend.root)
     # Commit: new history leaf, counter, and key ratchet.
-    gateway.tree.append(_txn_leaf(pend.n_u, pend.n_g))
+    leaf = _txn_leaf(pend.n_u, pend.n_g)
+    gateway.history.append(leaf)
+    gateway.leaves.append(leaf)
     gateway.txn_counter += 1
     gateway.shared_key = _ratchet(gateway.shared_key, pend.n_u, pend.n_g)
     gateway.pending = None
@@ -429,7 +462,7 @@ def mht_confirm(user: MhtUserState, m4: MhtM4) -> Key256:
         user.pending = None
         raise ConfirmFailed("confirmation tag invalid")
     pend = user.pending
-    user.tree.append(_txn_leaf(pend.n_u, pend.n_g))
+    user.history.append(_txn_leaf(pend.n_u, pend.n_g))
     user.txn_counter += 1
     user.shared_key = _ratchet(user.shared_key, pend.n_u, pend.n_g)
     user.pending = None

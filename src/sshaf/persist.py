@@ -15,6 +15,20 @@ ignored and is gone after the next save.
 Pending handshake material is ephemeral and excluded unless a capture
 explicitly asks for it (that inclusion is the documented attack window).
 
+An MHT gateway side writes its whole leaf log as ``leaves``, one hex string
+per leaf: Tables 1/2 count that entry as the gateway's storage and the
+benchmark reads its leaf count. A user side writes its compact history as
+``range``: the latest leaf, then the siblings of that leaf's proof, O(log n)
+digests where ``leaves`` took n. The split of ``range`` follows from the leaf
+count, ``txn_counter`` + 1, since every completed handshake adds one leaf
+and one count. A user side written before the compact form carries
+``leaves`` and still loads, rebuilt once from them; the next save writes
+``range``. Either side's leaf count must be ``txn_counter`` + 1.
+
+The MHT ``txn_counter``, the simulated clock ``sim_minutes`` and the
+minutes a session or step-up token was made, which the clock is compared
+with, load only from non-negative JSON integers.
+
 Fixed-width values are lowercase hex strings. A DORS public forest is
 written as one hex string per tree, its t leaf digests concatenated in
 leaf order, which is the packed form ``DorsPublicKey.leaf_digests`` holds
@@ -52,23 +66,36 @@ def _digests_from_hex(items) -> list[Digest256]:
     return [Digest256.from_hex(h) for h in items]
 
 
-def _set_from_array(items, kind: type) -> set:
-    """The set of a JSON array of ``kind`` values; anything else, such as a
-    string (whose ``set`` is its characters), raises ``TypeError``."""
-    if type(items) is not list or not all(type(item) is kind for item in items):
+def _array(items, kind: type) -> list:
+    """A JSON array of ``kind`` values; anything else, such as a string
+    (whose items are its characters), raises ``TypeError``."""
+    if type(items) is not list or not set(map(type, items)) <= {kind}:
         raise TypeError(f"expected an array of {kind.__name__}, got {items!r}")
-    return set(items)
+    return items
+
+
+def _count(value) -> int:
+    """A JSON integer that counts something: not a bool, not negative;
+    anything else raises ``ValueError``."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
 
 
 # --- merkle_auth ------------------------------------------------------------
 
 def mht_state_to_dict(state, include_pending: bool = False) -> dict:
+    """A gateway side writes its leaf log as ``leaves``, a user side its
+    compact history as ``range`` (see the module docstring)."""
     data = {
         "uid": state.uid,
         "shared_key": state.shared_key.hex(),
         "txn_counter": state.txn_counter,
-        "leaves": _digests_to_hex(state.tree.leaves),
     }
+    if isinstance(state, merkle_auth.MhtGatewayState):
+        data["leaves"] = _digests_to_hex(state.leaves)
+    else:
+        data["range"] = _digests_to_hex(state.history.compact_range())
     if include_pending and state.pending is not None:
         pend = {"n_u": state.pending.n_u.hex()}
         n_g = getattr(state.pending, "n_g", None)
@@ -81,21 +108,41 @@ def mht_state_to_dict(state, include_pending: bool = False) -> dict:
     return data
 
 
+def _leaf_log(data: dict) -> list[Digest256]:
+    """An entry's ``leaves``, which must be one per completed handshake
+    plus the genesis leaf; raises ``ValueError`` otherwise."""
+    leaves = _digests_from_hex(_array(data["leaves"], str))
+    if len(leaves) != _count(data["txn_counter"]) + 1:
+        raise ValueError(f"{len(leaves)} leaves, but txn_counter is {data['txn_counter']}")
+    return leaves
+
+
 def mht_user_from_dict(data: dict) -> merkle_auth.MhtUserState:
+    """Reads a ``range``, or the ``leaves`` a user side was written with
+    before the compact form."""
+    counter = _count(data["txn_counter"])
+    if "range" in data:
+        history = merkle_auth.MerkleHistory.from_range(
+            counter + 1, _digests_from_hex(_array(data["range"], str))
+        )
+    else:
+        history = merkle_auth.MerkleHistory.from_leaves(_leaf_log(data))
     return merkle_auth.MhtUserState(
         uid=data["uid"],
         shared_key=Key256.from_hex(data["shared_key"]),
-        txn_counter=data["txn_counter"],
-        tree=merkle_auth.MerkleTree(_digests_from_hex(data["leaves"])),
+        txn_counter=counter,
+        history=history,
     )
 
 
 def mht_gateway_from_dict(data: dict) -> merkle_auth.MhtGatewayState:
+    leaves = _leaf_log(data)
     return merkle_auth.MhtGatewayState(
         uid=data["uid"],
         shared_key=Key256.from_hex(data["shared_key"]),
         txn_counter=data["txn_counter"],
-        tree=merkle_auth.MerkleTree(_digests_from_hex(data["leaves"])),
+        history=merkle_auth.MerkleHistory.from_leaves(leaves),
+        leaves=leaves,
     )
 
 
@@ -138,7 +185,7 @@ def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
         active_tree=data["active_tree"],
         used_signatures=data["used_signatures"],
         revealed={
-            int(tree): _set_from_array(leaves, int) for tree, leaves in data["revealed"].items()
+            int(tree): set(_array(leaves, int)) for tree, leaves in data["revealed"].items()
         },
     )
     return dors_auth.DorsUserSide(
@@ -332,8 +379,8 @@ def session_from_dict(data: dict) -> gw_mod.GatewaySession:
         session_key=Key256.from_hex(data["session_key"]),
         confidence=data["confidence"],
         origin=data["origin"],
-        established_minutes=data["established_minutes"],
-        device_grants=_set_from_array(data["device_grants"], str),
+        established_minutes=_count(data["established_minutes"]),
+        device_grants=set(_array(data["device_grants"], str)),
     )
 
 
@@ -364,7 +411,7 @@ def restore_gateway_state(
     """``forests``, when given, holds each DORS user's forest bytes by uid,
     for a dict written with ``with_forests=False``."""
     gw.master_secret = Key256.from_hex(data["master_secret"])
-    gw.sim_minutes = data["sim_minutes"]
+    gw.sim_minutes = _count(data["sim_minutes"])
     gw.mht_registry = {uid: mht_gateway_from_dict(s) for uid, s in data["mht_registry"].items()}
     gw.dors_registry = {
         uid: dors_gateway_from_dict(s, None if forests is None else forests[uid])
@@ -373,11 +420,13 @@ def restore_gateway_state(
     gw.dors_epochs = {uid: int(n) for uid, n in data["dors_epochs"].items()}
     gw.edge = edge_server_from_dict(data["edge"])
     gw.home = dhs_auth.HomeServerState(
-        master_secret=gw.master_secret, registered=_set_from_array(data["home_registered"], str)
+        master_secret=gw.master_secret, registered=set(_array(data["home_registered"], str))
     )
     gw.wallets = {uid: wallet_from_dict(w) for uid, w in data["wallets"].items()}
     gw.sessions = {sid: session_from_dict(s) for sid, s in data["sessions"].items()}
-    gw._step_up_tokens = {t: (uid, minted) for t, (uid, minted) in data["step_up_tokens"].items()}
+    gw._step_up_tokens = {
+        t: (uid, _count(minted)) for t, (uid, minted) in data["step_up_tokens"].items()
+    }
     gw._pending_cards = {uid: card_from_dict(c) for uid, c in data["pending_cards"].items()}
 
 

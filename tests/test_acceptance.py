@@ -88,35 +88,33 @@ def test_criterion_crypto_core():
             == "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         )
 
-        # Merkle round trip for every tree size 1..64 and every index.
+        # Merkle round trip for every history size 1..64: the latest leaf,
+        # the one leaf the handshake proves, verifies against the root.
         rng = random.Random(0xACCE)
         for n in range(1, 65):
             leaves = [Digest256(rng.randbytes(32)) for _ in range(n)]
-            tree = merkle_auth.MerkleTree(leaves)
-            for idx in range(n):
-                proof = merkle_auth.mht_prove(tree, idx)
-                assert merkle_auth.mht_verify(tree.root, leaves[idx], proof)
+            history = merkle_auth.MerkleHistory.from_leaves(leaves)
+            assert merkle_auth.mht_verify(history.root, leaves[-1], history.proof())
 
         # Single-byte mutations of leaf, siblings, and root all break
         # verification (sampled positions across sizes).
         for n in (1, 2, 5, 16, 33, 64):
             leaves = [Digest256(rng.randbytes(32)) for _ in range(n)]
-            tree = merkle_auth.MerkleTree(leaves)
-            for idx in {0, n // 2, n - 1}:
-                proof = merkle_auth.mht_prove(tree, idx)
-                for pos in (0, 13, 31):
-                    bad_leaf = bytearray(leaves[idx].bytes)
-                    bad_leaf[pos] ^= 1
-                    assert not merkle_auth.mht_verify(tree.root, Digest256(bytes(bad_leaf)), proof)
-                    bad_root = bytearray(tree.root.bytes)
-                    bad_root[pos] ^= 1
-                    assert not merkle_auth.mht_verify(Digest256(bytes(bad_root)), leaves[idx], proof)
-                for s, (digest, side) in enumerate(proof.siblings):
-                    mutated = bytearray(digest.bytes)
-                    mutated[s % 32] ^= 1
-                    bad = merkle_auth.MerkleProof(idx, list(proof.siblings))
-                    bad.siblings[s] = (Digest256(bytes(mutated)), side)
-                    assert not merkle_auth.mht_verify(tree.root, leaves[idx], bad)
+            history = merkle_auth.MerkleHistory.from_leaves(leaves)
+            proof = history.proof()
+            for pos in (0, 13, 31):
+                bad_leaf = bytearray(leaves[-1].bytes)
+                bad_leaf[pos] ^= 1
+                assert not merkle_auth.mht_verify(history.root, Digest256(bytes(bad_leaf)), proof)
+                bad_root = bytearray(history.root.bytes)
+                bad_root[pos] ^= 1
+                assert not merkle_auth.mht_verify(Digest256(bytes(bad_root)), leaves[-1], proof)
+            for s, (digest, side) in enumerate(proof.siblings):
+                mutated = bytearray(digest.bytes)
+                mutated[s % 32] ^= 1
+                bad = merkle_auth.MerkleProof(n - 1, list(proof.siblings))
+                bad.siblings[s] = (Digest256(bytes(mutated)), side)
+                assert not merkle_auth.mht_verify(history.root, leaves[-1], bad)
 
 
 # --- criterion 2: protocol correctness, 100 handshakes per scheme ----------------
@@ -135,7 +133,7 @@ def _run_mht_100() -> list[bytes]:
         user_key = merkle_auth.mht_confirm(user, m4)
         assert user_key == gw_key
         assert user.txn_counter == gateway.txn_counter == i + 1
-        assert user.tree.root == gateway.tree.root
+        assert user.history == gateway.history
         keys.append(gw_key.bytes)
     return keys
 

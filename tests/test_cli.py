@@ -224,6 +224,35 @@ def _dors_entry(name: str, **fields):
     return damage
 
 
+def _gateway_field(name: str, section: str, **fields):
+    """Damage ``name``: set ``fields`` in alice's entry of ``section``, one of
+    ``mht_registry`` and ``wallets.mht``, or in the gateway dict itself."""
+    def damage(state: dict, text: str) -> str:
+        gateway = state["gateway"]
+        entry = {
+            "gateway": gateway,
+            "mht_registry": gateway["mht_registry"].get("alice"),
+            "wallets.mht": gateway["wallets"]["alice"]["mht"],
+        }[section]
+        entry.update(fields)
+        return json.dumps(state)
+
+    damage.__name__ = name
+    return damage
+
+
+def _user_leaves(count: int):
+    """Damage: alice's MHT user entry in its old form, with ``count``
+    leaves where her ``txn_counter`` makes one."""
+    def damage(state: dict, text: str) -> str:
+        entry = state["gateway"]["wallets"]["alice"]["mht"]
+        entry["leaves"] = entry.pop("range") * count
+        return json.dumps(state)
+
+    damage.__name__ = f"_user_with_{count}_leaves"
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -237,6 +266,17 @@ def _dors_entry(name: str, **fields):
         _dors_entry("_dors_dropped_past_f", dropped=9),
         _dors_entry("_dors_next_roots_as_string", next_roots="ab"),
         _dors_entry("_dors_next_roots_past_f", next_roots=["00" * 32] * 9),
+        _gateway_field("_mht_gateway_counter_as_string", "mht_registry", txn_counter="0"),
+        _gateway_field("_mht_user_counter_as_string", "wallets.mht", txn_counter="0"),
+        _gateway_field("_mht_user_counter_negative", "wallets.mht", txn_counter=-1),
+        _gateway_field("_mht_user_counter_as_bool", "wallets.mht", txn_counter=False),
+        _gateway_field("_mht_user_counter_past_its_range", "wallets.mht", txn_counter=1),
+        _gateway_field("_mht_user_range_as_string", "wallets.mht", range="00" * 32),
+        _gateway_field("_mht_user_range_not_hex", "wallets.mht", range=["zz" * 32]),
+        _gateway_field("_mht_gateway_leaves_past_counter", "mht_registry", leaves=["00" * 32] * 2),
+        _user_leaves(2),
+        _gateway_field("_sim_minutes_as_string", "gateway", sim_minutes="600"),
+        _gateway_field("_sim_minutes_negative", "gateway", sim_minutes=-1),
     ],
 )
 def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
@@ -248,6 +288,34 @@ def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
     code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
+
+
+def _as_written_before_compact_histories(state_dir: Path) -> None:
+    """Rewrite state.json as it was written before MHT user entries kept a
+    compact range: each held the user's leaves, which are the gateway's."""
+    path = state_dir / "state.json"
+    state = json.loads(path.read_text())
+    gateway = state["gateway"]
+    for uid, wallet in gateway["wallets"].items():
+        del wallet["mht"]["range"]
+        wallet["mht"]["leaves"] = gateway["mht_registry"][uid]["leaves"]
+    path.write_bytes(persist.dumps(state))
+
+
+def test_state_with_user_leaves_logs_in_alike_and_saves_the_compact_form(tmp_path, capsys):
+    compact, old = str(tmp_path / "compact"), tmp_path / "old"
+    bootstrap_user(capsys, compact, caps="")
+    login = ["login", "--uid", "alice", "--password", "pw-alice", "--bluetooth"]
+    for minute in (600, 700, 800):
+        assert run(capsys, *login, "--state", compact, "--time", str(minute))[0] == 0
+    old.mkdir()
+    for name in state_files(compact):
+        (old / name).write_bytes((Path(compact) / name).read_bytes())
+    _as_written_before_compact_histories(old)
+    assert '"leaves"' in (old / "state.json").read_text().split('"wallets"')[1]
+    outputs = [run(capsys, *login, "--state", state, "--time", "900") for state in (compact, str(old))]
+    assert outputs[0] == outputs[1] and "scheme=mht" in outputs[0][1]
+    assert (old / "state.json").read_bytes() == (Path(compact) / "state.json").read_bytes()
 
 
 def _three_leaf_tree(path: Path) -> None:

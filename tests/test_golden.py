@@ -156,11 +156,13 @@ def gateway_visits(model) -> str:
     return sha.hexdigest()
 
 
+# Re-pinned when MHT user entries began to persist a compact range instead
+# of every leaf; the decisions and every other persisted field hash as before.
 GATEWAY_SHA256 = {
-    "no-model": (None, "f1828b554bcb95de53aade5429506d174c87d766e67c38630d18d5243c9d21eb"),
+    "no-model": (None, "73fe9978258ffaaa8e9168bb3449152a8d60cea49ae52f4f1b4333759573aa63"),
     "synthetic-model": (
         make_synthetic_dataset,
-        "6251ee8e7d5b09550516a37099e12b996399e35f9b3807d06101ae55a45a2f56",
+        "a682234b15c87994cb93a8a9f5ac024d0a77a2c2afb00f201f1f9fe1d95f1638",
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Merkle tree and handshake tests; tree oracles computed with hashlib
+"""Merkle history and handshake tests; tree oracles computed with hashlib
 directly so they stay independent of the implementation they check."""
 
 import hashlib
@@ -18,7 +18,6 @@ from sshaf.errors import (
     EmptyTree,
     GatewayAuthFailed,
     HistoryMismatch,
-    IndexOutOfRange,
     MalformedPacket,
     UnknownUser,
     UserAuthFailed,
@@ -26,19 +25,17 @@ from sshaf.errors import (
 from sshaf.merkle_auth import (
     LEFT,
     RIGHT,
+    MerkleHistory,
     MerkleProof,
-    MerkleTree,
     MhtM1,
     MhtM2,
     MhtM3,
     MhtM4,
-    _build_levels,
     mht_auth_challenge,
     mht_auth_finalize,
     mht_auth_initiate,
     mht_auth_respond,
     mht_confirm,
-    mht_prove,
     mht_register,
     mht_verify,
     merkle_root,
@@ -54,6 +51,66 @@ def four_leaves():
     return [Digest256(sha(b"t" + str(i).encode())) for i in range(4)]
 
 
+class FullTree:
+    """The reference: the full tree over every leaf, each level kept, where
+    an unpaired node is promoted unhashed. An append updates the right
+    spine, hashing with hashlib and counting its own hashes."""
+
+    def __init__(self, leaf: bytes):
+        self.levels = [[leaf]]
+        self.hashes = 0
+
+    @property
+    def root(self) -> bytes:
+        return self.levels[-1][0]
+
+    def append(self, leaf: bytes) -> None:
+        node, idx = leaf, len(self.levels[0])
+        self.levels[0].append(leaf)
+        depth = 0
+        while len(self.levels[depth]) > 1:
+            if idx % 2:
+                node = sha(self.levels[depth][idx - 1] + node)
+                self.hashes += 1
+            idx //= 2
+            depth += 1
+            if depth == len(self.levels):
+                self.levels.append([])
+            parents = self.levels[depth]
+            if idx < len(parents):
+                parents[idx] = node
+            else:
+                parents.append(node)
+
+
+def full_proof(levels: list[list[bytes]], idx: int) -> list[tuple[bytes, str]]:
+    """Leaf ``idx``'s path up the full tree's ``levels``."""
+    siblings = []
+    for level in levels[:-1]:
+        if idx % 2:
+            siblings.append((level[idx - 1], LEFT))
+        elif idx + 1 < len(level):
+            siblings.append((level[idx + 1], RIGHT))
+        idx //= 2
+    return siblings
+
+
+def rebuilt_levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """The full tree's levels built from scratch, leaves first."""
+    levels = [list(leaves)]
+    while len(levels[-1]) > 1:
+        cur = levels[-1]
+        pairs = [sha(cur[i] + cur[i + 1]) for i in range(0, len(cur) - 1, 2)]
+        levels.append(pairs + cur[len(cur) & ~1 :])  # an unpaired last node is promoted
+    return levels
+
+
+def raw_proof(history: MerkleHistory) -> list[tuple[bytes, str]]:
+    proof = history.proof()
+    assert proof.leaf_index == history.count - 1
+    return [(digest.bytes, side) for digest, side in proof.siblings]
+
+
 def test_single_leaf_root_is_leaf():
     leaf = sha(b"only")
     assert merkle_root([leaf]) == leaf
@@ -63,11 +120,14 @@ def test_four_leaf_root_matches_hand_computed_oracle():
     raw = [sha(b"t" + str(i).encode()) for i in range(4)]
     expected = sha(sha(raw[0] + raw[1]) + sha(raw[2] + raw[3]))
     assert merkle_root(raw) == expected
+    assert MerkleHistory.from_leaves([Digest256(r) for r in raw]).root == Digest256(expected)
 
 
 def test_empty_leaves_rejected():
     with pytest.raises(EmptyTree):
         merkle_root([])
+    with pytest.raises(EmptyTree):
+        MerkleHistory.from_leaves([])
 
 
 def test_root_commits_to_leaf_order():
@@ -76,45 +136,43 @@ def test_root_commits_to_leaf_order():
     assert merkle_root(leaves) != merkle_root(permuted)
 
 
-def test_proof_for_index_2_matches_hand_computed_oracle():
+def test_latest_leaf_proof_matches_hand_computed_oracle():
     raw = [sha(b"t" + str(i).encode()) for i in range(4)]
-    tree = MerkleTree([Digest256(r) for r in raw])
-    proof = mht_prove(tree, 2)
-    assert proof.siblings == [
-        (Digest256(raw[3]), RIGHT),
+    three = MerkleHistory.from_leaves([Digest256(r) for r in raw[:3]])
+    assert three.proof().siblings == [(Digest256(sha(raw[0] + raw[1])), LEFT)]
+    four = MerkleHistory.from_leaves([Digest256(r) for r in raw])
+    assert four.proof() == MerkleProof(3, [
+        (Digest256(raw[2]), LEFT),
         (Digest256(sha(raw[0] + raw[1])), LEFT),
-    ]
+    ])
 
 
 def test_single_leaf_proof_is_empty():
-    tree = MerkleTree([Digest256(sha(b"x"))])
-    proof = mht_prove(tree, 0)
+    history = MerkleHistory.from_leaves([Digest256(sha(b"x"))])
+    proof = history.proof()
     assert proof.siblings == []
-    assert mht_verify(tree.root, tree.leaves[0], proof)
-
-
-def test_proof_index_out_of_range():
-    tree = MerkleTree(four_leaves())
-    with pytest.raises(IndexOutOfRange):
-        mht_prove(tree, 4)
+    assert mht_verify(history.root, history.latest, proof)
 
 
 def test_verify_accepts_honest_proof_and_rejects_wrong_leaf():
     leaves = four_leaves()
-    tree = MerkleTree(leaves)
-    proof = mht_prove(tree, 2)
-    assert mht_verify(tree.root, leaves[2], proof)
-    assert not mht_verify(tree.root, hash_bytes(b"x"), proof)
+    history = MerkleHistory.from_leaves(leaves)
+    proof = history.proof()
+    assert mht_verify(history.root, leaves[3], proof)
+    assert not mht_verify(history.root, hash_bytes(b"x"), proof)
 
 
-def test_round_trip_all_sizes_and_indices():
+def test_round_trip_all_sizes_against_full_tree():
+    # The latest leaf of each size is proved; the full tree's proof of that
+    # index is the same list.
     rng = random.Random(1)
     for n in range(1, 65):
-        leaves = [Digest256(rng.randbytes(32)) for _ in range(n)]
-        tree = MerkleTree(leaves)
-        for idx in range(n):
-            proof = mht_prove(tree, idx)
-            assert mht_verify(tree.root, leaves[idx], proof)
+        leaves = [rng.randbytes(32) for _ in range(n)]
+        history = MerkleHistory.from_leaves([Digest256(leaf) for leaf in leaves])
+        levels = rebuilt_levels(leaves)
+        assert history.root.bytes == levels[-1][0]
+        assert raw_proof(history) == full_proof(levels, n - 1)
+        assert mht_verify(history.root, history.latest, history.proof())
 
 
 def mutate(digest: Digest256, pos: int) -> Digest256:
@@ -126,18 +184,16 @@ def mutate(digest: Digest256, pos: int) -> Digest256:
 def test_single_byte_mutations_break_verification():
     rng = random.Random(2)
     for n in (1, 2, 3, 7, 8, 33, 64):
-        leaves = [Digest256(rng.randbytes(32)) for _ in range(n)]
-        tree = MerkleTree(leaves)
-        idx = rng.randrange(n)
-        proof = mht_prove(tree, idx)
+        history = MerkleHistory.from_leaves([Digest256(rng.randbytes(32)) for _ in range(n)])
+        proof, latest = history.proof(), history.latest
         pos = rng.randrange(32)
-        assert not mht_verify(tree.root, mutate(leaves[idx], pos), proof)
-        assert not mht_verify(mutate(tree.root, pos), leaves[idx], proof)
+        assert not mht_verify(history.root, mutate(latest, pos), proof)
+        assert not mht_verify(mutate(history.root, pos), latest, proof)
         for s in range(len(proof.siblings)):
             digest, side = proof.siblings[s]
-            bad = MerkleProof(idx, list(proof.siblings))
+            bad = MerkleProof(n - 1, list(proof.siblings))
             bad.siblings[s] = (mutate(digest, pos), side)
-            assert not mht_verify(tree.root, leaves[idx], bad)
+            assert not mht_verify(history.root, latest, bad)
 
 
 # --- handshake ------------------------------------------------------------
@@ -162,9 +218,9 @@ def run_handshake(user, registry, src):
 
 def test_register_symmetric_state():
     user, gateway, _ = fresh_pair()
-    assert user.tree.root == gateway.tree.root
+    assert user.history == gateway.history
     assert user.txn_counter == gateway.txn_counter == 0
-    assert len(user.tree.leaves) == 1
+    assert user.history.count == 1 and gateway.leaves == [user.history.latest]
 
 
 def test_register_duplicate_uid():
@@ -218,7 +274,7 @@ def test_challenge_counter_mismatch():
     with pytest.raises(CounterDesync) as exc:
         mht_auth_challenge(registry, m1, src)
     assert exc.value.gateway_counter == 0
-    assert exc.value.gateway_root == gateway.tree.root
+    assert exc.value.gateway_root == gateway.history.root
 
 
 def test_genesis_handshake_has_depth_zero_proof():
@@ -235,8 +291,8 @@ def test_full_handshake_agrees_on_keys_and_state():
     user_key, gw_key = run_handshake(user, registry, src)
     assert user_key == gw_key
     assert user.txn_counter == gateway.txn_counter == 1
-    assert user.tree.root == gateway.tree.root
-    assert len(gateway.tree.leaves) == 2
+    assert user.history == gateway.history
+    assert gateway.history.count == len(gateway.leaves) == 2
 
 
 def test_n_handshakes_consistent_and_keys_distinct():
@@ -248,7 +304,7 @@ def test_n_handshakes_consistent_and_keys_distinct():
         assert uk == gk
         keys.append(uk.bytes)
     assert user.txn_counter == gateway.txn_counter == 8
-    assert user.tree.root == gateway.tree.root
+    assert user.history == gateway.history
     assert len(set(keys)) == 8
 
 
@@ -333,49 +389,89 @@ def test_message_wire_round_trips():
 
 # --- incremental append -----------------------------------------------------
 
-def grown_tree(n: int, seed: int = 3):
-    """Yield one growing tree at every size from 1 to n leaves."""
+def grown_history(n: int, seed: int = 3):
+    """Yield one growing history, with its leaves, at every size from 1 to n."""
     rng = random.Random(seed)
-    tree = MerkleTree([Digest256(rng.randbytes(32))])
-    yield tree
+    leaves = [Digest256(rng.randbytes(32))]
+    history = MerkleHistory.from_leaves(leaves)
+    yield history, leaves
     for _ in range(n - 1):
-        tree.append(Digest256(rng.randbytes(32)))
-        yield tree
+        leaves.append(Digest256(rng.randbytes(32)))
+        history.append(leaves[-1])
+        yield history, leaves
 
 
-def test_append_keeps_levels_equal_to_full_rebuild():
-    for tree in grown_tree(600):
-        assert tree.levels == _build_levels(tree.leaves), len(tree.leaves)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2000), st.integers(0, 2**32 - 1))
+def test_appends_equal_the_full_tree(n, seed):
+    # At every size up to n: the root, the latest leaf's proof and the
+    # hashes of each append, popcount of the size before it, are the full
+    # tree's.
+    rng = random.Random(seed)
+    leaves = [rng.randbytes(32)]
+    history, reference = MerkleHistory.from_leaves([Digest256(leaves[0])]), FullTree(leaves[0])
+    while True:
+        assert history.root.bytes == reference.root
+        assert raw_proof(history) == full_proof(reference.levels, history.count - 1)
+        if history.count == n:
+            break
+        leaves.append(rng.randbytes(32))
+        before, reference_before = METER.hash_count, reference.hashes
+        history.append(Digest256(leaves[-1]))
+        reference.append(leaves[-1])
+        assert METER.hash_count - before == reference.hashes - reference_before == (len(leaves) - 1).bit_count()
+    assert reference.levels == rebuilt_levels(leaves)
 
 
 def test_raw_root_equals_digest_roots():
-    for tree in grown_tree(600):
-        raw = merkle_root([leaf.bytes for leaf in tree.leaves])
-        assert raw == tree.root.bytes, len(tree.leaves)
-        assert raw == _build_levels(tree.leaves)[-1][0].bytes
+    for history, leaves in grown_history(600):
+        raw = merkle_root([leaf.bytes for leaf in leaves])
+        assert raw == history.root.bytes, len(leaves)
 
 
-def test_latest_leaf_proof_after_append_matches_fresh_tree():
-    for tree in grown_tree(600):
-        latest = len(tree.leaves) - 1
-        proof = mht_prove(tree, latest)
-        fresh = MerkleTree(list(tree.leaves))
-        assert proof == mht_prove(fresh, latest)
-        assert mht_verify(tree.root, tree.leaves[latest], proof)
+def test_appended_history_equals_one_built_from_its_leaves():
+    for history, leaves in grown_history(600):
+        assert history == MerkleHistory.from_leaves(leaves), len(leaves)
+        assert history == MerkleHistory.from_range(history.count, history.compact_range())
+        assert mht_verify(history.root, leaves[-1], history.proof())
 
 
-def test_restored_tree_appends_like_one_never_persisted():
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 225, 525])
+def test_range_of_the_wrong_length_is_rejected(n):
+    digests = MerkleHistory.from_leaves([hash_bytes(bytes([i % 256, i // 256])) for i in range(n)]).compact_range()
+    assert len(digests) == (n & -n).bit_length() - 1 + n.bit_count()
+    for bad in (digests[:-1], digests + digests[:1]):
+        with pytest.raises(ValueError):
+            MerkleHistory.from_range(n, bad)
+    with pytest.raises(ValueError):
+        MerkleHistory.from_range(0, digests)
+
+
+def test_restored_histories_append_like_ones_never_persisted():
     user, gateway, registry = fresh_pair()
     src = RandomSource.seeded(b"\x0c" * 32)
     for _ in range(37):
         run_handshake(user, registry, src)
+    restored_user = persist.mht_user_from_dict(persist.mht_state_to_dict(user))
     restored = persist.mht_gateway_from_dict(persist.mht_state_to_dict(gateway))
+    assert restored.leaves == gateway.leaves
     rng = random.Random(4)
     for _ in range(40):
         leaf = Digest256(rng.randbytes(32))
-        gateway.tree.append(leaf)
-        restored.tree.append(leaf)
-        assert restored.tree == gateway.tree
+        for history in (gateway.history, restored.history, user.history, restored_user.history):
+            history.append(leaf)
+        assert restored.history == gateway.history == user.history == restored_user.history
+
+
+def test_restoring_a_user_costs_at_most_two_log_n_hashes():
+    user, _, registry = fresh_pair()
+    src = RandomSource.seeded(b"\x0e" * 32)
+    for n in range(1, 300):
+        data = persist.mht_state_to_dict(user)
+        before = METER.hash_count
+        persist.mht_user_from_dict(data)
+        assert METER.hash_count - before <= 2 * math.log2(n), n
+        run_handshake(user, registry, src)
 
 
 def test_handshake_hash_cost_is_logarithmic_in_history():
@@ -383,7 +479,7 @@ def test_handshake_hash_cost_is_logarithmic_in_history():
     user, gateway, registry = fresh_pair()
     src = RandomSource.seeded(b"\x0d" * 32)
     for n in range(1, 1025):
-        assert len(gateway.tree.leaves) == n
+        assert len(gateway.leaves) == gateway.history.count == user.history.count == n
         before = METER.hash_count
         run_handshake(user, registry, src)
         hashes = METER.hash_count - before

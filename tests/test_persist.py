@@ -2,16 +2,17 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
-from sshaf.context_engine import ContextSnapshot
+from sshaf.context_engine import SCHEME_MHT, ContextSnapshot
 from sshaf.gateway import CAP_CARD, CAP_DORS, Gateway
 from sshaf.link import Loopback
-from sshaf.primitives import Key256, RandomSource
+from sshaf.primitives import Key256, RandomSource, hash_bytes
 
 MASTER = Key256(b"\x41" * 32)
 
@@ -29,7 +30,9 @@ def test_mht_state_round_trip():
     restored = persist.mht_gateway_from_dict(persist.mht_state_to_dict(gateway))
     assert restored.shared_key == gateway.shared_key
     assert restored.txn_counter == gateway.txn_counter
-    assert restored.tree.root == gateway.tree.root
+    assert restored.history == gateway.history
+    assert restored.leaves == gateway.leaves
+    assert persist.mht_user_from_dict(persist.mht_state_to_dict(user)) == user
 
 
 def test_mht_pending_excluded_unless_requested():
@@ -45,6 +48,149 @@ def test_mht_pending_excluded_unless_requested():
         persist.mht_state_to_dict(gateway, include_pending=True)
     ).decode()
     assert m1.n_u.hex() in with_pending
+
+
+def mht_pair(handshakes: int):
+    registry = {}
+    user, gateway = merkle_auth.mht_register(registry, "alice", MASTER)
+    src = RandomSource.seeded(b"\x0f" * 32)
+    for _ in range(handshakes):
+        merkle_auth.mht_handshake(Loopback(), user, registry, src)
+    return user, gateway
+
+
+def old_user_entry(user, gateway) -> dict:
+    """The user's entry as it was written before the compact form: its
+    leaves, which are the gateway's."""
+    data = persist.mht_state_to_dict(user)
+    del data["range"]
+    data["leaves"] = [leaf.hex() for leaf in gateway.leaves]
+    return data
+
+
+def test_mht_user_writes_its_range_and_the_gateway_its_leaves():
+    user, gateway = mht_pair(11)
+    user_data, gateway_data = persist.mht_state_to_dict(user), persist.mht_state_to_dict(gateway)
+    common = {"uid": "alice", "shared_key": user.shared_key.hex(), "txn_counter": 11}
+    assert gateway_data == dict(common, leaves=[leaf.hex() for leaf in gateway.leaves])
+    # n = 12 leaves: the latest, its two siblings in the peak of 4, and the peak of 8.
+    assert user_data == dict(common, range=[d.hex() for d in user.history.compact_range()])
+    assert len(user_data["range"]) == 4
+
+
+def test_old_user_entry_with_leaves_loads_and_saves_compact():
+    user, gateway = mht_pair(12)
+    restored = persist.mht_user_from_dict(json.loads(persist.dumps(old_user_entry(user, gateway))))
+    assert restored == user
+    assert persist.mht_state_to_dict(restored) == persist.mht_state_to_dict(user)
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_user_entry_holds_at_most_two_log_n_plus_one_digests(k):
+    for n in {2**k - 1, 2**k} - {0}:
+        leaves = [hash_bytes(i.to_bytes(2, "big")) for i in range(n)]
+        user = merkle_auth.MhtUserState("alice", MASTER, n - 1, merkle_auth.MerkleHistory.from_leaves(leaves))
+        data = persist.mht_state_to_dict(user)
+        assert len(data["range"]) <= 2 * math.log2(n) + 1, n
+        gateway = merkle_auth.MhtGatewayState("alice", MASTER, n - 1, user.history, leaves)
+        assert len(persist.dumps(data)) <= len(persist.dumps(old_user_entry(user, gateway))), n
+
+
+def _spoil_mht(data: dict, spoil: str) -> None:
+    if spoil == "counter-off-by-one":
+        data["txn_counter"] += 1
+    elif spoil == "digest-short":
+        data[_digests_key(data)].pop()
+    elif spoil == "digest-extra":
+        data[_digests_key(data)].append("00" * 32)
+    elif spoil == "digest-not-hex":
+        data[_digests_key(data)][-1] = "zz" * 32
+    elif spoil == "digests-as-string":
+        data[_digests_key(data)] = "".join(data[_digests_key(data)])
+    else:
+        data["txn_counter"] = {"counter-as-string": "7", "counter-as-bool": True,
+                               "counter-negative": -1, "counter-as-float": 7.0}[spoil]
+
+
+def _digests_key(data: dict) -> str:
+    return "range" if "range" in data else "leaves"
+
+
+MHT_SPOILS = ["counter-off-by-one", "digest-short", "digest-extra", "digest-not-hex",
+              "digests-as-string", "counter-as-string", "counter-as-bool", "counter-negative",
+              "counter-as-float"]
+
+
+@pytest.mark.parametrize("spoil", MHT_SPOILS)
+@pytest.mark.parametrize("form", ["user", "old-user", "gateway"])
+def test_malformed_mht_entry_is_rejected(form, spoil):
+    user, gateway = mht_pair(7)
+    data = {
+        "user": persist.mht_state_to_dict(user),
+        "old-user": old_user_entry(user, gateway),
+        "gateway": persist.mht_state_to_dict(gateway),
+    }[form]
+    _spoil_mht(data, spoil)
+    load = persist.mht_gateway_from_dict if form == "gateway" else persist.mht_user_from_dict
+    with pytest.raises((ValueError, TypeError)):
+        load(data)
+
+
+def _set_time(state: dict, field: str, value) -> None:
+    if field == "sim_minutes":
+        state["sim_minutes"] = value
+    elif field == "established_minutes":
+        (session,) = state["sessions"].values()
+        session["established_minutes"] = value
+    else:
+        state["step_up_tokens"]["token"] = ["alice", value]
+
+
+@pytest.mark.parametrize("bad", ["600", True, -5, 600.0, None])
+@pytest.mark.parametrize("field", ["sim_minutes", "established_minutes", "step_up_minted"])
+def test_a_time_restores_only_from_a_non_negative_integer(field, bad):
+    """The clock and the minutes it is compared with: ``sim_minutes: "600"``
+    once loaded and failed at the next login with a raw ``TypeError``."""
+    gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
+    gw.register_user("alice", "Alice", 30, "resident", "pw")
+    gw.owner_verify("owner", "alice", "activate")
+    snapshot = ContextSnapshot(uid="alice", bluetooth_present=True, timestamp=600)
+    assert gw.login("alice", "pw", snapshot).status == "grant"
+    state = json.loads(persist.dumps(persist.gateway_state_to_dict(gw)))
+    _set_time(state, field, 600)
+    persist.restore_gateway_state(Gateway(RandomSource.seeded(b"\x08" * 32), Key256(b"\x77" * 32)), state)
+    _set_time(state, field, bad)
+    with pytest.raises(ValueError):
+        persist.restore_gateway_state(Gateway(RandomSource.seeded(b"\x08" * 32), Key256(b"\x77" * 32)), state)
+
+
+def mht_gateway(handshakes: int) -> Gateway:
+    gw = Gateway(RandomSource.seeded(b"\x0a" * 32), Key256(b"\x77" * 32))
+    gw.register_user("alice", "Alice", 30, "resident", "pw")
+    gw.owner_verify("owner", "alice", "activate")
+    for _ in range(handshakes):
+        gw.run_scheme(SCHEME_MHT, "alice", "pw", Loopback())
+    return gw
+
+
+def mht_runs(gw: Gateway, count: int) -> list:
+    """The M1-M4 bytes and the session key of ``count`` MHT handshakes."""
+    runs = []
+    for _ in range(count):
+        link = Loopback()
+        key = gw.run_scheme(SCHEME_MHT, "alice", "pw", link)
+        runs.append(([message.encode() for _, message in link.carried], key))
+    return runs
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2000), st.integers(1, 3))
+def test_a_round_trip_changes_no_later_mht_handshake(before, after):
+    gw = mht_gateway(before)
+    restored = Gateway(RandomSource.seeded(b"\x0b" * 32), Key256(b"\x77" * 32))
+    persist.restore_gateway_state(restored, json.loads(persist.dumps(persist.gateway_state_to_dict(gw))))
+    restored.db, restored.src = gw.db, gw.src
+    assert mht_runs(restored, after) == mht_runs(mht_gateway(before), after)
 
 
 def test_dors_sides_round_trip():
