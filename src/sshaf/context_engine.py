@@ -4,6 +4,10 @@ Turns a context snapshot into per-factor scores, folds them into a weighted
 confidence value, compares that against per-device thresholds (grant /
 step-up / deny), classifies access patterns with a categorical naive Bayes
 model, and picks which of the three protocol schemes a login should run.
+
+One core scores context: :func:`factor_scores` gives the five scores and
+:func:`weigh` folds them into the confidence. The gateway calls it on every
+request; :func:`evaluate_factor` and :func:`score_confidence` are views of it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ SCHEME_DORS = "dors"
 SCHEME_DHS = "dhs"
 
 FACTORS = ("credentials", "bluetooth", "ip_location", "calendar", "history")
-_FACTOR_SET = frozenset(FACTORS)
+_FACTOR_INDEX = {f: i for i, f in enumerate(FACTORS)}
 
 _IP_SCORES = {IP_HOME: 1.0, IP_KNOWN: 0.5, IP_UNKNOWN: 0.0}
 
@@ -126,15 +130,9 @@ class AccessRecord(NamedTuple):
 
 
 def record_from_snapshot(snapshot: ContextSnapshot, device_id: str = "unknown") -> AccessRecord:
-    hour = (snapshot.timestamp // MINUTES_PER_HOUR) % 24
-    weekday = (snapshot.timestamp // MINUTES_PER_DAY) % 7
-    return AccessRecord(
-        uid=snapshot.uid,
-        hour_bucket=hour // 4,
-        weekday=weekday,
-        ip_class=snapshot.ip_class,
-        device_id=device_id,
-    )
+    minutes = snapshot.timestamp
+    bucket, weekday = minutes // MINUTES_PER_HOUR % 24 // 4, minutes // MINUTES_PER_DAY % 7
+    return AccessRecord(snapshot.uid, bucket, weekday, snapshot.ip_class, device_id)
 
 
 # --- naive Bayes over categorical features ---------------------------------
@@ -263,38 +261,52 @@ def classify_access(model: NaiveBayesModel, record: AccessRecord) -> float:
 
 # --- factor scoring and decisions -------------------------------------------
 
+def factor_scores(
+    snapshot: ContextSnapshot, credentials_ok: bool, calendar_hit: bool, history: float
+) -> tuple[float, float, float, float, float]:
+    """The five factor scores in ``FACTORS`` order; ``history`` is the
+    classifier's posterior on the request's record, 0.5 with no model."""
+    return (
+        1.0 if credentials_ok else 0.0,
+        1.0 if snapshot.bluetooth_present else 0.0,
+        _IP_SCORES[snapshot.ip_class],
+        1.0 if calendar_hit else 0.0,
+        history,
+    )
+
+
+def weigh(scores: tuple[float, ...] | list[float], weights: FactorWeights) -> float:
+    """Confidence: ``weight * score`` summed from 0 in ``weights.pairs`` order."""
+    (_, w0), (_, w1), (_, w2), (_, w3), (_, w4) = weights.pairs
+    s0, s1, s2, s3, s4 = scores
+    return sum((w0 * s0, w1 * s1, w2 * s2, w3 * s3, w4 * s4))
+
+
 def evaluate_factor(
     snapshot: ContextSnapshot,
     factor: str,
     model: NaiveBayesModel | None = None,
     record: AccessRecord | None = None,
 ) -> float:
-    """Score one contextual factor in [0, 1]. The history factor delegates
-    to the classifier, on ``record`` or else on the snapshot's record for
-    an unknown device; with no trained model it stays neutral at 0.5."""
-    if factor == "credentials":
-        return 1.0 if snapshot.credentials_ok else 0.0
-    if factor == "bluetooth":
-        return 1.0 if snapshot.bluetooth_present else 0.0
-    if factor == "calendar":
-        return 1.0 if snapshot.calendar_claims_present else 0.0
-    if factor == "ip_location":
-        return _IP_SCORES[snapshot.ip_class]
-    if factor == "history":
-        if model is None:
-            return 0.5
-        if record is None:
-            record = record_from_snapshot(snapshot)
-        return classify_access(model, record)
-    raise UnknownFactor(factor)
+    """One factor of :func:`factor_scores`, on the snapshot's own password
+    and calendar flags. History is scored on ``record`` or else on the
+    snapshot's record for an unknown device."""
+    index = _FACTOR_INDEX.get(factor)
+    if index is None:
+        raise UnknownFactor(factor)
+    history = 0.5
+    if factor == "history" and model is not None:
+        history = classify_access(model, record or record_from_snapshot(snapshot))
+    return factor_scores(
+        snapshot, snapshot.credentials_ok, snapshot.calendar_claims_present, history
+    )[index]
 
 
 def score_confidence(scores: dict[str, float], weights: FactorWeights) -> float:
-    """Weighted sum of factor scores; factors absent from ``scores``
-    contribute zero."""
-    if not scores.keys() <= _FACTOR_SET:
-        raise UnknownFactor(", ".join(sorted(scores.keys() - _FACTOR_SET)))
-    return sum(weight * scores.get(f, 0.0) for f, weight in weights.pairs)
+    """:func:`weigh` over a dict of scores; absent factors score zero."""
+    if not scores.keys() <= _FACTOR_INDEX.keys():
+        raise UnknownFactor(", ".join(sorted(scores.keys() - _FACTOR_INDEX.keys())))
+    return weigh([scores.get(f, 0.0) for f in FACTORS], weights)
 
 
 def decide_access(confidence: float, policy: AccessPolicy) -> str:

@@ -143,7 +143,6 @@ class GatewaySession:
     uid: str
     scheme: str
     session_key: Key256
-    confidence: float
     origin: str
     established_minutes: int
     device_grants: set[str] = field(default_factory=set)
@@ -152,6 +151,7 @@ class GatewaySession:
 @dataclass
 class LoginResult:
     status: str  # grant | step_up | deny
+    confidence: float
     session: GatewaySession | None = None
     retry_token: str | None = None
     reason: str = ""
@@ -449,19 +449,12 @@ class Gateway:
             mht_txn_count=gw_state.txn_counter if gw_state else 0,
         )
 
-    def _effective_snapshot(self, uid: str, password_ok: bool, snapshot: ContextSnapshot) -> ContextSnapshot:
-        calendar_present = calendar_claims_presence(
-            self.db.calendars.get(uid, []), snapshot.timestamp
-        )
-        return ContextSnapshot(
-            uid=snapshot.uid,
-            origin=snapshot.origin,
-            ip_class=snapshot.ip_class,
-            bluetooth_present=snapshot.bluetooth_present,
-            timestamp=snapshot.timestamp,
-            calendar_claims_present=calendar_present,
-            credentials_ok=password_ok,
-        )
+    def _confidence(self, uid, credentials_ok, snapshot, record) -> float:
+        """``snapshot`` scored with the password result, ``uid``'s calendar
+        and the classifier on ``record``, the request's own."""
+        calendar_hit = calendar_claims_presence(self.db.calendars.get(uid, []), snapshot.timestamp)
+        history = 0.5 if self.model is None else ctx.classify_access(self.model, record)
+        return ctx.weigh(ctx.factor_scores(snapshot, credentials_ok, calendar_hit, history), WEIGHTS)
 
     def run_scheme(self, scheme: str, uid: str, password: str, link) -> Key256:
         """Run one ``scheme`` handshake between ``uid``'s wallet and this
@@ -526,8 +519,7 @@ class Gateway:
             raise NotVerified(f"{uid} is {profile.status}")
 
         password_ok = self.check_credentials(uid, password)
-        effective = self._effective_snapshot(uid, password_ok, snapshot)
-        scheme = ctx.select_scheme(effective, self.capabilities_for(uid))
+        scheme = ctx.select_scheme(snapshot, self.capabilities_for(uid))
 
         try:
             session_key = self.run_scheme(scheme, uid, password, Loopback())
@@ -536,10 +528,7 @@ class Gateway:
         except SshafError as exc:
             raise AuthFailed(f"{scheme} handshake failed: {exc}") from exc
 
-        scores = {
-            f: ctx.evaluate_factor(effective, f, self.model) for f in ctx.FACTORS
-        }
-        confidence = ctx.score_confidence(scores, WEIGHTS)
+        confidence = self._confidence(uid, password_ok, snapshot, ctx.record_from_snapshot(snapshot))
         decision = ctx.decide_access(confidence, LOGIN_POLICY)
         if decision == ctx.GRANT and not password_ok:
             decision = ctx.STEP_UP
@@ -550,22 +539,23 @@ class Gateway:
         }
         is_retry = self._step_up_tokens.pop(retry_token, (None, 0))[0] == uid
         if decision == ctx.GRANT:
-            session = self._open_session(uid, scheme, session_key, confidence, effective.origin)
-            return LoginResult(ctx.GRANT, session=session)
+            session = self._open_session(uid, scheme, session_key, snapshot.origin)
+            return LoginResult(ctx.GRANT, confidence, session=session)
         if decision == ctx.STEP_UP and not is_retry:
             token = self.src.read(8).hex()
             self._step_up_tokens[token] = (uid, self.sim_minutes)
             reason = "confidence in step-up band" if password_ok else "password check failed"
-            return LoginResult(ctx.STEP_UP, retry_token=token, reason=reason)
+            return LoginResult(ctx.STEP_UP, confidence, retry_token=token, reason=reason)
         return LoginResult(
             ctx.DENY,
+            confidence,
             reason="step-up retry exhausted" if is_retry else "confidence below device policies",
         )
 
     def _expired(self, session: GatewaySession) -> bool:
         return self.sim_minutes - session.established_minutes > SESSION_TTL_MINUTES
 
-    def _open_session(self, uid, scheme, session_key, confidence, origin) -> GatewaySession:
+    def _open_session(self, uid, scheme, session_key, origin) -> GatewaySession:
         for session_id in [sid for sid, s in self.sessions.items() if self._expired(s)]:
             del self.sessions[session_id]
         session = GatewaySession(
@@ -573,7 +563,6 @@ class Gateway:
             uid=uid,
             scheme=scheme,
             session_key=session_key,
-            confidence=confidence,
             origin=origin,
             established_minutes=self.sim_minutes,
         )
@@ -599,19 +588,14 @@ class Gateway:
             raise UnknownDevice(device_id)
         kind, policy = device
 
-        effective = self._effective_snapshot(session.uid, True, snapshot)
-        record = ctx.record_from_snapshot(effective, device_id)
-        if effective.origin == ctx.ORIGIN_INTERNET:
+        record = ctx.record_from_snapshot(snapshot, device_id)
+        if snapshot.origin == ctx.ORIGIN_INTERNET:
             profile = self.db.profiles[session.uid]
             if kind not in INTERNET_ALLOWLIST.get(profile.role, frozenset()):
                 self._log_usage(session.uid, record, ctx.DENY)
                 return ctx.DENY
 
-        scores = {
-            f: ctx.evaluate_factor(effective, f, self.model, record) for f in ctx.FACTORS
-        }
-        confidence = ctx.score_confidence(scores, WEIGHTS)
-        decision = ctx.decide_access(confidence, policy)
+        decision = ctx.decide_access(self._confidence(session.uid, True, snapshot, record), policy)
         self._log_usage(session.uid, record, decision)
         if decision == ctx.GRANT:
             session.device_grants.add(device_id)

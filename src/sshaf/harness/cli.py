@@ -208,7 +208,7 @@ def cmd_login(args) -> int:
         session = result.session
         print(
             f"granted: session={session.session_id} scheme={session.scheme} "
-            f"confidence={session.confidence:.3f}"
+            f"confidence={result.confidence:.3f}"
         )
         return 0
     if result.status == "step_up":

@@ -25,9 +25,11 @@ and one count. A user side written before the compact form carries
 ``leaves`` and still loads, rebuilt once from them; the next save writes
 ``range``. Either side's leaf count must be ``txn_counter`` + 1.
 
-The MHT ``txn_counter``, the simulated clock ``sim_minutes`` and the
-minutes a session or step-up token was made, which the clock is compared
-with, load only from non-negative JSON integers.
+The MHT ``txn_counter``, the DORS counters (``active_tree``,
+``used_signatures``, ``signature_count``, ``dors_epochs``), the clock
+``sim_minutes`` and the minutes a session or step-up token was made load
+only from non-negative JSON integers. An older session's ``confidence`` is
+ignored.
 
 Fixed-width values are lowercase hex strings. A DORS public forest is
 written as one hex string per tree, its t leaf digests concatenated in
@@ -161,7 +163,7 @@ def chain_to_dict(chain: dors_auth.ChainState) -> dict:
 
 
 def chain_from_dict(data: dict) -> dors_auth.ChainState:
-    return dors_auth.ChainState(Digest256.from_hex(data["value"]), data["signature_count"])
+    return dors_auth.ChainState(Digest256.from_hex(data["value"]), _count(data["signature_count"]))
 
 
 def dors_user_to_dict(side: dors_auth.DorsUserSide) -> dict:
@@ -182,8 +184,8 @@ def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
     sk = dors_auth.DorsSecretKey(
         params=dors_params_from_dict(data["params"]),
         forest_seed=Key256.from_hex(data["forest_seed"]),
-        active_tree=data["active_tree"],
-        used_signatures=data["used_signatures"],
+        active_tree=_count(data["active_tree"]),
+        used_signatures=_count(data["used_signatures"]),
         revealed={
             int(tree): set(_array(leaves, int)) for tree, leaves in data["revealed"].items()
         },
@@ -364,7 +366,6 @@ def session_to_dict(session: gw_mod.GatewaySession) -> dict:
         "uid": session.uid,
         "scheme": session.scheme,
         "session_key": session.session_key.hex(),
-        "confidence": session.confidence,
         "origin": session.origin,
         "established_minutes": session.established_minutes,
         "device_grants": sorted(session.device_grants),
@@ -377,7 +378,6 @@ def session_from_dict(data: dict) -> gw_mod.GatewaySession:
         uid=data["uid"],
         scheme=data["scheme"],
         session_key=Key256.from_hex(data["session_key"]),
-        confidence=data["confidence"],
         origin=data["origin"],
         established_minutes=_count(data["established_minutes"]),
         device_grants=set(_array(data["device_grants"], str)),
@@ -417,7 +417,7 @@ def restore_gateway_state(
         uid: dors_gateway_from_dict(s, None if forests is None else forests[uid])
         for uid, s in data["dors_registry"].items()
     }
-    gw.dors_epochs = {uid: int(n) for uid, n in data["dors_epochs"].items()}
+    gw.dors_epochs = {uid: _count(n) for uid, n in data["dors_epochs"].items()}
     gw.edge = edge_server_from_dict(data["edge"])
     gw.home = dhs_auth.HomeServerState(
         master_secret=gw.master_secret, registered=set(_array(data["home_registered"], str))

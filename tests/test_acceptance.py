@@ -351,7 +351,6 @@ def _random_sequence_violations(seq_no: int) -> int:
                 uid=uid,
                 scheme="mht",
                 session_key=Key256(b"\x00" * 32),
-                confidence=1.0,
                 origin="local",
                 established_minutes=gw.sim_minutes,
             )

@@ -241,6 +241,25 @@ def _gateway_field(name: str, section: str, **fields):
     return damage
 
 
+def _dors_counter(field: str, value):
+    """Damage: set the DORS counter ``field`` to ``value``. ``active_tree``
+    and ``used_signatures`` sit in alice's wallet, ``signature_count`` in
+    her gateway entry's chain, and ``dors_epochs`` is her epoch count."""
+    def damage(state: dict, text: str) -> str:
+        gateway = state["gateway"]
+        entry = {
+            "active_tree": gateway["wallets"]["alice"]["dors"],
+            "used_signatures": gateway["wallets"]["alice"]["dors"],
+            "signature_count": gateway["dors_registry"]["alice"]["chain"],
+            "dors_epochs": gateway["dors_epochs"],
+        }[field]
+        entry["alice" if field == "dors_epochs" else field] = value
+        return json.dumps(state)
+
+    damage.__name__ = f"_{field}_as_{value!r}"
+    return damage
+
+
 def _user_leaves(count: int):
     """Damage: alice's MHT user entry in its old form, with ``count``
     leaves where her ``txn_counter`` makes one."""
@@ -277,6 +296,11 @@ def _user_leaves(count: int):
         _user_leaves(2),
         _gateway_field("_sim_minutes_as_string", "gateway", sim_minutes="600"),
         _gateway_field("_sim_minutes_negative", "gateway", sim_minutes=-1),
+        *(
+            _dors_counter(field, value)
+            for field in ("active_tree", "used_signatures", "signature_count", "dors_epochs")
+            for value in ("0", -1, True)
+        ),
     ],
 )
 def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):

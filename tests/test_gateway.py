@@ -1,6 +1,7 @@
 """Lifecycle, decision wiring, and encrypted persistence tests."""
 
 import dataclasses
+import functools
 import hashlib
 import hmac
 import itertools
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from sshaf import persist
 from sshaf.context_engine import (
     DENY,
+    FACTORS,
     GRANT,
     IP_HOME,
     IP_KNOWN,
@@ -25,9 +27,11 @@ from sshaf.context_engine import (
     SCHEME_DORS,
     SCHEME_MHT,
     STEP_UP,
+    AccessRecord,
     CalendarInterval,
     ContextSnapshot,
     classify_access,
+    decide_access,
     record_from_snapshot,
     train_classifier,
 )
@@ -47,7 +51,10 @@ from sshaf.gateway import (
     CAP_DORS,
     DB_MAGIC,
     DEVICES,
+    INTERNET_ALLOWLIST,
+    LOGIN_POLICY,
     USAGE_LOG_ROWS,
+    WEIGHTS,
     Gateway,
     UsageRecord,
     UserDatabase,
@@ -373,6 +380,123 @@ def test_device_access_grant_and_deny_by_threshold():
     # Weak context (cred .4 + hist ~.05) against the lock's 0.9: deny.
     weak = good_snapshot(bluetooth_present=False, ip_class=IP_UNKNOWN, timestamp=0)
     assert gw.authorize_device_access(session, "front-lock", weak) == DENY
+
+
+# Hashes and macs of one granted login per scheme, the password check
+# included, and of the device request that follows it: the request path adds
+# no crypto of its own.
+REQUEST_PATH_METER = {
+    SCHEME_MHT: ((), ORIGIN_LOCAL, (5, 10)),
+    SCHEME_DORS: ((CAP_DORS,), ORIGIN_LOCAL, (21, 20)),
+    SCHEME_DHS: ((CAP_CARD,), ORIGIN_INTERNET, (9, 8)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(REQUEST_PATH_METER))
+def test_login_and_device_request_meter_counts_are_pinned(scheme):
+    caps, origin, login_counts = REQUEST_PATH_METER[scheme]
+    gw = make_gateway()
+    register_and_activate(gw, caps=caps)
+    internet = origin == ORIGIN_INTERNET
+    snapshot = good_snapshot(
+        origin=origin, ip_class=IP_KNOWN if internet else IP_HOME, bluetooth_present=not internet
+    )
+    hashes, macs = METER.snapshot()
+    result = gw.login("alice", "pw-alice", snapshot)
+    assert result.session.scheme == scheme
+    after_login = METER.snapshot()
+    assert (after_login[0] - hashes, after_login[1] - macs) == login_counts
+    assert gw.authorize_device_access(result.session, "thermostat", snapshot) == GRANT
+    assert METER.snapshot() == after_login
+
+
+def reference_confidence(snapshot, credentials_ok, calendar_hit, model, device_id):
+    """The gateway's scoring before its one scoring core, written out: a copy
+    of the snapshot carrying the password result and the calendar hit, each
+    factor scored by name into a dict, then the weighted sum."""
+    effective = ContextSnapshot(
+        snapshot.uid, snapshot.origin, snapshot.ip_class, snapshot.bluetooth_present,
+        snapshot.timestamp, calendar_hit, credentials_ok,
+    )
+    minutes = effective.timestamp
+    record = AccessRecord(
+        effective.uid, (minutes // 60) % 24 // 4, (minutes // 1440) % 7, effective.ip_class, device_id
+    )
+
+    def evaluate(factor):
+        if factor == "credentials":
+            return 1.0 if effective.credentials_ok else 0.0
+        if factor == "bluetooth":
+            return 1.0 if effective.bluetooth_present else 0.0
+        if factor == "calendar":
+            return 1.0 if effective.calendar_claims_present else 0.0
+        if factor == "ip_location":
+            return {IP_HOME: 1.0, IP_KNOWN: 0.5, IP_UNKNOWN: 0.0}[effective.ip_class]
+        return 0.5 if model is None else classify_access(model, record)
+
+    scores = {f: evaluate(f) for f in FACTORS}
+    return sum(weight * scores.get(f, 0.0) for f, weight in WEIGHTS.pairs), record
+
+
+_SCORING_MODEL = train_classifier(make_synthetic_dataset())
+
+
+@functools.cache
+def scoring_gateway():
+    """One gateway for every example: a resident and an owner, both on MHT,
+    each home 8:00-22:00 every weekday by calendar."""
+    gw = make_gateway(b"\x3a")
+    register_and_activate(gw, "alice", "pw-alice", "resident")
+    register_and_activate(gw, "olga", "pw-olga", "owner")
+    return gw
+
+
+@st.composite
+def scored_requests(draw):
+    origin = draw(st.sampled_from([ORIGIN_LOCAL, ORIGIN_INTERNET]))
+    inside = draw(st.booleans())
+    minute = draw(
+        st.integers(8 * 60, 22 * 60 - 1) if inside
+        else st.one_of(st.integers(0, 8 * 60 - 1), st.integers(22 * 60, 1439))
+    )
+    snapshot = ContextSnapshot(
+        draw(st.sampled_from(["alice", "olga"])),
+        origin,
+        draw(st.sampled_from([IP_HOME, IP_KNOWN, IP_UNKNOWN])),
+        origin == ORIGIN_LOCAL and draw(st.booleans()),
+        draw(st.integers(0, 6)) * 1440 + minute,
+    )
+    return snapshot, inside, draw(st.booleans()), draw(st.booleans()), draw(st.sampled_from(sorted(DEVICES)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(request=scored_requests())
+def test_login_and_device_decisions_equal_the_per_factor_composition(request):
+    snapshot, inside, password_ok, with_model, device_id = request
+    gw = scoring_gateway()
+    model = _SCORING_MODEL if with_model else None
+    gw.set_classifier(model)
+    uid = snapshot.uid
+
+    expected, _ = reference_confidence(snapshot, password_ok, inside, model, "unknown")
+    status = decide_access(expected, LOGIN_POLICY)
+    if status == GRANT and not password_ok:
+        status = STEP_UP
+    result = gw.login(uid, f"pw-{uid}" if password_ok else "WRONG", snapshot)
+    assert (result.status, result.confidence.hex()) == (status, expected.hex())
+
+    session = gw.login(uid, f"pw-{uid}", good_snapshot(uid)).session
+    expected, record = reference_confidence(snapshot, True, inside, model, device_id)
+    kind, policy = DEVICES[device_id]
+    role = gw.db.profiles[uid].role
+    if snapshot.origin == ORIGIN_INTERNET and kind not in INTERNET_ALLOWLIST[role]:
+        decision = DENY
+    else:
+        decision = decide_access(expected, policy)
+    assert gw.authorize_device_access(session, device_id, snapshot) == decision
+    assert gw.db.usage_patterns[-1] == UsageRecord(
+        uid, device_id, gw.sim_minutes, record.hour_bucket, record.weekday, record.ip_class, decision
+    )
 
 
 def test_usage_log_grows_by_one_per_authorization():

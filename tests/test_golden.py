@@ -157,12 +157,14 @@ def gateway_visits(model) -> str:
 
 
 # Re-pinned when MHT user entries began to persist a compact range instead
-# of every leaf; the decisions and every other persisted field hash as before.
+# of every leaf, and again when sessions stopped persisting their login
+# confidence; each time the decisions and every other persisted field hash
+# as before.
 GATEWAY_SHA256 = {
-    "no-model": (None, "73fe9978258ffaaa8e9168bb3449152a8d60cea49ae52f4f1b4333759573aa63"),
+    "no-model": (None, "5bc379e7c1ae720fa4f329f1d9525662624ed6262504ea48e31254c598b28615"),
     "synthetic-model": (
         make_synthetic_dataset,
-        "a682234b15c87994cb93a8a9f5ac024d0a77a2c2afb00f201f1f9fe1d95f1638",
+        "88a85b1d6d10a6672425b6e6eee3cd00274979255fa6a4b51fc263c1710d541e",
     ),
 }
 

@@ -1,0 +1,75 @@
+"""tools/paired_bench.py over stand-in checkouts whose benchmark prints a
+fixed result, so no real benchmark runs."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py"
+_spec = importlib.util.spec_from_file_location("paired_bench", TOOL)
+paired_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(paired_bench)
+
+FAKE_RUN = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+print(f"# replays=3 digest=d{seed}")
+print(json.dumps({
+    "correct": CORRECT,
+    "attempted": 10,
+    "failed": FAILED,
+    "metrics": {
+        "op_p50_ms": {"value": P50 + seed % 2, "unit": "ms"},
+        "ops_per_s": {"value": 100.0 / P50, "unit": "1/s"},
+    },
+}))
+"""
+
+
+def checkout(root: Path, p50: float, correct: bool = True, failed: int = 0) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        FAKE_RUN.replace("CORRECT", repr(correct)).replace("FAILED", str(failed)).replace("P50", repr(p50))
+    )
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "perfbench/run.py"],
+        "run_seconds": 1,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [
+            {"name": "op_p50_ms", "better": "lower"},
+            {"name": "ops_per_s", "better": "higher"},
+        ],
+    }))
+    return root
+
+
+def test_pairs_alternate_and_report_medians_quartiles_and_wins(tmp_path, capsys):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
+    assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "1-4"]) == 0
+    report = json.loads(capsys.readouterr().out)["workloads"]["w"]
+    assert report["seeds"] == [1, 2, 3, 4]
+    assert report["first_side"] == ["parent", "change", "parent", "change"]
+    assert report["digests_equal_per_pair"] and report["all_correct"]
+    p50 = report["metrics"]["op_p50_ms"]
+    assert p50["parent"] == [3.0, 2.0, 3.0, 2.0] and p50["change"] == [2.0, 1.0, 2.0, 1.0]
+    assert (p50["parent_median"], p50["parent_quartiles"]) == (2.5, [2.0, 3.0])
+    assert p50["change_over_parent"] == 0.6 and p50["change_wins"] == 4
+    assert report["metrics"]["ops_per_s"]["change_wins"] == 4  # higher is better there
+
+
+@pytest.mark.parametrize("fault", [{"correct": False}, {"failed": 1}])
+def test_an_incorrect_run_or_a_failed_operation_exits_non_zero(tmp_path, capsys, fault):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0, **fault)
+    assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "5"]) == 1
+
+
+def test_unknown_workload_or_bad_seed_range_is_a_usage_error(tmp_path):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
+    for args in (["--workloads", "nope", "--seeds", "1-2"], ["--workloads", "w", "--seeds", "3-1"]):
+        with pytest.raises(SystemExit) as exc:
+            paired_bench.main([str(parent), str(change), *args])
+        assert exc.value.code == 2

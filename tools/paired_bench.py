@@ -1,0 +1,159 @@
+"""Paired benchmark runs of two source trees.
+
+    python3 tools/paired_bench.py PARENT CHANGE --workloads W [W ...] --seeds 101-110
+
+PARENT and CHANGE are checkouts of the two versions, each with its own
+``BENCHMARK.json`` and ``perfbench/``. For each workload and each seed the
+script runs the benchmark command of CHANGE's ``BENCHMARK.json`` once in each
+checkout, at that file's ``run_seconds`` with tracing off, one run at a time.
+Pair i runs the parent first when i is even and the change first when it is
+odd, so neither side always runs on a machine the other has just warmed.
+
+Each run's last stdout line is the benchmark's JSON result. Per workload and
+end-to-end metric the script reports both sides' values, medians and
+inclusive quartiles, the change's median over the parent's, and
+``change_wins``: the pairs in which the change reads better, by the metric's
+``better`` direction; ties count for neither side. It also compares each
+pair's ``digest=`` line, the hash of every checked result. The report is one
+JSON object on stdout, in the layout of the ``BENCH_*.json`` files; progress
+goes to stderr.
+
+Exit status: 0 when every run was correct and no operation failed, 1 when a
+run reported ``correct: false`` or ``failed > 0`` or printed no result, 2 on
+bad arguments. The script writes no file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+_DIGEST = re.compile(r"\bdigest=(\w+)")
+
+
+def _seed_range(text: str) -> list[int]:
+    """``A-B`` is the seeds A to B inclusive; ``A`` is one seed."""
+    first, _, last = text.partition("-")
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed range: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range: {text!r}")
+    return seeds
+
+
+def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds) -> dict:
+    """One benchmark run in ``checkout``: its JSON result, plus its digest
+    under ``digest`` (None when no line carried one)."""
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(proc.stdout[-2000:] + proc.stderr[-2000:])
+        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "digest": None}
+    found = [m.group(1) for line in lines for m in [_DIGEST.search(line)] if m]
+    result["digest"] = found[-1] if found else None
+    return result
+
+
+def summarize(values: dict[str, list[float]], better: str) -> dict:
+    """Both sides' runs of one metric, pair by pair, with their statistics."""
+    out = {side: values[side] for side in SIDES}
+    for side in SIDES:
+        runs = values[side]
+        out[f"{side}_median"] = statistics.median(runs)
+        out[f"{side}_quartiles"] = (
+            statistics.quantiles(runs, n=4, method="inclusive")[::2] if len(runs) > 1 else runs * 2
+        )
+    parent_median = out["parent_median"]
+    out["change_over_parent"] = out["change_median"] / parent_median if parent_median else None
+    sign = 1 if better == "higher" else -1
+    out["change_wins"] = sum(
+        sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
+    )
+    out["pairs"] = len(values["parent"])
+    return out
+
+
+def bench_workload(checkouts, command, workload, seeds, seconds, metrics) -> dict:
+    runs = {side: [] for side in SIDES}
+    first_side = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first_side.append(order[0])
+        for side in order:
+            result = run_once(checkouts[side], command, workload, seed, seconds)
+            runs[side].append(result)
+            sys.stderr.write(
+                f"{workload} seed={seed} {side}: correct={result['correct']} "
+                f"failed={result['failed']} digest={result['digest']}\n"
+            )
+    report = {
+        "seeds": seeds,
+        "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
+        "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+        "digests_equal_per_pair": all(
+            p["digest"] is not None and p["digest"] == c["digest"]
+            for p, c in zip(runs["parent"], runs["change"])
+        ),
+        "first_side": first_side,
+        "metrics": {},
+    }
+    for name, better in metrics:
+        values = {side: [r["metrics"].get(name, {}).get("value") for r in runs[side]] for side in SIDES}
+        if all(v is not None for side in SIDES for v in values[side]):
+            report["metrics"][name] = summarize(values, better)
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout of the parent version")
+    parser.add_argument("change", type=Path, help="checkout of the changed version")
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", type=_seed_range, required=True, help="A-B, inclusive")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in args.workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workloads {unknown}; BENCHMARK.json lists {known}")
+    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    seconds = spec["run_seconds"]
+    checkouts = dict(zip(SIDES, (args.parent.resolve(), args.change.resolve())))
+
+    report = {
+        "command": " ".join(spec["command"])
+        + f" --workload W --seed N --seconds {seconds} --trace 0, run in each checkout",
+        "seconds": seconds,
+        "order": "alternating: the parent runs first on even-indexed pairs",
+        "statistics": "median and quartiles (statistics.quantiles, method='inclusive') over "
+        "each side's runs; change_wins counts pairs where the change is better (lower, or "
+        "higher where BENCHMARK.json says so); ties count for neither",
+        "workloads": {
+            w: bench_workload(checkouts, spec["command"], w, args.seeds, seconds, metrics)
+            for w in args.workloads
+        },
+    }
+    json.dump(report, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    clean = all(
+        w["all_correct"] and not any(w["failed_ops"].values()) for w in report["workloads"].values()
+    )
+    return 0 if clean else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
