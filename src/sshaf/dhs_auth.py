@@ -1,9 +1,11 @@
 """Smart-card authentication among user card, edge server and home server.
 
 Five phases: initialization, addressing, registration, login authentication
-and session agreement. The card has no password update: its verifier and
-the edge's identifier are set at registration, so a new password means a
-new registration. Every session rides on a per-session 64-bit interface
+and session agreement. Initialization is ``Gateway.__init__``: the home
+server's ``HomeServerState`` takes the master secret the gateway mints once
+at first boot. The card has no password update: its verifier and the edge's
+identifier are set at registration, so a new password means a new
+registration. Every session rides on a per-session 64-bit interface
 identifier carried in the low half of an IPv6-style address; the identifier
 rotates on each successful agreement, so a captured login packet is stale
 by the time it can be replayed.
@@ -39,7 +41,6 @@ from .primitives import (
     hash_bytes,
     kdf,
     mac,
-    random_key,
     random_nonce,
     xor_bytes,
 )
@@ -231,11 +232,6 @@ class AckMessage:
 
 
 # --- phases --------------------------------------------------------------------
-
-def dhs_initialize(src: RandomSource) -> HomeServerState:
-    """Phase 1: the home server mints its master secret once."""
-    return HomeServerState(master_secret=random_key(src))
-
 
 def dhs_register(
     home: HomeServerState, edge: EdgeServer, uid: str, password: str, src: RandomSource

@@ -1,11 +1,11 @@
 """Adversary suite: replay, impersonation, session-key disclosure, and
 stolen-device capture against all three schemes.
 
-Each attack's world is a seeded one-user ``Gateway``: its user is
-registered and activated with the attacked scheme's capability, every
-honest session runs through the gateway's own scheme dispatch, and the
-adversary reads and targets the gateway's own registries, wallets and edge
-table.
+Each attack's world is the seeded one-user ``Gateway`` the cost tables
+also run on, built by ``scenarios.seeded_gateway`` with the attacked
+scheme's capability. Every honest session runs through
+``Gateway.run_scheme``, and the adversary reads and targets the gateway's
+own registries, wallets and edge table.
 
 Success criteria are operational: an attack succeeds only when the
 adversary gets a forged or replayed message accepted, equates or derives a
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .. import dhs_auth, dors_auth, merkle_auth, persist
 from ..errors import InvalidParams, SshafError
-from ..gateway import CAP_CARD, CAP_DORS, ROLE_RESIDENT, Gateway
+from ..gateway import Gateway
 from ..link import GATEWAY, USER, Loopback
 from ..primitives import (
     NONCE_LEN,
@@ -31,9 +31,9 @@ from ..primitives import (
     RandomSource,
     hash_bytes,
     kdf,
-    random_key,
     sha256_many,
 )
+from .scenarios import PASSWORD, UID, seeded_gateway
 
 ATTACK_REPLAY = "replay"
 ATTACK_IMPERSONATE = "impersonate"
@@ -63,25 +63,7 @@ class SessionTrace:
     public_material: list[bytes] = field(default_factory=list)
 
 
-# --- the attacked gateway ------------------------------------------------------
-
-UID = "alice"
-PASSWORD = "attack-lab-pass"
-# The capability each scheme needs on top of the MHT state every user gets.
-_CAPABILITIES = {"mht": (), "dors": (CAP_DORS,), "dhs": (CAP_CARD,)}
-
-
-def _gateway(scheme: str, seed: bytes) -> Gateway:
-    """A seeded gateway whose one user, ``UID``, is registered with the
-    scheme's capability and activated by the owner."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    src = RandomSource.seeded(seed).fork(f"attack:{scheme}")
-    gw = Gateway(src, random_key(src))
-    gw.register_user(UID, "Alice", 30, ROLE_RESIDENT, PASSWORD, capabilities=_CAPABILITIES[scheme])
-    gw.owner_verify("owner", UID, "activate")
-    return gw
-
+# --- honest sessions -------------------------------------------------------------
 
 def _run_session(gw: Gateway, scheme: str) -> SessionTrace:
     """One session through the gateway's own dispatch, over a loopback whose
@@ -107,7 +89,7 @@ def _run_session(gw: Gateway, scheme: str) -> SessionTrace:
 def attack_replay(scheme: str, seed: bytes = b"\x01" * 32) -> AttackOutcome:
     """Re-inject every recorded client message against the live gateway
     after the session completed."""
-    gw = _gateway(scheme, seed)
+    gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
     trace = _run_session(gw, scheme)
     accepted = []
 
@@ -219,7 +201,7 @@ def _dhs_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
 def attack_impersonate(scheme: str, seed: bytes = b"\x02" * 32) -> AttackOutcome:
     """Best-effort forgeries from public data and recorded transcripts; the
     adversary holds no long-term user secrets."""
-    gw = _gateway(scheme, seed)
+    gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
     traces = [_run_session(gw, scheme) for _ in range(2)]
     if scheme == "mht":
         accepted = _mht_impersonate(gw, traces)
@@ -243,7 +225,7 @@ DISCLOSE_INDEX = 1
 def attack_session_key_disclosure(scheme: str, seed: bytes = b"\x03" * 32) -> AttackOutcome:
     """Hand the adversary one session key; the others must neither equal it
     nor be derivable from it through the public kdf over recorded material."""
-    gw = _gateway(scheme, seed)
+    gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
     traces = [_run_session(gw, scheme) for _ in range(N_SESSIONS)]
     disclosed = traces[DISCLOSE_INDEX].session_key
 
@@ -322,7 +304,7 @@ def attack_stolen_device(
 
     With ``capture_pending`` the capture happens mid-handshake; that window
     is expected to leak the in-flight key and reports success."""
-    gw = _gateway(scheme, seed)
+    gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
     traces = [_run_session(gw, scheme) for _ in range(N_SESSIONS)]
 
     if capture_pending:

@@ -1,12 +1,17 @@
 """Scenario execution and cost metering.
 
 A scenario is one session of a scheme over a link, with a list of
-contextual factors collected before it. Runs are fully deterministic in the
-config seed; reports carry exact hash/mac/byte
-counters plus the modelled elapsed milliseconds. The generated tables
-reproduce the structural orderings of the evaluation (no-authentication
-row minimal, integrated factor sets no costlier than the sum of their
-parts) rather than any hardware-bound absolute numbers.
+contextual factors collected before it. Its world is the seeded one-user
+``Gateway`` the attack matrix also attacks: ``seeded_gateway`` registers
+``UID`` with the scheme's capability and the owner activates it, and the
+session runs through ``Gateway.run_scheme`` over the simulated link. The
+``none`` scheme builds no world and runs no handshake.
+
+Runs are fully deterministic in the config seed; reports carry exact
+hash/mac/byte counters plus the modelled elapsed milliseconds. The
+generated tables reproduce the structural orderings of the evaluation
+(no-authentication row minimal, integrated factor sets no costlier than the
+sum of their parts) rather than any hardware-bound absolute numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 
-from .. import dhs_auth, dors_auth, merkle_auth, persist
+from .. import persist
 from ..context_engine import (
     IP_HOME,
     IP_KNOWN,
@@ -28,9 +33,9 @@ from ..context_engine import (
     evaluate_factor,
     score_confidence,
 )
-from ..gateway import LOGIN_POLICY, WEIGHTS
+from ..gateway import CAP_CARD, CAP_DORS, LOGIN_POLICY, ROLE_RESIDENT, WEIGHTS, Gateway
 from ..link import GATEWAY, USER
-from ..primitives import METER, Key256, RandomSource
+from ..primitives import METER, RandomSource, random_key
 from .simnet import (
     DEFAULT_FACTOR_COST_MS,
     LINK_INTERNET,
@@ -47,48 +52,37 @@ from .simnet import (
 SCHEME_NONE = "none"
 
 
-# --- scenario world -----------------------------------------------------------
+# --- the seeded one-user gateway ---------------------------------------------
 
-class ScenarioWorld:
-    """One user provisioned for the scenario's scheme, built fresh per
-    scenario from a forked seed.
+UID = "alice"
+PASSWORD = "harness-pass"
+# The capability each scheme needs on top of the MHT state every user gets.
+_CAPABILITIES = {SCHEME_MHT: (), SCHEME_DORS: (CAP_DORS,), SCHEME_DHS: (CAP_CARD,)}
 
-    MHT and DHS are always provisioned, so the seeded stream is read the
-    same way whatever the scheme. The DORS forest reads no randomness and
-    is by far the costliest to expand, so only a DORS scenario builds it.
-    """
 
-    UID = "alice"
-    PASSWORD = "scenario-pass"
+def seeded_gateway(seed: bytes, label: str, scheme: str) -> Gateway:
+    """A gateway on the stream ``label`` forks from ``seed``, whose one user,
+    ``UID``, is registered with the scheme's capability and activated by the
+    owner. Only a DORS user gets a forest, the costliest state to build."""
+    if scheme not in _CAPABILITIES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    src = RandomSource.seeded(seed).fork(label)
+    gw = Gateway(src, random_key(src))
+    gw.register_user(UID, "Alice", 30, ROLE_RESIDENT, PASSWORD, capabilities=_CAPABILITIES[scheme])
+    gw.owner_verify("owner", UID, "activate")
+    return gw
 
-    def __init__(self, src: RandomSource, scheme: str):
-        self.src = src
-        self.master = Key256(src.read(32))
-        self.mht_registry: dict[str, merkle_auth.MhtGatewayState] = {}
-        self.mht_user, _ = merkle_auth.mht_register(self.mht_registry, self.UID, self.master)
-        if scheme == SCHEME_DORS:
-            self.dors_user, self.dors_gateway = dors_auth.dors_provision(self.UID, self.master)
-        self.home = dhs_auth.dhs_initialize(src)
-        self.edge = dhs_auth.EdgeServer()
-        self.card = dhs_auth.dhs_register(self.home, self.edge, self.UID, self.PASSWORD, src)
 
-    def run_scheme(self, scheme: str, link) -> None:
-        if scheme == SCHEME_MHT:
-            merkle_auth.mht_handshake(link, self.mht_user, self.mht_registry, self.src)
-        elif scheme == SCHEME_DORS:
-            dors_auth.dors_handshake(link, self.dors_user, self.dors_gateway, self.src)
-        elif scheme == SCHEME_DHS:
-            dhs_auth.dhs_handshake(link, self.card, self.edge, self.PASSWORD, self.src)
-
-    def persisted_state_bytes(self, scheme: str) -> bytes:
-        """Gateway-side long-term state for the scheme, as persisted."""
-        if scheme == SCHEME_MHT:
-            return persist.dumps(persist.mht_state_to_dict(self.mht_registry[self.UID]))
-        if scheme == SCHEME_DORS:
-            return persist.dumps(persist.dors_gateway_to_dict(self.dors_gateway))
-        if scheme == SCHEME_DHS:
-            return persist.dumps(persist.edge_server_to_dict(self.edge))
-        return b""
+def _storage(gw: Gateway | None, scheme: str) -> bytes:
+    """The gateway-side long-term state of ``UID`` for the scheme, as
+    persisted; the DHS edge server counts with its keystore."""
+    if scheme == SCHEME_MHT:
+        return persist.dumps(persist.mht_state_to_dict(gw.mht_registry[UID]))
+    if scheme == SCHEME_DORS:
+        return persist.dumps(persist.dors_gateway_to_dict(gw.dors_registry[UID]))
+    if scheme == SCHEME_DHS:
+        return persist.dumps(persist.edge_server_to_dict(gw.edge))
+    return b""
 
 
 # --- scenarios --------------------------------------------------------------------
@@ -97,7 +91,7 @@ def _scenario_snapshot(factors: list[str], link: str) -> ContextSnapshot:
     """The context the collected factors would report when satisfied."""
     remote = link == LINK_INTERNET
     return ContextSnapshot(
-        uid=ScenarioWorld.UID,
+        uid=UID,
         origin=ORIGIN_INTERNET if remote else ORIGIN_LOCAL,
         ip_class=IP_KNOWN if remote else IP_HOME,
         bluetooth_present="bluetooth" in factors and not remote,
@@ -115,9 +109,10 @@ def run_scenario(
     name, which labels its seed forks and its report, is derived from the
     scheme and factors."""
     name = f"{scheme}-{'+'.join(factors) or 'none'}"
-    scenario_src = RandomSource.seeded(config.seed).fork(f"scenario:{name}:{link_name}")
     drop_stream = RandomSource.seeded(config.seed).fork(f"drops:{name}:{link_name}")
-    world = ScenarioWorld(scenario_src.fork("world"), scheme)
+    gw = None
+    if scheme != SCHEME_NONE:
+        gw = seeded_gateway(config.seed, f"scenario:{name}:{link_name}", scheme)
     clock = SimClock()
     transcript = Transcript()
     link = SimLink(config, link_name, clock, transcript, drop_stream)
@@ -134,10 +129,10 @@ def run_scenario(
                     clock.now_ms, GATEWAY, "context", f"collect:{factor}".encode(), "collected"
                 )
             )
-        world.run_scheme(scheme, link)
-        if scheme == SCHEME_NONE:
+        if gw is None:
             decision = "grant"
         else:
+            gw.run_scheme(scheme, UID, PASSWORD, link)
             snapshot = _scenario_snapshot(factors, link_name)
             scores = {f: evaluate_factor(snapshot, f) for f in factors}
             confidence = score_confidence(scores, WEIGHTS)
@@ -157,7 +152,7 @@ def run_scenario(
         mac_count=macs,
         wire_bytes=link.wire_bytes,
         messages=link.messages,
-        storage_bits=len(world.persisted_state_bytes(scheme)) * 8,
+        storage_bits=len(_storage(gw, scheme)) * 8,
         outcome=outcome,
     )
     return transcript, report

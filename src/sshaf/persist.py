@@ -26,15 +26,19 @@ and one count. A user side written before the compact form carries
 ``range``. Either side's leaf count must be ``txn_counter`` + 1.
 
 The MHT ``txn_counter``, the DORS counters (``active_tree``,
-``used_signatures``, ``signature_count``, ``dors_epochs``), the clock
-``sim_minutes`` and the minutes a session or step-up token was made load
-only from non-negative JSON integers. An older session's ``confidence`` is
-ignored.
+``used_signatures``, ``signature_count``, ``dors_epochs``), a DHS card's
+``failed_attempts``, the clock ``sim_minutes`` and the minutes a session or
+step-up token was made load only from non-negative JSON integers, and a
+card's ``locked`` only from a JSON bool. An older session's ``confidence``
+is ignored.
 
-Fixed-width values are lowercase hex strings. A DORS public forest is
-written as one hex string per tree, its t leaf digests concatenated in
-leaf order, which is the packed form ``DorsPublicKey.leaf_digests`` holds
-in memory. Step-up tokens are written as ``token: [uid, minted_minutes]``.
+Fixed-width values are lowercase hex strings. A DHS interface identifier,
+``current_iid`` on a card and in the edge table, is 16 hex digits, so its
+persisted size does not depend on its value; an integer, the form written
+before, still loads. A DORS public forest is written as one hex string per
+tree, its t leaf digests concatenated in leaf order, which is the packed
+form ``DorsPublicKey.leaf_digests`` holds in memory. Step-up tokens are
+written as ``token: [uid, minted_minutes]``.
 
 A DORS gateway side persists only the trees it still holds: its forest's
 live trees, then the next epoch's trees built ahead during the last tree
@@ -284,34 +288,49 @@ def dors_gateway_from_dict(data: dict, forest: bytes | None = None) -> dors_auth
 
 # --- dhs_auth --------------------------------------------------------------------
 
+def _iid_from_json(value) -> dhs_auth.InterfaceIdentifier:
+    """A persisted identifier: 16 hex digits, or the JSON integer an older
+    file holds; anything else raises ``ValueError``."""
+    if type(value) is not str:
+        return dhs_auth.InterfaceIdentifier(_count(value))
+    # bytes.fromhex skips whitespace, so the decoded length is checked too.
+    raw = bytes.fromhex(value)
+    if len(value) != 16 or len(raw) != 8:
+        raise ValueError(f"expected 16 hex digits, got {value!r}")
+    return dhs_auth.InterfaceIdentifier.from_bytes(raw)
+
+
 def card_to_dict(card: dhs_auth.SmartCardState) -> dict:
     return {
         "uid": card.uid,
         "pw_verifier": card.pw_verifier.hex(),
         "card_salt": card.card_salt.hex(),
         "card_secret": card.card_secret.hex(),
-        "current_iid": card.current_iid.iid,
+        "current_iid": f"{card.current_iid.iid:016x}",
         "failed_attempts": card.failed_attempts,
         "locked": card.locked,
     }
 
 
 def card_from_dict(data: dict) -> dhs_auth.SmartCardState:
+    locked = data["locked"]
+    if type(locked) is not bool:
+        raise ValueError(f"locked must be true or false, got {locked!r}")
     return dhs_auth.SmartCardState(
         uid=data["uid"],
         pw_verifier=Digest256.from_hex(data["pw_verifier"]),
         card_salt=Nonce128.from_hex(data["card_salt"]),
         card_secret=Key256.from_hex(data["card_secret"]),
-        current_iid=dhs_auth.InterfaceIdentifier(data["current_iid"]),
-        failed_attempts=data["failed_attempts"],
-        locked=data["locked"],
+        current_iid=_iid_from_json(data["current_iid"]),
+        failed_attempts=_count(data["failed_attempts"]),
+        locked=locked,
     )
 
 
 def edge_db_to_dict(db: dict[str, dhs_auth.EdgeEntry]) -> dict:
     """The per-user table alone: exactly what a stolen-database capture sees."""
     return {
-        uid: {"current_iid": entry.current_iid.iid, "edge_share": entry.edge_share.hex()}
+        uid: {"current_iid": f"{entry.current_iid.iid:016x}", "edge_share": entry.edge_share.hex()}
         for uid, entry in db.items()
     }
 
@@ -319,7 +338,7 @@ def edge_db_to_dict(db: dict[str, dhs_auth.EdgeEntry]) -> dict:
 def edge_db_from_dict(data: dict) -> dict[str, dhs_auth.EdgeEntry]:
     return {
         uid: dhs_auth.EdgeEntry(
-            current_iid=dhs_auth.InterfaceIdentifier(row["current_iid"]),
+            current_iid=_iid_from_json(row["current_iid"]),
             edge_share=Key256.from_hex(row["edge_share"]),
         )
         for uid, row in data.items()

@@ -41,6 +41,7 @@ from sshaf.primitives import (
     RandomSource,
     hash_bytes,
     hmac_sha256,
+    random_key,
 )
 from synthetic import make_synthetic_dataset
 
@@ -155,7 +156,7 @@ def _run_dors_100() -> list[bytes]:
 
 def _run_dhs_100() -> list[bytes]:
     src = RandomSource.seeded(b"\x65" * 32)
-    home = dhs_auth.dhs_initialize(src)
+    home = dhs_auth.HomeServerState(random_key(src))
     edge = dhs_auth.EdgeServer()
     card = dhs_auth.dhs_register(home, edge, "alice", "pw", src)
     keys, iids = [], set()

@@ -19,7 +19,7 @@ from sshaf.context_engine import (
     ContextSnapshot,
 )
 from sshaf.errors import InvalidParams
-from sshaf.harness import attacks
+from sshaf.harness import attacks, scenarios
 from sshaf.harness.attacks import (
     ATTACK_IMPERSONATE,
     ATTACK_REPLAY,
@@ -90,13 +90,13 @@ ATTACKS = {
 def attacked(monkeypatch):
     """The gateways the attacks build, in the order they were built."""
     built = []
-    build = attacks._gateway
+    build = attacks.seeded_gateway
 
-    def recorded(scheme, seed):
-        built.append(build(scheme, seed))
+    def recorded(seed, label, scheme):
+        built.append(build(seed, label, scheme))
         return built[-1]
 
-    monkeypatch.setattr(attacks, "_gateway", recorded)
+    monkeypatch.setattr(attacks, "seeded_gateway", recorded)
     return built
 
 
@@ -135,13 +135,18 @@ def test_stolen_capture_is_the_users_entry_in_the_gateway_state(attacked, scheme
 
 def test_attacks_provision_only_through_the_gateway():
     # Users come from register_user/owner_verify, never from a scheme's own
-    # provisioning, so the matrix attacks the gateway users meet.
-    path = pathlib.Path(attacks.__file__)
-    banned = {"mht_register", "dors_provision", "dhs_register", "dhs_initialize"}
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            assert name not in banned, f"attacks.py:{node.lineno} calls {name}"
+    # provisioning, and honest sessions from Gateway.run_scheme, so the matrix
+    # attacks and the cost tables price the gateway users meet.
+    banned = {
+        "mht_register", "dors_provision", "dhs_register", "HomeServerState", "EdgeServer",
+        "mht_handshake", "dors_handshake", "dhs_handshake",
+    }
+    for module in (attacks, scenarios):
+        path = pathlib.Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                assert name not in banned, f"{path.name}:{node.lineno} calls {name}"
 
 
 def test_derivation_recipes_cover_the_real_session_key_formula():

@@ -226,13 +226,16 @@ def _dors_entry(name: str, **fields):
 
 def _gateway_field(name: str, section: str, **fields):
     """Damage ``name``: set ``fields`` in alice's entry of ``section``, one of
-    ``mht_registry`` and ``wallets.mht``, or in the gateway dict itself."""
+    ``mht_registry``, ``wallets.mht``, ``wallets.card`` and ``edge.db``, or in
+    the gateway dict itself."""
     def damage(state: dict, text: str) -> str:
         gateway = state["gateway"]
         entry = {
             "gateway": gateway,
             "mht_registry": gateway["mht_registry"].get("alice"),
             "wallets.mht": gateway["wallets"]["alice"]["mht"],
+            "wallets.card": gateway["wallets"]["alice"]["card"],
+            "edge.db": gateway["edge"]["db"]["alice"],
         }[section]
         entry.update(fields)
         return json.dumps(state)
@@ -296,6 +299,14 @@ def _user_leaves(count: int):
         _user_leaves(2),
         _gateway_field("_sim_minutes_as_string", "gateway", sim_minutes="600"),
         _gateway_field("_sim_minutes_negative", "gateway", sim_minutes=-1),
+        _gateway_field("_card_failed_attempts_as_string", "wallets.card", failed_attempts="0"),
+        _gateway_field("_card_failed_attempts_negative", "wallets.card", failed_attempts=-1),
+        _gateway_field("_card_locked_as_string", "wallets.card", locked="false"),
+        _gateway_field("_card_locked_as_integer", "wallets.card", locked=0),
+        _gateway_field("_card_iid_as_bool", "wallets.card", current_iid=True),
+        _gateway_field("_card_iid_with_whitespace", "wallets.card", current_iid="0011223344 5566 "),
+        _gateway_field("_edge_iid_as_bool", "edge.db", current_iid=True),
+        _gateway_field("_edge_iid_too_short", "edge.db", current_iid="00" * 7),
         *(
             _dors_counter(field, value)
             for field in ("active_tree", "used_signatures", "signature_count", "dors_epochs")
@@ -601,8 +612,8 @@ def test_bench_table1_csv_layout(capsys):
 # message and storage_bits counters, so any change to protocol work or to
 # the persisted bytes shows here.
 BENCH_JSON_SHA256 = {
-    "1": "0e0137e9f443d30f9becb6485aee5515b3682ee0ec0c1c9d534de69c1f77374a",
-    "2": "f158cc4bb830e2862e1cccacf16c70f1cdd4d56c47d05fd4bbdc31c0022a0061",
+    "1": "818aab953b35bf749811213795eb8fe141a1363aaed6ce3c5ad712353cfc258d",
+    "2": "ead76cc5ed44f6643775956eb7e001965b261c549a614d5afb069cf3be032980",
 }
 
 
@@ -634,10 +645,10 @@ def test_attack_command_exit_codes(capsys):
 STATELESS_OUTPUTS = [
     ("bench --table 1 --format text", 0, "09b65dd197fb53d1d0ab4fcf7540bb51fdc5ea8d319d5fcbf8e28e2f59e46a02"),
     ("bench --table 1 --format csv", 0, "778e68bfcec41378c055ba3ba9c5ce3780228558d8759dbeacbdf83dd9e44851"),
-    ("bench --table 1 --format json", 0, "0e0137e9f443d30f9becb6485aee5515b3682ee0ec0c1c9d534de69c1f77374a"),
+    ("bench --table 1 --format json", 0, "818aab953b35bf749811213795eb8fe141a1363aaed6ce3c5ad712353cfc258d"),
     ("bench --table 2 --format text", 0, "a4c21b174ca3849fe7ea0a3765d6b7558aa921048391e9b1ec86af0f00fc4556"),
     ("bench --table 2 --format csv", 0, "e941896dbaa84cda39acb727cbc448b1b8914785b3b6f67162f83350f9a9214c"),
-    ("bench --table 2 --format json", 0, "f158cc4bb830e2862e1cccacf16c70f1cdd4d56c47d05fd4bbdc31c0022a0061"),
+    ("bench --table 2 --format json", 0, "ead76cc5ed44f6643775956eb7e001965b261c549a614d5afb069cf3be032980"),
     ("bench --table 3 --format text", 0, "cc8a101be29be610c4a700e611d2665b5a27b0f1de1e81fb30bc1aa84d1476dc"),
     ("bench --table 3 --format csv", 0, "cc2b5921f4369781ef59bc0ef6b761eb8cf9a60169fde97e24b3f1056db34660"),
     ("bench --table 3 --format json", 0, "f2424e62edb139f41b58b8bfbe9cd888277986d2e899e30d3b119e8155b3372d"),
@@ -646,7 +657,7 @@ STATELESS_OUTPUTS = [
     ("attack --kind skd", 0, "ca6cc0f3b3adeefb8c1639b31b5ac65bbcb8c56db568b82554ac67f26483c35c"),
     ("attack --kind stolen", 0, "55c6d159ec7dc84b40c108c75fe08ea4905cde528c167e0fb8c7da269e3e0bb8"),
     ("report --format text", 0, "1c6d967be531e09568863b66f5af93b91873b002acd562e127b6c306b680ad72"),
-    ("report --format csv", 0, "d81372811b514045e28c050f347b3d360e801bc322fe83883d5377078b1f3f4c"),
+    ("report --format csv", 0, "4f48bce4e30922cda0f81898a347eaf0ea7b0e9b2d846948bada138a045a040e"),
     ("report --format json", 0, "d0e52afeac6eef54d0eb3d847ed56ff9c0a8e263d52fa323089ae97d741d1c08"),
 ]
 

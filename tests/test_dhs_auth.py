@@ -19,6 +19,7 @@ from sshaf.dhs_auth import (
     Challenge,
     ConfirmMessage,
     EdgeServer,
+    HomeServerState,
     InterfaceIdentifier,
     Ipv6Packet,
     dhs_card_confirm,
@@ -27,18 +28,18 @@ from sshaf.dhs_auth import (
     dhs_edge_verify,
     dhs_encapsulate,
     dhs_generate_iid,
-    dhs_initialize,
     dhs_login,
     dhs_register,
     dhs_session_agree,
 )
+from sshaf.gateway import Gateway
 from sshaf.link import Loopback
-from sshaf.primitives import Digest256, Key256, Nonce128, RandomSource, hash_bytes
+from sshaf.primitives import Digest256, Key256, Nonce128, RandomSource, hash_bytes, random_key
 
 
 def make_world(seed=b"\x21"):
     src = RandomSource.seeded(seed * 32)
-    home = dhs_initialize(src)
+    home = HomeServerState(random_key(src))
     edge = EdgeServer()
     card = dhs_register(home, edge, "bob", "hunter2", src)
     return src, home, edge, card
@@ -53,9 +54,14 @@ def run_session(card, edge, src, password="hunter2"):
 # --- initialization / registration ---------------------------------------
 
 def test_initialize_reproducible_from_seed():
-    a = dhs_initialize(RandomSource.seeded(b"\x01" * 32))
-    b = dhs_initialize(RandomSource.seeded(b"\x01" * 32))
-    c = dhs_initialize(RandomSource.seeded(b"\x02" * 32))
+    # Initialization is the gateway's first boot: the home server takes the
+    # master secret the gateway mints.
+    gateways = [
+        Gateway(RandomSource.seeded(seed * 32), Key256(b"\x77" * 32))
+        for seed in (b"\x01", b"\x01", b"\x02")
+    ]
+    a, b, c = (gw.home for gw in gateways)
+    assert a.master_secret == gateways[0].master_secret
     assert a.master_secret == b.master_secret
     assert a.master_secret != c.master_secret
     assert a.registered == set()

@@ -23,7 +23,7 @@ from sshaf.context_engine import (
 )
 from sshaf.errors import AuthFailed
 from sshaf.gateway import CAP_CARD, CAP_DORS, DEVICES, Gateway, serialize_db
-from sshaf.primitives import Key256, RandomSource
+from sshaf.primitives import Key256, RandomSource, random_key
 from synthetic import make_synthetic_dataset
 
 SEED = b"\x5a" * 32
@@ -71,7 +71,7 @@ def dors_transcript() -> str:
 
 def dhs_transcript() -> str:
     src = RandomSource.seeded(SEED)
-    home = dhs_auth.dhs_initialize(src)
+    home = dhs_auth.HomeServerState(random_key(src))
     edge = dhs_auth.EdgeServer()
     card = dhs_auth.dhs_register(home, edge, "alice", "pw", src)
     link = RecordingLink()
@@ -157,14 +157,15 @@ def gateway_visits(model) -> str:
 
 
 # Re-pinned when MHT user entries began to persist a compact range instead
-# of every leaf, and again when sessions stopped persisting their login
-# confidence; each time the decisions and every other persisted field hash
-# as before.
+# of every leaf, again when sessions stopped persisting their login
+# confidence, and again when DHS identifiers began to persist as 16 hex
+# digits; each time the decisions and every other persisted field hash as
+# before.
 GATEWAY_SHA256 = {
-    "no-model": (None, "5bc379e7c1ae720fa4f329f1d9525662624ed6262504ea48e31254c598b28615"),
+    "no-model": (None, "59c30be9e0b09b029a09cc1e118a1d87586a4861ef416785a2c4ddac25c229c0"),
     "synthetic-model": (
         make_synthetic_dataset,
-        "88a85b1d6d10a6672425b6e6eee3cd00274979255fa6a4b51fc263c1710d541e",
+        "ffdbd8153a7d59d1c8aed4efacd90142602572ac76cfa943643db65ff99e0399",
     ),
 }
 

@@ -123,6 +123,40 @@ def test_elapsed_reflects_link_latency_ordering():
         assert remote.elapsed_ms > local.elapsed_ms
 
 
+# Every cell of Tables 1 and 2 as (elapsed_ms, hash_count, mac_count,
+# wire_bytes, messages), row by row, internet cell then local cell, as the
+# tables read before they ran on the seeded gateway. No seed moves them.
+TABLE_CELLS = {
+    "1": [
+        ((111, 8, 8, 202, 6), (15, 4, 10, 218, 6)),
+        ((116, 8, 8, 202, 6), (20, 4, 10, 218, 6)),
+        ((113, 8, 8, 202, 6), (17, 4, 10, 218, 6)),
+        ((115, 8, 8, 205, 6), (19, 4, 10, 221, 6)),
+        ((36, 0, 0, 34, 2), (4, 0, 0, 34, 2)),
+    ],
+    "2": [
+        ((116, 8, 8, 202, 6), (20, 4, 10, 221, 6)),
+        ((124, 8, 8, 202, 6), (28, 4, 10, 219, 6)),
+        ((131, 8, 8, 203, 6), (35, 4, 10, 219, 6)),
+        ((36, 0, 0, 34, 2), (4, 0, 0, 34, 2)),
+    ],
+}
+# Persisted gateway-side state of each cell's scheme, in bits.
+STORAGE_BITS = {"dhs": 1752, "mht": 2048, "none": 0}
+TABLE_SEEDS = (b"\x11" * 32, b"\x05" * 32, b"\x42" * 32, bytes(range(32)))
+
+
+@pytest.mark.parametrize("seed", TABLE_SEEDS, ids=lambda seed: seed[:2].hex())
+def test_table_cells_are_pinned_and_their_storage_is_seed_independent(seed):
+    for name, rows in (("1", TABLE1_ROWS), ("2", TABLE2_ROWS)):
+        table = build_cost_table(rows, SimConfig(seed=seed))
+        for row, cells in zip(table, TABLE_CELLS[name], strict=True):
+            for report, cell in zip((row["internet_report"], row["local_report"]), cells):
+                counters = (report.elapsed_ms, report.hash_count, report.mac_count)
+                assert counters + (report.wire_bytes, report.messages) == cell, report
+                assert (report.outcome, report.storage_bits) == ("completed", STORAGE_BITS[report.scheme])
+
+
 def test_cost_tables_never_expand_a_dors_forest(monkeypatch):
     # Tables 1/2 run no DORS session, so they must not pay for a forest.
     from sshaf import dors_auth

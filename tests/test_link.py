@@ -8,7 +8,7 @@ from sshaf import dhs_auth, dors_auth, merkle_auth, persist
 from sshaf.errors import Busy, UserAuthFailed
 from sshaf.harness.simnet import LINK_LOCAL, MessageDropped, SimClock, SimConfig, SimLink, Transcript
 from sshaf.link import USER, Loopback
-from sshaf.primitives import Digest256, Key256, RandomSource
+from sshaf.primitives import Digest256, Key256, RandomSource, random_key
 
 SEEDS = (b"\x31" * 32, b"\x32" * 32, b"\x33" * 32)
 SMALL_DORS = dors_auth.DorsParams(t=16, k=4, f=2, r=2)
@@ -55,7 +55,7 @@ class DhsPair:
 
     def __init__(self, seed):
         self.src = RandomSource.seeded(seed)
-        home = dhs_auth.dhs_initialize(self.src)
+        home = dhs_auth.HomeServerState(random_key(self.src))
         self.edge = dhs_auth.EdgeServer()
         self.card = dhs_auth.dhs_register(home, self.edge, "alice", "pw", self.src)
 

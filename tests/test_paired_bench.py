@@ -67,6 +67,29 @@ def test_an_incorrect_run_or_a_failed_operation_exits_non_zero(tmp_path, capsys,
     assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "5"]) == 1
 
 
+def test_net_src_lines_count_each_changed_file_and_the_total(tmp_path, capsys):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
+    for root, files in (
+        (parent, {"a.py": "x\ny\nz\n", "same.py": "s\n", "gone.py": "g\ng\n"}),
+        (change, {"a.py": "x\nY\nz\nw\n", "same.py": "s\n", "sub/new.py": "n\nn\nn\n",
+                  "notes.txt": "t\n"}),
+    ):
+        for name, text in files.items():
+            (root / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / "src" / name).write_text(text)
+    assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["net_src_lines"] == {
+        "files": {
+            "a.py": {"added": 2, "removed": 1, "net": 1},
+            "gone.py": {"added": 0, "removed": 2, "net": -2},
+            "sub/new.py": {"added": 3, "removed": 0, "net": 3},
+        },
+        "added": 5,
+        "removed": 3,
+        "net": 2,
+    }
+
+
 def test_unknown_workload_or_bad_seed_range_is_a_usage_error(tmp_path):
     parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
     for args in (["--workloads", "nope", "--seeds", "1-2"], ["--workloads", "w", "--seeds", "3-1"]):

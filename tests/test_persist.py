@@ -12,7 +12,7 @@ from sshaf import dhs_auth, dors_auth, merkle_auth, persist
 from sshaf.context_engine import SCHEME_MHT, ContextSnapshot
 from sshaf.gateway import CAP_CARD, CAP_DORS, Gateway
 from sshaf.link import Loopback
-from sshaf.primitives import Key256, RandomSource, hash_bytes
+from sshaf.primitives import Key256, RandomSource, hash_bytes, random_key
 
 MASTER = Key256(b"\x41" * 32)
 
@@ -322,7 +322,7 @@ def test_dors_forest_round_trips_for_any_params(params, uid):
 
 def test_dhs_entities_round_trip():
     src = RandomSource.seeded(b"\x04" * 32)
-    home = dhs_auth.dhs_initialize(src)
+    home = dhs_auth.HomeServerState(random_key(src))
     edge = dhs_auth.EdgeServer()
     card = dhs_auth.dhs_register(home, edge, "bob", "pw", src)
 
@@ -334,9 +334,23 @@ def test_dhs_entities_round_trip():
     assert ck == ek
 
 
+def test_iids_persist_as_hex_and_integers_written_before_still_load():
+    src = RandomSource.seeded(b"\x04" * 32)
+    edge = dhs_auth.EdgeServer()
+    card = dhs_auth.dhs_register(dhs_auth.HomeServerState(random_key(src)), edge, "bob", "pw", src)
+    card.current_iid = dhs_auth.InterfaceIdentifier(0x00AB)
+    card_data, edge_data = persist.card_to_dict(card), persist.edge_db_to_dict(edge.db)
+    assert card_data["current_iid"] == "00000000000000ab"
+    assert edge_data["bob"]["current_iid"] == edge.db["bob"].current_iid.to_bytes().hex()
+    old_card = dict(card_data, current_iid=0xAB)
+    old_edge = {"bob": dict(edge_data["bob"], current_iid=edge.db["bob"].current_iid.iid)}
+    assert persist.card_to_dict(persist.card_from_dict(old_card)) == card_data
+    assert persist.edge_db_to_dict(persist.edge_db_from_dict(old_edge)) == edge_data
+
+
 def test_edge_db_capture_excludes_bindings():
     src = RandomSource.seeded(b"\x05" * 32)
-    home = dhs_auth.dhs_initialize(src)
+    home = dhs_auth.HomeServerState(random_key(src))
     edge = dhs_auth.EdgeServer()
     dhs_auth.dhs_register(home, edge, "bob", "pw", src)
     table = persist.dumps(persist.edge_db_to_dict(edge.db)).decode()

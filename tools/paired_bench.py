@@ -18,6 +18,10 @@ pair's ``digest=`` line, the hash of every checked result. The report is one
 JSON object on stdout, in the layout of the ``BENCH_*.json`` files; progress
 goes to stderr.
 
+The report also carries ``net_src_lines``: the lines added and removed in the
+``.py`` files under ``src/`` from PARENT to CHANGE, per changed file and in
+total, as ``difflib`` matches them. A file on one side only counts whole.
+
 Exit status: 0 when every run was correct and no operation failed, 1 when a
 run reported ``correct: false`` or ``failed > 0`` or printed no result, 2 on
 bad arguments. The script writes no file.
@@ -26,6 +30,7 @@ bad arguments. The script writes no file.
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import re
 import statistics
@@ -47,6 +52,33 @@ def _seed_range(text: str) -> list[int]:
     if not seeds:
         raise argparse.ArgumentTypeError(f"empty seed range: {text!r}")
     return seeds
+
+
+def _src_lines(checkout: Path, name: str) -> list[str]:
+    path = checkout / "src" / name
+    return path.read_text().splitlines() if path.is_file() else []
+
+
+def net_src_lines(parent: Path, change: Path) -> dict:
+    """Lines added and removed under ``src/`` from ``parent`` to ``change``:
+    ``files`` maps each changed file to its counts, and the totals follow."""
+    names = sorted({
+        path.relative_to(root / "src").as_posix()
+        for root in (parent, change) for path in (root / "src").rglob("*.py")
+    })
+    files = {}
+    for name in names:
+        old, new = _src_lines(parent, name), _src_lines(change, name)
+        added = removed = 0
+        matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag != "equal":
+                removed += i2 - i1
+                added += j2 - j1
+        if added or removed:
+            files[name] = {"added": added, "removed": removed, "net": added - removed}
+    added, removed = (sum(counts[key] for counts in files.values()) for key in ("added", "removed"))
+    return {"files": files, "added": added, "removed": removed, "net": added - removed}
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds) -> dict:
@@ -142,6 +174,7 @@ def main(argv=None) -> int:
         "statistics": "median and quartiles (statistics.quantiles, method='inclusive') over "
         "each side's runs; change_wins counts pairs where the change is better (lower, or "
         "higher where BENCHMARK.json says so); ties count for neither",
+        "net_src_lines": net_src_lines(*checkouts.values()),
         "workloads": {
             w: bench_workload(checkouts, spec["command"], w, args.seeds, seconds, metrics)
             for w in args.workloads
