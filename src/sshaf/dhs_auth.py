@@ -1,14 +1,17 @@
 """Smart-card authentication among user card, edge server and home server.
 
 Five phases: initialization, addressing, registration, login authentication
-and session agreement. Initialization is ``Gateway.__init__``: the home
-server's ``HomeServerState`` takes the master secret the gateway mints once
-at first boot. The card has no password update: its verifier and the edge's
-identifier are set at registration, so a new password means a new
-registration. Every session rides on a per-session 64-bit interface
-identifier carried in the low half of an IPv6-style address; the identifier
-rotates on each successful agreement, so a captured login packet is stale
-by the time it can be replayed.
+and session agreement. The gateway is the home server: initialization is
+``Gateway.__init__``, which mints the master secret once at first boot, and
+``dhs_register`` takes that secret to issue a card. The home server keeps
+nothing per user; a uid is registered while the edge table holds its entry,
+so a duplicate registration is checked against that table. The card has no
+password update: its verifier and the edge's identifier are set at
+registration, so a new password means a new registration. Every session
+rides on a per-session 64-bit interface identifier carried in the low half
+of an IPv6-style address; the identifier rotates on each successful
+agreement, so a captured login packet is stale by the time it can be
+replayed.
 
 The edge server's user database holds only the current identifier and an
 edge key share. The value that actually verifies card-keyed tags is a
@@ -115,12 +118,6 @@ def dhs_generate_iid(uid: str, session_nonce: Nonce128, secret: Key256) -> Inter
 
 
 # --- entities ----------------------------------------------------------------
-
-@dataclass
-class HomeServerState:
-    master_secret: Key256
-    registered: set[str] = field(default_factory=set)
-
 
 @dataclass
 class SmartCardState:
@@ -234,15 +231,15 @@ class AckMessage:
 # --- phases --------------------------------------------------------------------
 
 def dhs_register(
-    home: HomeServerState, edge: EdgeServer, uid: str, password: str, src: RandomSource
+    master_secret: Key256, edge: EdgeServer, uid: str, password: str, src: RandomSource
 ) -> SmartCardState:
-    """Phase 3: issue the card, seed the edge DB entry, hand the binding
-    digest to the edge keystore. The home server keeps no per-user session
-    table afterwards."""
-    if uid in home.registered:
+    """Phase 3: issue the card from the home server's ``master_secret``,
+    seed the edge DB entry, hand the binding digest to the edge keystore.
+    A uid the edge table already holds is not registered again."""
+    if uid in edge.db:
         raise AlreadyRegistered(uid)
-    card_secret = kdf(home.master_secret, "card", uid.encode())
-    edge_share = kdf(home.master_secret, "edge", uid.encode())
+    card_secret = kdf(master_secret, "card", uid.encode())
+    edge_share = kdf(master_secret, "edge", uid.encode())
     card_salt = random_nonce(src)
     pw_verifier = hash_bytes(uid.encode() + password.encode() + card_salt.bytes)
     initial_nonce = random_nonce(src)
@@ -254,7 +251,6 @@ def dhs_register(
     card = SmartCardState(uid, pw_verifier, card_salt, card_secret, iid)
     edge.db[uid] = EdgeEntry(current_iid=iid, edge_share=edge_share)
     edge.bindings[uid] = binding
-    home.registered.add(uid)
     return card
 
 

@@ -9,8 +9,7 @@ once their signature budget is spent.
 A forest's lifecycle at the gateway: ``dors_verify`` accepts a signature
 only from the tree the chain has reached (or the next), so once a signature
 verifies with a tree, every tree below it is spent, and the gateway drops
-their leaf digests; the signer likewise drops a tree's revealed set when it
-rotates off it. While the last tree signs, the gateway builds the next
+their leaf digests. While the last tree signs, the gateway builds the next
 epoch's forest with ``dors_tree``, ⌈f/r⌉ trees per verified signature, so
 the re-key at ``ForestExhausted`` hands ``dors_provision`` a forest already
 built, and only the genesis and link key remain to derive. The trees, the
@@ -115,7 +114,6 @@ class DorsSecretKey:
     forest_seed: Key256
     active_tree: int = 0
     used_signatures: int = 0  # signatures spent in the active tree
-    revealed: dict[int, set[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -194,18 +192,16 @@ def dors_sign(
 ) -> tuple[DorsSignature, ChainState]:
     """Reveal the subset the message selects; advances the signer's budget
     and returns the advanced chain. Rotates to the next tree when the
-    active one is spent, dropping the spent tree's revealed set."""
+    active one is spent."""
     params = sk.params
     if sk.used_signatures >= params.r:
         if sk.active_tree + 1 >= params.f:
             raise ForestExhausted("all trees spent; rekey required")
-        sk.revealed.clear()
         sk.active_tree += 1
         sk.used_signatures = 0
     tree = sk.active_tree
     indices = dors_subset(message, chain, params)
     reveals = [Key256(secret) for secret in _leaf_secrets(sk.forest_seed, tree, indices)]
-    sk.revealed.setdefault(tree, set()).update(indices)
     sk.used_signatures += 1
     sig = DorsSignature(tree, indices, reveals)
     return sig, chain.advanced(sig.encode())

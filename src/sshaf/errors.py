@@ -64,8 +64,9 @@ class ConfirmFailed(SshafError):
 
 # --- dors_auth ----------------------------------------------------------
 
-class InvalidParams(SshafError):
-    """Signature parameters violate their invariants."""
+class InvalidParams(SshafError, ValueError):
+    """Signature parameters violate their invariants. A ``ValueError`` too,
+    so damaged parameters in a persisted state fail as a bad value does."""
 
 
 class ForestExhausted(SshafError):

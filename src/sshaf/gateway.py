@@ -2,11 +2,16 @@
 owner verification, login, utilization, and continuous authentication.
 
 The gateway owns the encrypted user database, the gateway side of all
-three protocol engines, and a simulated-minutes clock. Issued user wallets
-(card, signature keys, history state) model the credentials living on the
-user's own device. The home's configuration is fixed in code, not state:
-its devices with their access policies, the roles each device kind admits
-from the internet, and the factor weights.
+three protocol engines, and a simulated-minutes clock; it is also the DHS
+home server, whose master secret is its own. Issued user wallets (card,
+signature keys, history state), keyed by uid, model the credentials living
+on the user's own device. A ``GatewaySession`` is what a granted login
+opens: its id, owner, scheme, key and the minute it was granted.
+``authorize_device_access`` keeps nothing per session: each request is
+judged on its own snapshot and leaves only its usage row. The home's
+configuration is fixed in code, not state: its devices with their access
+policies, the roles each device kind admits from the internet, and the
+factor weights.
 """
 
 from __future__ import annotations
@@ -131,7 +136,6 @@ class UserDatabase:
 class UserWallet:
     """User-side credential material issued at activation."""
 
-    uid: str
     mht: merkle_auth.MhtUserState | None = None
     dors: dors_auth.DorsUserSide | None = None
     card: dhs_auth.SmartCardState | None = None
@@ -143,9 +147,7 @@ class GatewaySession:
     uid: str
     scheme: str
     session_key: Key256
-    origin: str
     established_minutes: int
-    device_grants: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -301,7 +303,6 @@ class Gateway:
         self.dors_registry: dict[str, dors_auth.DorsGatewaySide] = {}
         self.dors_epochs: dict[str, int] = {}
         self.edge = dhs_auth.EdgeServer()
-        self.home = dhs_auth.HomeServerState(master_secret=self.master_secret)
 
         self.wallets: dict[str, UserWallet] = {}
         self.sessions: dict[str, GatewaySession] = {}
@@ -364,7 +365,7 @@ class Gateway:
             # exists in memory right now; the card is handed over (and its
             # edge entry becomes reachable) once the owner activates.
             self._pending_cards[uid] = dhs_auth.dhs_register(
-                self.home, self.edge, uid, password, self.src
+                self.master_secret, self.edge, uid, password, self.src
             )
         return self.db.profiles[uid]
 
@@ -393,15 +394,13 @@ class Gateway:
         if self._pending_cards.pop(uid, None) is not None:
             self.edge.db.pop(uid, None)
             self.edge.bindings.pop(uid, None)
-            self.home.registered.discard(uid)
 
     def _provision(self, uid: str) -> None:
         """History-bound mutual auth is always provisioned; signature keys
         and a smart card follow the capability flags."""
         profile = self.db.profiles[uid]
-        wallet = UserWallet(uid)
         user_state, _ = merkle_auth.mht_register(self.mht_registry, uid, self.master_secret)
-        wallet.mht = user_state
+        wallet = UserWallet(mht=user_state)
         if CAP_DORS in profile.capabilities:
             self._provision_dors(uid, wallet)
         wallet.card = self._pending_cards.pop(uid, None)
@@ -539,7 +538,7 @@ class Gateway:
         }
         is_retry = self._step_up_tokens.pop(retry_token, (None, 0))[0] == uid
         if decision == ctx.GRANT:
-            session = self._open_session(uid, scheme, session_key, snapshot.origin)
+            session = self._open_session(uid, scheme, session_key)
             return LoginResult(ctx.GRANT, confidence, session=session)
         if decision == ctx.STEP_UP and not is_retry:
             token = self.src.read(8).hex()
@@ -555,7 +554,7 @@ class Gateway:
     def _expired(self, session: GatewaySession) -> bool:
         return self.sim_minutes - session.established_minutes > SESSION_TTL_MINUTES
 
-    def _open_session(self, uid, scheme, session_key, origin) -> GatewaySession:
+    def _open_session(self, uid, scheme, session_key) -> GatewaySession:
         for session_id in [sid for sid, s in self.sessions.items() if self._expired(s)]:
             del self.sessions[session_id]
         session = GatewaySession(
@@ -563,7 +562,6 @@ class Gateway:
             uid=uid,
             scheme=scheme,
             session_key=session_key,
-            origin=origin,
             established_minutes=self.sim_minutes,
         )
         self.sessions[session.session_id] = session
@@ -575,7 +573,8 @@ class Gateway:
         self, session: GatewaySession, device_id: str, snapshot: ContextSnapshot
     ) -> str:
         """Re-evaluate context against the device's own threshold on every
-        request; each call appends exactly one usage record, dropping the
+        request, judged on ``snapshot`` alone: the session records nothing
+        of it. Each call appends exactly one usage record, dropping the
         oldest once the log holds USAGE_LOG_ROWS."""
         live = self.sessions.get(session.session_id)
         if live is not session:
@@ -597,8 +596,6 @@ class Gateway:
 
         decision = ctx.decide_access(self._confidence(session.uid, True, snapshot, record), policy)
         self._log_usage(session.uid, record, decision)
-        if decision == ctx.GRANT:
-            session.device_grants.add(device_id)
         return decision
 
     def _log_usage(self, uid: str, record: ctx.AccessRecord, decision: str) -> None:

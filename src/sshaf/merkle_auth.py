@@ -317,7 +317,6 @@ class MhtM4:
 class MhtPendingUser:
     n_u: Nonce128
     n_g: Nonce128 | None = None
-    root: Digest256 | None = None
     candidate_key: Key256 | None = None
 
 
@@ -426,7 +425,6 @@ def mht_auth_respond(user: MhtUserState, m2: MhtM2) -> MhtM3:
         user.pending = None
         raise GatewayAuthFailed("history proof invalid")
     user.pending.n_g = m2.n_g
-    user.pending.root = m2.root
     user.pending.candidate_key = _session_key(user.shared_key, n_u, m2.n_g, m2.root)
     return MhtM3(_response_tag(user.shared_key, n_u, m2.n_g, m2.root))
 

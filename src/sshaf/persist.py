@@ -3,15 +3,18 @@
 Used for two things: carrying gateway state across CLI invocations, and
 producing the exact persisted bytes the stolen-device adversary captures.
 
-The gateway's dict holds only what the gateway changes as it runs: the
-master secret, the simulated clock, the MHT and DORS registries and DORS
-epochs, the DHS edge table and home registrations, the issued wallets, open
-sessions, step-up tokens and cards awaiting activation. The user database
-has its own encrypted file, and the home's configuration (devices, access
-policies, factor weights, internet allow-list) is code in ``gateway``.
+The gateway's dict holds only what the gateway changes as it runs and
+reads back: the master secret, the simulated clock, the MHT and DORS
+registries and DORS epochs, the DHS edge table, the issued wallets by uid,
+open sessions (id, uid, scheme, key and the minute granted), step-up tokens
+and cards awaiting activation. The user database has its own encrypted
+file, and the home's configuration (devices, access policies, factor
+weights, internet allow-list) is code in ``gateway``.
 ``restore_gateway_state`` reads only the keys it writes, so a key an older
-file carries, such as ``weights``, ``devices`` or ``internet_allowlist``, is
-ignored and is gone after the next save.
+file carries is ignored and is gone after the next save: the configuration
+(``weights``, ``devices``, ``internet_allowlist``), ``home_registered``
+(always the edge table's uids), a wallet's ``uid``, a DORS signer's
+``revealed`` sets, and a session's ``origin`` and ``device_grants``.
 Pending handshake material is ephemeral and excluded unless a capture
 explicitly asks for it (that inclusion is the documented attack window).
 
@@ -92,7 +95,9 @@ def _count(value) -> int:
 
 def mht_state_to_dict(state, include_pending: bool = False) -> dict:
     """A gateway side writes its leaf log as ``leaves``, a user side its
-    compact history as ``range`` (see the module docstring)."""
+    compact history as ``range`` (see the module docstring).
+    ``include_pending`` applies to a gateway side: its run in flight,
+    ``n_u``, ``n_g`` and ``root``, is written too."""
     data = {
         "uid": state.uid,
         "shared_key": state.shared_key.hex(),
@@ -103,14 +108,8 @@ def mht_state_to_dict(state, include_pending: bool = False) -> dict:
     else:
         data["range"] = _digests_to_hex(state.history.compact_range())
     if include_pending and state.pending is not None:
-        pend = {"n_u": state.pending.n_u.hex()}
-        n_g = getattr(state.pending, "n_g", None)
-        if n_g is not None:
-            pend["n_g"] = n_g.hex()
-        root = getattr(state.pending, "root", None)
-        if root is not None:
-            pend["root"] = root.hex()
-        data["pending"] = pend
+        pend = state.pending
+        data["pending"] = {"n_u": pend.n_u.hex(), "n_g": pend.n_g.hex(), "root": pend.root.hex()}
     return data
 
 
@@ -178,7 +177,6 @@ def dors_user_to_dict(side: dors_auth.DorsUserSide) -> dict:
         "forest_seed": sk.forest_seed.hex(),
         "active_tree": sk.active_tree,
         "used_signatures": sk.used_signatures,
-        "revealed": {str(tree): sorted(leaves) for tree, leaves in sk.revealed.items()},
         "chain": chain_to_dict(side.chain),
         "link_key": side.link_key.hex(),
     }
@@ -190,9 +188,6 @@ def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
         forest_seed=Key256.from_hex(data["forest_seed"]),
         active_tree=_count(data["active_tree"]),
         used_signatures=_count(data["used_signatures"]),
-        revealed={
-            int(tree): set(_array(leaves, int)) for tree, leaves in data["revealed"].items()
-        },
     )
     return dors_auth.DorsUserSide(
         uid=data["uid"],
@@ -363,7 +358,6 @@ def edge_server_from_dict(data: dict) -> dhs_auth.EdgeServer:
 
 def wallet_to_dict(wallet: gw_mod.UserWallet) -> dict:
     return {
-        "uid": wallet.uid,
         "mht": mht_state_to_dict(wallet.mht) if wallet.mht else None,
         "dors": dors_user_to_dict(wallet.dors) if wallet.dors else None,
         "card": card_to_dict(wallet.card) if wallet.card else None,
@@ -372,7 +366,6 @@ def wallet_to_dict(wallet: gw_mod.UserWallet) -> dict:
 
 def wallet_from_dict(data: dict) -> gw_mod.UserWallet:
     return gw_mod.UserWallet(
-        uid=data["uid"],
         mht=mht_user_from_dict(data["mht"]) if data["mht"] else None,
         dors=dors_user_from_dict(data["dors"]) if data["dors"] else None,
         card=card_from_dict(data["card"]) if data["card"] else None,
@@ -385,9 +378,7 @@ def session_to_dict(session: gw_mod.GatewaySession) -> dict:
         "uid": session.uid,
         "scheme": session.scheme,
         "session_key": session.session_key.hex(),
-        "origin": session.origin,
         "established_minutes": session.established_minutes,
-        "device_grants": sorted(session.device_grants),
     }
 
 
@@ -397,9 +388,7 @@ def session_from_dict(data: dict) -> gw_mod.GatewaySession:
         uid=data["uid"],
         scheme=data["scheme"],
         session_key=Key256.from_hex(data["session_key"]),
-        origin=data["origin"],
         established_minutes=_count(data["established_minutes"]),
-        device_grants=set(_array(data["device_grants"], str)),
     )
 
 
@@ -416,7 +405,6 @@ def gateway_state_to_dict(gw: gw_mod.Gateway, with_forests: bool = True) -> dict
         },
         "dors_epochs": dict(gw.dors_epochs),
         "edge": edge_server_to_dict(gw.edge),
-        "home_registered": sorted(gw.home.registered),
         "wallets": {uid: wallet_to_dict(w) for uid, w in gw.wallets.items()},
         "sessions": {sid: session_to_dict(s) for sid, s in gw.sessions.items()},
         "step_up_tokens": {token: list(minted) for token, minted in gw._step_up_tokens.items()},
@@ -438,9 +426,6 @@ def restore_gateway_state(
     }
     gw.dors_epochs = {uid: _count(n) for uid, n in data["dors_epochs"].items()}
     gw.edge = edge_server_from_dict(data["edge"])
-    gw.home = dhs_auth.HomeServerState(
-        master_secret=gw.master_secret, registered=set(_array(data["home_registered"], str))
-    )
     gw.wallets = {uid: wallet_from_dict(w) for uid, w in data["wallets"].items()}
     gw.sessions = {sid: session_from_dict(s) for sid, s in data["sessions"].items()}
     gw._step_up_tokens = {

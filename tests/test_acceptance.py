@@ -156,9 +156,9 @@ def _run_dors_100() -> list[bytes]:
 
 def _run_dhs_100() -> list[bytes]:
     src = RandomSource.seeded(b"\x65" * 32)
-    home = dhs_auth.HomeServerState(random_key(src))
+    master = random_key(src)
     edge = dhs_auth.EdgeServer()
-    card = dhs_auth.dhs_register(home, edge, "alice", "pw", src)
+    card = dhs_auth.dhs_register(master, edge, "alice", "pw", src)
     keys, iids = [], set()
     for _ in range(100):
         request = dhs_auth.dhs_login(card, "alice", "pw", src)
@@ -352,7 +352,6 @@ def _random_sequence_violations(seq_no: int) -> int:
                 uid=uid,
                 scheme="mht",
                 session_key=Key256(b"\x00" * 32),
-                origin="local",
                 established_minutes=gw.sim_minutes,
             )
             try:

@@ -138,7 +138,7 @@ def test_attacks_provision_only_through_the_gateway():
     # provisioning, and honest sessions from Gateway.run_scheme, so the matrix
     # attacks and the cost tables price the gateway users meet.
     banned = {
-        "mht_register", "dors_provision", "dhs_register", "HomeServerState", "EdgeServer",
+        "mht_register", "dors_provision", "dhs_register", "EdgeServer",
         "mht_handshake", "dors_handshake", "dhs_handshake",
     }
     for module in (attacks, scenarios):

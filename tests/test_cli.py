@@ -14,6 +14,7 @@ import pytest
 from sshaf import gateway as gw_mod
 from sshaf import persist
 from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, ContextSnapshot
+from sshaf.dors_auth import DorsParams
 from sshaf.harness import cli
 from sshaf.harness.cli import main
 from sshaf.primitives import Key256, Nonce128
@@ -209,9 +210,8 @@ def _section_as_array(section: str):
     return damage
 
 
-def _home_registered_as_string(state: dict, text: str) -> str:
-    state["gateway"]["home_registered"] = "alice"
-    return json.dumps(state)
+# The DORS params every CLI user is provisioned with.
+DORS_PARAMS = persist.dors_params_to_dict(DorsParams())
 
 
 def _dors_entry(name: str, **fields):
@@ -226,8 +226,8 @@ def _dors_entry(name: str, **fields):
 
 def _gateway_field(name: str, section: str, **fields):
     """Damage ``name``: set ``fields`` in alice's entry of ``section``, one of
-    ``mht_registry``, ``wallets.mht``, ``wallets.card`` and ``edge.db``, or in
-    the gateway dict itself."""
+    ``mht_registry``, ``wallets.mht``, ``wallets.card``, ``wallets.dors`` and
+    ``edge.db``, or in the gateway dict itself."""
     def damage(state: dict, text: str) -> str:
         gateway = state["gateway"]
         entry = {
@@ -235,6 +235,7 @@ def _gateway_field(name: str, section: str, **fields):
             "mht_registry": gateway["mht_registry"].get("alice"),
             "wallets.mht": gateway["wallets"]["alice"]["mht"],
             "wallets.card": gateway["wallets"]["alice"]["card"],
+            "wallets.dors": gateway["wallets"]["alice"]["dors"],
             "edge.db": gateway["edge"]["db"]["alice"],
         }[section]
         entry.update(fields)
@@ -280,7 +281,6 @@ def _user_leaves(count: int):
     [
         _truncate,
         _drop_gateway,
-        _home_registered_as_string,
         *map(_section_as_array, ["mht_registry", "dors_registry", "wallets", "sessions",
                                  "step_up_tokens", "pending_cards"]),
         _dors_entry("_dors_dropped_as_string", dropped="1"),
@@ -288,6 +288,9 @@ def _user_leaves(count: int):
         _dors_entry("_dors_dropped_past_f", dropped=9),
         _dors_entry("_dors_next_roots_as_string", next_roots="ab"),
         _dors_entry("_dors_next_roots_past_f", next_roots=["00" * 32] * 9),
+        _dors_entry("_dors_params_t_3", params=dict(DORS_PARAMS, t=3)),
+        _gateway_field("_dors_user_params_k_0", "wallets.dors", params=dict(DORS_PARAMS, k=0)),
+        _dors_entry("_dors_params_r_1000", params=dict(DORS_PARAMS, r=1000)),
         _gateway_field("_mht_gateway_counter_as_string", "mht_registry", txn_counter="0"),
         _gateway_field("_mht_user_counter_as_string", "wallets.mht", txn_counter="0"),
         _gateway_field("_mht_user_counter_negative", "wallets.mht", txn_counter=-1),
@@ -431,6 +434,52 @@ def test_state_directory_carrying_the_configuration_loads_and_sheds_it(tmp_path,
     # db.enc now holds exactly the serialized tables: the policies are gone.
     db = gw_mod.load_db(state / "db.enc", key)
     assert len((state / "db.enc").read_bytes()) == len(gw_mod.DB_MAGIC) + 16 + len(gw_mod.serialize_db(db)) + 32
+
+
+def _with_unread_keys(state_dir: Path) -> None:
+    """Rewrite state.json as it was written while it still held keys no
+    decision reads: the home server's registrations, each wallet's uid, the
+    DORS signer's revealed leaves and each session's origin and grants."""
+    path = state_dir / "state.json"
+    state = json.loads(path.read_text())
+    gateway = state["gateway"]
+    gateway["home_registered"] = sorted(gateway["edge"]["db"])
+    for uid, wallet in gateway["wallets"].items():
+        wallet["uid"] = uid
+    gateway["wallets"]["alice"]["dors"]["revealed"] = {"0": [3, 17, 40]}
+    for session in gateway["sessions"].values():
+        session.update(origin="local", device_grants=["thermostat"])
+    path.write_bytes(persist.dumps(state))
+
+
+def test_state_directory_carrying_unread_keys_loads_and_sheds_them(tmp_path, capsys):
+    """Two directories built alike, one given the old keys after its first
+    login: both print the same, and then both hold the same state.json."""
+    current, old = tmp_path / "current", tmp_path / "old"
+    outputs = []
+    for state_dir in (current, old):
+        state = str(state_dir)
+        bootstrap_user(capsys, state)
+        code, out = login(capsys, state, 600)
+        assert code == 0, out
+        if state_dir == old:
+            _with_unread_keys(old)
+        session = out.split("session=")[1].split()[0]
+        outputs.append([
+            run(capsys, "access", "--state", state, "--session", session,
+                "--device", "thermostat", "--bluetooth", "--time", "610"),
+            login(capsys, state, 700),
+        ])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == (0, "thermostat: grant\n") and outputs[0][1][0] == 0
+    gateway = json.loads((old / "state.json").read_text())["gateway"]
+    assert "home_registered" not in gateway
+    assert all("uid" not in wallet for wallet in gateway["wallets"].values())
+    assert "revealed" not in gateway["wallets"]["alice"]["dors"]
+    assert gateway["sessions"] and not any(
+        {"origin", "device_grants"} & set(session) for session in gateway["sessions"].values()
+    )
+    assert (old / "state.json").read_bytes() == (current / "state.json").read_bytes()
 
 
 def test_dors_rekey_over_cli_replaces_the_forest_file(tmp_path, capsys):

@@ -19,7 +19,6 @@ from sshaf.dhs_auth import (
     Challenge,
     ConfirmMessage,
     EdgeServer,
-    HomeServerState,
     InterfaceIdentifier,
     Ipv6Packet,
     dhs_card_confirm,
@@ -39,10 +38,10 @@ from sshaf.primitives import Digest256, Key256, Nonce128, RandomSource, hash_byt
 
 def make_world(seed=b"\x21"):
     src = RandomSource.seeded(seed * 32)
-    home = HomeServerState(random_key(src))
+    master = random_key(src)
     edge = EdgeServer()
-    card = dhs_register(home, edge, "bob", "hunter2", src)
-    return src, home, edge, card
+    card = dhs_register(master, edge, "bob", "hunter2", src)
+    return src, master, edge, card
 
 
 def run_session(card, edge, src, password="hunter2"):
@@ -54,39 +53,32 @@ def run_session(card, edge, src, password="hunter2"):
 # --- initialization / registration ---------------------------------------
 
 def test_initialize_reproducible_from_seed():
-    # Initialization is the gateway's first boot: the home server takes the
-    # master secret the gateway mints.
-    gateways = [
+    # Initialization is the gateway's first boot: the gateway, the home
+    # server, mints its master secret, and no card is registered yet.
+    a, b, c = (
         Gateway(RandomSource.seeded(seed * 32), Key256(b"\x77" * 32))
         for seed in (b"\x01", b"\x01", b"\x02")
-    ]
-    a, b, c = (gw.home for gw in gateways)
-    assert a.master_secret == gateways[0].master_secret
+    )
     assert a.master_secret == b.master_secret
     assert a.master_secret != c.master_secret
-    assert a.registered == set()
+    assert a.edge.db == {}
 
 
 def test_register_aligns_card_and_edge_identifiers():
-    _, home, edge, card = make_world()
+    _, _, edge, card = make_world()
     assert edge.db["bob"].current_iid == card.current_iid
-    assert "bob" in home.registered
+    assert "bob" in edge.db
 
 
 def test_register_duplicate():
-    src, home, edge, _ = make_world()
+    src, master, edge, _ = make_world()
     with pytest.raises(AlreadyRegistered):
-        dhs_register(home, edge, "bob", "other", src)
+        dhs_register(master, edge, "bob", "other", src)
 
 
 def test_card_secret_differs_from_edge_share():
     _, _, edge, card = make_world()
     assert card.card_secret != edge.db["bob"].edge_share
-
-
-def test_home_server_keeps_no_session_table():
-    _, home, _, _ = make_world()
-    assert set(vars(home)) == {"master_secret", "registered"}
 
 
 # --- addressing -----------------------------------------------------------

@@ -90,15 +90,6 @@ def test_keygen_builds_only_the_trees_not_built_ahead():
         assert (pk.leaf_digests, pk.roots, chain) == (whole.leaf_digests, whole.roots, genesis)
 
 
-def test_signer_keeps_only_the_active_trees_revealed_set():
-    params = DorsParams(t=16, k=4, f=3, r=2)
-    sk, _, chain = dors_keygen(SEED, params)
-    for i in range(params.f * params.r):
-        sig, chain = dors_sign(sk, chain, b"m%d" % i)
-        assert list(sk.revealed) == [sig.tree_index]
-        assert sk.revealed[sig.tree_index] >= set(sig.subset_indices)
-
-
 def test_sign_reveals_equal_per_leaf_kdf():
     params = DorsParams(t=16, k=4, f=2, r=2)
     sk, _, chain = dors_keygen(SEED, params)
@@ -171,12 +162,16 @@ def test_revealed_leaves_bounded_by_budget():
     params = DorsParams(t=16, k=4, f=3, r=2)
     sk, pk, chain = dors_keygen(SEED, params)
     verify_chain = ChainState(chain.value, 0)
+    revealed: dict[int, set[int]] = {}
     for i in range(params.f * params.r):
         sig, chain = dors_sign(sk, chain, b"m" + bytes([i]))
         ok, verify_chain = dors_verify(pk, verify_chain, b"m" + bytes([i]), sig)
         assert ok
-    for tree, revealed in sk.revealed.items():
-        assert len(revealed) <= params.r * params.k
+        revealed.setdefault(sig.tree_index, set()).update(sig.subset_indices)
+    # The leaves the wire reveals, per tree: every tree signed, none past its budget.
+    assert sorted(revealed) == list(range(params.f))
+    for leaves in revealed.values():
+        assert len(leaves) <= params.r * params.k
 
 
 def test_round_trip_and_replay_rejection():

@@ -176,7 +176,7 @@ def test_reject_discards_pending_card():
     assert "eve" in gw.edge.db
     gw.owner_verify("owner", "eve", "reject")
     assert "eve" not in gw.edge.db
-    assert "eve" not in gw.home.registered
+    assert "eve" not in gw.edge.bindings
 
 
 # --- login ----------------------------------------------------------------------

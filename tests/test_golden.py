@@ -71,9 +71,9 @@ def dors_transcript() -> str:
 
 def dhs_transcript() -> str:
     src = RandomSource.seeded(SEED)
-    home = dhs_auth.HomeServerState(random_key(src))
+    master = random_key(src)
     edge = dhs_auth.EdgeServer()
-    card = dhs_auth.dhs_register(home, edge, "alice", "pw", src)
+    card = dhs_auth.dhs_register(master, edge, "alice", "pw", src)
     link = RecordingLink()
     for _ in range(3):
         link.keys(*dhs_auth.dhs_handshake(link, card, edge, "pw", src))
@@ -158,14 +158,16 @@ def gateway_visits(model) -> str:
 
 # Re-pinned when MHT user entries began to persist a compact range instead
 # of every leaf, again when sessions stopped persisting their login
-# confidence, and again when DHS identifiers began to persist as 16 hex
-# digits; each time the decisions and every other persisted field hash as
+# confidence, again when DHS identifiers began to persist as 16 hex
+# digits, and again when the state stopped persisting the home server's
+# registrations, wallet uids, DORS revealed sets and session origins and
+# grants; each time the decisions and every other persisted field hash as
 # before.
 GATEWAY_SHA256 = {
-    "no-model": (None, "59c30be9e0b09b029a09cc1e118a1d87586a4861ef416785a2c4ddac25c229c0"),
+    "no-model": (None, "1e2dfa7f15ba19b548dc9e40054b0c6b7ac42ec6bdcf936a854551c0444330aa"),
     "synthetic-model": (
         make_synthetic_dataset,
-        "ffdbd8153a7d59d1c8aed4efacd90142602572ac76cfa943643db65ff99e0399",
+        "ee9de4810e214ba108b5c3233aedaaa73ee39ad654ec898b992b5aabdc6c7a21",
     ),
 }
 

@@ -1,6 +1,7 @@
 """Simulated-network determinism, cost-model orderings, and exact counters."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -21,6 +22,12 @@ from sshaf.harness.simnet import (
 )
 
 CONFIG = SimConfig(seed=b"\x42" * 32)
+
+# The option counter lives in the paired benchmark tool, which reports it.
+TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py"
+_spec = importlib.util.spec_from_file_location("paired_bench", TOOL)
+paired_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(paired_bench)
 
 
 def test_same_seed_gives_byte_identical_transcripts():
@@ -274,49 +281,13 @@ def test_every_module_level_symbol_has_a_caller():
 
 # Settable options in src/sshaf. Raise it only with a CHANGES.md line that
 # names the two callers that need different values.
-OPTION_CEILING = 89
-
-
-def _is_record_class(node) -> bool:
-    """A dataclass (decorated ``dataclass`` or ``dataclass(...)``) or a
-    ``NamedTuple`` subclass."""
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
-            return True
-    return any("NamedTuple" in (getattr(b, "id", None), getattr(b, "attr", None)) for b in node.bases)
-
-
-def _init_false(value) -> bool:
-    """``field(..., init=False)``: a computed field, not settable."""
-    return isinstance(value, ast.Call) and any(
-        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
-        for k in value.keywords
-    )
-
-
-def _options(tree) -> int:
-    """Defaulted parameters of every function, method and lambda, keyword-only
-    ones included, plus defaulted fields of every dataclass and NamedTuple,
-    except ``field(init=False)``. A caller may leave each of them out, so
-    each is a value some caller could set differently."""
-    count = 0
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_record_class(node):
-            count += sum(
-                isinstance(stmt, ast.AnnAssign) and stmt.value is not None and not _init_false(stmt.value)
-                for stmt in node.body
-            )
-    return count
+OPTION_CEILING = 85
 
 
 def test_settable_options_stay_under_their_ceiling():
     import sshaf
 
-    root = pathlib.Path(sshaf.__file__).parent
-    count = sum(_options(ast.parse(path.read_text())) for path in root.rglob("*.py"))
+    count = paired_bench.settable_options(pathlib.Path(sshaf.__file__).parent)
     assert count <= OPTION_CEILING, f"{count} settable options, over the ceiling of {OPTION_CEILING}"
 
 

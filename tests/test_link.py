@@ -55,9 +55,9 @@ class DhsPair:
 
     def __init__(self, seed):
         self.src = RandomSource.seeded(seed)
-        home = dhs_auth.HomeServerState(random_key(self.src))
+        master = random_key(self.src)
         self.edge = dhs_auth.EdgeServer()
-        self.card = dhs_auth.dhs_register(home, self.edge, "alice", "pw", self.src)
+        self.card = dhs_auth.dhs_register(master, self.edge, "alice", "pw", self.src)
 
     def handshake(self, link):
         return dhs_auth.dhs_handshake(link, self.card, self.edge, "pw", self.src)

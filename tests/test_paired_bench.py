@@ -90,6 +90,23 @@ def test_net_src_lines_count_each_changed_file_and_the_total(tmp_path, capsys):
     }
 
 
+def test_settable_options_count_each_sides_defaults(tmp_path, capsys):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
+    for root, text in (
+        (parent, "from dataclasses import dataclass, field\n"
+                 "def f(a, b=1, *, c=2, d): return lambda x=0: x\n"
+                 "@dataclass\nclass R:\n    a: int\n    b: int = 0\n"
+                 "    c: list = field(default_factory=list)\n    d: int = field(init=False)\n"),
+        (change, "def f(a, b=1): pass\nclass Plain:\n    a: int = 0\n"),
+    ):
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "src" / "pkg" / "m.py").write_text(text)
+    assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "1"]) == 0
+    # Parent: b, c and x=0 in functions, R.b and R.c; R.d is init=False.
+    # Change: b alone; a plain class's attribute is no option.
+    assert json.loads(capsys.readouterr().out)["settable_options"] == {"parent": 5, "change": 1}
+
+
 def test_unknown_workload_or_bad_seed_range_is_a_usage_error(tmp_path):
     parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
     for args in (["--workloads", "nope", "--seeds", "1-2"], ["--workloads", "w", "--seeds", "3-1"]):

@@ -21,6 +21,8 @@ goes to stderr.
 The report also carries ``net_src_lines``: the lines added and removed in the
 ``.py`` files under ``src/`` from PARENT to CHANGE, per changed file and in
 total, as ``difflib`` matches them. A file on one side only counts whole.
+``settable_options`` counts, for each side, the options of the ``.py`` files
+under ``src/``: every value a caller may leave out (see ``options``).
 
 Exit status: 0 when every run was correct and no operation failed, 1 when a
 run reported ``correct: false`` or ``failed > 0`` or printed no result, 2 on
@@ -30,6 +32,7 @@ bad arguments. The script writes no file.
 from __future__ import annotations
 
 import argparse
+import ast
 import difflib
 import json
 import re
@@ -79,6 +82,46 @@ def net_src_lines(parent: Path, change: Path) -> dict:
             files[name] = {"added": added, "removed": removed, "net": added - removed}
     added, removed = (sum(counts[key] for counts in files.values()) for key in ("added", "removed"))
     return {"files": files, "added": added, "removed": removed, "net": added - removed}
+
+
+def _is_record_class(node) -> bool:
+    """A dataclass (decorated ``dataclass`` or ``dataclass(...)``) or a
+    ``NamedTuple`` subclass."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+            return True
+    return any("NamedTuple" in (getattr(b, "id", None), getattr(b, "attr", None)) for b in node.bases)
+
+
+def _init_false(value) -> bool:
+    """``field(..., init=False)``: a computed field, not settable."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords
+    )
+
+
+def options(tree) -> int:
+    """Defaulted parameters of every function, method and lambda, keyword-only
+    ones included, plus defaulted fields of every dataclass and NamedTuple,
+    except ``field(init=False)``. A caller may leave each of them out, so
+    each is a value some caller could set differently."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_record_class(node):
+            count += sum(
+                isinstance(stmt, ast.AnnAssign) and stmt.value is not None and not _init_false(stmt.value)
+                for stmt in node.body
+            )
+    return count
+
+
+def settable_options(root: Path) -> int:
+    """The ``options`` of every ``.py`` file under ``root``."""
+    return sum(options(ast.parse(path.read_text())) for path in root.rglob("*.py"))
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds) -> dict:
@@ -175,6 +218,7 @@ def main(argv=None) -> int:
         "each side's runs; change_wins counts pairs where the change is better (lower, or "
         "higher where BENCHMARK.json says so); ties count for neither",
         "net_src_lines": net_src_lines(*checkouts.values()),
+        "settable_options": {side: settable_options(root / "src") for side, root in checkouts.items()},
         "workloads": {
             w: bench_workload(checkouts, spec["command"], w, args.seeds, seconds, metrics)
             for w in args.workloads
