@@ -378,6 +378,49 @@ def test_full_gateway_state_round_trip():
     assert second.status == "grant"
 
 
+def _unread_key_holder(state: dict, key: str) -> dict:
+    """The dict of a gateway state dict that once held ``key``."""
+    if key == "home_registered":
+        return state
+    if key == "uid":
+        return state["wallets"]["alice"]
+    if key == "revealed":
+        return state["wallets"]["alice"]["dors"]
+    (session,) = state["sessions"].values()
+    return session
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("home_registered", ["alice"]),
+        ("home_registered", "alice"),
+        ("uid", "alice"),
+        ("uid", 7),
+        ("revealed", {"0": [3, 17]}),
+        ("revealed", "0"),
+        ("origin", "local"),
+        ("origin", None),
+        ("device_grants", ["thermostat"]),
+        ("device_grants", "thermostat"),
+    ],
+)
+def test_a_key_restore_no_longer_reads_is_ignored_whatever_it_holds(key, value):
+    """A state written while it still held ``key``, in the form it was written
+    in or damaged, restores to the same gateway as one without it."""
+    gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
+    gw.register_user("alice", "Alice", 30, "resident", "pw", capabilities=(CAP_DORS, CAP_CARD))
+    gw.owner_verify("owner", "alice", "activate")
+    snapshot = ContextSnapshot(uid="alice", bluetooth_present=True, timestamp=600)
+    assert gw.login("alice", "pw", snapshot).status == "grant"
+    clean = persist.dumps(persist.gateway_state_to_dict(gw))
+    state = json.loads(clean)
+    _unread_key_holder(state, key)[key] = value
+    gw2 = Gateway(RandomSource.seeded(b"\x08" * 32), Key256(b"\x77" * 32))
+    persist.restore_gateway_state(gw2, state)
+    assert persist.dumps(persist.gateway_state_to_dict(gw2)) == clean
+
+
 def test_forest_bytes_restore_the_same_dors_gateway():
     params = dors_auth.DorsParams(t=16, k=4, f=3, r=2)
     _, gateway = dors_auth.dors_provision("alice", MASTER, params)
