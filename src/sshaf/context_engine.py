@@ -60,10 +60,10 @@ class ContextSnapshot:
     """One observation of the requester's context, on simulated time."""
 
     uid: str
-    origin: str = ORIGIN_LOCAL
-    ip_class: str = IP_HOME
-    bluetooth_present: bool = False
-    timestamp: int = 0  # simulated minutes
+    origin: str
+    ip_class: str
+    bluetooth_present: bool
+    timestamp: int  # simulated minutes
     calendar_claims_present: bool = False
     credentials_ok: bool = False
 
@@ -82,11 +82,11 @@ class FactorWeights:
     in [0, 1] and they sum to 1. ``pairs`` holds (factor, weight) in
     ``FACTORS`` order."""
 
-    credentials: float = 0.40
-    bluetooth: float = 0.20
-    ip_location: float = 0.15
-    calendar: float = 0.15
-    history: float = 0.10
+    credentials: float
+    bluetooth: float
+    ip_location: float
+    calendar: float
+    history: float
     pairs: tuple[tuple[str, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -98,18 +98,20 @@ class FactorWeights:
         object.__setattr__(self, "pairs", tuple(zip(FACTORS, values)))
 
 
+# Width of the step-up band below every device's grant threshold.
+STEP_UP_MARGIN = 0.2
+
+
 @dataclass(frozen=True)
 class AccessPolicy:
-    """Per-device grant threshold with a step-up band below it."""
+    """Per-device grant threshold, with the step-up band of
+    ``STEP_UP_MARGIN`` below it."""
 
     threshold: float
-    step_up_margin: float = 0.2
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if not 0.0 <= self.step_up_margin <= 1.0:
-            raise ValueError("step-up margin must lie in [0, 1]")
 
 
 class AccessRecord(NamedTuple):
@@ -282,23 +284,14 @@ def weigh(scores: tuple[float, ...] | list[float], weights: FactorWeights) -> fl
     return sum((w0 * s0, w1 * s1, w2 * s2, w3 * s3, w4 * s4))
 
 
-def evaluate_factor(
-    snapshot: ContextSnapshot,
-    factor: str,
-    model: NaiveBayesModel | None = None,
-    record: AccessRecord | None = None,
-) -> float:
+def evaluate_factor(snapshot: ContextSnapshot, factor: str) -> float:
     """One factor of :func:`factor_scores`, on the snapshot's own password
-    and calendar flags. History is scored on ``record`` or else on the
-    snapshot's record for an unknown device."""
+    and calendar flags; history scores 0.5, as with no model."""
     index = _FACTOR_INDEX.get(factor)
     if index is None:
         raise UnknownFactor(factor)
-    history = 0.5
-    if factor == "history" and model is not None:
-        history = classify_access(model, record or record_from_snapshot(snapshot))
     return factor_scores(
-        snapshot, snapshot.credentials_ok, snapshot.calendar_claims_present, history
+        snapshot, snapshot.credentials_ok, snapshot.calendar_claims_present, 0.5
     )[index]
 
 
@@ -310,11 +303,11 @@ def score_confidence(scores: dict[str, float], weights: FactorWeights) -> float:
 
 
 def decide_access(confidence: float, policy: AccessPolicy) -> str:
-    """Grant at or above the threshold, step up within the margin band
+    """Grant at or above the threshold, step up within ``STEP_UP_MARGIN``
     below it, deny otherwise."""
     if confidence >= policy.threshold:
         return GRANT
-    if confidence >= policy.threshold - policy.step_up_margin:
+    if confidence >= policy.threshold - STEP_UP_MARGIN:
         return STEP_UP
     return DENY
 
@@ -325,10 +318,10 @@ def decide_access(confidence: float, policy: AccessPolicy) -> str:
 class SchemeCapabilities:
     """What a registered user has provisioned, as the gateway sees it."""
 
-    mht_registered: bool = False
-    dors_provisioned: bool = False
-    card_provisioned: bool = False
-    mht_txn_count: int = 0
+    mht_registered: bool
+    dors_provisioned: bool
+    card_provisioned: bool
+    mht_txn_count: int
 
 
 def select_scheme(snapshot: ContextSnapshot, caps: SchemeCapabilities) -> str:

@@ -168,14 +168,14 @@ def _pack_uid(uid: str) -> bytes:
     return struct.pack(">H", len(raw)) + raw
 
 
-def _unpack_uid(data: bytes, off: int = 0) -> tuple[str, int]:
-    if len(data) < off + 2:
+def _unpack_uid(data: bytes) -> tuple[str, int]:
+    if len(data) < 2:
         raise MalformedPacket("frame ends inside the uid length")
-    end = off + 2 + int.from_bytes(data[off : off + 2], "big")
+    end = 2 + int.from_bytes(data[:2], "big")
     if end > len(data):
         raise MalformedPacket("uid runs past the end of the frame")
     try:
-        return data[off + 2 : end].decode(), end
+        return data[2:end].decode(), end
     except UnicodeDecodeError:
         raise MalformedPacket("uid is not UTF-8") from None
 

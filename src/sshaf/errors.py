@@ -40,7 +40,7 @@ class CounterDesync(SshafError):
     root. No recovery path reads them yet: a user left behind by a lost M4
     cannot catch up, because the gateway has already ratcheted its key."""
 
-    def __init__(self, gateway_counter: int, gateway_root=None):
+    def __init__(self, gateway_counter: int, gateway_root):
         super().__init__(f"counter desync, gateway at {gateway_counter}")
         self.gateway_counter = gateway_counter
         self.gateway_root = gateway_root

@@ -96,7 +96,7 @@ INTERNET_ALLOWLIST = {
     ROLE_GUEST: frozenset(),
 }
 
-WEIGHTS = FactorWeights()
+WEIGHTS = FactorWeights(credentials=0.40, bluetooth=0.20, ip_location=0.15, calendar=0.15, history=0.10)
 
 
 @dataclass
@@ -105,10 +105,10 @@ class UserProfile:
     name: str
     age: int
     role: str
+    capabilities: tuple[str, ...]
+    pw_salt: str  # hex; password itself is never stored
+    pw_hash: str  # hex of hash(uid || password || salt)
     status: str = STATUS_PENDING
-    capabilities: tuple[str, ...] = ()
-    pw_salt: str = ""  # hex; password itself is never stored
-    pw_hash: str = ""  # hex of hash(uid || password || salt)
 
 
 @dataclass

@@ -86,7 +86,7 @@ def _run_session(gw: Gateway, scheme: str) -> SessionTrace:
 
 # --- replay ---------------------------------------------------------------------
 
-def attack_replay(scheme: str, seed: bytes = b"\x01" * 32) -> AttackOutcome:
+def attack_replay(scheme: str, seed: bytes) -> AttackOutcome:
     """Re-inject every recorded client message against the live gateway
     after the session completed."""
     gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
@@ -198,7 +198,7 @@ def _dhs_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
     return accepted
 
 
-def attack_impersonate(scheme: str, seed: bytes = b"\x02" * 32) -> AttackOutcome:
+def attack_impersonate(scheme: str, seed: bytes) -> AttackOutcome:
     """Best-effort forgeries from public data and recorded transcripts; the
     adversary holds no long-term user secrets."""
     gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
@@ -222,7 +222,7 @@ N_SESSIONS = 3
 DISCLOSE_INDEX = 1
 
 
-def attack_session_key_disclosure(scheme: str, seed: bytes = b"\x03" * 32) -> AttackOutcome:
+def attack_session_key_disclosure(scheme: str, seed: bytes) -> AttackOutcome:
     """Hand the adversary one session key; the others must neither equal it
     nor be derivable from it through the public kdf over recorded material."""
     gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
@@ -296,9 +296,7 @@ class _CaptureAtChallenge(Loopback):
         return super().carry(sender, receiver, message, decode)
 
 
-def attack_stolen_device(
-    scheme: str, seed: bytes = b"\x04" * 32, capture_pending: bool = False
-) -> AttackOutcome:
+def attack_stolen_device(scheme: str, seed: bytes, capture_pending: bool = False) -> AttackOutcome:
     """Capture the gateway-side persisted state after N_SESSIONS sessions and
     try to recover the past session keys from it plus the transcripts.
 
@@ -361,7 +359,7 @@ def attack_stolen_device(
 
 # --- the whole matrix --------------------------------------------------------------
 
-def run_attack_matrix(seed: bytes = b"\x05" * 32) -> dict[tuple[str, str], AttackOutcome]:
+def run_attack_matrix(seed: bytes) -> dict[tuple[str, str], AttackOutcome]:
     """All four attacks against all three schemes: 12 outcomes."""
     matrix: dict[tuple[str, str], AttackOutcome] = {}
     for scheme in SCHEMES:
@@ -392,9 +390,7 @@ class ForgeryReport:
 BATCH = 512
 
 
-def forgery_experiment(
-    t: int = 16, k: int = 4, trials: int = 10000, seed: bytes = b"\x06" * 32
-) -> ForgeryReport:
+def forgery_experiment(seed: bytes, t: int = 16, k: int = 4, trials: int = 10000) -> ForgeryReport:
     """Observe one signature at toy parameters, then count how often a
     fresh challenge's subset lands entirely inside the revealed leaves.
 

@@ -141,7 +141,7 @@ def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, fro
     try:
         state = json.loads(state_path.read_bytes())
         rng_seed = bytes.fromhex(state["rng_seed"])
-        invocation = state["invocation"] + 1
+        invocation = persist._count(state["invocation"]) + 1
         gw = Gateway(RandomSource.seeded(rng_seed).fork("boot"), db_key)
         files, forests = set(), {}
         for uid, entry in state["gateway"]["dors_registry"].items():

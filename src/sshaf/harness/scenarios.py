@@ -117,7 +117,7 @@ def run_scenario(
     transcript = Transcript()
     link = SimLink(config, link_name, clock, transcript, drop_stream)
 
-    METER.reset()
+    start = METER.snapshot()  # the counts exclude building the world
     outcome = "completed"
     try:
         # Base service exchange: the request that authentication gates.
@@ -141,7 +141,7 @@ def run_scenario(
     except MessageDropped:
         outcome = "aborted:drop"
 
-    hashes, macs = METER.snapshot()
+    hashes, macs = (now - then for now, then in zip(METER.snapshot(), start))
     report = MetricsReport(
         scenario=name,
         link=link_name,

@@ -31,7 +31,7 @@ class MessageDropped(SshafError):
 
 @dataclass
 class SimConfig:
-    seed: bytes = b"\x00" * 32
+    seed: bytes
     drop_rate: float = 0.0
 
     def __post_init__(self):
@@ -72,8 +72,8 @@ class Transcript:
 class SimClock:
     """Integer simulated milliseconds, forward only."""
 
-    def __init__(self, start_ms: int = 0):
-        self.now_ms = start_ms
+    def __init__(self):
+        self.now_ms = 0
 
     def advance(self, ms: int) -> None:
         if ms < 0:

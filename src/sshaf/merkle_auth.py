@@ -52,9 +52,6 @@ from .primitives import (
     sha256_many,
 )
 
-LEFT = "left"
-RIGHT = "right"
-
 
 # --- Merkle history -----------------------------------------------------
 # The history is a binary hash tree over the leaves in order, built level by
@@ -68,10 +65,11 @@ RIGHT = "right"
 
 @dataclass
 class MerkleProof:
-    """Authentication path: sibling digests with their side per level."""
+    """The latest leaf's authentication path: its sibling digests, bottom
+    up. Each is a left sibling, so the proof carries no sides."""
 
     leaf_index: int
-    siblings: list[tuple[Digest256, str]]
+    siblings: list[Digest256]
 
 
 @dataclass
@@ -129,9 +127,8 @@ class MerkleHistory:
         return [self.latest, *self.path, *self.peaks[1:]]
 
     def proof(self) -> MerkleProof:
-        """The latest leaf's authentication path; every sibling is a left one."""
-        siblings = self.path + self.peaks[1:]
-        return MerkleProof(self.count - 1, [(digest, LEFT) for digest in siblings])
+        """The latest leaf's authentication path."""
+        return MerkleProof(self.count - 1, self.path + self.peaks[1:])
 
     def append(self, leaf: Digest256) -> None:
         # The new leaf merges with one peak per trailing one bit of count,
@@ -146,10 +143,6 @@ class MerkleHistory:
 
 def _trailing_zeros(n: int) -> int:
     return (n & -n).bit_length() - 1
-
-
-def _combine(left: Digest256, right: Digest256) -> Digest256:
-    return hash_bytes(left.bytes + right.bytes)
 
 
 def _fold(node: Digest256, lefts: list[Digest256]) -> Digest256:
@@ -183,22 +176,16 @@ def merkle_root(nodes: list[bytes]) -> bytes:
 
 
 def mht_verify(root: Digest256, leaf: Digest256, proof: MerkleProof) -> bool:
-    current = leaf
-    for sibling, side in proof.siblings:
-        if side == RIGHT:
-            current = _combine(current, sibling)
-        elif side == LEFT:
-            current = _combine(sibling, current)
-        else:
-            return False
-    return current == root
+    return _fold(leaf, proof.siblings) == root
 
 
 # --- handshake messages --------------------------------------------------
 # Wire layout: 1-byte type tag, variable fields with 2-byte big-endian
 # length prefixes, counters as 8-byte big-endian, digests/nonces raw.
 # Decoders accept exactly the bytes their encoder produces and raise
-# MalformedPacket on anything else.
+# MalformedPacket on anything else. M2 writes each proof sibling after a
+# side byte, which is always 0 (left): a latest-leaf proof has no right
+# sibling, and the decoder rejects any other side byte.
 
 M1_TYPE, M2_TYPE, M3_TYPE, M4_TYPE = 1, 2, 3, 4
 M2_HEADER_LEN = 87  # tag, n_g, root, tag, leaf index, sibling count
@@ -252,37 +239,26 @@ class MhtM2:
     tag: Digest256
 
     def encode(self) -> bytes:
-        out = bytearray([M2_TYPE])
-        out += self.n_g.bytes
-        out += self.root.bytes
-        out += self.tag.bytes
-        out += struct.pack(">IH", self.proof.leaf_index, len(self.proof.siblings))
-        for digest, side in self.proof.siblings:
-            out += bytes([0 if side == LEFT else 1]) + digest.bytes
-        return bytes(out)
+        siblings = self.proof.siblings
+        header = struct.pack(
+            ">B16s32s32sIH", M2_TYPE, self.n_g.bytes, self.root.bytes, self.tag.bytes,
+            self.proof.leaf_index, len(siblings),
+        )
+        return header + b"".join(b"\x00" + digest.bytes for digest in siblings)
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM2":
         n_sib = int.from_bytes(data[M2_HEADER_LEN - 2 : M2_HEADER_LEN], "big")
         _check_frame(data, M2_TYPE, M2_HEADER_LEN + SIBLING_LEN * n_sib)
-        off = 1
-        n_g = Nonce128(data[off : off + 16])
-        off += 16
-        root = Digest256(data[off : off + 32])
-        off += 32
-        tag = Digest256(data[off : off + 32])
-        off += 32
-        (leaf_index,) = struct.unpack_from(">I", data, off)
-        off = M2_HEADER_LEN
-        siblings = []
-        for _ in range(n_sib):
-            if data[off] not in (0, 1):
-                raise MalformedPacket(f"M2 sibling side byte {data[off]}")
-            side = LEFT if data[off] == 0 else RIGHT
-            digest = Digest256(data[off + 1 : off + SIBLING_LEN])
-            siblings.append((digest, side))
-            off += SIBLING_LEN
-        return cls(n_g, MerkleProof(leaf_index, siblings), root, tag)
+        n_g, root, tag, leaf_index = struct.unpack_from(">16s32s32sI", data, 1)
+        if any(data[M2_HEADER_LEN::SIBLING_LEN]):
+            raise MalformedPacket("an M2 sibling's side byte is not 0 (left)")
+        siblings = [
+            Digest256(data[off + 1 : off + SIBLING_LEN])
+            for off in range(M2_HEADER_LEN, len(data), SIBLING_LEN)
+        ]
+        proof = MerkleProof(leaf_index, siblings)
+        return cls(Nonce128(n_g), proof, Digest256(root), Digest256(tag))
 
 
 @dataclass

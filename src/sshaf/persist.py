@@ -33,7 +33,12 @@ The MHT ``txn_counter``, the DORS counters (``active_tree``,
 ``failed_attempts``, the clock ``sim_minutes`` and the minutes a session or
 step-up token was made load only from non-negative JSON integers, and a
 card's ``locked`` only from a JSON bool. An older session's ``confidence``
-is ignored.
+is ignored. DORS ``params`` load only from JSON integers, and only JSON
+null means a wallet part is absent. Across entries, restore checks that
+each entry keyed by a uid or a session id holds that id; that every wallet
+has its MHT part; that the wallets' parts, the registries, the DORS epochs
+and the edge table with its bindings name the same uids; and that each
+session and step-up token belongs to a uid with a wallet.
 
 Fixed-width values are lowercase hex strings. A DHS interface identifier,
 ``current_iid`` on a card and in the edge table, is 16 hex digits, so its
@@ -366,9 +371,9 @@ def wallet_to_dict(wallet: gw_mod.UserWallet) -> dict:
 
 def wallet_from_dict(data: dict) -> gw_mod.UserWallet:
     return gw_mod.UserWallet(
-        mht=mht_user_from_dict(data["mht"]) if data["mht"] else None,
-        dors=dors_user_from_dict(data["dors"]) if data["dors"] else None,
-        card=card_from_dict(data["card"]) if data["card"] else None,
+        mht=None if data["mht"] is None else mht_user_from_dict(data["mht"]),
+        dors=None if data["dors"] is None else dors_user_from_dict(data["dors"]),
+        card=None if data["card"] is None else card_from_dict(data["card"]),
     )
 
 
@@ -416,7 +421,8 @@ def restore_gateway_state(
     gw: gw_mod.Gateway, data: dict, forests: dict[str, bytes] | None = None
 ) -> None:
     """``forests``, when given, holds each DORS user's forest bytes by uid,
-    for a dict written with ``with_forests=False``."""
+    for a dict written with ``with_forests=False``. Raises ``ValueError``
+    unless the entries agree (see the module docstring)."""
     gw.master_secret = Key256.from_hex(data["master_secret"])
     gw.sim_minutes = _count(data["sim_minutes"])
     gw.mht_registry = {uid: mht_gateway_from_dict(s) for uid, s in data["mht_registry"].items()}
@@ -432,6 +438,28 @@ def restore_gateway_state(
         t: (uid, _count(minted)) for t, (uid, minted) in data["step_up_tokens"].items()
     }
     gw._pending_cards = {uid: card_from_dict(c) for uid, c in data["pending_cards"].items()}
+    _check_consistent(gw)
+
+
+def _check_consistent(gw: gw_mod.Gateway) -> None:
+    """Raises ``ValueError`` unless a restored gateway's entries agree, as
+    the module docstring lists."""
+    parts = {
+        name: {uid: getattr(w, name) for uid, w in gw.wallets.items() if getattr(w, name) is not None}
+        for name in ("mht", "dors", "card")
+    }
+    keyed = [*gw.mht_registry.items(), *gw.dors_registry.items(), *gw._pending_cards.items()]
+    keyed += [item for held in parts.values() for item in held.items()]
+    owners = [s.uid for s in gw.sessions.values()] + [uid for uid, _ in gw._step_up_tokens.values()]
+    if not (
+        all(entry.uid == uid for uid, entry in keyed)
+        and all(session.session_id == sid for sid, session in gw.sessions.items())
+        and parts["mht"].keys() == gw.wallets.keys() == gw.mht_registry.keys()
+        and parts["dors"].keys() == gw.dors_registry.keys() == gw.dors_epochs.keys()
+        and parts["card"].keys() | gw._pending_cards.keys() == gw.edge.db.keys() == gw.edge.bindings.keys()
+        and all(type(uid) is str and uid in gw.wallets for uid in owners)
+    ):
+        raise ValueError("the entries disagree on uids or session ids")
 
 
 def dumps(data: dict) -> bytes:

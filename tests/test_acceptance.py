@@ -13,12 +13,13 @@ from sshaf.context_engine import (
     DENY,
     FACTORS,
     GRANT,
+    IP_HOME,
     LABEL_ANOMALOUS,
     LABEL_LEGIT,
+    ORIGIN_LOCAL,
     STEP_UP,
     AccessPolicy,
     ContextSnapshot,
-    FactorWeights,
     classify_access,
     decide_access,
     score_confidence,
@@ -31,7 +32,7 @@ from sshaf.errors import (
     SshafError,
     UnknownUser,
 )
-from sshaf.gateway import Gateway, GatewaySession, decrypt_db, encrypt_db
+from sshaf.gateway import WEIGHTS, Gateway, GatewaySession, decrypt_db, encrypt_db
 from sshaf.harness.attacks import forgery_experiment, run_attack_matrix
 from sshaf.link import Loopback
 from sshaf.primitives import (
@@ -110,11 +111,11 @@ def test_criterion_crypto_core():
                 bad_root = bytearray(history.root.bytes)
                 bad_root[pos] ^= 1
                 assert not merkle_auth.mht_verify(Digest256(bytes(bad_root)), leaves[-1], proof)
-            for s, (digest, side) in enumerate(proof.siblings):
+            for s, digest in enumerate(proof.siblings):
                 mutated = bytearray(digest.bytes)
                 mutated[s % 32] ^= 1
                 bad = merkle_auth.MerkleProof(n - 1, list(proof.siblings))
-                bad.siblings[s] = (Digest256(bytes(mutated)), side)
+                bad.siblings[s] = Digest256(bytes(mutated))
                 assert not merkle_auth.mht_verify(history.root, leaves[-1], bad)
 
 
@@ -270,7 +271,7 @@ def test_criterion_context_engine():
 
         # Monotonicity over 10,000 random factor vectors.
         rng = random.Random(0xBEEF)
-        weights = FactorWeights()
+        weights = WEIGHTS
         policy = AccessPolicy(threshold=0.6)
         for _ in range(10_000):
             scores = {f: rng.random() for f in FACTORS}
@@ -284,11 +285,11 @@ def test_criterion_context_engine():
                 assert decide_access(after, policy) == GRANT
 
         # Boundary cases of the inclusive decision rule.
-        assert decide_access(0.60, AccessPolicy(0.60, 0.2)) == GRANT
-        assert decide_access(0.45, AccessPolicy(0.60, 0.2)) == STEP_UP
-        assert decide_access(0.30, AccessPolicy(0.60, 0.2)) == DENY
-        assert decide_access(1.0, AccessPolicy(1.0, 0.0)) == GRANT
-        assert decide_access(0.0, AccessPolicy(0.0, 0.0)) == GRANT
+        assert decide_access(0.60, AccessPolicy(0.60)) == GRANT
+        assert decide_access(0.45, AccessPolicy(0.60)) == STEP_UP
+        assert decide_access(0.30, AccessPolicy(0.60)) == DENY
+        assert decide_access(1.0, AccessPolicy(1.0)) == GRANT
+        assert decide_access(0.0, AccessPolicy(0.0)) == GRANT
 
 
 # --- criterion 6: lifecycle state machine ----------------------------------------------
@@ -315,7 +316,8 @@ def _random_sequence_violations(seq_no: int) -> int:
         op = rng.choice(["register", "verify", "login", "access", "forge", "tick"])
         uid = rng.choice(uids)
         snapshot = ContextSnapshot(
-            uid=uid, bluetooth_present=True, timestamp=600 + gw.sim_minutes
+            uid=uid, origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=True,
+            timestamp=600 + gw.sim_minutes,
         )
         if op == "register":
             try:

@@ -1,12 +1,15 @@
 """End-to-end CLI flows, run in-process through main(argv)."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -276,6 +279,26 @@ def _user_leaves(count: int):
     return damage
 
 
+def _set(name: str, path: tuple, value):
+    """Damage ``name``: set the node of state.json at ``path`` to ``value``."""
+    def damage(state: dict, text: str) -> str:
+        *parents, last = path
+        node = state
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return json.dumps(state)
+
+    damage.__name__ = name
+    return damage
+
+
+def _session(session_id: str, uid) -> dict:
+    """A persisted session of ``uid`` under ``session_id``."""
+    return {"session_id": session_id, "uid": uid, "scheme": "dors",
+            "session_key": "00" * 32, "established_minutes": 0}
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -315,6 +338,32 @@ def _user_leaves(count: int):
             for field in ("active_tree", "used_signatures", "signature_count", "dors_epochs")
             for value in ("0", -1, True)
         ),
+        *(
+            _set(f"_session_uid_as_{value!r}", ("gateway", "sessions"), {"s1": _session("s1", value)})
+            for value in ("zz", 7, True, [], {})
+        ),
+        *(
+            _set(f"_step_up_token_uid_as_{value!r}", ("gateway", "step_up_tokens"), {"t1": [value, 0]})
+            for value in ("zz", 7, True)
+        ),
+        _set("_session_id_not_its_key", ("gateway", "sessions"), {"s1": _session("s2", "alice")}),
+        _set("_mht_gateway_uid_as_integer", ("gateway", "mht_registry", "alice", "uid"), 7),
+        _set("_mht_user_uid_of_another_user", ("gateway", "wallets", "alice", "mht", "uid"), "owner"),
+        _set("_dors_gateway_uid_as_integer", ("gateway", "dors_registry", "alice", "uid"), 7),
+        _set("_dors_user_uid_as_integer", ("gateway", "wallets", "alice", "dors", "uid"), 7),
+        _set("_card_uid_as_integer", ("gateway", "wallets", "alice", "card", "uid"), 7),
+        _dors_entry("_dors_params_k_1.5", params=dict(DORS_PARAMS, k=1.5)),
+        _gateway_field("_dors_user_params_r_true", "wallets.dors", params=dict(DORS_PARAMS, r=True)),
+        *(
+            _set(f"_wallet_{part}_as_{value!r}", ("gateway", "wallets", "alice", part), value)
+            for part, value in (("card", []), ("card", False), ("dors", 0), ("dors", ""))
+        ),
+        _set("_invocation_as_true", ("invocation",), True),
+        _set("_invocation_as_1.5", ("invocation",), 1.5),
+        *(
+            _set(f"_{'_'.join(path)}_emptied", ("gateway", *path), {})
+            for path in (("dors_registry",), ("dors_epochs",), ("edge", "db"), ("edge", "bindings"))
+        ),
     ],
 )
 def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
@@ -326,6 +375,113 @@ def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
     code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
+
+
+# --- the damaged-state invariant ----------------------------------------------------
+
+# A value of each JSON type, and the edge values of the numbers; each node of
+# state.json is replaced by each of these whose type differs from its own.
+SUBSTITUTES = ["zz", 7, -1, True, False, None, [], {}, 1.5, 0, ""]
+
+
+def _accepted_on_purpose(path: tuple, value) -> bool:
+    """A substitute the reader accepts by design, with its reason."""
+    # A DHS interface identifier as written before it was 16 hex digits: a
+    # non-negative JSON integer still loads, as that identifier.
+    return path[-1] == "current_iid" and type(value) is int and value >= 0
+
+
+def _cli(state: Path, command: str, *argv: str) -> tuple[int, str, str]:
+    """One call on ``state``: its exit status, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--state", str(state), *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _household(state: Path) -> list[tuple[str, ...]]:
+    """Build in ``state`` an MHT-only user who has logged in (mo), a
+    ``dors,card`` user with a live session and an open step-up token (alice)
+    and a ``card`` user awaiting activation (carol). Returns the calls that
+    follow: a retry, a local and an internet login, a local and an internet
+    request, carol's activation and her first login."""
+    def ok(*argv: str) -> str:
+        code, out, err = _cli(state, *argv)
+        assert code in (0, 3), (argv, out, err)
+        return out
+
+    for uid, caps in (("mo", ""), ("alice", "dors,card"), ("carol", "card")):
+        ok("register", "--seed", SEED, "--uid", uid, "--name", uid.title(),
+           "--password", f"pw-{uid}", "--capabilities", caps)
+    for uid in ("mo", "alice"):
+        ok("verify", "--uid", uid, "--decision", "activate")
+    ok("login", "--uid", "mo", "--password", "pw-mo", "--bluetooth", "--time", "600")
+    out = ok("login", "--uid", "alice", "--password", "pw-alice", "--bluetooth", "--time", "600")
+    session = out.split("session=")[1].split()[0]
+    out = ok("login", "--uid", "alice", "--password", "WRONG", "--bluetooth", "--time", "600")
+    token = out.split("--retry-token ")[1].split()[0]
+    internet = ("--origin", "internet", "--ip-class", "known-external")
+    return [
+        ("login", "--uid", "alice", "--password", "WRONG", "--bluetooth", "--retry-token", token, "--time", "601"),
+        ("login", "--uid", "mo", "--password", "pw-mo", "--bluetooth", "--time", "602"),
+        ("login", "--uid", "alice", "--password", "pw-alice", *internet, "--time", "603"),
+        ("access", "--session", session, "--device", "front-lock", "--bluetooth", "--time", "604"),
+        ("access", "--session", session, "--device", "thermostat", *internet, "--time", "605"),
+        ("verify", "--uid", "carol", "--decision", "activate"),
+        ("login", "--uid", "carol", "--password", "pw-carol", *internet, "--time", "606"),
+    ]
+
+
+def _nodes(node, path: tuple):
+    """The path of ``node`` and of every node below it."""
+    yield path
+    children = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def test_every_damaged_node_prints_the_clean_output_or_exits_state_corrupt(tmp_path):
+    # Each node under "gateway", and "invocation", takes each substitute of
+    # another JSON type. Every later call must then print what it prints on
+    # the clean directory, or exit StateCorrupt; a raw exception fails. A
+    # call that exits StateCorrupt writes nothing, so every later one would
+    # fail alike and the case stops there.
+    clean, damaged = tmp_path / "clean", tmp_path / "damaged"
+    calls = _household(clean)
+    files = {path.name: path.read_bytes() for path in clean.iterdir()}
+    text = files["state.json"].decode()
+    expected = [_cli(clean, *argv) for argv in calls]
+    doc = json.loads(text)
+    cases = []
+    for path in [("invocation",), *_nodes(doc["gateway"], ("gateway",))]:
+        node = doc
+        for key in path:
+            node = node[key]
+        cases += [
+            (path, value) for value in SUBSTITUTES
+            if type(value) is not type(node) and not _accepted_on_purpose(path, value)
+        ]
+    started, escapes = time.perf_counter(), []
+    for path, value in cases:
+        shutil.rmtree(damaged, ignore_errors=True)
+        damaged.mkdir()
+        for name, data in files.items():
+            (damaged / name).write_bytes(data)
+        (damaged / "state.json").write_text(_set("damage", path, value)(json.loads(text), text))
+        for argv, want in zip(calls, expected):
+            case = ("/".join(map(str, path)), value, argv[0])
+            try:
+                got = _cli(damaged, *argv)
+            except Exception as exc:
+                escapes.append((*case, repr(exc)))
+                break
+            if got != want:
+                if not (got[0] == 1 and got[2].startswith("error: StateCorrupt: ")):
+                    escapes.append((*case, got))
+                break
+    elapsed = time.perf_counter() - started
+    assert not escapes, f"{len(escapes)} of {len(cases)} cases escape:\n" + "\n".join(map(repr, escapes))
+    assert len(cases) > 900 and elapsed < 10, (len(cases), elapsed)
 
 
 def _as_written_before_compact_histories(state_dir: Path) -> None:

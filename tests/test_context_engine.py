@@ -1,6 +1,7 @@
 """Decision-engine tests; the Bayes oracle is hand arithmetic kept separate
 from the classifier implementation."""
 
+import dataclasses
 import math
 import random
 import re
@@ -44,16 +45,24 @@ from sshaf.context_engine import (
     evaluate_factor,
     load_access_records,
     load_calendar,
-    record_from_snapshot,
     score_confidence,
     select_scheme,
     train_classifier,
 )
+from sshaf.gateway import WEIGHTS
 from synthetic import make_synthetic_dataset
 
 
 def snap(**kwargs):
-    return ContextSnapshot(uid="alice", **kwargs)
+    """A local snapshot from the home subnet at minute 0, changed by ``kwargs``."""
+    fields = dict(origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=False, timestamp=0)
+    return ContextSnapshot(uid="alice", **{**fields, **kwargs})
+
+
+def caps(**kwargs):
+    """Capabilities with nothing provisioned, changed by ``kwargs``."""
+    fields = dict(mht_registered=False, dors_provisioned=False, card_provisioned=False, mht_txn_count=0)
+    return SchemeCapabilities(**{**fields, **kwargs})
 
 
 # --- factor scoring ----------------------------------------------------------
@@ -80,16 +89,6 @@ def test_history_neutral_without_model():
     assert evaluate_factor(snap(), "history") == 0.5
 
 
-def test_history_delegates_to_classifier():
-    model = train_classifier(make_synthetic_dataset())
-    snapshot = snap(ip_class=IP_HOME, timestamp=10 * 60)  # hour bucket 2
-    record = record_from_snapshot(snapshot, "lock-1")
-    assert evaluate_factor(snapshot, "history", model, record) == classify_access(model, record)
-    # Without a record the snapshot is classified for an unknown device.
-    expected = classify_access(model, record_from_snapshot(snapshot, "unknown"))
-    assert evaluate_factor(snapshot, "history", model) == expected
-
-
 def test_snapshot_invariant_internet_excludes_bluetooth():
     with pytest.raises(ValueError):
         snap(origin=ORIGIN_INTERNET, bluetooth_present=True)
@@ -98,21 +97,21 @@ def test_snapshot_invariant_internet_excludes_bluetooth():
 # --- confidence ---------------------------------------------------------------
 
 def test_confidence_extremes():
-    weights = FactorWeights()
+    weights = WEIGHTS
     assert score_confidence({f: 1.0 for f in FACTORS}, weights) == pytest.approx(1.0)
     assert score_confidence({f: 0.0 for f in FACTORS}, weights) == pytest.approx(0.0)
 
 
 def test_confidence_credentials_plus_bluetooth_is_060():
-    conf = score_confidence({"credentials": 1.0, "bluetooth": 1.0}, FactorWeights())
+    conf = score_confidence({"credentials": 1.0, "bluetooth": 1.0}, WEIGHTS)
     assert conf == pytest.approx(0.60)
 
 
 def test_confidence_rejects_bad_weights():
     with pytest.raises(InvalidWeights):
-        score_confidence({}, FactorWeights(credentials=0.9))  # sums past 1
+        score_confidence({}, dataclasses.replace(WEIGHTS, credentials=0.9))  # sums past 1
     with pytest.raises(InvalidWeights):
-        score_confidence({}, FactorWeights(credentials=-0.1, bluetooth=0.7))
+        score_confidence({}, dataclasses.replace(WEIGHTS, credentials=-0.1, bluetooth=0.7))
 
 
 @pytest.mark.parametrize(
@@ -127,17 +126,17 @@ def test_confidence_rejects_bad_weights():
 )
 def test_invalid_weights_rejected_at_construction(weights):
     with pytest.raises(InvalidWeights):
-        FactorWeights(**weights)
+        dataclasses.replace(WEIGHTS, **weights)
 
 
 def test_confidence_rejects_unknown_score_keys():
     with pytest.raises(UnknownFactor):
-        score_confidence({"astrology": 1.0}, FactorWeights())
+        score_confidence({"astrology": 1.0}, WEIGHTS)
 
 
 def test_confidence_in_unit_interval_property():
     rng = random.Random(17)
-    weights = FactorWeights()
+    weights = WEIGHTS
     for _ in range(2000):
         scores = {f: rng.random() for f in FACTORS}
         conf = score_confidence(scores, weights)
@@ -146,7 +145,7 @@ def test_confidence_in_unit_interval_property():
 
 def test_confidence_monotonic_in_each_factor():
     rng = random.Random(18)
-    weights = FactorWeights()
+    weights = WEIGHTS
     policy = AccessPolicy(threshold=0.6)
     for _ in range(2000):
         scores = {f: rng.random() for f in FACTORS}
@@ -167,11 +166,11 @@ def test_decide_boundary_inclusive_grant():
 
 
 def test_decide_step_up_band():
-    assert decide_access(0.45, AccessPolicy(threshold=0.60, step_up_margin=0.2)) == STEP_UP
+    assert decide_access(0.45, AccessPolicy(threshold=0.60)) == STEP_UP
 
 
 def test_decide_deny_below_band():
-    assert decide_access(0.30, AccessPolicy(threshold=0.60, step_up_margin=0.2)) == DENY
+    assert decide_access(0.30, AccessPolicy(threshold=0.60)) == DENY
 
 
 # --- classifier -------------------------------------------------------------------
@@ -278,29 +277,29 @@ def test_synthetic_accuracy_at_least_090():
 # --- scheme selection -----------------------------------------------------------
 
 def test_internet_with_card_selects_dhs():
-    caps = SchemeCapabilities(mht_registered=True, card_provisioned=True)
-    assert select_scheme(snap(origin=ORIGIN_INTERNET), caps) == SCHEME_DHS
+    have = caps(mht_registered=True, card_provisioned=True)
+    assert select_scheme(snap(origin=ORIGIN_INTERNET), have) == SCHEME_DHS
 
 
 def test_local_fresh_user_with_dors_keys_selects_dors():
-    caps = SchemeCapabilities(mht_registered=True, dors_provisioned=True, mht_txn_count=0)
-    assert select_scheme(snap(origin=ORIGIN_LOCAL), caps) == SCHEME_DORS
+    have = caps(mht_registered=True, dors_provisioned=True, mht_txn_count=0)
+    assert select_scheme(snap(origin=ORIGIN_LOCAL), have) == SCHEME_DORS
 
 
 def test_local_with_history_selects_mht():
-    caps = SchemeCapabilities(mht_registered=True, dors_provisioned=True, mht_txn_count=3)
-    assert select_scheme(snap(origin=ORIGIN_LOCAL), caps) == SCHEME_MHT
+    have = caps(mht_registered=True, dors_provisioned=True, mht_txn_count=3)
+    assert select_scheme(snap(origin=ORIGIN_LOCAL), have) == SCHEME_MHT
 
 
 def test_selection_is_pure():
-    caps = SchemeCapabilities(mht_registered=True, card_provisioned=True)
+    have = caps(mht_registered=True, card_provisioned=True)
     s = snap(origin=ORIGIN_INTERNET)
-    assert select_scheme(s, caps) == select_scheme(s, caps)
+    assert select_scheme(s, have) == select_scheme(s, have)
 
 
 def test_no_scheme_available():
     with pytest.raises(NoSchemeAvailable):
-        select_scheme(snap(), SchemeCapabilities())
+        select_scheme(snap(), caps())
 
 
 # --- calendars and ingest ----------------------------------------------------------
@@ -496,7 +495,7 @@ def valid_weights(draw):
 
 @PROPERTY
 @given(
-    weights=st.one_of(st.just(FactorWeights()), valid_weights()),
+    weights=st.one_of(st.just(WEIGHTS), valid_weights()),
     scores=st.dictionaries(st.sampled_from(FACTORS), st.floats(0.0, 1.0)),
 )
 def test_score_confidence_equals_weighted_sum(weights, scores):

@@ -385,7 +385,7 @@ class ChallengeResizingLink(SimLink):
     """Delivers the gateway's challenge frame at a different length."""
 
     def __init__(self, resize):
-        super().__init__(SimConfig(), LINK_LOCAL, SimClock(), Transcript())
+        super().__init__(SimConfig(seed=b"\x00" * 32), LINK_LOCAL, SimClock(), Transcript())
         self.resize = resize
 
     def send(self, sender, receiver, data):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from sshaf import dors_auth, persist
 from sshaf import gateway as gw_mod
-from sshaf.context_engine import SCHEME_DORS, ContextSnapshot
+from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, SCHEME_DORS, ContextSnapshot
 from sshaf.errors import ForestExhausted
 from sshaf.gateway import CAP_DORS, Gateway
 from sshaf.primitives import METER, Key256, RandomSource
@@ -100,7 +100,7 @@ def drive(gw: Gateway, logins: int, each=lambda gw: None) -> list[Login]:
     for _ in range(logins):
         gw.advance_time(60)
         recorder = Recorder()
-        snapshot = ContextSnapshot(UID, bluetooth_present=True, timestamp=gw.sim_minutes)
+        snapshot = ContextSnapshot(UID, ORIGIN_LOCAL, IP_HOME, True, gw.sim_minutes)
         before = METER.snapshot()
         with mock.patch.object(gw_mod, "Loopback", recorder):
             result = gw.login(UID, "pw", snapshot)

@@ -718,9 +718,9 @@ def fixed_database() -> UserDatabase:
     return UserDatabase(
         profiles={
             "alice": UserProfile(
-                "alice", "Alice", 30, "resident", "active", (CAP_DORS, CAP_CARD), "0a" * 16, "b7" * 32
+                "alice", "Alice", 30, "resident", (CAP_DORS, CAP_CARD), "0a" * 16, "b7" * 32, "active"
             ),
-            "bob": UserProfile("bob", "Bob \u00e9", 9, "guest"),
+            "bob": UserProfile("bob", "Bob \u00e9", 9, "guest", (), "", ""),
         },
         calendars={"alice": WORK_CAL[:3], "bob": []},
         usage_patterns=[

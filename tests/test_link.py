@@ -86,7 +86,7 @@ class DropAt:
 
 
 def sim_link(drop_stream=None, drop_rate=0.0):
-    config = SimConfig(drop_rate=drop_rate)
+    config = SimConfig(seed=b"\x00" * 32, drop_rate=drop_rate)
     return SimLink(config, LINK_LOCAL, SimClock(), Transcript(), drop_stream)
 
 

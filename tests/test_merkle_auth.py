@@ -23,8 +23,6 @@ from sshaf.errors import (
     UserAuthFailed,
 )
 from sshaf.merkle_auth import (
-    LEFT,
-    RIGHT,
     MerkleHistory,
     MerkleProof,
     MhtM1,
@@ -84,15 +82,23 @@ class FullTree:
 
 
 def full_proof(levels: list[list[bytes]], idx: int) -> list[tuple[bytes, str]]:
-    """Leaf ``idx``'s path up the full tree's ``levels``."""
+    """Leaf ``idx``'s path up the full tree's ``levels``: each sibling with
+    its side, "left" or "right"."""
     siblings = []
     for level in levels[:-1]:
         if idx % 2:
-            siblings.append((level[idx - 1], LEFT))
+            siblings.append((level[idx - 1], "left"))
         elif idx + 1 < len(level):
-            siblings.append((level[idx + 1], RIGHT))
+            siblings.append((level[idx + 1], "right"))
         idx //= 2
     return siblings
+
+
+def latest_leaf_path(levels: list[list[bytes]]) -> list[bytes]:
+    """The full tree's path of its last leaf, which holds left siblings only."""
+    path = full_proof(levels, len(levels[0]) - 1)
+    assert {side for _, side in path} <= {"left"}
+    return [digest for digest, _ in path]
 
 
 def rebuilt_levels(leaves: list[bytes]) -> list[list[bytes]]:
@@ -105,10 +111,10 @@ def rebuilt_levels(leaves: list[bytes]) -> list[list[bytes]]:
     return levels
 
 
-def raw_proof(history: MerkleHistory) -> list[tuple[bytes, str]]:
+def raw_proof(history: MerkleHistory) -> list[bytes]:
     proof = history.proof()
     assert proof.leaf_index == history.count - 1
-    return [(digest.bytes, side) for digest, side in proof.siblings]
+    return [digest.bytes for digest in proof.siblings]
 
 
 def test_single_leaf_root_is_leaf():
@@ -139,12 +145,9 @@ def test_root_commits_to_leaf_order():
 def test_latest_leaf_proof_matches_hand_computed_oracle():
     raw = [sha(b"t" + str(i).encode()) for i in range(4)]
     three = MerkleHistory.from_leaves([Digest256(r) for r in raw[:3]])
-    assert three.proof().siblings == [(Digest256(sha(raw[0] + raw[1])), LEFT)]
+    assert three.proof().siblings == [Digest256(sha(raw[0] + raw[1]))]
     four = MerkleHistory.from_leaves([Digest256(r) for r in raw])
-    assert four.proof() == MerkleProof(3, [
-        (Digest256(raw[2]), LEFT),
-        (Digest256(sha(raw[0] + raw[1])), LEFT),
-    ])
+    assert four.proof() == MerkleProof(3, [Digest256(raw[2]), Digest256(sha(raw[0] + raw[1]))])
 
 
 def test_single_leaf_proof_is_empty():
@@ -171,7 +174,7 @@ def test_round_trip_all_sizes_against_full_tree():
         history = MerkleHistory.from_leaves([Digest256(leaf) for leaf in leaves])
         levels = rebuilt_levels(leaves)
         assert history.root.bytes == levels[-1][0]
-        assert raw_proof(history) == full_proof(levels, n - 1)
+        assert raw_proof(history) == latest_leaf_path(levels)
         assert mht_verify(history.root, history.latest, history.proof())
 
 
@@ -190,9 +193,8 @@ def test_single_byte_mutations_break_verification():
         assert not mht_verify(history.root, mutate(latest, pos), proof)
         assert not mht_verify(mutate(history.root, pos), latest, proof)
         for s in range(len(proof.siblings)):
-            digest, side = proof.siblings[s]
             bad = MerkleProof(n - 1, list(proof.siblings))
-            bad.siblings[s] = (mutate(digest, pos), side)
+            bad.siblings[s] = mutate(proof.siblings[s], pos)
             assert not mht_verify(history.root, latest, bad)
 
 
@@ -412,7 +414,7 @@ def test_appends_equal_the_full_tree(n, seed):
     history, reference = MerkleHistory.from_leaves([Digest256(leaves[0])]), FullTree(leaves[0])
     while True:
         assert history.root.bytes == reference.root
-        assert raw_proof(history) == full_proof(reference.levels, history.count - 1)
+        assert raw_proof(history) == latest_leaf_path(reference.levels)
         if history.count == n:
             break
         leaves.append(rng.randbytes(32))
@@ -496,7 +498,7 @@ m1s = st.builds(MhtM1, st.text(max_size=40), nonces, st.integers(0, 2**64 - 1))
 proofs = st.builds(
     MerkleProof,
     st.integers(0, 2**32 - 1),
-    st.lists(st.tuples(digests, st.sampled_from([LEFT, RIGHT])), max_size=12),
+    st.lists(digests, max_size=12),
 )
 m2s = st.builds(MhtM2, nonces, proofs, digests, digests)
 messages = st.one_of(m1s, m2s, st.builds(MhtM3, digests), st.builds(MhtM4, digests))
@@ -538,7 +540,7 @@ def valid_frames():
     """One honest encoding per message, with a non-empty uid and proof."""
     n_u, n_g = Nonce128(b"\x01" * 16), Nonce128(b"\x02" * 16)
     digest = Digest256(b"\x03" * 32)
-    proof = MerkleProof(5, [(digest, LEFT), (digest, RIGHT)])
+    proof = MerkleProof(5, [digest, digest])
     return {
         MhtM1: MhtM1("alice", n_u, 7).encode(),
         MhtM2: MhtM2(n_g, proof, digest, digest).encode(),
@@ -567,5 +569,14 @@ def test_m1_rejects_uid_that_is_not_utf8():
 def test_m2_rejects_side_byte_other_than_0_or_1(side):
     wire = bytearray(valid_frames()[MhtM2])
     wire[87] = side  # first sibling's side byte
+    with pytest.raises(MalformedPacket):
+        MhtM2.decode(bytes(wire))
+
+
+@pytest.mark.parametrize("sibling", [0, 1])
+def test_m2_rejects_a_right_sibling(sibling):
+    # A latest-leaf proof has left siblings only, so side byte 1 is malformed.
+    wire = bytearray(valid_frames()[MhtM2])
+    wire[87 + 33 * sibling] = 1
     with pytest.raises(MalformedPacket):
         MhtM2.decode(bytes(wire))

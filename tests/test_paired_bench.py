@@ -107,6 +107,29 @@ def test_settable_options_count_each_sides_defaults(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["settable_options"] == {"parent": 5, "change": 1}
 
 
+def test_options_changed_names_each_option_lost_or_gained(tmp_path, capsys):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
+    for root, text in (
+        (parent, "from dataclasses import dataclass\n"
+                 "@dataclass\nclass R:\n    a: int = 0\n    b: int = 1\n"
+                 "class C:\n    def __init__(self, x=0): pass\n    def m(self, y=0, *, z=1): pass\n"
+                 "def f(s=0):\n    def inner(t=0): pass\n"),
+        (change, "from dataclasses import dataclass\n"
+                 "@dataclass\nclass R:\n    a: int\n    b: int = 1\n"
+                 "class C:\n    def __init__(self, x): pass\n    def m(self, y=0, *, z=1): pass\n"
+                 "def f(s):\n    def inner(t=0): pass\n    return lambda u=0: u\n"),
+    ):
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "src" / "pkg" / "m.py").write_text(text)
+    assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["settable_options"] == {"parent": 7, "change": 5}
+    assert report["options_changed"] == {
+        "lost": ["pkg.m.C(x)", "pkg.m.R.a", "pkg.m.f(s)"],
+        "gained": ["pkg.m.f.<lambda>(u)"],
+    }
+
+
 def test_unknown_workload_or_bad_seed_range_is_a_usage_error(tmp_path):
     parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
     for args in (["--workloads", "nope", "--seeds", "1-2"], ["--workloads", "w", "--seeds", "3-1"]):

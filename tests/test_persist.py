@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
-from sshaf.context_engine import SCHEME_MHT, ContextSnapshot
+from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, SCHEME_MHT, ContextSnapshot
 from sshaf.gateway import CAP_CARD, CAP_DORS, Gateway
 from sshaf.link import Loopback
 from sshaf.primitives import Key256, RandomSource, hash_bytes, random_key
@@ -154,7 +154,7 @@ def test_a_time_restores_only_from_a_non_negative_integer(field, bad):
     gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
     gw.register_user("alice", "Alice", 30, "resident", "pw")
     gw.owner_verify("owner", "alice", "activate")
-    snapshot = ContextSnapshot(uid="alice", bluetooth_present=True, timestamp=600)
+    snapshot = ContextSnapshot(uid="alice", origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=True, timestamp=600)
     assert gw.login("alice", "pw", snapshot).status == "grant"
     state = json.loads(persist.dumps(persist.gateway_state_to_dict(gw)))
     _set_time(state, field, 600)
@@ -361,7 +361,7 @@ def test_full_gateway_state_round_trip():
     gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
     gw.register_user("alice", "Alice", 30, "resident", "pw", capabilities=(CAP_DORS, CAP_CARD))
     gw.owner_verify("owner", "alice", "activate")
-    snapshot = ContextSnapshot(uid="alice", bluetooth_present=True, timestamp=600)
+    snapshot = ContextSnapshot(uid="alice", origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=True, timestamp=600)
     first = gw.login("alice", "pw", snapshot)
     assert first.status == "grant"
 
@@ -411,7 +411,7 @@ def test_a_key_restore_no_longer_reads_is_ignored_whatever_it_holds(key, value):
     gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
     gw.register_user("alice", "Alice", 30, "resident", "pw", capabilities=(CAP_DORS, CAP_CARD))
     gw.owner_verify("owner", "alice", "activate")
-    snapshot = ContextSnapshot(uid="alice", bluetooth_present=True, timestamp=600)
+    snapshot = ContextSnapshot(uid="alice", origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=True, timestamp=600)
     assert gw.login("alice", "pw", snapshot).status == "grant"
     clean = persist.dumps(persist.gateway_state_to_dict(gw))
     state = json.loads(clean)

@@ -22,7 +22,10 @@ The report also carries ``net_src_lines``: the lines added and removed in the
 ``.py`` files under ``src/`` from PARENT to CHANGE, per changed file and in
 total, as ``difflib`` matches them. A file on one side only counts whole.
 ``settable_options`` counts, for each side, the options of the ``.py`` files
-under ``src/``: every value a caller may leave out (see ``options``).
+under ``src/``: every value a caller may leave out (see ``option_names``).
+``options_changed`` names the options the change ``lost`` and ``gained``,
+such as ``sshaf.context_engine.ContextSnapshot.timestamp`` or
+``sshaf.harness.attacks.attack_replay(seed)``.
 
 Exit status: 0 when every run was correct and no operation failed, 1 when a
 run reported ``correct: false`` or ``failed > 0`` or printed no result, 2 on
@@ -39,6 +42,7 @@ import re
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -102,26 +106,68 @@ def _init_false(value) -> bool:
     )
 
 
+def option_names(tree) -> list[str]:
+    """Every defaulted parameter of every function, method and lambda,
+    keyword-only ones included, plus every defaulted field of every
+    dataclass and NamedTuple, except ``field(init=False)``. A caller may
+    leave each of them out, so each is a value some caller could set
+    differently. A parameter is named ``function(parameter)``, a method's
+    under its class (``Class.method(parameter)``, ``Class(parameter)`` for
+    ``__init__``), and a field ``Class.field``."""
+    names = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_record_class(child):
+                    names.extend(
+                        f"{scope}{child.name}.{stmt.target.id}" for stmt in child.body
+                        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                        and not _init_false(stmt.value)
+                    )
+                visit(child, f"{scope}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                owner = scope[:-1] if name == "__init__" and scope else scope + name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+                ]
+                names.extend(f"{owner}({arg.arg})" for arg in defaulted)
+                visit(child, f"{owner}.")
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
+    return names
+
+
 def options(tree) -> int:
-    """Defaulted parameters of every function, method and lambda, keyword-only
-    ones included, plus defaulted fields of every dataclass and NamedTuple,
-    except ``field(init=False)``. A caller may leave each of them out, so
-    each is a value some caller could set differently."""
-    count = 0
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_record_class(node):
-            count += sum(
-                isinstance(stmt, ast.AnnAssign) and stmt.value is not None and not _init_false(stmt.value)
-                for stmt in node.body
-            )
-    return count
+    """How many options ``option_names`` finds."""
+    return len(option_names(tree))
+
+
+def settable_option_names(root: Path) -> list[str]:
+    """The ``option_names`` of every ``.py`` file under ``root``, each
+    prefixed with its module's dotted path from ``root``, sorted."""
+    names = []
+    for path in root.rglob("*.py"):
+        module = ".".join(path.relative_to(root).with_suffix("").parts)
+        names += [f"{module}.{name}" for name in option_names(ast.parse(path.read_text()))]
+    return sorted(names)
 
 
 def settable_options(root: Path) -> int:
     """The ``options`` of every ``.py`` file under ``root``."""
-    return sum(options(ast.parse(path.read_text())) for path in root.rglob("*.py"))
+    return len(settable_option_names(root))
+
+
+def options_changed(parent: Path, change: Path) -> dict:
+    """The settable options under ``src/`` that the change ``lost`` and
+    ``gained``, by name, each sorted."""
+    before, after = (Counter(settable_option_names(root / "src")) for root in (parent, change))
+    return {"lost": sorted((before - after).elements()), "gained": sorted((after - before).elements())}
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds) -> dict:
@@ -219,6 +265,7 @@ def main(argv=None) -> int:
         "higher where BENCHMARK.json says so); ties count for neither",
         "net_src_lines": net_src_lines(*checkouts.values()),
         "settable_options": {side: settable_options(root / "src") for side, root in checkouts.items()},
+        "options_changed": options_changed(*checkouts.values()),
         "workloads": {
             w: bench_workload(checkouts, spec["command"], w, args.seeds, seconds, metrics)
             for w in args.workloads
