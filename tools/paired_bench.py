@@ -143,11 +143,6 @@ def option_names(tree) -> list[str]:
     return names
 
 
-def options(tree) -> int:
-    """How many options ``option_names`` finds."""
-    return len(option_names(tree))
-
-
 def settable_option_names(root: Path) -> list[str]:
     """The ``option_names`` of every ``.py`` file under ``root``, each
     prefixed with its module's dotted path from ``root``, sorted."""
@@ -159,7 +154,7 @@ def settable_option_names(root: Path) -> list[str]:
 
 
 def settable_options(root: Path) -> int:
-    """The ``options`` of every ``.py`` file under ``root``."""
+    """How many options ``settable_option_names`` finds under ``root``."""
     return len(settable_option_names(root))
 
 
