@@ -55,7 +55,7 @@ class DorsParams:
     r: int = 8
 
     def __post_init__(self):
-        if not all(type(n) is int for n in (self.t, self.k, self.f, self.r)):
+        if not type(self.t) is type(self.k) is type(self.f) is type(self.r) is int:
             raise InvalidParams(f"t, k, f and r must be integers, got {self}")
         if self.t < 2 or self.t & (self.t - 1):
             raise InvalidParams(f"t must be a power of two >= 2, got {self.t}")
