@@ -7,14 +7,16 @@ signature can never match the advanced chain. Trees rotate automatically
 once their signature budget is spent.
 
 A forest's lifecycle at the gateway: ``dors_verify`` accepts a signature
-only from the tree the chain has reached (or the next), so once a signature
+only from the one tree the chain names, tree ``signature_count // r``, as
+the signer rotates exactly every r signatures. So once a signature
 verifies with a tree, every tree below it is spent, and the gateway drops
 their leaf digests. While the last tree signs, the gateway builds the next
 epoch's forest with ``dors_tree``, ⌈f/r⌉ trees per verified signature, so
 the re-key at ``ForestExhausted`` hands ``dors_provision`` a forest already
 built, and only the genesis and link key remain to derive. The trees, the
 chain and every session key are the same as a forest expanded whole at the
-re-key.
+re-key. A gateway restored without its trees holds each as ``b""`` and
+builds the tree the chain names with ``dors_tree`` on first use.
 
 The handshake wrapper mixes a provisioned link key into the session key
 and ratchets it per run: the chain value itself is recomputable from
@@ -212,14 +214,11 @@ def dors_sign(
 def dors_verify(
     pk: DorsPublicKey, chain: ChainState, message: bytes, sig: DorsSignature
 ) -> tuple[bool, ChainState]:
-    """True iff the subset matches this chain state and every revealed
-    secret hashes to the published leaf digest. The chain advances only on
-    success."""
+    """True iff the signature uses the tree the chain names, the subset
+    matches this chain state and every revealed secret hashes to the
+    published leaf digest. The chain advances only on success."""
     params = pk.params
-    # The signer rotates exactly every r signatures; tolerate one early
-    # rotation but never a tree outside the forest.
-    expected_tree = chain.signature_count // params.r
-    if sig.tree_index not in (expected_tree, expected_tree + 1) or sig.tree_index >= params.f:
+    if sig.tree_index != chain.signature_count // params.r or sig.tree_index >= params.f:
         return False, chain
     if len(sig.subset_indices) != params.k or len(sig.reveals) != params.k:
         return False, chain
@@ -248,8 +247,9 @@ class DorsUserSide:
 @dataclass
 class DorsGatewaySide:
     """``public_key.leaf_digests`` holds ``b""`` for each spent tree the
-    gateway has dropped; ``next_forest`` holds the next epoch's first
-    trees, built ahead while the last tree signs."""
+    gateway has dropped, and for each tree a side restored without its
+    trees (and without roots) has not built yet; ``next_forest`` holds the
+    next epoch's first trees, built ahead while the last tree signs."""
 
     uid: str
     public_key: DorsPublicKey

@@ -275,6 +275,11 @@ def load_db(path, db_key: Key256) -> UserDatabase:
 
 # --- the gateway -----------------------------------------------------------------
 
+def _forest_uid(uid: str, epoch: int) -> str:
+    """The name ``uid``'s DORS forest of ``epoch`` is derived under."""
+    return f"{uid}#{epoch}"
+
+
 class Gateway:
     """Single-home core gateway; all state mutation happens through its
     methods, on simulated time only.
@@ -413,7 +418,7 @@ class Gateway:
         epoch = self.dors_epochs.get(uid, 0)
         previous = self.dors_registry.get(uid)
         user_side, gateway_side = dors_auth.dors_provision(
-            f"{uid}#{epoch}", self.master_secret, previous and previous.next_forest
+            _forest_uid(uid, epoch), self.master_secret, previous and previous.next_forest
         )
         user_side.uid = uid
         gateway_side.uid = uid
@@ -466,16 +471,12 @@ class Gateway:
             )
         elif scheme == ctx.SCHEME_DORS:
             try:
-                user_key, gw_key = dors_auth.dors_handshake(
-                    link, wallet.dors, self.dors_registry[uid], self.src
-                )
+                user_key, gw_key = self._dors_handshake(uid, wallet, link)
             except ForestExhausted:
                 # A spent forest signals the re-key: provision the next epoch
                 # from the trees built during the last tree, and retry once.
                 self._provision_dors(uid, wallet)
-                user_key, gw_key = dors_auth.dors_handshake(
-                    link, wallet.dors, self.dors_registry[uid], self.src
-                )
+                user_key, gw_key = self._dors_handshake(uid, wallet, link)
             self._roll_dors_forest(uid)
         elif scheme == ctx.SCHEME_DHS:
             user_key, gw_key = dhs_auth.dhs_handshake(
@@ -487,6 +488,17 @@ class Gateway:
             raise AuthFailed("session keys diverged")
         return gw_key
 
+    def _dors_handshake(self, uid: str, wallet: UserWallet, link) -> tuple[Key256, Key256]:
+        """One DORS run, after building the tree the gateway's chain names if
+        it is in the forest and not held, as after a restore without trees."""
+        side = self.dors_registry[uid]
+        pk = side.public_key
+        tree = side.chain.signature_count // pk.params.r
+        if tree < pk.params.f and not pk.leaf_digests[tree]:
+            seed = dors_auth.dors_seed(_forest_uid(uid, self.dors_epochs[uid] - 1), self.master_secret)
+            pk.leaf_digests[tree] = dors_auth.dors_tree(seed, tree, pk.params)[0]
+        return dors_auth.dors_handshake(link, wallet.dors, side, self.src)
+
     def _roll_dors_forest(self, uid: str) -> None:
         """After a verified DORS signature: drop the leaf digests of the
         trees below the one it used, which ``dors_verify`` can never accept
@@ -497,7 +509,7 @@ class Gateway:
         tree = (side.chain.signature_count - 1) // params.r
         side.public_key.leaf_digests[:tree] = [b""] * tree
         if tree == params.f - 1 and len(side.next_forest.roots) < params.f:
-            seed = dors_auth.dors_seed(f"{uid}#{self.dors_epochs[uid]}", self.master_secret)
+            seed = dors_auth.dors_seed(_forest_uid(uid, self.dors_epochs[uid]), self.master_secret)
             side.next_forest.grow(seed, -(-params.f // params.r))
 
     def login(

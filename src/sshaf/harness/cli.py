@@ -1,21 +1,14 @@
 """Command-line driver for the whole framework.
 
-A state directory carries the gateway across invocations:
+A state directory carries the gateway across invocations in three files:
 
 - ``gateway.key``: the database key, as hex;
 - ``db.enc``: the encrypted user database, rewritten by every call except
   ``login``, which changes none of its tables;
-- ``state.json``: the gateway runtime state, rewritten by every call, with
-  each DORS user's roots, chain and link key but not the public forest;
-- ``dors-<first root, hex>.forest``: one DORS user's public trees, t·32
-  leaf-digest bytes each, tree after tree: the forest's live trees, then the
-  next epoch's trees built ahead during its last tree (see ``persist``).
-  Once trees are dropped or built ahead, the name carries both counts,
-  ``dors-<first root, hex>-<dropped>-<built ahead>.forest``, so a file is
-  named by its content: a call that changes a user's trees (a ``login``
-  that rotates off a tree, signs with the last one, or re-keys, and
-  ``verify --decision activate`` of a ``dors`` user) writes a new file
-  before ``state.json`` names it, and deletes the old one after.
+- ``state.json``: the gateway runtime state, rewritten by every call. It
+  holds no DORS tree: each DORS user's entry keeps its params, chain, link
+  key and the roots of the trees built ahead, and a login builds the tree
+  it needs from the gateway's master secret (see ``persist``).
 
 A missing, unreadable or damaged file fails the call with ``StateCorrupt``
 naming it. Benchmarks, attacks, and reports are stateless and fully
@@ -50,7 +43,7 @@ from ..context_engine import (
 )
 from ..errors import AuthenticatedDecryptionFailed, SshafError, StateCorrupt
 from ..gateway import CAPABILITIES, Gateway, atomic_write, load_db
-from ..primitives import DIGEST_LEN, Digest256, Key256, RandomSource
+from ..primitives import Key256, RandomSource
 
 STATE_FILE = "state.json"
 DB_FILE = "db.enc"
@@ -72,64 +65,24 @@ def _boot(state_dir: Path, seed: bytes | None) -> None:
     _save(state_dir, gw, seed, invocation=0)
 
 
-def _forest_file(entry: dict) -> tuple[str, int]:
-    """The name of the forest file a DORS user's state.json entry names, and
-    its length in bytes (see the module docstring)."""
-    params, dropped, ahead = persist.dors_forest_shape(entry)
-    root = Digest256.from_hex(entry["roots"][0]).hex()
-    name = f"dors-{root}-{dropped}-{ahead}.forest" if dropped or ahead else f"dors-{root}.forest"
-    return name, (params.f - dropped + ahead) * params.t * DIGEST_LEN
-
-
-def _save(
-    state_dir: Path,
-    gw: Gateway,
-    rng_seed: bytes,
-    invocation: int,
-    loaded_forests: frozenset[str] = frozenset(),
-    db_changed: bool = True,
-) -> None:
-    """Write the call's state. ``loaded_forests`` names the forest files
-    ``_load`` read: any other forest file holds trees this call changed, so
-    it is written, and the files it replaced are deleted once state.json no
-    longer names them. ``db_changed=False`` leaves db.enc as it is, for a
-    call that changed no table of the user database."""
+def _save(state_dir: Path, gw: Gateway, rng_seed: bytes, invocation: int, db_changed: bool = True) -> None:
+    """Write the call's state. ``db_changed=False`` leaves db.enc as it is,
+    for a call that changed no table of the user database."""
     state = {
         "rng_seed": rng_seed.hex(),
         "invocation": invocation,
         "gateway": persist.gateway_state_to_dict(gw, with_forests=False),
     }
-    forests = set()
-    for uid, entry in state["gateway"]["dors_registry"].items():
-        name, _ = _forest_file(entry)
-        forests.add(name)
-        if name not in loaded_forests:
-            atomic_write(state_dir / name, b"".join(persist.dors_forest(gw.dors_registry[uid])))
     atomic_write(state_dir / STATE_FILE, persist.dumps(state))
     if db_changed:
         gw.save_database(state_dir / DB_FILE)
-    for name in loaded_forests - forests:
-        (state_dir / name).unlink(missing_ok=True)
 
 
 def _state_corrupt(path: Path, exc: Exception) -> StateCorrupt:
     return StateCorrupt(f"{path}: {type(exc).__name__}: {exc}")
 
 
-def _read_forest(state_dir: Path, entry: dict) -> tuple[str, bytes]:
-    """The name and bytes of the forest file ``entry`` names."""
-    name, size = _forest_file(entry)
-    path = state_dir / name
-    try:
-        forest = path.read_bytes()
-    except OSError as exc:
-        raise _state_corrupt(path, exc) from exc
-    if len(forest) != size:
-        raise StateCorrupt(f"{path}: {len(forest)} bytes, but the trees state.json names take {size}")
-    return name, forest
-
-
-def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, frozenset[str]]:
+def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int]:
     state_path = state_dir / STATE_FILE
     if not state_path.exists():
         _boot(state_dir, seed)
@@ -143,11 +96,7 @@ def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, fro
         rng_seed = bytes.fromhex(state["rng_seed"])
         invocation = persist._count(state["invocation"]) + 1
         gw = Gateway(RandomSource.seeded(rng_seed).fork("boot"), db_key)
-        files, forests = set(), {}
-        for uid, entry in state["gateway"]["dors_registry"].items():
-            name, forests[uid] = _read_forest(state_dir, entry)
-            files.add(name)
-        persist.restore_gateway_state(gw, state["gateway"], forests)
+        persist.restore_gateway_state(gw, state["gateway"])
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         raise _state_corrupt(state_path, exc) from exc
     db_path = state_dir / DB_FILE
@@ -156,7 +105,7 @@ def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int, fro
     except (OSError, AuthenticatedDecryptionFailed) as exc:
         raise _state_corrupt(db_path, exc) from exc
     gw.src = RandomSource.seeded(rng_seed).fork(f"invocation:{invocation}")
-    return gw, rng_seed, invocation, frozenset(files)
+    return gw, rng_seed, invocation
 
 
 def _snapshot_from_args(args, uid: str) -> ContextSnapshot:
@@ -177,33 +126,33 @@ def cmd_register(args) -> int:
     calendar = []
     if args.calendar:
         calendar = load_calendar(args.calendar).get(args.uid, [])
-    gw, seed, inv, forests = _load(Path(args.state), args.seed)
+    gw, seed, inv = _load(Path(args.state), args.seed)
     profile = gw.register_user(
         args.uid, args.name, args.age, args.role, args.password,
         calendar=calendar, capabilities=args.capabilities,
     )
-    _save(Path(args.state), gw, seed, inv, forests)
+    _save(Path(args.state), gw, seed, inv)
     print(f"registered {profile.uid}: status={profile.status} role={profile.role}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    gw, seed, inv, forests = _load(Path(args.state), args.seed)
+    gw, seed, inv = _load(Path(args.state), args.seed)
     profile = gw.owner_verify(args.owner, args.uid, args.decision)
-    _save(Path(args.state), gw, seed, inv, forests)
+    _save(Path(args.state), gw, seed, inv)
     print(f"{profile.uid}: status={profile.status}")
     return 0
 
 
 def cmd_login(args) -> int:
-    gw, seed, inv, forests = _load(Path(args.state), args.seed)
+    gw, seed, inv = _load(Path(args.state), args.seed)
     if args.time > gw.sim_minutes:
         gw.advance_time(args.time - gw.sim_minutes)
     result = gw.login(
         args.uid, args.password, _snapshot_from_args(args, args.uid),
         retry_token=args.retry_token,
     )
-    _save(Path(args.state), gw, seed, inv, forests, db_changed=False)
+    _save(Path(args.state), gw, seed, inv, db_changed=False)
     if result.status == "grant":
         session = result.session
         print(
@@ -219,7 +168,7 @@ def cmd_login(args) -> int:
 
 
 def cmd_access(args) -> int:
-    gw, seed, inv, forests = _load(Path(args.state), args.seed)
+    gw, seed, inv = _load(Path(args.state), args.seed)
     session = gw.sessions.get(args.session)
     if session is None:
         print(f"no such session {args.session!r}", file=sys.stderr)
@@ -229,7 +178,7 @@ def cmd_access(args) -> int:
     decision = gw.authorize_device_access(
         session, args.device, _snapshot_from_args(args, session.uid)
     )
-    _save(Path(args.state), gw, seed, inv, forests)
+    _save(Path(args.state), gw, seed, inv)
     print(f"{args.device}: {decision}")
     return 0 if decision == "grant" else 4
 

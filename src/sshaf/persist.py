@@ -48,20 +48,24 @@ tree, its t leaf digests concatenated in leaf order, which is the packed
 form ``DorsPublicKey.leaf_digests`` holds in memory. Step-up tokens are
 written as ``token: [uid, minted_minutes]``.
 
-A DORS gateway side persists only the trees it still holds: its forest's
-live trees, then the next epoch's trees built ahead during the last tree
-(``dors_forest``). ``dropped`` counts the spent trees left out at the front
-and ``next_roots`` lists the roots of the trees built ahead; each key is
-written only when it is not zero or empty, so a whole forest with nothing
-built ahead is written as it always was, and a file written before trees
-were dropped or built ahead still loads.
+The dict form with the forests writes a DORS gateway side's ``roots`` and
+only the trees it still holds: its forest's live trees, then the next
+epoch's trees built ahead during the last tree. ``dropped`` counts the
+spent trees left out at the front and ``next_roots`` lists the roots of the
+trees built ahead; each key is written only when it is not zero or empty,
+so a whole forest with nothing built ahead is written as it always was, and
+a file written before trees were dropped or built ahead still loads.
 
-The CLI's state directory keeps the forests out of ``state.json``: it
-calls ``gateway_state_to_dict(gw, with_forests=False)``, which leaves out
-each ``leaf_digests``, and stores each DORS user's trees, t·32 digest bytes
-each, tree after tree, in a file of its own. ``restore_gateway_state`` takes
-those bytes back by uid. Every other field, and the whole dict form with the
-forests, is the same either way.
+The tree-less form, ``gateway_state_to_dict(gw, with_forests=False)``, is
+what the CLI's ``state.json`` holds. It writes each DORS gateway side as its
+uid, params, chain and link key, and ``next_roots`` when trees were built
+ahead: the gateway derives every tree from its own master secret. A side
+restored from it holds each tree as ``b""`` and no roots, and
+``Gateway.run_scheme`` builds the tree a login needs just before the
+handshake; only the tree-less form describes such a side. An entry without
+``leaf_digests`` is read in this form, and the ``roots`` and ``dropped`` an
+older file carries are ignored. Every other entry is the same in either
+form.
 """
 
 from __future__ import annotations
@@ -202,87 +206,66 @@ def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
     )
 
 
-def dors_forest(side: dors_auth.DorsGatewaySide) -> list[bytes]:
-    """The trees a DORS gateway side persists: its forest's live trees, those
-    not dropped, then the next epoch's trees built ahead."""
-    return [tree for tree in side.public_key.leaf_digests if tree] + side.next_forest.leaf_digests
-
-
-def dors_forest_shape(data: dict) -> tuple[dors_auth.DorsParams, int, int]:
-    """The params of a persisted DORS gateway side, the trees it dropped and
-    the trees it built ahead: its ``dropped`` count and the length of
-    ``next_roots``, each 0 when absent. Raises ``ValueError`` unless they
-    are an integer and an array, each at most f."""
-    params = dors_params_from_dict(data["params"])
-    dropped = data.get("dropped", 0)
-    next_roots = data.get("next_roots", [])
-    if type(dropped) is not int or type(next_roots) is not list:
-        raise ValueError(f"dropped must be an integer and next_roots an array: {dropped!r}, {next_roots!r}")
-    if not 0 <= dropped <= params.f or len(next_roots) > params.f:
-        raise ValueError(f"{dropped} trees dropped and {len(next_roots)} built ahead, of f={params.f}")
-    return params, dropped, len(next_roots)
-
-
 def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide, with_forest: bool = True) -> dict:
-    """``with_forest=False`` leaves out ``leaf_digests``; the caller then
-    keeps ``b"".join(dors_forest(side))`` itself. ``dropped`` and
-    ``next_roots`` are written only when not zero or empty."""
+    """``with_forest=False`` writes the tree-less form: no ``roots``,
+    ``dropped`` or ``leaf_digests``. ``dropped`` and ``next_roots`` are
+    written only when not zero or empty."""
     data = {
         "uid": side.uid,
         "params": dors_params_to_dict(side.public_key.params),
-        "roots": _digests_to_hex(side.public_key.roots),
         "chain": chain_to_dict(side.chain),
         "link_key": side.link_key.hex(),
     }
-    dropped = side.public_key.leaf_digests.count(b"")
-    if dropped:
-        data["dropped"] = dropped
     if side.next_forest.roots:
         data["next_roots"] = _digests_to_hex(side.next_forest.roots)
     if with_forest:
-        data["leaf_digests"] = [tree.hex() for tree in dors_forest(side)]
+        trees = side.public_key.leaf_digests
+        data["roots"] = _digests_to_hex(side.public_key.roots)
+        if b"" in trees:
+            data["dropped"] = trees.count(b"")
+        data["leaf_digests"] = [tree.hex() for tree in trees + side.next_forest.leaf_digests if tree]
     return data
 
 
-def dors_gateway_from_dict(data: dict, forest: bytes | None = None) -> dors_auth.DorsGatewaySide:
-    """The trees come from ``data["leaf_digests"]`` or, when given, from
-    ``forest``: their t·32 digest bytes, tree after tree. Either holds the
-    forest's f - ``dropped`` live trees, then the ``next_roots`` trees built
-    ahead. Raises ``ValueError`` unless it holds exactly that many trees of t
-    leaf digests, there are f roots and no unspent tree is dropped, so a
-    damaged file fails at load, not as a rejected login."""
-    params, dropped, ahead = dors_forest_shape(data)
-    roots = data["roots"]
-    size = params.t * DIGEST_LEN
-    if forest is None:
+def dors_gateway_from_dict(data: dict) -> dors_auth.DorsGatewaySide:
+    """An entry with ``leaf_digests`` holds there the forest's f -
+    ``dropped`` live trees, then the ``next_roots`` trees built ahead.
+    Raises ``ValueError`` unless it holds exactly that many trees of t leaf
+    digests, there are f roots and no unspent tree is dropped, so a damaged
+    file fails at load, not as a rejected login. An entry without
+    ``leaf_digests`` is the tree-less form: every tree restores as ``b""``."""
+    params = dors_params_from_dict(data["params"])
+    next_roots = data.get("next_roots", [])
+    if type(next_roots) is not list or len(next_roots) > params.f:
+        raise ValueError(f"next_roots must be an array of at most f={params.f} roots, got {next_roots!r}")
+    chain = chain_from_dict(data["chain"])
+    trees, roots = [b""] * (params.f + len(next_roots)), []
+    if "leaf_digests" in data:
+        dropped = data.get("dropped", 0)
+        if type(dropped) is not int or not 0 <= dropped <= min(params.f, chain.signature_count // params.r):
+            raise ValueError(f"{dropped!r} trees dropped, of f={params.f}, or more than the chain spent")
+        size = params.t * DIGEST_LEN
         # bytes.fromhex skips whitespace, so the decoded length is checked too.
-        trees = [
+        trees[dropped:] = [
             bytes.fromhex(tree) if isinstance(tree, str) and len(tree) == 2 * size else b""
             for tree in data["leaf_digests"]
         ]
-    else:
-        trees = [forest[i : i + size] for i in range(0, len(forest), size)]
-    live = params.f - dropped
-    if len(trees) != live + ahead or len(roots) != params.f or any(len(tree) != size for tree in trees):
-        raise ValueError(
-            f"a DORS forest needs {params.f} roots and {live + ahead} trees of {params.t} "
-            f"leaf digests, each {2 * size} hex digits or {size} bytes"
-        )
-    pk = dors_auth.DorsPublicKey(
-        params=params,
-        leaf_digests=[b""] * dropped + trees[:live],
-        roots=_digests_from_hex(roots),
-    )
+        roots = _digests_from_hex(data["roots"])
+        if len(trees) != params.f + len(next_roots) or len(roots) != params.f or any(
+            len(tree) != size for tree in trees[dropped:]
+        ):
+            raise ValueError(
+                f"a DORS forest needs {params.f} roots and {params.f - dropped + len(next_roots)} trees of "
+                f"{params.t} leaf digests, each {2 * size} hex digits"
+            )
     side = dors_auth.DorsGatewaySide(
         uid=data["uid"],
-        public_key=pk,
-        chain=chain_from_dict(data["chain"]),
+        public_key=dors_auth.DorsPublicKey(params, trees[: params.f], roots),
+        chain=chain,
         link_key=Key256.from_hex(data["link_key"]),
     )
-    if dropped > side.chain.signature_count // params.r:
-        raise ValueError(f"{dropped} trees dropped, but the chain has spent fewer")
-    side.next_forest.leaf_digests = trees[live:]
-    side.next_forest.roots = _digests_from_hex(data.get("next_roots", []))
+    side.next_forest.leaf_digests = trees[params.f :]
+    side.next_forest.roots = _digests_from_hex(next_roots)
     return side
 
 
@@ -399,8 +382,8 @@ def session_from_dict(data: dict) -> gw_mod.GatewaySession:
 
 def gateway_state_to_dict(gw: gw_mod.Gateway, with_forests: bool = True) -> dict:
     """Runtime state except the user database, which is stored separately
-    in its encrypted file. ``with_forests=False`` leaves every DORS public
-    forest out (see the module docstring)."""
+    in its encrypted file. ``with_forests=False`` writes every DORS gateway
+    side in the tree-less form (see the module docstring)."""
     return {
         "master_secret": gw.master_secret.hex(),
         "sim_minutes": gw.sim_minutes,
@@ -417,19 +400,13 @@ def gateway_state_to_dict(gw: gw_mod.Gateway, with_forests: bool = True) -> dict
     }
 
 
-def restore_gateway_state(
-    gw: gw_mod.Gateway, data: dict, forests: dict[str, bytes] | None = None
-) -> None:
-    """``forests``, when given, holds each DORS user's forest bytes by uid,
-    for a dict written with ``with_forests=False``. Raises ``ValueError``
-    unless the entries agree (see the module docstring)."""
+def restore_gateway_state(gw: gw_mod.Gateway, data: dict) -> None:
+    """Reads the dict in either form; raises ``ValueError`` unless the
+    entries agree (see the module docstring)."""
     gw.master_secret = Key256.from_hex(data["master_secret"])
     gw.sim_minutes = _count(data["sim_minutes"])
     gw.mht_registry = {uid: mht_gateway_from_dict(s) for uid, s in data["mht_registry"].items()}
-    gw.dors_registry = {
-        uid: dors_gateway_from_dict(s, None if forests is None else forests[uid])
-        for uid, s in data["dors_registry"].items()
-    }
+    gw.dors_registry = {uid: dors_gateway_from_dict(s) for uid, s in data["dors_registry"].items()}
     gw.dors_epochs = {uid: _count(n) for uid, n in data["dors_epochs"].items()}
     gw.edge = edge_server_from_dict(data["edge"])
     gw.wallets = {uid: wallet_from_dict(w) for uid, w in data["wallets"].items()}

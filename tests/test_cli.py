@@ -47,17 +47,8 @@ def state_files(state) -> list[str]:
     return sorted(p.name for p in Path(state).iterdir())
 
 
-def forest_files(state) -> list[str]:
-    """The forest file of every DORS user state.json names, sorted: named by
-    the forest's first root and, once it has trees dropped or built ahead,
-    by both counts."""
-    registry = json.loads((Path(state) / "state.json").read_text())["gateway"]["dors_registry"]
-    names = []
-    for entry in registry.values():
-        counts = (entry.get("dropped", 0), len(entry.get("next_roots", [])))
-        suffix = "-%d-%d" % counts if any(counts) else ""
-        names.append(f"dors-{entry['roots'][0]}{suffix}.forest")
-    return sorted(names)
+# The files of a state directory, whoever is registered.
+STATE_FILES = ["db.enc", "gateway.key", "state.json"]
 
 
 def login(capsys, state, minutes: int) -> tuple[int, str]:
@@ -87,9 +78,8 @@ def test_lifecycle_register_verify_login_access(tmp_path, capsys):
     assert code == 0
     assert "grant" in out
     # Each call replaced its state files whole, leaving no temporary file;
-    # alice's DORS forest sits in a file of its own.
-    assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
-    assert len(forest_files(state)) == 1
+    # alice's DORS trees are stored nowhere.
+    assert state_files(state) == STATE_FILES
 
 
 @pytest.mark.parametrize(
@@ -306,9 +296,6 @@ def _session(session_id: str, uid) -> dict:
         _drop_gateway,
         *map(_section_as_array, ["mht_registry", "dors_registry", "wallets", "sessions",
                                  "step_up_tokens", "pending_cards"]),
-        _dors_entry("_dors_dropped_as_string", dropped="1"),
-        _dors_entry("_dors_dropped_negative", dropped=-1),
-        _dors_entry("_dors_dropped_past_f", dropped=9),
         _dors_entry("_dors_next_roots_as_string", next_roots="ab"),
         _dors_entry("_dors_next_roots_past_f", next_roots=["00" * 32] * 9),
         _dors_entry("_dors_params_t_3", params=dict(DORS_PARAMS, t=3)),
@@ -512,10 +499,6 @@ def test_state_with_user_leaves_logs_in_alike_and_saves_the_compact_form(tmp_pat
     assert (old / "state.json").read_bytes() == (Path(compact) / "state.json").read_bytes()
 
 
-def _three_leaf_tree(path: Path) -> None:
-    path.write_bytes(b"\xab" * 32 * 3)
-
-
 def _flip_middle_byte(path: Path) -> None:
     data = bytearray(path.read_bytes())
     data[len(data) // 2] ^= 0x01
@@ -529,19 +512,14 @@ def _flip_middle_byte(path: Path) -> None:
         ("db.enc", _flip_middle_byte),
         ("db.enc", lambda path: path.write_bytes(path.read_bytes()[:20])),  # truncated
         ("db.enc", lambda path: path.write_bytes(b"XXXXXX" + path.read_bytes()[6:])),  # bad magic
-        ("forest", Path.unlink),
-        ("forest", lambda path: path.write_bytes(path.read_bytes()[:-1])),  # one byte short
-        ("forest", lambda path: path.write_bytes(path.read_bytes() + b"\0")),  # one byte long
-        ("forest", _three_leaf_tree),
         ("state.json", lambda path: (path.unlink(), path.mkdir())),  # unreadable
     ],
-    ids=["db-missing", "db-flipped-byte", "db-truncated", "db-bad-magic", "forest-missing",
-         "forest-short", "forest-long", "forest-three-leaves", "state-unreadable"],
+    ids=["db-missing", "db-flipped-byte", "db-truncated", "db-bad-magic", "state-unreadable"],
 )
 def test_missing_or_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, target, damage):
     state = tmp_path / "state"
     bootstrap_user(capsys, str(state))
-    path = state / (forest_files(state)[0] if target == "forest" else target)
+    path = state / target
     damage(path)
     code = main(["login", "--state", str(state), "--uid", "alice", "--password", "pw-alice"])
     assert code == 1
@@ -638,41 +616,102 @@ def test_state_directory_carrying_unread_keys_loads_and_sheds_them(tmp_path, cap
     assert (old / "state.json").read_bytes() == (current / "state.json").read_bytes()
 
 
-def test_dors_rekey_over_cli_replaces_the_forest_file(tmp_path, capsys):
-    """The forest file changes when a login rotates onto a new tree (the
-    spent one is dropped), at each login with the last tree (one tree of
-    the next epoch is built), and at the re-key; each change writes a new
-    file and deletes the old one."""
-    state = str(tmp_path / "state")
-    bootstrap_user(capsys, state, caps="dors")
-    first = forest_files(state)
-    db_file = (Path(state) / "db.enc").read_bytes()
-    names = [first]
-    # A production forest signs 64 logins; the 65th re-keys.
-    for i in range(65):
-        code, out = login(capsys, state, 600 + 60 * i)
-        assert (code, "scheme=dors" in out) == (0, True), out
-        assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
-        names.append(forest_files(state))
-        if i == 63:  # 7 trees dropped, 8 of the next epoch built: 9 held
-            assert names[-1] == [first[0].replace(".forest", "-7-8.forest")]
-            assert (Path(state) / names[-1][0]).stat().st_size == 9 * 256 * 32
-    changed = [n for n in range(1, 66) if names[n] != names[n - 1]]
-    assert changed == [9, 17, 25, 33, 41, 49, *range(57, 66)]
-    second = names[65]
-    assert len(second) == 1 and second != first and second[0].count("-") == 1
-    assert (Path(state) / "db.enc").read_bytes() == db_file  # a login changes no table
-    code, out = login(capsys, state, 600 + 60 * 65)
-    assert (code, "scheme=dors" in out) == (0, True), out
+DEVICES = ("thermostat", "porch-camera", "front-lock")
+
+
+def _scripted_household(state: Path, after_each) -> tuple[str, dict[int, int]]:
+    """699 calls on ``state``: alice (``dors``) and bob (``dors,card``)
+    register and are activated, then 139 rounds an hour apart. In each,
+    alice logs in locally with DORS and requests a device; bob does the
+    same, from the internet with DHS in every fifth round; and bob requests
+    the front lock from the internet. Alice's 139 DORS logins cross two
+    re-keys. Returns the SHA-256 of every call's argv, exit status and
+    stdout, and the count of each exit status; ``after_each`` runs after
+    every call."""
+    sha, codes = hashlib.sha256(), {}
+
+    def call(*argv: str) -> str:
+        code, out, err = _cli(state, *argv)
+        assert not err, (argv, err)
+        sha.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+        codes[code] = codes.get(code, 0) + 1
+        after_each()
+        return out
+
+    call("register", "--seed", SEED, "--uid", "alice", "--name", "Alice", "--password", "pw-alice",
+         "--capabilities", "dors")
+    call("register", "--uid", "bob", "--name", "Bob", "--password", "pw-bob", "--capabilities", "dors,card")
+    for uid in ("alice", "bob"):
+        call("verify", "--uid", uid, "--decision", "activate")
+    internet = ("--origin", "internet", "--ip-class", "known-external")
+    for i in range(139):
+        minutes = str(600 + 60 * i)
+        for uid, where in (("alice", ("--bluetooth",)), ("bob", internet if i % 5 == 4 else ("--bluetooth",))):
+            out = call("login", "--uid", uid, "--password", f"pw-{uid}", *where, "--time", minutes)
+            session = out.split("session=")[1].split()[0] if "session=" in out else "none"
+            call("access", "--session", session, "--device", DEVICES[i % 3], *where, "--time", minutes)
+        call("access", "--session", session, "--device", "front-lock", *internet, "--time", minutes)
+    return sha.hexdigest(), codes
+
+
+# `_scripted_household`'s hash, recorded while each DORS user's trees were
+# stored in a file of their own beside state.json (commit b9fb283). Storing
+# no tree must change no output.
+SCRIPTED_HOUSEHOLD_SHA256 = "707abeafe98155dca75a5fcb2007a89d3a595863944528f7d24054b43bf4e734"
+
+
+def test_scripted_household_prints_as_before_and_keeps_three_files(tmp_path):
+    state = tmp_path / "state"
+
+    def three_files():
+        assert state_files(state) == STATE_FILES
+
+    digest, codes = _scripted_household(state, three_files)
+    assert (digest, codes) == (SCRIPTED_HOUSEHOLD_SHA256, {0: 459, 4: 240})
+
+
+# A state directory as the CLI wrote it while each DORS user's trees sat in
+# a forest file beside state.json (commit b9fb283): alice, registered with
+# `--capabilities dors` at SEED, after 57 local logins an hour apart from
+# minute 600. She signs with her last tree, and one tree of her next forest
+# is built ahead. state.json names the forest file and carries the roots and
+# the dropped count.
+FOREST_FILE_STATE = Path(__file__).parent / "forest_file_state"
+
+# What that CLI printed for her next nine logins: the rest of the last tree,
+# the re-key and one more.
+FOREST_FILE_LOGINS = [
+    (0, f"granted: session={session} scheme=dors confidence=0.800\n")
+    for session in (
+        "ef93883456f4f835", "04441a7c9beb3668", "d99bc7ad32a9584c", "0bfa013e05680bba", "75834049ba3a3b0e",
+        "7d18c7bce327bb79", "2763b035c995c11a", "0c9ddf8cac791ce3", "4dab1a6b54fd3b6c",
+    )
+]
+
+# SHA-256 of the state.json that CLI wrote after them, less each DORS
+# gateway entry's roots: the chains, link keys and wallets must agree.
+FOREST_FILE_STATE_JSON_SHA256 = "49559b05b50fb4ea5a4fbfcd98cd903d3c1efd911d8bdef430f69b059e696c1d"
+
+
+def test_directory_with_a_forest_file_loads_and_logs_in_as_before(tmp_path, capsys):
+    state = tmp_path / "state"
+    shutil.copytree(FOREST_FILE_STATE, state)
+    (forest,) = state.glob("*.forest")
+    entry = json.loads((state / "state.json").read_text())["gateway"]["dors_registry"]["alice"]
+    assert (len(entry["roots"]), entry["dropped"], len(entry["next_roots"])) == (8, 7, 1)
+    assert [login(capsys, str(state), 600 + 60 * i) for i in range(57, 66)] == FOREST_FILE_LOGINS
+    assert hashlib.sha256((state / "state.json").read_bytes()).hexdigest() == FOREST_FILE_STATE_JSON_SHA256
+    # Nothing reads the forest file any more, and nothing deletes it.
+    assert state_files(state) == sorted([*STATE_FILES, forest.name])
 
 
 def test_state_directory_without_trees_built_ahead_loads_and_rekeys(tmp_path, capsys, monkeypatch):
-    """A directory whose forest file holds the whole forest and nothing
-    built ahead, as one was written before trees were dropped or built
-    ahead, even six signatures into the last tree."""
+    """A state.json with nothing built ahead, as one was written before trees
+    were built ahead, even six signatures into the last tree: it loads, and
+    the re-key builds the trees the last two logins left unbuilt."""
     state = tmp_path / "state"
     bootstrap_user(capsys, str(state), caps="dors")
-    gw, seed, inv, forests = cli._load(state, None)
+    gw, seed, inv = cli._load(state, None)
     with monkeypatch.context() as patch:
         patch.setattr(gw_mod.Gateway, "_roll_dors_forest", lambda self, uid: None)
         for minutes in range(600, 600 + 62 * 60, 60):
@@ -682,16 +721,15 @@ def test_state_directory_without_trees_built_ahead_loads_and_rekeys(tmp_path, ca
                 timestamp=minutes,
             ))
             assert (result.status, result.session.scheme) == ("grant", "dors")
-        cli._save(state, gw, seed, inv, forests)
-    (whole,) = forest_files(state)
-    assert state_files(state) == ["db.enc", whole, "gateway.key", "state.json"]
-    assert (state / whole).stat().st_size == 8 * 256 * 32
+        cli._save(state, gw, seed, inv)
+    entry = json.loads((state / "state.json").read_text())["gateway"]["dors_registry"]["alice"]
+    assert (entry["chain"]["signature_count"], "next_roots" in entry) == (62, False)
     for i in range(62, 66):  # two in the last tree, the re-key, one more
         code, out = login(capsys, str(state), 600 + 60 * i)
         assert (code, "scheme=dors" in out) == (0, True), out
-        assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
-    (rekeyed,) = forest_files(state)
-    assert rekeyed.count("-") == 1 and rekeyed != whole
+        assert state_files(state) == STATE_FILES
+    entry = json.loads((state / "state.json").read_text())["gateway"]["dors_registry"]["alice"]
+    assert (entry["chain"]["signature_count"], "next_roots" in entry) == (2, False)
 
 
 def test_save_then_load_restores_the_same_gateway_state(tmp_path, capsys):
@@ -699,15 +737,48 @@ def test_save_then_load_restores_the_same_gateway_state(tmp_path, capsys):
     bootstrap_user(capsys, str(state))
     code, _ = login(capsys, str(state), 600)
     assert code == 0
-    gw, seed, inv, forests = cli._load(state, None)
+    gw, seed, inv = cli._load(state, None)
     result = gw.login("alice", "pw-alice", ContextSnapshot(
         uid="alice", origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=True, timestamp=700,
     ))
     assert result.status == "grant"
-    before = persist.dumps(persist.gateway_state_to_dict(gw))
-    cli._save(state, gw, seed, inv, forests)
+    before = persist.dumps(persist.gateway_state_to_dict(gw, with_forests=False))
+    cli._save(state, gw, seed, inv)
     restored, *_ = cli._load(state, None)
-    assert persist.dumps(persist.gateway_state_to_dict(restored)) == before
+    assert persist.dumps(persist.gateway_state_to_dict(restored, with_forests=False)) == before
+
+
+def test_overlapping_calls_lose_an_update_but_leave_the_directory_whole(tmp_path, capsys, monkeypatch):
+    """Call B (``register bob``) loads the state; call A, alice's 17th DORS
+    login, then runs to the end; then B saves. While trees sat in forest
+    files, A deleted the file B's state.json names, and every later call
+    exited StateCorrupt. Now B's save loses A's update and nothing more:
+    the next calls succeed, though A's session is gone."""
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state), caps="dors")
+    for i in range(16):
+        assert login(capsys, str(state), 600 + 60 * i)[0] == 0
+    load, interleaved = cli._load, []
+
+    def load_then_run_a(state_dir, seed):
+        loaded = load(state_dir, seed)
+        monkeypatch.setattr(cli, "_load", load)
+        interleaved.append(login(capsys, str(state), 600 + 60 * 16))
+        return loaded
+
+    monkeypatch.setattr(cli, "_load", load_then_run_a)
+    code, out = run(capsys, "register", "--state", str(state), "--uid", "bob", "--name", "Bob",
+                    "--password", "pw-bob", "--capabilities", "dors")
+    assert (code, out) == (0, "registered bob: status=pending role=resident\n")
+    ((code, out),) = interleaved
+    assert (code, "scheme=dors" in out) == (0, True), out
+    assert state_files(state) == STATE_FILES
+    code, out = run(capsys, "access", "--state", str(state), "--session", out.split("session=")[1].split()[0],
+                    "--device", "thermostat", "--bluetooth", "--time", str(600 + 60 * 16))
+    assert (code, out) == (2, "")  # A's session was lost with its update
+    code, out = login(capsys, str(state), 600 + 60 * 17)
+    assert (code, "scheme=dors" in out) == (0, True), out
+    assert run(capsys, "verify", "--state", str(state), "--uid", "bob", "--decision", "activate")[0] == 0
 
 
 @pytest.fixture
@@ -725,7 +796,7 @@ def writes(monkeypatch):
     return written
 
 
-def test_only_a_provisioning_call_writes_a_forest(tmp_path, capsys, writes):
+def test_a_login_writes_only_state_json_and_other_calls_the_database_too(tmp_path, capsys, writes):
     state = str(tmp_path / "state")
     bootstrap_user(capsys, state, caps="dors")
     writes.clear()
@@ -744,12 +815,10 @@ def test_only_a_provisioning_call_writes_a_forest(tmp_path, capsys, writes):
     assert code == 0
     assert sorted(writes) == ["db.enc", "state.json"]
     writes.clear()
-    before = forest_files(state)
     code, _ = run(capsys, "verify", "--state", state, "--uid", "bob", "--decision", "activate")
     assert code == 0
-    (bob,) = set(forest_files(state)) - set(before)
-    assert sorted(writes) == ["db.enc", bob, "state.json"]
-    assert state_files(state) == ["db.enc", *forest_files(state), "gateway.key", "state.json"]
+    assert sorted(writes) == ["db.enc", "state.json"]  # provisioning bob's forest stores no tree
+    assert state_files(state) == STATE_FILES
 
 
 @pytest.mark.parametrize(

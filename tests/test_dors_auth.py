@@ -200,6 +200,22 @@ def test_tampered_reveal_rejected():
     assert not ok
 
 
+def test_a_signature_from_the_next_tree_is_rejected_though_the_chain_matches():
+    """An honest signer rotates exactly every r signatures, so signature c
+    uses tree c // r. A signer forced onto the next tree early signs a
+    subset the chain selects with secrets the forest publishes, and is still
+    rejected, leaving the chain where it was."""
+    params = DorsParams(t=16, k=4, f=3, r=2)
+    sk, pk, chain = dors_keygen(SEED, params)
+    verify_chain = ChainState(chain.value, 0)
+    sk.active_tree = 1
+    sig, _ = dors_sign(sk, chain, b"early")
+    assert sig.tree_index == 1
+    assert dors_verify(pk, verify_chain, b"early", sig) == (False, verify_chain)
+    honest, _ = dors_sign(dors_keygen(SEED, params)[0], chain, b"early")
+    assert dors_verify(pk, verify_chain, b"early", honest)[0]
+
+
 def test_chaining_order_enforced():
     params = DorsParams(t=16, k=4, f=2, r=2)
     sk, pk, chain = dors_keygen(SEED, params)

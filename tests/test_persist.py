@@ -1,5 +1,6 @@
 """State serialization round trips, and the ephemeral-exclusion rule."""
 
+import copy
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
-from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, SCHEME_MHT, ContextSnapshot
+from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, SCHEME_DORS, SCHEME_MHT, ContextSnapshot
 from sshaf.gateway import CAP_CARD, CAP_DORS, Gateway
 from sshaf.link import Loopback
 from sshaf.primitives import Key256, RandomSource, hash_bytes, random_key
@@ -421,23 +422,41 @@ def test_a_key_restore_no_longer_reads_is_ignored_whatever_it_holds(key, value):
     assert persist.dumps(persist.gateway_state_to_dict(gw2)) == clean
 
 
-def test_forest_bytes_restore_the_same_dors_gateway():
+def test_tree_less_dors_gateway_keeps_no_tree_and_ignores_older_keys():
     params = dors_auth.DorsParams(t=16, k=4, f=3, r=2)
     _, gateway = dors_auth.dors_provision("alice", MASTER, params)
+    gateway.next_forest.grow(dors_auth.dors_seed("alice#1", MASTER), 2)
     full = persist.dors_gateway_to_dict(gateway)
     bare = persist.dors_gateway_to_dict(gateway, with_forest=False)
-    assert bare == {key: value for key, value in full.items() if key != "leaf_digests"}
-    forest = b"".join(gateway.public_key.leaf_digests)
-    restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(bare)), forest)
-    assert persist.dors_gateway_to_dict(restored) == full
-    for spoilt in (forest[:-1], forest + b"\0", forest[: 3 * 32], b""):
-        with pytest.raises(ValueError):
-            persist.dors_gateway_from_dict(bare, spoilt)
+    assert bare == {key: full[key] for key in ("uid", "params", "chain", "link_key", "next_roots")}
+    restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(bare)))
+    assert (restored.public_key.leaf_digests, restored.public_key.roots) == ([b""] * params.f, [])
+    assert restored.next_forest.leaf_digests == [b""] * 2
+    assert restored.next_forest.roots == gateway.next_forest.roots
+    assert persist.dors_gateway_to_dict(restored, with_forest=False) == bare
+    # The roots and dropped count an older tree-less entry carries are not read.
+    for older in (dict(bare, roots=full["roots"], dropped=1), dict(bare, roots="zz", dropped=-1)):
+        assert persist.dors_gateway_to_dict(persist.dors_gateway_from_dict(older), with_forest=False) == bare
+
+
+@pytest.mark.parametrize(
+    "next_roots",
+    [
+        "00" * 32,  # one root as a string
+        ["00" * 32] * 4,  # more built ahead than f
+        ["00" * 15 + "  " + "00" * 16],  # 64 chars, but whitespace inside
+        ["zz" * 32],  # not hex
+    ],
+)
+def test_tree_less_dors_gateway_rejects_malformed_next_roots(next_roots):
+    params = dors_auth.DorsParams(t=16, k=4, f=3, r=2)
+    _, gateway = dors_auth.dors_provision("alice", MASTER, params)
+    data = dict(persist.dors_gateway_to_dict(gateway, with_forest=False), next_roots=next_roots)
     with pytest.raises(ValueError):
-        persist.dors_gateway_from_dict(dict(bare, roots=bare["roots"][:-1]), forest)
+        persist.dors_gateway_from_dict(data)
 
 
-def test_gateway_state_without_forests_restores_the_same_state():
+def test_a_gateway_restored_without_trees_builds_only_the_tree_a_login_needs():
     gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
     gw.register_user("alice", "Alice", 30, "resident", "pw", capabilities=(CAP_DORS,))
     gw.owner_verify("owner", "alice", "activate")
@@ -445,7 +464,11 @@ def test_gateway_state_without_forests_restores_the_same_state():
     bare = persist.gateway_state_to_dict(gw, with_forests=False)
     assert "leaf_digests" not in bare["dors_registry"]["alice"]
     assert dict(bare, dors_registry=None) == dict(full, dors_registry=None)
-    forests = {uid: b"".join(s.public_key.leaf_digests) for uid, s in gw.dors_registry.items()}
     gw2 = Gateway(RandomSource.seeded(b"\x08" * 32), Key256(b"\x77" * 32))
-    persist.restore_gateway_state(gw2, json.loads(persist.dumps(bare)), forests)
-    assert persist.dumps(persist.gateway_state_to_dict(gw2)) == persist.dumps(full)
+    persist.restore_gateway_state(gw2, json.loads(persist.dumps(bare)))
+    assert persist.dumps(persist.gateway_state_to_dict(gw2, with_forests=False)) == persist.dumps(bare)
+    gw2.db, gw2.src = gw.db, copy.deepcopy(gw.src)
+    keys = [g.run_scheme(SCHEME_DORS, "alice", "pw", Loopback()) for g in (gw, gw2)]
+    assert keys[0] == keys[1]
+    trees = gw.dors_registry["alice"].public_key.leaf_digests
+    assert gw2.dors_registry["alice"].public_key.leaf_digests == [trees[0]] + [b""] * (len(trees) - 1)
