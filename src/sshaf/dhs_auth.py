@@ -102,8 +102,8 @@ class Ipv6Packet:
         return cls(prefix, iid_bits, payload)
 
 
-def dhs_encapsulate(request: bytes, iid: InterfaceIdentifier, prefix: int = DEFAULT_PREFIX) -> Ipv6Packet:
-    return Ipv6Packet(prefix, iid.iid, request)
+def dhs_encapsulate(request: bytes, iid: InterfaceIdentifier) -> Ipv6Packet:
+    return Ipv6Packet(DEFAULT_PREFIX, iid.iid, request)
 
 
 def dhs_decapsulate(packet_bytes: bytes) -> tuple[InterfaceIdentifier, bytes]:
@@ -121,13 +121,15 @@ def dhs_generate_iid(uid: str, session_nonce: Nonce128, secret: Key256) -> Inter
 
 @dataclass
 class SmartCardState:
+    """Locked while ``failed_attempts`` is at least LOCKOUT_THRESHOLD: a
+    locked card checks no password, so its count never falls again."""
+
     uid: str
     pw_verifier: Digest256
     card_salt: Nonce128
     card_secret: Key256
     current_iid: InterfaceIdentifier
     failed_attempts: int = 0
-    locked: bool = False
     pending_n_u: Nonce128 | None = None
 
     def auth_base(self) -> Key256:
@@ -262,12 +264,11 @@ def _check_password(card: SmartCardState, password: str) -> bool:
 def dhs_login(card: SmartCardState, uid: str, password: str, src: RandomSource) -> Ipv6Packet:
     """Phase 4, card side: local password check first; only a successful
     check emits network traffic."""
-    if card.locked:
+    if card.failed_attempts >= LOCKOUT_THRESHOLD:
         raise CardLocked(card.uid)
     if uid != card.uid or not _check_password(card, password):
         card.failed_attempts += 1
         if card.failed_attempts >= LOCKOUT_THRESHOLD:
-            card.locked = True
             raise CardLocked(card.uid)
         raise LocalAuthFailed("password check failed")
     card.failed_attempts = 0

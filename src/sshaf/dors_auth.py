@@ -3,20 +3,22 @@
 Each message, together with an evolving chain value, selects a random
 subset of k one-time secrets to reveal; every verified signature is folded
 back into the chain, so consecutive signatures are ordered and a replayed
-signature can never match the advanced chain. Trees rotate automatically
-once their signature budget is spent.
+signature can never match the advanced chain. The chain also counts the
+signatures, and both parties sign and verify with the one tree it names,
+tree ``signature_count // r``: the signer rotates exactly every r
+signatures, and the secret key keeps no counter of its own.
 
 A forest's lifecycle at the gateway: ``dors_verify`` accepts a signature
-only from the one tree the chain names, tree ``signature_count // r``, as
-the signer rotates exactly every r signatures. So once a signature
-verifies with a tree, every tree below it is spent, and the gateway drops
-their leaf digests. While the last tree signs, the gateway builds the next
-epoch's forest with ``dors_tree``, ⌈f/r⌉ trees per verified signature, so
-the re-key at ``ForestExhausted`` hands ``dors_provision`` a forest already
+only from the one tree the chain names. So once a signature verifies with
+a tree, every tree below it is spent, and the gateway drops their leaf
+digests. While the last tree signs, the gateway builds the next epoch's
+forest with ``dors_tree``, ⌈f/r⌉ trees per verified signature, so the
+re-key at ``ForestExhausted`` hands ``dors_provision`` a forest already
 built, and only the genesis and link key remain to derive. The trees, the
 chain and every session key are the same as a forest expanded whole at the
-re-key. A gateway restored without its trees holds each as ``b""`` and
-builds the tree the chain names with ``dors_tree`` on first use.
+re-key. A gateway restored without some of its trees holds each as
+``b""``, and builds the tree the chain names with ``dors_tree`` on first
+use.
 
 The handshake wrapper mixes a provisioned link key into the session key
 and ratchets it per run: the chain value itself is recomputable from
@@ -112,12 +114,10 @@ class DorsSignature:
 @dataclass
 class DorsSecretKey:
     """Secrets are re-derived from the forest seed on demand, never stored
-    expanded."""
+    expanded. The tree a signature uses comes from the signer's chain."""
 
     params: DorsParams
     forest_seed: Key256
-    active_tree: int = 0
-    used_signatures: int = 0  # signatures spent in the active tree
 
 
 @dataclass
@@ -194,19 +194,15 @@ def dors_subset(message: bytes, chain: ChainState, params: DorsParams) -> list[i
 def dors_sign(
     sk: DorsSecretKey, chain: ChainState, message: bytes
 ) -> tuple[DorsSignature, ChainState]:
-    """Reveal the subset the message selects; advances the signer's budget
-    and returns the advanced chain. Rotates to the next tree when the
-    active one is spent."""
+    """Reveal the subset the message selects from the tree the chain names,
+    tree ``signature_count // r``, and return the advanced chain. Raises
+    ``ForestExhausted`` once all f trees are spent."""
     params = sk.params
-    if sk.used_signatures >= params.r:
-        if sk.active_tree + 1 >= params.f:
-            raise ForestExhausted("all trees spent; rekey required")
-        sk.active_tree += 1
-        sk.used_signatures = 0
-    tree = sk.active_tree
+    tree = chain.signature_count // params.r
+    if tree >= params.f:
+        raise ForestExhausted("all trees spent; rekey required")
     indices = dors_subset(message, chain, params)
     reveals = [Key256(secret) for secret in _leaf_secrets(sk.forest_seed, tree, indices)]
-    sk.used_signatures += 1
     sig = DorsSignature(tree, indices, reveals)
     return sig, chain.advanced(sig.encode())
 
@@ -247,9 +243,10 @@ class DorsUserSide:
 @dataclass
 class DorsGatewaySide:
     """``public_key.leaf_digests`` holds ``b""`` for each spent tree the
-    gateway has dropped, and for each tree a side restored without its
-    trees (and without roots) has not built yet; ``next_forest`` holds the
-    next epoch's first trees, built ahead while the last tree signs."""
+    gateway has dropped, and for each tree a restored side was not given
+    and has not built yet; a restored side holds no roots of its own
+    forest, which nothing reads after provisioning. ``next_forest`` holds
+    the next epoch's first trees, built ahead while the last tree signs."""
 
     uid: str
     public_key: DorsPublicKey
@@ -294,8 +291,8 @@ def _ratchet(link_key: Key256, chain: ChainState) -> Key256:
 
 
 def dors_respond(user: DorsUserSide, challenge: Nonce128) -> tuple[DorsSignature, Key256]:
-    """Sign the challenge; the user commits (chain, budget, link ratchet)
-    at signing time, so a rejected run leaves the sides desynchronized and
+    """Sign the challenge; the user commits (chain and link ratchet) at
+    signing time, so a rejected run leaves the sides desynchronized and
     needing re-provisioning."""
     message = challenge.bytes + user.uid.encode()
     sig, new_chain = dors_sign(user.secret_key, user.chain, message)

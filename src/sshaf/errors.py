@@ -157,4 +157,4 @@ class AuthenticatedDecryptionFailed(SshafError):
 
 class StateCorrupt(SshafError):
     """A file of a state directory is missing, unreadable, or does not
-    parse or restore: gateway.key, state.json, db.enc, or a DORS forest."""
+    parse or restore: gateway.key, state.json or db.enc."""

@@ -6,7 +6,9 @@ three protocol engines, and a simulated-minutes clock; it is also the DHS
 home server, whose master secret is its own. Issued user wallets (card,
 signature keys, history state), keyed by uid, model the credentials living
 on the user's own device. A ``GatewaySession`` is what a granted login
-opens: its id, owner, scheme, key and the minute it was granted.
+opens: its id, owner, scheme, key and the minute it was granted. A session
+restored from saved state holds only its id, owner and grant minute; its
+scheme and key are ``None``, as no state persists them.
 ``authorize_device_access`` keeps nothing per session: each request is
 judged on its own snapshot and leaves only its usage row. The home's
 configuration is fixed in code, not state: its devices with their access
@@ -74,6 +76,11 @@ CAP_CARD = "card"
 CAPABILITIES = (CAP_DORS, CAP_CARD)
 
 SESSION_TTL_MINUTES = 30
+
+# The account that exists from first boot, active, so that someone can
+# verify registrations.
+OWNER_UID = "owner"
+OWNER_PASSWORD = "owner-pass"
 
 DB_MAGIC = b"SSHAF2"
 USAGE_LOG_ROWS = 64  # recent rows kept for audit: nothing reads older ones; db.enc stays a few KB
@@ -145,8 +152,8 @@ class UserWallet:
 class GatewaySession:
     session_id: str
     uid: str
-    scheme: str
-    session_key: Key256
+    scheme: str | None
+    session_key: Key256 | None
     established_minutes: int
 
 
@@ -290,13 +297,7 @@ class Gateway:
     table holds only the sessions granted in the last TTL window. A step-up
     retry token lives as long, and every login drops the older ones."""
 
-    def __init__(
-        self,
-        src: RandomSource,
-        db_key: Key256,
-        owner_uid: str = "owner",
-        owner_password: str = "owner-pass",
-    ):
+    def __init__(self, src: RandomSource, db_key: Key256):
         self.src = src
         self.db_key = db_key
         self.master_secret = random_key(src)
@@ -314,11 +315,9 @@ class Gateway:
         self._step_up_tokens: dict[str, tuple[str, int]] = {}  # token -> (uid, minted minutes)
         self._pending_cards: dict[str, dhs_auth.SmartCardState] = {}
 
-        # First boot: the owner account exists and is active, otherwise no
-        # one could ever verify a registration.
-        self._create_profile(owner_uid, "Home Owner", 40, ROLE_OWNER, owner_password, [], ())
-        self.db.profiles[owner_uid].status = STATUS_ACTIVE
-        self._provision(owner_uid)
+        self._create_profile(OWNER_UID, "Home Owner", 40, ROLE_OWNER, OWNER_PASSWORD, [], ())
+        self.db.profiles[OWNER_UID].status = STATUS_ACTIVE
+        self._provision(OWNER_UID)
 
     # --- time ---------------------------------------------------------------
 

@@ -8,7 +8,8 @@ A state directory carries the gateway across invocations in three files:
 - ``state.json``: the gateway runtime state, rewritten by every call. It
   holds no DORS tree: each DORS user's entry keeps its params, chain, link
   key and the roots of the trees built ahead, and a login builds the tree
-  it needs from the gateway's master secret (see ``persist``).
+  it needs from the gateway's master secret (see ``persist``). It holds no
+  session key either: a session is its id, owner and grant minute.
 
 A missing, unreadable or damaged file fails the call with ``StateCorrupt``
 naming it. Benchmarks, attacks, and reports are stateless and fully
@@ -42,7 +43,7 @@ from ..context_engine import (
     load_calendar,
 )
 from ..errors import AuthenticatedDecryptionFailed, SshafError, StateCorrupt
-from ..gateway import CAPABILITIES, Gateway, atomic_write, load_db
+from ..gateway import CAPABILITIES, OWNER_UID, Gateway, atomic_write, load_db
 from ..primitives import Key256, RandomSource
 
 STATE_FILE = "state.json"
@@ -401,7 +402,7 @@ def _register_arguments(p) -> None:
 
 def _verify_arguments(p) -> None:
     _add_state(p)
-    p.add_argument("--owner", default="owner")
+    p.add_argument("--owner", default=OWNER_UID)
     p.add_argument("--uid", required=True)
     p.add_argument("--decision", choices=["activate", "reject"], required=True)
 

@@ -33,7 +33,7 @@ from ..context_engine import (
     evaluate_factor,
     score_confidence,
 )
-from ..gateway import CAP_CARD, CAP_DORS, LOGIN_POLICY, ROLE_RESIDENT, WEIGHTS, Gateway
+from ..gateway import CAP_CARD, CAP_DORS, LOGIN_POLICY, OWNER_UID, ROLE_RESIDENT, WEIGHTS, Gateway
 from ..link import GATEWAY, USER
 from ..primitives import METER, RandomSource, random_key
 from .simnet import (
@@ -69,7 +69,7 @@ def seeded_gateway(seed: bytes, label: str, scheme: str) -> Gateway:
     src = RandomSource.seeded(seed).fork(label)
     gw = Gateway(src, random_key(src))
     gw.register_user(UID, "Alice", 30, ROLE_RESIDENT, PASSWORD, capabilities=_CAPABILITIES[scheme])
-    gw.owner_verify("owner", UID, "activate")
+    gw.owner_verify(OWNER_UID, UID, "activate")
     return gw
 
 

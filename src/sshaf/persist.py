@@ -6,15 +6,19 @@ producing the exact persisted bytes the stolen-device adversary captures.
 The gateway's dict holds only what the gateway changes as it runs and
 reads back: the master secret, the simulated clock, the MHT and DORS
 registries and DORS epochs, the DHS edge table, the issued wallets by uid,
-open sessions (id, uid, scheme, key and the minute granted), step-up tokens
-and cards awaiting activation. The user database has its own encrypted
-file, and the home's configuration (devices, access policies, factor
-weights, internet allow-list) is code in ``gateway``.
+open sessions, step-up tokens and cards awaiting activation. A session
+entry holds its id, uid and the minute it was granted: no session key or
+scheme, which nothing reads after a restore. The user database has its own
+encrypted file, and the home's configuration (devices, access policies,
+factor weights, internet allow-list) is code in ``gateway``.
 ``restore_gateway_state`` reads only the keys it writes, so a key an older
 file carries is ignored and is gone after the next save: the configuration
 (``weights``, ``devices``, ``internet_allowlist``), ``home_registered``
 (always the edge table's uids), a wallet's ``uid``, a DORS signer's
-``revealed`` sets, and a session's ``origin`` and ``device_grants``.
+``revealed`` sets, ``active_tree`` and ``used_signatures`` (its chain's
+count names its tree), a DORS gateway side's ``roots``, ``dropped`` and
+``leaf_digests``, a card's ``locked`` (its ``failed_attempts`` say it), and
+a session's ``origin``, ``device_grants``, ``scheme`` and ``session_key``.
 Pending handshake material is ephemeral and excluded unless a capture
 explicitly asks for it (that inclusion is the documented attack window).
 
@@ -28,44 +32,35 @@ and one count. A user side written before the compact form carries
 ``leaves`` and still loads, rebuilt once from them; the next save writes
 ``range``. Either side's leaf count must be ``txn_counter`` + 1.
 
-The MHT ``txn_counter``, the DORS counters (``active_tree``,
-``used_signatures``, ``signature_count``, ``dors_epochs``), a DHS card's
-``failed_attempts``, the clock ``sim_minutes`` and the minutes a session or
-step-up token was made load only from non-negative JSON integers, and a
-card's ``locked`` only from a JSON bool. An older session's ``confidence``
-is ignored. DORS ``params`` load only from JSON integers, and only JSON
-null means a wallet part is absent. Across entries, restore checks that
-each entry keyed by a uid or a session id holds that id; that every wallet
-has its MHT part; that the wallets' parts, the registries, the DORS epochs
-and the edge table with its bindings name the same uids; and that each
-session and step-up token belongs to a uid with a wallet.
+The MHT ``txn_counter``, the DORS counters (``signature_count``,
+``dors_epochs``), a DHS card's ``failed_attempts``, the clock
+``sim_minutes`` and the minutes a session or step-up token was made load
+only from non-negative JSON integers. An older session's ``confidence`` is
+ignored. DORS ``params`` load only from JSON integers, and only JSON null
+means a wallet part is absent. Across entries, restore checks that each
+entry keyed by a uid or a session id holds that id; that every wallet has
+its MHT part; that the wallets' parts, the registries, the DORS epochs and
+the edge table with its bindings name the same uids; and that each session
+and step-up token belongs to a uid with a wallet.
 
 Fixed-width values are lowercase hex strings. A DHS interface identifier,
 ``current_iid`` on a card and in the edge table, is 16 hex digits, so its
 persisted size does not depend on its value; an integer, the form written
-before, still loads. A DORS public forest is written as one hex string per
-tree, its t leaf digests concatenated in leaf order, which is the packed
-form ``DorsPublicKey.leaf_digests`` holds in memory. Step-up tokens are
-written as ``token: [uid, minted_minutes]``.
+before, still loads. Step-up tokens are written as ``token: [uid,
+minted_minutes]``.
 
-The dict form with the forests writes a DORS gateway side's ``roots`` and
-only the trees it still holds: its forest's live trees, then the next
-epoch's trees built ahead during the last tree. ``dropped`` counts the
-spent trees left out at the front and ``next_roots`` lists the roots of the
-trees built ahead; each key is written only when it is not zero or empty,
-so a whole forest with nothing built ahead is written as it always was, and
-a file written before trees were dropped or built ahead still loads.
-
-The tree-less form, ``gateway_state_to_dict(gw, with_forests=False)``, is
-what the CLI's ``state.json`` holds. It writes each DORS gateway side as its
-uid, params, chain and link key, and ``next_roots`` when trees were built
-ahead: the gateway derives every tree from its own master secret. A side
-restored from it holds each tree as ``b""`` and no roots, and
+A DORS gateway side is written as its uid, params, chain and link key, and
+``next_roots``, the roots of the next epoch's trees built ahead during the
+last tree, when there are any. ``gateway_state_to_dict(gw)`` also writes its
+``trees``: one string per tree of its forest, then one per next root, each
+the tree's t leaf digests concatenated in leaf order in hex, the packed
+form ``DorsPublicKey.leaf_digests`` holds in memory, or ``""`` for a tree
+the side does not hold. The tree-less form, ``with_forests=False``, is what
+the CLI's ``state.json`` holds, since the gateway derives every tree from
+its own master secret. A side restored from either form holds each tree it
+was not given as ``b""`` and no roots of its own forest, and
 ``Gateway.run_scheme`` builds the tree a login needs just before the
-handshake; only the tree-less form describes such a side. An entry without
-``leaf_digests`` is read in this form, and the ``roots`` and ``dropped`` an
-older file carries are ignored. Every other entry is the same in either
-form.
+handshake. Every other entry is the same in either form.
 """
 
 from __future__ import annotations
@@ -86,9 +81,9 @@ def _digests_from_hex(items) -> list[Digest256]:
 
 def _array(items, kind: type) -> list:
     """A JSON array of ``kind`` values; anything else, such as a string
-    (whose items are its characters), raises ``TypeError``."""
+    (whose items are its characters), raises ``ValueError``."""
     if type(items) is not list or not set(map(type, items)) <= {kind}:
-        raise TypeError(f"expected an array of {kind.__name__}, got {items!r}")
+        raise ValueError(f"expected an array of {kind.__name__}, got {items!r}")
     return items
 
 
@@ -184,32 +179,26 @@ def dors_user_to_dict(side: dors_auth.DorsUserSide) -> dict:
         "uid": side.uid,
         "params": dors_params_to_dict(sk.params),
         "forest_seed": sk.forest_seed.hex(),
-        "active_tree": sk.active_tree,
-        "used_signatures": sk.used_signatures,
         "chain": chain_to_dict(side.chain),
         "link_key": side.link_key.hex(),
     }
 
 
 def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
-    sk = dors_auth.DorsSecretKey(
-        params=dors_params_from_dict(data["params"]),
-        forest_seed=Key256.from_hex(data["forest_seed"]),
-        active_tree=_count(data["active_tree"]),
-        used_signatures=_count(data["used_signatures"]),
-    )
     return dors_auth.DorsUserSide(
         uid=data["uid"],
-        secret_key=sk,
+        secret_key=dors_auth.DorsSecretKey(
+            params=dors_params_from_dict(data["params"]),
+            forest_seed=Key256.from_hex(data["forest_seed"]),
+        ),
         chain=chain_from_dict(data["chain"]),
         link_key=Key256.from_hex(data["link_key"]),
     )
 
 
 def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide, with_forest: bool = True) -> dict:
-    """``with_forest=False`` writes the tree-less form: no ``roots``,
-    ``dropped`` or ``leaf_digests``. ``dropped`` and ``next_roots`` are
-    written only when not zero or empty."""
+    """``next_roots`` is written only when trees were built ahead, and
+    ``trees`` only ``with_forest`` (see the module docstring)."""
     data = {
         "uid": side.uid,
         "params": dors_params_to_dict(side.public_key.params),
@@ -219,53 +208,36 @@ def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide, with_forest: bool = Tr
     if side.next_forest.roots:
         data["next_roots"] = _digests_to_hex(side.next_forest.roots)
     if with_forest:
-        trees = side.public_key.leaf_digests
-        data["roots"] = _digests_to_hex(side.public_key.roots)
-        if b"" in trees:
-            data["dropped"] = trees.count(b"")
-        data["leaf_digests"] = [tree.hex() for tree in trees + side.next_forest.leaf_digests if tree]
+        data["trees"] = [tree.hex() for tree in side.public_key.leaf_digests + side.next_forest.leaf_digests]
     return data
 
 
 def dors_gateway_from_dict(data: dict) -> dors_auth.DorsGatewaySide:
-    """An entry with ``leaf_digests`` holds there the forest's f -
-    ``dropped`` live trees, then the ``next_roots`` trees built ahead.
-    Raises ``ValueError`` unless it holds exactly that many trees of t leaf
-    digests, there are f roots and no unspent tree is dropped, so a damaged
-    file fails at load, not as a rejected login. An entry without
-    ``leaf_digests`` is the tree-less form: every tree restores as ``b""``."""
+    """Raises ``ValueError`` unless ``next_roots`` holds at most f roots and
+    ``trees``, when given, holds f + len(``next_roots``) strings, each empty
+    or t leaf digests in hex, so a damaged file fails at load, not as a
+    rejected login. A tree not given restores as ``b""``."""
     params = dors_params_from_dict(data["params"])
-    next_roots = data.get("next_roots", [])
-    if type(next_roots) is not list or len(next_roots) > params.f:
-        raise ValueError(f"next_roots must be an array of at most f={params.f} roots, got {next_roots!r}")
-    chain = chain_from_dict(data["chain"])
-    trees, roots = [b""] * (params.f + len(next_roots)), []
-    if "leaf_digests" in data:
-        dropped = data.get("dropped", 0)
-        if type(dropped) is not int or not 0 <= dropped <= min(params.f, chain.signature_count // params.r):
-            raise ValueError(f"{dropped!r} trees dropped, of f={params.f}, or more than the chain spent")
-        size = params.t * DIGEST_LEN
-        # bytes.fromhex skips whitespace, so the decoded length is checked too.
-        trees[dropped:] = [
-            bytes.fromhex(tree) if isinstance(tree, str) and len(tree) == 2 * size else b""
-            for tree in data["leaf_digests"]
-        ]
-        roots = _digests_from_hex(data["roots"])
-        if len(trees) != params.f + len(next_roots) or len(roots) != params.f or any(
-            len(tree) != size for tree in trees[dropped:]
-        ):
-            raise ValueError(
-                f"a DORS forest needs {params.f} roots and {params.f - dropped + len(next_roots)} trees of "
-                f"{params.t} leaf digests, each {2 * size} hex digits"
-            )
+    next_roots = _digests_from_hex(_array(data.get("next_roots", []), str))
+    count, size = params.f + len(next_roots), params.t * DIGEST_LEN
+    texts = _array(data.get("trees", [""] * count), str)
+    trees = [bytes.fromhex(text) for text in texts]
+    # bytes.fromhex skips whitespace, so the decoded length is checked too.
+    if len(next_roots) > params.f or len(trees) != count or any(
+        text and (len(text), len(tree)) != (2 * size, size) for text, tree in zip(texts, trees)
+    ):
+        raise ValueError(
+            f"a DORS entry needs at most f={params.f} next_roots and {count} trees, "
+            f"each empty or {2 * size} hex digits"
+        )
     side = dors_auth.DorsGatewaySide(
         uid=data["uid"],
-        public_key=dors_auth.DorsPublicKey(params, trees[: params.f], roots),
-        chain=chain,
+        public_key=dors_auth.DorsPublicKey(params, trees[: params.f], []),
+        chain=chain_from_dict(data["chain"]),
         link_key=Key256.from_hex(data["link_key"]),
     )
     side.next_forest.leaf_digests = trees[params.f :]
-    side.next_forest.roots = _digests_from_hex(next_roots)
+    side.next_forest.roots = next_roots
     return side
 
 
@@ -291,14 +263,10 @@ def card_to_dict(card: dhs_auth.SmartCardState) -> dict:
         "card_secret": card.card_secret.hex(),
         "current_iid": f"{card.current_iid.iid:016x}",
         "failed_attempts": card.failed_attempts,
-        "locked": card.locked,
     }
 
 
 def card_from_dict(data: dict) -> dhs_auth.SmartCardState:
-    locked = data["locked"]
-    if type(locked) is not bool:
-        raise ValueError(f"locked must be true or false, got {locked!r}")
     return dhs_auth.SmartCardState(
         uid=data["uid"],
         pw_verifier=Digest256.from_hex(data["pw_verifier"]),
@@ -306,7 +274,6 @@ def card_from_dict(data: dict) -> dhs_auth.SmartCardState:
         card_secret=Key256.from_hex(data["card_secret"]),
         current_iid=_iid_from_json(data["current_iid"]),
         failed_attempts=_count(data["failed_attempts"]),
-        locked=locked,
     )
 
 
@@ -364,8 +331,6 @@ def session_to_dict(session: gw_mod.GatewaySession) -> dict:
     return {
         "session_id": session.session_id,
         "uid": session.uid,
-        "scheme": session.scheme,
-        "session_key": session.session_key.hex(),
         "established_minutes": session.established_minutes,
     }
 
@@ -374,8 +339,8 @@ def session_from_dict(data: dict) -> gw_mod.GatewaySession:
     return gw_mod.GatewaySession(
         session_id=data["session_id"],
         uid=data["uid"],
-        scheme=data["scheme"],
-        session_key=Key256.from_hex(data["session_key"]),
+        scheme=None,
+        session_key=None,
         established_minutes=_count(data["established_minutes"]),
     )
 

@@ -239,14 +239,12 @@ def _gateway_field(name: str, section: str, **fields):
 
 
 def _dors_counter(field: str, value):
-    """Damage: set the DORS counter ``field`` to ``value``. ``active_tree``
-    and ``used_signatures`` sit in alice's wallet, ``signature_count`` in
-    her gateway entry's chain, and ``dors_epochs`` is her epoch count."""
+    """Damage: set the DORS counter ``field`` to ``value``.
+    ``signature_count`` sits in alice's gateway entry's chain, and
+    ``dors_epochs`` is her epoch count."""
     def damage(state: dict, text: str) -> str:
         gateway = state["gateway"]
         entry = {
-            "active_tree": gateway["wallets"]["alice"]["dors"],
-            "used_signatures": gateway["wallets"]["alice"]["dors"],
             "signature_count": gateway["dors_registry"]["alice"]["chain"],
             "dors_epochs": gateway["dors_epochs"],
         }[field]
@@ -285,8 +283,7 @@ def _set(name: str, path: tuple, value):
 
 def _session(session_id: str, uid) -> dict:
     """A persisted session of ``uid`` under ``session_id``."""
-    return {"session_id": session_id, "uid": uid, "scheme": "dors",
-            "session_key": "00" * 32, "established_minutes": 0}
+    return {"session_id": session_id, "uid": uid, "established_minutes": 0}
 
 
 @pytest.mark.parametrize(
@@ -314,15 +311,13 @@ def _session(session_id: str, uid) -> dict:
         _gateway_field("_sim_minutes_negative", "gateway", sim_minutes=-1),
         _gateway_field("_card_failed_attempts_as_string", "wallets.card", failed_attempts="0"),
         _gateway_field("_card_failed_attempts_negative", "wallets.card", failed_attempts=-1),
-        _gateway_field("_card_locked_as_string", "wallets.card", locked="false"),
-        _gateway_field("_card_locked_as_integer", "wallets.card", locked=0),
         _gateway_field("_card_iid_as_bool", "wallets.card", current_iid=True),
         _gateway_field("_card_iid_with_whitespace", "wallets.card", current_iid="0011223344 5566 "),
         _gateway_field("_edge_iid_as_bool", "edge.db", current_iid=True),
         _gateway_field("_edge_iid_too_short", "edge.db", current_iid="00" * 7),
         *(
             _dors_counter(field, value)
-            for field in ("active_tree", "used_signatures", "signature_count", "dors_epochs")
+            for field in ("signature_count", "dors_epochs")
             for value in ("0", -1, True)
         ),
         *(
@@ -689,8 +684,9 @@ FOREST_FILE_LOGINS = [
 ]
 
 # SHA-256 of the state.json that CLI wrote after them, less each DORS
-# gateway entry's roots: the chains, link keys and wallets must agree.
-FOREST_FILE_STATE_JSON_SHA256 = "49559b05b50fb4ea5a4fbfcd98cd903d3c1efd911d8bdef430f69b059e696c1d"
+# gateway entry's roots, each session's scheme and key, and the DORS
+# signer's tree counters: the chains, link keys and wallets must agree.
+FOREST_FILE_STATE_JSON_SHA256 = "af95cb7d2496b1342f685fae9a2da7ade4512e07f6dfd0cb4e59a5ecda80c330"
 
 
 def test_directory_with_a_forest_file_loads_and_logs_in_as_before(tmp_path, capsys):
@@ -730,6 +726,29 @@ def test_state_directory_without_trees_built_ahead_loads_and_rekeys(tmp_path, ca
         assert state_files(state) == STATE_FILES
     entry = json.loads((state / "state.json").read_text())["gateway"]["dors_registry"]["alice"]
     assert (entry["chain"]["signature_count"], "next_roots" in entry) == (2, False)
+
+
+def test_state_json_holds_no_session_key_or_scheme(tmp_path, capsys, monkeypatch):
+    """After a DORS and a DHS grant, state.json names both sessions but holds
+    neither key nor any scheme."""
+    granted, open_session = [], gw_mod.Gateway._open_session
+
+    def recording(self, *args):
+        granted.append(open_session(self, *args))
+        return granted[-1]
+
+    monkeypatch.setattr(gw_mod.Gateway, "_open_session", recording)
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state))
+    assert login(capsys, str(state), 600)[0] == 0
+    code, _ = run(capsys, "login", "--state", str(state), "--uid", "alice", "--password", "pw-alice",
+                  "--origin", "internet", "--ip-class", "known-external", "--time", "601")
+    assert code == 0
+    assert [session.scheme for session in granted] == ["dors", "dhs"]
+    text = (state / "state.json").read_text()
+    for session in granted:
+        assert session.session_id in text and session.session_key.hex() not in text
+    assert '"scheme"' not in text and '"session_key"' not in text
 
 
 def test_save_then_load_restores_the_same_gateway_state(tmp_path, capsys):

@@ -14,7 +14,9 @@ from sshaf.errors import (
     MalformedPacket,
     TagInvalid,
 )
+from sshaf import persist
 from sshaf.dhs_auth import (
+    LOCKOUT_THRESHOLD,
     AckMessage,
     Challenge,
     ConfirmMessage,
@@ -109,7 +111,7 @@ def test_encapsulate_decapsulate_inverse():
     for _ in range(20):
         iid = InterfaceIdentifier(int.from_bytes(rng.read(8), "big"))
         payload = rng.read(int.from_bytes(rng.read(2), "big") % 4096)
-        packet = dhs_encapsulate(payload, iid, prefix=0x20010DB8_0000_0042)
+        packet = Ipv6Packet(0x20010DB8_0000_0042, iid.iid, payload)
         out_iid, out_payload = dhs_decapsulate(packet.encode())
         assert out_iid == iid
         assert out_payload == payload
@@ -117,8 +119,8 @@ def test_encapsulate_decapsulate_inverse():
 
 def test_prefix_does_not_affect_extracted_iid():
     iid = InterfaceIdentifier(0xDEADBEEF)
-    a = dhs_encapsulate(b"x", iid, prefix=0).encode()
-    b = dhs_encapsulate(b"x", iid, prefix=(1 << 64) - 1).encode()
+    a = Ipv6Packet(0, iid.iid, b"x").encode()
+    b = Ipv6Packet((1 << 64) - 1, iid.iid, b"x").encode()
     assert dhs_decapsulate(a)[0] == dhs_decapsulate(b)[0] == iid
 
 
@@ -154,9 +156,25 @@ def test_three_strikes_locks_card():
             dhs_login(card, "bob", "wrong", src)
     with pytest.raises(CardLocked):
         dhs_login(card, "bob", "wrong", src)
-    # Locked even with the right password now.
-    with pytest.raises(CardLocked):
-        dhs_login(card, "bob", "hunter2", src)
+    # Locked even with the right password now, which resets nothing.
+    for _ in range(2):
+        with pytest.raises(CardLocked):
+            dhs_login(card, "bob", "hunter2", src)
+    assert (card.failed_attempts, card.pending_n_u) == (LOCKOUT_THRESHOLD, None)
+
+
+@pytest.mark.parametrize("failures", [LOCKOUT_THRESHOLD, LOCKOUT_THRESHOLD + 4])
+def test_a_restored_card_past_the_threshold_is_locked(failures):
+    """The lock is the failure count: a persisted card holds no separate
+    flag, and one restored at or past the threshold is locked."""
+    src, _, _, card = make_world()
+    data = dict(persist.card_to_dict(card), failed_attempts=failures)
+    assert "locked" not in data
+    restored = persist.card_from_dict(data)
+    for password in ("hunter2", "wrong"):
+        with pytest.raises(CardLocked):
+            dhs_login(restored, "bob", password, src)
+    assert restored.failed_attempts == failures
 
 
 def test_successful_login_resets_strike_counter():

@@ -14,6 +14,7 @@ from sshaf.dors_auth import (
     ChainState,
     DorsParams,
     DorsPublicKey,
+    DorsSecretKey,
     DorsSignature,
     dors_challenge,
     dors_gateway_verify,
@@ -208,12 +209,62 @@ def test_a_signature_from_the_next_tree_is_rejected_though_the_chain_matches():
     params = DorsParams(t=16, k=4, f=3, r=2)
     sk, pk, chain = dors_keygen(SEED, params)
     verify_chain = ChainState(chain.value, 0)
-    sk.active_tree = 1
-    sig, _ = dors_sign(sk, chain, b"early")
+    indices = dors_subset(b"early", chain, params)
+    reveals = [kdf(SEED, "leaf", (1).to_bytes(2, "big") + idx.to_bytes(2, "big")) for idx in indices]
+    sig = DorsSignature(1, indices, reveals)
+    for idx, reveal in zip(indices, reveals):
+        assert hash_bytes(reveal.bytes).bytes == pk.leaf_digests[1][32 * idx : 32 * idx + 32]
     assert sig.tree_index == 1
     assert dors_verify(pk, verify_chain, b"early", sig) == (False, verify_chain)
-    honest, _ = dors_sign(dors_keygen(SEED, params)[0], chain, b"early")
+    honest, _ = dors_sign(sk, chain, b"early")
     assert dors_verify(pk, verify_chain, b"early", honest)[0]
+
+
+def counter_trees(params: DorsParams, signatures: int) -> list[int | None]:
+    """The tree each of ``signatures`` signatures from a fresh key used when
+    the secret key kept its own counters, the active tree and the signatures
+    spent in it; ``None`` where signing raised ``ForestExhausted``, which
+    left both counters as they were."""
+    active_tree, used_signatures, trees = 0, 0, []
+    for _ in range(signatures):
+        if used_signatures >= params.r:
+            if active_tree + 1 >= params.f:
+                trees.append(None)
+                continue
+            active_tree += 1
+            used_signatures = 0
+        trees.append(active_tree)
+        used_signatures += 1
+    return trees
+
+
+@st.composite
+def small_params(draw) -> DorsParams:
+    t = 1 << draw(st.integers(1, 6))
+    k = draw(st.integers(1, t // 2))
+    r = draw(st.integers(1, t // 2 // k))
+    return DorsParams(t=t, k=k, f=draw(st.integers(1, 4)), r=r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=small_params())
+def test_the_chain_names_the_tree_the_key_counters_did(params):
+    """After s signatures, for every s up to f*r, the signer uses tree
+    s // r, the tree its own counters once chose, and it raises
+    ``ForestExhausted`` exactly at s = f*r. The key itself never changes."""
+    sk = DorsSecretKey(params, SEED)
+    chain = ChainState(hash_bytes(b"genesis"))
+    expected = counter_trees(params, params.f * params.r + 1)
+    assert expected.index(None) == params.f * params.r
+    for count, tree in enumerate(expected):
+        assert chain.signature_count == count
+        if tree is None:
+            with pytest.raises(ForestExhausted):
+                dors_sign(sk, chain, b"m%d" % count)
+            break
+        sig, chain = dors_sign(sk, chain, b"m%d" % count)
+        assert sig.tree_index == tree == count // params.r
+    assert sk == DorsSecretKey(params, SEED)
 
 
 def test_chaining_order_enforced():

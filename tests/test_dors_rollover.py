@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sshaf import dors_auth, persist
@@ -141,7 +141,7 @@ def assert_same_protocol(records, expected) -> None:
 def held_trees(gw: Gateway) -> int:
     """Trees of leaf digests UID's persisted DORS entry holds."""
     entry = persist.gateway_state_to_dict(gw)["dors_registry"][UID]
-    return len(entry["leaf_digests"])
+    return sum(map(bool, entry["trees"]))
 
 
 def test_reference_transcript_is_pinned():
@@ -189,20 +189,34 @@ def test_meter_totals_agree_at_each_epoch_boundary():
         assert total[1] == ref_total[1] + epochs * PARAMS.f
 
 
+def needed_tree(entry: dict) -> int:
+    """The position in ``entry["trees"]`` of the tree the next login signs
+    with: the one its chain names, or at a re-key the next forest's first."""
+    return min(entry["chain"]["signature_count"] // PARAMS.r, PARAMS.f)
+
+
 @settings(max_examples=20, deadline=None)
-@given(logins=st.integers(0, 3 * EPOCH))
-def test_any_login_count_persists_and_continues_as_the_full_rekey(logins):
+@given(logins=st.integers(0, 3 * EPOCH), mask=st.integers(0, (1 << 2 * PARAMS.f) - 1))
+@example(logins=EPOCH, mask=1 << PARAMS.f)  # the re-key, the next forest's first tree blanked
+@example(logins=EPOCH - 1, mask=(1 << 2 * PARAMS.f) - 1)  # the last tree's last login, all blanked
+def test_any_login_count_persists_and_continues_as_the_full_rekey(logins, mask):
     """After any number of logins in up to three epochs, the gateway state
     survives a save and load in either form. With every tree in the dict,
     the next login matches the reference at the cost it has in process. In
     the tree-less form the CLI stores, the next min(EPOCH + 1, 200 - n)
     logins, across a re-key, still match the reference; the first builds
     the tree it signs with, one tree and one ``dors_seed`` kdf more than in
-    process, so two trees when it signs with the last tree."""
+    process, so two trees when it signs with the last tree. With any subset
+    of the trees blanked (bit i of ``mask`` blanks ``trees[i]``), the same
+    logins match too, and the first costs one tree more than in process if
+    the tree it signs with was blanked, and nothing more otherwise."""
     gw = boot()
     records = drive(gw, logins)
     full = json.loads(persist.dumps(persist.gateway_state_to_dict(gw)))
     bare = json.loads(persist.dumps(persist.gateway_state_to_dict(gw, with_forests=False)))
+    masked = copy.deepcopy(full)
+    entry = masked["dors_registry"][UID]
+    entry["trees"] = ["" if mask >> i & 1 else tree for i, tree in enumerate(entry["trees"])]
     assert held_trees(gw) <= PARAMS.f + 1
 
     def restore(data) -> Gateway:
@@ -211,9 +225,10 @@ def test_any_login_count_persists_and_continues_as_the_full_rekey(logins):
         restored.db, restored.src = gw.db, copy.deepcopy(gw.src)
         return restored
 
-    whole, treeless = restore(full), restore(bare)
+    whole, treeless, partial = restore(full), restore(bare), restore(masked)
     assert persist.gateway_state_to_dict(whole) == full
     assert persist.gateway_state_to_dict(treeless, with_forests=False) == bare
+    assert persist.gateway_state_to_dict(partial) == masked
     in_process = drive(whole, 1)
     assert_same_protocol(records + in_process, reference()[: logins + 1])
     after = drive(treeless, min(EPOCH + 1, 200 - logins))
@@ -221,6 +236,10 @@ def test_any_login_count_persists_and_continues_as_the_full_rekey(logins):
     assert after[0].meter == tuple(m + c for m, c in zip(in_process[0].meter, TREE_COST))
     if logins % EPOCH + 1 in LAST_TREE:
         assert after[0].meter == tuple(m + 2 * c for m, c in zip(reference()[logins].meter, TREE_COST))
+    after = drive(partial, min(EPOCH + 1, 200 - logins))
+    assert_same_protocol(records + after, reference()[: logins + len(after)])
+    blanked = mask >> needed_tree(entry) & 1
+    assert after[0].meter == tuple(m + blanked * c for m, c in zip(in_process[0].meter, TREE_COST))
 
 
 def test_state_without_trees_built_ahead_rekeys_in_full():
@@ -232,8 +251,8 @@ def test_state_without_trees_built_ahead_rekeys_in_full():
     data = persist.gateway_state_to_dict(gw)
     entry = data["dors_registry"][UID]
     _, whole = dors_auth.dors_provision(f"{UID}#0", gw.master_secret)
-    entry["leaf_digests"] = [tree.hex() for tree in whole.public_key.leaf_digests]
-    del entry["dropped"], entry["next_roots"]
+    entry["trees"] = [tree.hex() for tree in whole.public_key.leaf_digests]
+    del entry["next_roots"]
     restored = Gateway(RandomSource.seeded(b"\x08" * 32), gw.db_key)
     persist.restore_gateway_state(restored, data)
     restored.db = gw.db

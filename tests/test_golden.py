@@ -161,13 +161,15 @@ def gateway_visits(model) -> str:
 # confidence, again when DHS identifiers began to persist as 16 hex
 # digits, and again when the state stopped persisting the home server's
 # registrations, wallet uids, DORS revealed sets and session origins and
-# grants; each time the decisions and every other persisted field hash as
-# before.
+# grants, and again when it stopped persisting session keys and schemes,
+# the DORS signer's tree counters, the card's lock flag and the DORS
+# gateway side's roots, and began to write that side's trees by position;
+# each time the decisions and every other persisted field hash as before.
 GATEWAY_SHA256 = {
-    "no-model": (None, "1e2dfa7f15ba19b548dc9e40054b0c6b7ac42ec6bdcf936a854551c0444330aa"),
+    "no-model": (None, "a34405c50a9f566dda5351c4e6a069f8c4fa9432106e420f543804211a710579"),
     "synthetic-model": (
         make_synthetic_dataset,
-        "ee9de4810e214ba108b5c3233aedaaa73ee39ad654ec898b992b5aabdc6c7a21",
+        "bef1032147512eabaa7e98ab0d7027276b092d76a390b0d9b3c446463710d8dc",
     ),
 }
 

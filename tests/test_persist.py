@@ -10,8 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
-from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, SCHEME_DORS, SCHEME_MHT, ContextSnapshot
-from sshaf.gateway import CAP_CARD, CAP_DORS, Gateway
+from sshaf.context_engine import (
+    IP_HOME,
+    IP_KNOWN,
+    ORIGIN_INTERNET,
+    ORIGIN_LOCAL,
+    SCHEME_DHS,
+    SCHEME_DORS,
+    SCHEME_MHT,
+    ContextSnapshot,
+)
+from sshaf.gateway import CAP_CARD, CAP_DORS, Gateway, GatewaySession
 from sshaf.link import Loopback
 from sshaf.primitives import Key256, RandomSource, hash_bytes, random_key
 
@@ -213,8 +222,11 @@ def test_dors_sides_round_trip():
 # SHA-256 of the persisted gateway side for the production parameters.
 # The earlier layout, one hex string per leaf, pinned to the second value;
 # the test rebuilds it from the current one, so both carry the same leaves.
-DORS_GATEWAY_JSON_SHA256 = "835a831116980a3dccef001e2a6fe2386ac4d4e947241ab5875adb38c13ed0ab"
-PER_LEAF_JSON_SHA256 = "c689386cf66f076141b797c2f7faefe510da900564bd31c4db97bd00b34a11f0"
+# Re-pinned when the entry stopped writing the forest's roots and began to
+# write every tree by position as ``trees``: the same trees, chain and link
+# key as before.
+DORS_GATEWAY_JSON_SHA256 = "54de44c76ead0e8f2d205b9eb5a2d161663be1b90d50f261df3060dc1ccc1a36"
+PER_LEAF_JSON_SHA256 = "c682f007e137de1e5ebb4412f60165dd10d77bbd00b411363f30c4cc621a43a7"
 
 
 def production_dors_gateway():
@@ -231,11 +243,11 @@ def test_dors_gateway_json_bytes_are_pinned():
     gateway = production_dors_gateway()
     data = persist.dors_gateway_to_dict(gateway)
     t = gateway.public_key.params.t
-    assert all(isinstance(tree, str) and len(tree) == 64 * t for tree in data["leaf_digests"])
+    assert all(isinstance(tree, str) and len(tree) == 64 * t for tree in data["trees"])
     assert hashlib.sha256(persist.dumps(data)).hexdigest() == DORS_GATEWAY_JSON_SHA256
-    per_leaf = dict(data, leaf_digests=[_per_leaf(tree) for tree in data["leaf_digests"]])
+    per_leaf = dict(data, trees=[_per_leaf(tree) for tree in data["trees"]])
     assert hashlib.sha256(persist.dumps(per_leaf)).hexdigest() == PER_LEAF_JSON_SHA256
-    assert ["".join(leaves) for leaves in per_leaf["leaf_digests"]] == data["leaf_digests"]
+    assert ["".join(leaves) for leaves in per_leaf["trees"]] == data["trees"]
     restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(data)))
     assert persist.dors_gateway_to_dict(restored) == data
 
@@ -258,37 +270,33 @@ def test_dors_gateway_from_dict_rejects_malformed_leaf_digest(spoil):
     params = dors_auth.DorsParams(t=16, k=4, f=2, r=2)
     _, gateway = dors_auth.dors_provision("alice", MASTER, params)
     data = persist.dors_gateway_to_dict(gateway)
-    data["leaf_digests"][1] = _spoil_leaf(data["leaf_digests"][1], 5, spoil)
+    data["trees"][1] = _spoil_leaf(data["trees"][1], 5, spoil)
     with pytest.raises(ValueError):
         persist.dors_gateway_from_dict(data)
+
+
+ROOT_HEX = "00" * 32  # a well-formed root
 
 
 @pytest.mark.parametrize(
     "spoil",
     [
-        lambda data: data["leaf_digests"].__setitem__(0, data["leaf_digests"][0][: 3 * 64]),  # a 3-leaf tree
-        lambda data: data["leaf_digests"].__setitem__(
-            1, data["leaf_digests"][1] + data["leaf_digests"][1][:64]
-        ),  # t+1 leaves
-        lambda data: data["leaf_digests"].pop(),  # a tree missing
-        lambda data: data["leaf_digests"].append(data["leaf_digests"][0]),  # a tree extra
-        lambda data: data["roots"].append(data["roots"][0]),  # a root extra
-        lambda data: data["roots"].pop(),  # a root missing
-        lambda data: data["leaf_digests"].__setitem__(
-            0, _per_leaf(data["leaf_digests"][0])
-        ),  # a tree in the per-leaf layout
-        lambda data: data.update(dropped="1"),  # a count as a string
-        lambda data: data.update(dropped=True),  # a count as a boolean
-        lambda data: data.update(dropped=-1),
-        lambda data: data.update(dropped=3),  # more trees dropped than f
-        lambda data: (data.update(dropped=1), data["leaf_digests"].pop()),  # dropped before spent
-        lambda data: data.update(next_roots=data["roots"][0]),  # roots as a string
-        lambda data: data.update(next_roots=data["roots"] * 2),  # more built ahead than f
-        lambda data: data.update(next_roots=data["roots"][:1]),  # a tree built ahead missing
-        lambda data: (
-            data.update(next_roots=data["roots"][:1]),
-            data["leaf_digests"].append(data["leaf_digests"][0][: 3 * 64]),
-        ),  # a 3-leaf tree built ahead
+        lambda data: data["trees"].__setitem__(0, data["trees"][0][: 3 * 64]),  # a 3-leaf tree
+        lambda data: data["trees"].__setitem__(1, data["trees"][1] + data["trees"][1][:64]),  # t+1 leaves
+        lambda data: data["trees"].__setitem__(1, " " * len(data["trees"][1])),  # all whitespace
+        lambda data: data["trees"].__setitem__(1, " "),  # one space, not an empty string
+        lambda data: data["trees"].pop(),  # too few entries
+        lambda data: data["trees"].append(data["trees"][0]),  # too many entries
+        lambda data: data["trees"].append(""),  # too many, though the extra one is empty
+        lambda data: data["trees"].__setitem__(0, _per_leaf(data["trees"][0])),  # a tree in the per-leaf layout
+        lambda data: data["trees"].__setitem__(0, None),  # a tree as null
+        lambda data: data.update(trees="".join(data["trees"])),  # the trees as one string
+        lambda data: data.update(next_roots=ROOT_HEX),  # next_roots as a string
+        lambda data: data.update(next_roots=[0]),  # a root as a number
+        lambda data: data.update(next_roots=[ROOT_HEX] * 3, trees=data["trees"] + [""] * 3),  # more than f
+        lambda data: data.update(next_roots=[ROOT_HEX]),  # a tree built ahead missing
+        lambda data: data.update(next_roots=[ROOT_HEX], trees=data["trees"] + [data["trees"][0][: 3 * 64]]),
+        # ^ a 3-leaf tree built ahead
     ],
 )
 def test_dors_gateway_from_dict_rejects_malformed_forest(spoil):
@@ -309,15 +317,21 @@ def dors_params(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(params=dors_params(), uid=st.text(min_size=1, max_size=8))
-def test_dors_forest_round_trips_for_any_params(params, uid):
+@given(params=dors_params(), uid=st.text(min_size=1, max_size=8), mask=st.integers(0, 63))
+def test_dors_forest_round_trips_for_any_params(params, uid, mask):
+    """Any subset of the trees, those not held written as "", round-trips.
+    The forest's own roots are not written, and a restored side holds none."""
     _, gateway = dors_auth.dors_provision(uid, MASTER, params)
     data = json.loads(persist.dumps(persist.dors_gateway_to_dict(gateway)))
-    assert [len(tree) for tree in data["leaf_digests"]] == [64 * params.t] * params.f
+    assert [len(tree) for tree in data["trees"]] == [64 * params.t] * params.f
     restored = persist.dors_gateway_from_dict(data)
     assert restored.public_key.params == params
     assert restored.public_key.leaf_digests == gateway.public_key.leaf_digests
-    assert restored.public_key.roots == gateway.public_key.roots
+    assert restored.public_key.roots == []
+    assert persist.dors_gateway_to_dict(restored) == data
+    data["trees"] = ["" if mask >> i & 1 else tree for i, tree in enumerate(data["trees"])]
+    restored = persist.dors_gateway_from_dict(data)
+    assert restored.public_key.leaf_digests == [bytes.fromhex(tree) for tree in data["trees"]]
     assert persist.dors_gateway_to_dict(restored) == data
 
 
@@ -379,14 +393,47 @@ def test_full_gateway_state_round_trip():
     assert second.status == "grant"
 
 
+def test_no_granted_session_key_or_scheme_is_persisted():
+    """The granted login's session carries its key and scheme, but the
+    state holds neither; a restored session is its id, owner and minute."""
+    gw = Gateway(RandomSource.seeded(b"\x06" * 32), Key256(b"\x77" * 32))
+    gw.register_user("alice", "Alice", 30, "resident", "pw", capabilities=(CAP_DORS, CAP_CARD))
+    gw.register_user("mo", "Mo", 30, "resident", "pw")
+    for uid in ("alice", "mo"):
+        gw.owner_verify("owner", uid, "activate")
+    granted = []
+    for uid, origin, ip_class in (
+        ("alice", ORIGIN_LOCAL, IP_HOME), ("alice", ORIGIN_INTERNET, IP_KNOWN), ("mo", ORIGIN_LOCAL, IP_HOME)
+    ):
+        snapshot = ContextSnapshot(uid, origin, ip_class, origin == ORIGIN_LOCAL, 600)
+        result = gw.login(uid, "pw", snapshot)
+        assert result.status == "grant"
+        granted.append(result.session)
+    assert [session.scheme for session in granted] == [SCHEME_DORS, SCHEME_DHS, SCHEME_MHT]
+    text = persist.dumps(persist.gateway_state_to_dict(gw)).decode()
+    for session in granted:
+        assert session.session_key.hex() not in text
+    assert '"scheme"' not in text and '"session_key"' not in text
+    restored = Gateway(RandomSource.seeded(b"\x08" * 32), Key256(b"\x77" * 32))
+    persist.restore_gateway_state(restored, json.loads(text))
+    assert [restored.sessions[session.session_id] for session in granted] == [
+        GatewaySession(session.session_id, session.uid, None, None, session.established_minutes)
+        for session in granted
+    ]
+
+
 def _unread_key_holder(state: dict, key: str) -> dict:
     """The dict of a gateway state dict that once held ``key``."""
     if key == "home_registered":
         return state
     if key == "uid":
         return state["wallets"]["alice"]
-    if key == "revealed":
+    if key in ("revealed", "active_tree", "used_signatures"):
         return state["wallets"]["alice"]["dors"]
+    if key == "locked":
+        return state["wallets"]["alice"]["card"]
+    if key in ("roots", "dropped", "leaf_digests"):
+        return state["dors_registry"]["alice"]
     (session,) = state["sessions"].values()
     return session
 
@@ -404,6 +451,22 @@ def _unread_key_holder(state: dict, key: str) -> dict:
         ("origin", None),
         ("device_grants", ["thermostat"]),
         ("device_grants", "thermostat"),
+        ("active_tree", 0),
+        ("active_tree", -1),
+        ("used_signatures", 1),
+        ("used_signatures", None),
+        ("locked", True),
+        ("locked", 0),
+        ("roots", ["00" * 32] * 8),
+        ("roots", "zz"),
+        ("dropped", 1),
+        ("dropped", -1),
+        ("leaf_digests", ["00" * 32 * 256]),
+        ("leaf_digests", "zz"),
+        ("scheme", "dors"),
+        ("scheme", 7),
+        ("session_key", "00" * 32),
+        ("session_key", "zz"),
     ],
 )
 def test_a_key_restore_no_longer_reads_is_ignored_whatever_it_holds(key, value):
@@ -429,13 +492,19 @@ def test_tree_less_dors_gateway_keeps_no_tree_and_ignores_older_keys():
     full = persist.dors_gateway_to_dict(gateway)
     bare = persist.dors_gateway_to_dict(gateway, with_forest=False)
     assert bare == {key: full[key] for key in ("uid", "params", "chain", "link_key", "next_roots")}
+    assert len(full["trees"]) == params.f + 2
     restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(bare)))
     assert (restored.public_key.leaf_digests, restored.public_key.roots) == ([b""] * params.f, [])
     assert restored.next_forest.leaf_digests == [b""] * 2
     assert restored.next_forest.roots == gateway.next_forest.roots
     assert persist.dors_gateway_to_dict(restored, with_forest=False) == bare
-    # The roots and dropped count an older tree-less entry carries are not read.
-    for older in (dict(bare, roots=full["roots"], dropped=1), dict(bare, roots="zz", dropped=-1)):
+    # The roots, dropped count and leaf digests an older entry carries, in
+    # the form they were written in or damaged, are not read.
+    roots = [root.hex() for root in gateway.public_key.roots]
+    for older in (
+        dict(bare, roots=roots, dropped=1, leaf_digests=full["trees"][1:]),
+        dict(bare, roots="zz", dropped=-1, leaf_digests="zz"),
+    ):
         assert persist.dors_gateway_to_dict(persist.dors_gateway_from_dict(older), with_forest=False) == bare
 
 
@@ -462,7 +531,7 @@ def test_a_gateway_restored_without_trees_builds_only_the_tree_a_login_needs():
     gw.owner_verify("owner", "alice", "activate")
     full = persist.gateway_state_to_dict(gw)
     bare = persist.gateway_state_to_dict(gw, with_forests=False)
-    assert "leaf_digests" not in bare["dors_registry"]["alice"]
+    assert "trees" not in bare["dors_registry"]["alice"]
     assert dict(bare, dors_registry=None) == dict(full, dors_registry=None)
     gw2 = Gateway(RandomSource.seeded(b"\x08" * 32), Key256(b"\x77" * 32))
     persist.restore_gateway_state(gw2, json.loads(persist.dumps(bare)))
