@@ -3,7 +3,9 @@
 Turns a context snapshot into per-factor scores, folds them into a weighted
 confidence value, compares that against per-device thresholds (grant /
 step-up / deny), classifies access patterns with a categorical naive Bayes
-model, and picks which of the three protocol schemes a login should run.
+model, and picks which of the three protocol schemes a login should run:
+:func:`select_scheme` states the three rules, from the snapshot's origin,
+the user's card and DORS keys, and their MHT transaction count.
 
 One core scores context: :func:`factor_scores` gives the five scores and
 :func:`weigh` folds them into the confidence. The gateway calls it on every
@@ -21,7 +23,6 @@ from .errors import (
     DegenerateTraining,
     InvalidWeights,
     MalformedRecord,
-    NoSchemeAvailable,
     UnknownFactor,
 )
 
@@ -314,33 +315,16 @@ def decide_access(confidence: float, policy: AccessPolicy) -> str:
 
 # --- scheme selection ----------------------------------------------------------
 
-@dataclass
-class SchemeCapabilities:
-    """What a registered user has provisioned, as the gateway sees it."""
-
-    mht_registered: bool
-    dors_provisioned: bool
-    card_provisioned: bool
-    mht_txn_count: int
-
-
-def select_scheme(snapshot: ContextSnapshot, caps: SchemeCapabilities) -> str:
-    """Exactly one scheme per login: smart card for internet origins,
-    the few-time signatures for fresh local users, history-bound mutual
-    authentication otherwise."""
-    if not (caps.mht_registered or caps.dors_provisioned or caps.card_provisioned):
-        raise NoSchemeAvailable(snapshot.uid)
-    if snapshot.origin == ORIGIN_INTERNET and caps.card_provisioned:
+def select_scheme(snapshot: ContextSnapshot, card: bool, dors_keys: bool, txn_counter: int) -> str:
+    """Exactly one scheme per login, by the first of three rules that holds:
+    an internet origin with a smart card runs DHS; a local origin with DORS
+    keys and an MHT ``txn_counter`` of 0 runs DORS; anything else runs MHT,
+    which every user holds."""
+    if snapshot.origin == ORIGIN_INTERNET and card:
         return SCHEME_DHS
-    if snapshot.origin == ORIGIN_LOCAL and caps.dors_provisioned and caps.mht_txn_count == 0:
+    if snapshot.origin == ORIGIN_LOCAL and dors_keys and txn_counter == 0:
         return SCHEME_DORS
-    if caps.mht_registered:
-        return SCHEME_MHT
-    if caps.card_provisioned:
-        return SCHEME_DHS
-    if caps.dors_provisioned:
-        return SCHEME_DORS
-    raise NoSchemeAvailable(snapshot.uid)
+    return SCHEME_MHT
 
 
 # --- calendars ---------------------------------------------------------------

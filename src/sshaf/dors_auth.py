@@ -244,9 +244,9 @@ class DorsUserSide:
 class DorsGatewaySide:
     """``public_key.leaf_digests`` holds ``b""`` for each spent tree the
     gateway has dropped, and for each tree a restored side was not given
-    and has not built yet; a restored side holds no roots of its own
-    forest, which nothing reads after provisioning. ``next_forest`` holds
-    the next epoch's first trees, built ahead while the last tree signs."""
+    and has not built yet. A side holds no roots of its own forest, which
+    nothing reads after provisioning. ``next_forest`` holds the next
+    epoch's first trees, built ahead while the last tree signs."""
 
     uid: str
     public_key: DorsPublicKey
@@ -268,13 +268,16 @@ def dors_provision(
 ) -> tuple[DorsUserSide, DorsGatewaySide]:
     """Expand a per-user forest and link key from the gateway master secret.
     ``forest`` is as ``dors_keygen`` takes it (``DorsParams()`` when None):
-    trees a gateway built ahead are not built again."""
+    trees a gateway built ahead are not built again. The gateway side keeps
+    the forest's leaf digests but not its roots, which only the genesis
+    chain value reads."""
     seed = dors_seed(uid, master_secret)
     link = kdf(master_secret, "dors-link", uid.encode())
     sk, pk, chain = dors_keygen(seed, forest or DorsParams())
+    gateway_pk = DorsPublicKey(pk.params, pk.leaf_digests, [])
     return (
         DorsUserSide(uid, sk, chain, link),
-        DorsGatewaySide(uid, pk, ChainState(chain.value, 0), link),
+        DorsGatewaySide(uid, gateway_pk, ChainState(chain.value, 0), link),
     )
 
 

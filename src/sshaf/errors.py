@@ -117,10 +117,6 @@ class DegenerateTraining(SshafError):
     """Training data does not contain both labels."""
 
 
-class NoSchemeAvailable(SshafError):
-    """User has no provisioned authentication scheme."""
-
-
 class MalformedRecord(SshafError, ValueError):
     """A JSONL input file cannot be opened, or one of its lines is not
     JSON, misses a field, or has a field of the wrong type or out of range;

@@ -33,7 +33,6 @@ from .context_engine import (
     ContextSnapshot,
     FactorWeights,
     NaiveBayesModel,
-    SchemeCapabilities,
     calendar_claims_presence,
 )
 from .errors import (
@@ -442,16 +441,6 @@ class Gateway:
 
     # --- stage 3: login ------------------------------------------------------------
 
-    def capabilities_for(self, uid: str) -> SchemeCapabilities:
-        wallet = self.wallets.get(uid)
-        gw_state = self.mht_registry.get(uid)
-        return SchemeCapabilities(
-            mht_registered=wallet is not None and wallet.mht is not None,
-            dors_provisioned=wallet is not None and wallet.dors is not None,
-            card_provisioned=wallet is not None and wallet.card is not None,
-            mht_txn_count=gw_state.txn_counter if gw_state else 0,
-        )
-
     def _confidence(self, uid, credentials_ok, snapshot, record) -> float:
         """``snapshot`` scored with the password result, ``uid``'s calendar
         and the classifier on ``record``, the request's own."""
@@ -529,7 +518,10 @@ class Gateway:
             raise NotVerified(f"{uid} is {profile.status}")
 
         password_ok = self.check_credentials(uid, password)
-        scheme = ctx.select_scheme(snapshot, self.capabilities_for(uid))
+        wallet = self.wallet_for(uid)
+        scheme = ctx.select_scheme(
+            snapshot, wallet.card is not None, wallet.dors is not None, self.mht_registry[uid].txn_counter
+        )
 
         try:
             session_key = self.run_scheme(scheme, uid, password, Loopback())

@@ -43,8 +43,12 @@ ATTACK_STOLEN = "stolen"
 ATTACK_KINDS = (ATTACK_REPLAY, ATTACK_IMPERSONATE, ATTACK_SKD, ATTACK_STOLEN)
 SCHEMES = ("mht", "dors", "dhs")
 
-# Labels the public kdf is used with anywhere in the framework; a disclosed
-# key that re-derives another session key through any of them is a break.
+# The labels the key search tries with the public kdf: the five that derive
+# the handshakes' session keys and ratchets, the DORS leaf-secret label, and
+# "confirm", the message the MHT and DHS confirmation macs start with. A
+# disclosed or captured key that re-derives another session key through any
+# of them is a break. The kdf labels of provisioning (user, seed, link, card
+# and edge keys) and of the database keys are not tried.
 _KDF_LABELS = ("sk", "confirm", "mht-ratchet", "dors-sk", "dors-ratchet", "dhs-sk", "leaf")
 
 
@@ -222,6 +226,16 @@ N_SESSIONS = 3
 DISCLOSE_INDEX = 1
 
 
+def _derivable(secrets: list[Key256], traces: list[SessionTrace]) -> set[bytes]:
+    """The secrets themselves, and the public kdf of each under each
+    ``_KDF_LABELS`` label over each recorded material, or over none."""
+    materials = [m for t in traces for m in t.public_material] + [b""]
+    return {s.bytes for s in secrets} | {
+        kdf(secret, label, material).bytes
+        for secret in secrets for label in _KDF_LABELS for material in materials
+    }
+
+
 def attack_session_key_disclosure(scheme: str, seed: bytes) -> AttackOutcome:
     """Hand the adversary one session key; the others must neither equal it
     nor be derivable from it through the public kdf over recorded material."""
@@ -229,12 +243,7 @@ def attack_session_key_disclosure(scheme: str, seed: bytes) -> AttackOutcome:
     traces = [_run_session(gw, scheme) for _ in range(N_SESSIONS)]
     disclosed = traces[DISCLOSE_INDEX].session_key
 
-    derived = {disclosed.bytes}
-    materials = [m for t in traces for m in t.public_material] + [b""]
-    for label in _KDF_LABELS:
-        for material in materials:
-            derived.add(kdf(disclosed, label, material).bytes)
-
+    derived = _derivable([disclosed], traces)
     hits = [
         i
         for i, trace in enumerate(traces)
@@ -273,13 +282,7 @@ def _derivation_attempts(scheme: str, captured: dict, traces: list[SessionTrace]
             share = Key256.from_hex(row["edge_share"])
             secrets.append(share)
             secrets.append(Key256(hash_bytes(share.bytes).bytes))
-    out: set[bytes] = {s.bytes for s in secrets}
-    materials = [m for t in traces for m in t.public_material] + [b""]
-    for secret in secrets:
-        for label in _KDF_LABELS:
-            for material in materials:
-                out.add(kdf(secret, label, material).bytes)
-    return out
+    return _derivable(secrets, traces)
 
 
 class _CaptureAtChallenge(Loopback):

@@ -8,7 +8,7 @@ absolute wall time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import SshafError
 
@@ -125,7 +125,8 @@ class SimLink:
 
 @dataclass
 class MetricsReport:
-    """Exact deterministic counters for one scenario run."""
+    """Exact deterministic counters for one scenario run. ``COLUMNS``
+    names its fields in order, as a row of the report lays them out."""
 
     scenario: str
     link: str
@@ -139,31 +140,13 @@ class MetricsReport:
     storage_bits: int
     outcome: str
 
-    COLUMNS = (
-        "scenario",
-        "link",
-        "scheme",
-        "factors",
-        "elapsed_ms",
-        "hash_count",
-        "mac_count",
-        "wire_bytes",
-        "messages",
-        "storage_bits",
-        "outcome",
-    )
-
     def as_row(self) -> list:
+        """The values of ``COLUMNS`` in order, the factors joined with ``+``
+        (``-`` when there are none)."""
         return [
-            self.scenario,
-            self.link,
-            self.scheme,
-            "+".join(self.factors) if self.factors else "-",
-            self.elapsed_ms,
-            self.hash_count,
-            self.mac_count,
-            self.wire_bytes,
-            self.messages,
-            self.storage_bits,
-            self.outcome,
+            ("+".join(self.factors) if self.factors else "-") if name == "factors" else getattr(self, name)
+            for name in self.COLUMNS
         ]
+
+
+MetricsReport.COLUMNS = tuple(f.name for f in fields(MetricsReport))

@@ -58,9 +58,9 @@ form ``DorsPublicKey.leaf_digests`` holds in memory, or ``""`` for a tree
 the side does not hold. The tree-less form, ``with_forests=False``, is what
 the CLI's ``state.json`` holds, since the gateway derives every tree from
 its own master secret. A side restored from either form holds each tree it
-was not given as ``b""`` and no roots of its own forest, and
-``Gateway.run_scheme`` builds the tree a login needs just before the
-handshake. Every other entry is the same in either form.
+was not given as ``b""`` and, like a live side, no roots of its own
+forest, and ``Gateway.run_scheme`` builds the tree a login needs just
+before the handshake. Every other entry is the same in either form.
 """
 
 from __future__ import annotations

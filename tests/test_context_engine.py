@@ -14,7 +14,6 @@ from sshaf.errors import (
     DegenerateTraining,
     InvalidWeights,
     MalformedRecord,
-    NoSchemeAvailable,
     UnknownFactor,
 )
 from sshaf.context_engine import (
@@ -38,7 +37,6 @@ from sshaf.context_engine import (
     ContextSnapshot,
     FactorWeights,
     NaiveBayesModel,
-    SchemeCapabilities,
     calendar_claims_presence,
     classify_access,
     decide_access,
@@ -57,12 +55,6 @@ def snap(**kwargs):
     """A local snapshot from the home subnet at minute 0, changed by ``kwargs``."""
     fields = dict(origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=False, timestamp=0)
     return ContextSnapshot(uid="alice", **{**fields, **kwargs})
-
-
-def caps(**kwargs):
-    """Capabilities with nothing provisioned, changed by ``kwargs``."""
-    fields = dict(mht_registered=False, dors_provisioned=False, card_provisioned=False, mht_txn_count=0)
-    return SchemeCapabilities(**{**fields, **kwargs})
 
 
 # --- factor scoring ----------------------------------------------------------
@@ -277,29 +269,55 @@ def test_synthetic_accuracy_at_least_090():
 # --- scheme selection -----------------------------------------------------------
 
 def test_internet_with_card_selects_dhs():
-    have = caps(mht_registered=True, card_provisioned=True)
-    assert select_scheme(snap(origin=ORIGIN_INTERNET), have) == SCHEME_DHS
+    assert select_scheme(snap(origin=ORIGIN_INTERNET), card=True, dors_keys=False, txn_counter=0) == SCHEME_DHS
 
 
 def test_local_fresh_user_with_dors_keys_selects_dors():
-    have = caps(mht_registered=True, dors_provisioned=True, mht_txn_count=0)
-    assert select_scheme(snap(origin=ORIGIN_LOCAL), have) == SCHEME_DORS
+    assert select_scheme(snap(origin=ORIGIN_LOCAL), card=False, dors_keys=True, txn_counter=0) == SCHEME_DORS
 
 
 def test_local_with_history_selects_mht():
-    have = caps(mht_registered=True, dors_provisioned=True, mht_txn_count=3)
-    assert select_scheme(snap(origin=ORIGIN_LOCAL), have) == SCHEME_MHT
+    assert select_scheme(snap(origin=ORIGIN_LOCAL), card=False, dors_keys=True, txn_counter=3) == SCHEME_MHT
 
 
 def test_selection_is_pure():
-    have = caps(mht_registered=True, card_provisioned=True)
     s = snap(origin=ORIGIN_INTERNET)
-    assert select_scheme(s, have) == select_scheme(s, have)
+    assert select_scheme(s, True, False, 0) == select_scheme(s, True, False, 0)
 
 
-def test_no_scheme_available():
-    with pytest.raises(NoSchemeAvailable):
-        select_scheme(snap(), caps())
+# The scheme each (origin, card, DORS keys, MHT txn_counter) must select,
+# written out case by case: DHS needs an internet origin and a card, DORS a
+# local origin, DORS keys and no completed MHT run; every user holds MHT.
+SELECTION_TABLE = {
+    (ORIGIN_INTERNET, False, False, 0): SCHEME_MHT,
+    (ORIGIN_INTERNET, False, False, 1): SCHEME_MHT,
+    (ORIGIN_INTERNET, False, True, 0): SCHEME_MHT,
+    (ORIGIN_INTERNET, False, True, 1): SCHEME_MHT,
+    (ORIGIN_INTERNET, True, False, 0): SCHEME_DHS,
+    (ORIGIN_INTERNET, True, False, 1): SCHEME_DHS,
+    (ORIGIN_INTERNET, True, True, 0): SCHEME_DHS,
+    (ORIGIN_INTERNET, True, True, 1): SCHEME_DHS,
+    (ORIGIN_LOCAL, False, False, 0): SCHEME_MHT,
+    (ORIGIN_LOCAL, False, False, 1): SCHEME_MHT,
+    (ORIGIN_LOCAL, False, True, 0): SCHEME_DORS,
+    (ORIGIN_LOCAL, False, True, 1): SCHEME_MHT,
+    (ORIGIN_LOCAL, True, False, 0): SCHEME_MHT,
+    (ORIGIN_LOCAL, True, False, 1): SCHEME_MHT,
+    (ORIGIN_LOCAL, True, True, 0): SCHEME_DORS,
+    (ORIGIN_LOCAL, True, True, 1): SCHEME_MHT,
+}
+
+
+@pytest.mark.parametrize(
+    "origin, card, dors_keys, txn_counter",
+    [
+        pytest.param(*case, id=f"{case[0]}-card={case[1]}-dors={case[2]}-counter={case[3]}")
+        for case in SELECTION_TABLE
+    ],
+)
+def test_selection_follows_the_three_rules_in_every_case(origin, card, dors_keys, txn_counter):
+    chosen = select_scheme(snap(origin=origin), card=card, dors_keys=dors_keys, txn_counter=txn_counter)
+    assert chosen == SELECTION_TABLE[origin, card, dors_keys, txn_counter]
 
 
 # --- calendars and ingest ----------------------------------------------------------

@@ -208,6 +208,22 @@ def test_fresh_local_dors_user_uses_dors():
     assert result.session.scheme == SCHEME_DORS
 
 
+def test_a_dors_user_without_a_card_runs_mht_online_and_then_locally():
+    """Both paths to the last rule: an internet login without a card runs
+    MHT, and after that run the user's counter is 1, so a local login runs
+    MHT too, not DORS."""
+    gw = make_gateway()
+    register_and_activate(gw, caps=(CAP_DORS,))
+    snapshot = good_snapshot(origin=ORIGIN_INTERNET, ip_class=IP_KNOWN, bluetooth_present=False)
+    remote = gw.login("alice", "pw-alice", snapshot)
+    assert (remote.status, remote.session.scheme) == (GRANT, SCHEME_MHT)
+    assert gw.mht_registry["alice"].txn_counter == 1
+    local = gw.login("alice", "pw-alice", good_snapshot())
+    assert (local.status, local.session.scheme) == (GRANT, SCHEME_MHT)
+    assert gw.mht_registry["alice"].txn_counter == 2
+    assert gw.dors_registry["alice"].chain.signature_count == 0
+
+
 def test_tampered_protocol_state_fails_regardless_of_confidence():
     gw = make_gateway()
     register_and_activate(gw)

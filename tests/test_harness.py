@@ -231,19 +231,6 @@ UNREFERENCED_ALLOWED = {
 }
 
 
-def _top_level_definitions(tree):
-    """(statement index, name) of each module-level function, class and
-    assigned name, dunders aside."""
-    for index, stmt in enumerate(tree.body):
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield index, stmt.name
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            for target in targets:
-                if isinstance(target, ast.Name) and not target.id.startswith("__"):
-                    yield index, target.id
-
-
 def _names_used(node):
     """Every name ``node`` reads, takes as an attribute or imports, and every
     identifier-shaped string in it (perfbench names what it wraps by string)."""
@@ -273,7 +260,7 @@ def test_every_module_level_symbol_has_a_caller():
                 users.setdefault(name, set()).add((path, index))
     unused = set()
     for path in package.rglob("*.py"):
-        for index, name in _top_level_definitions(trees[path]):
+        for index, name in paired_bench.top_level_definitions(trees[path]):
             if not users.get(name, set()) - {(path, index)}:
                 unused.add((path.relative_to(package).as_posix(), name))
     assert unused == set(UNREFERENCED_ALLOWED)

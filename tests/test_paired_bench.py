@@ -130,6 +130,27 @@ def test_options_changed_names_each_option_lost_or_gained(tmp_path, capsys):
     }
 
 
+def test_symbols_changed_names_each_module_level_symbol_lost_or_gained(tmp_path, capsys):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
+    for root, files in (
+        (parent, {"m.py": "A = 1\nB: int = 2\n__all__ = []\nclass C:\n    D = 3\n    def e(self): pass\n"
+                          "def f():\n    g = 4\nx.h = 5\n", "n.py": "def gone(): pass\n"}),
+        (change, {"m.py": "A = B = 1\nclass C:\n    def e(self): pass\nasync def f(): pass\n"
+                          "def new(): pass\n", "sub/n.py": "def gone(): pass\n"}),
+    ):
+        for name, text in files.items():
+            (root / "src" / "pkg" / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / "src" / "pkg" / name).write_text(text)
+    assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # Dunders, class attributes, methods, locals and attribute targets are
+    # not symbols; a symbol that moves to another module is lost and gained.
+    assert report["symbols_changed"] == {
+        "lost": ["pkg.n.gone"],
+        "gained": ["pkg.m.new", "pkg.sub.n.gone"],
+    }
+
+
 def test_unknown_workload_or_bad_seed_range_is_a_usage_error(tmp_path):
     parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
     for args in (["--workloads", "nope", "--seeds", "1-2"], ["--workloads", "w", "--seeds", "3-1"]):

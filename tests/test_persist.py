@@ -260,10 +260,10 @@ def _spoil_leaf(tree: str, leaf: int, spoil) -> str:
 @pytest.mark.parametrize(
     "spoil",
     [
-        lambda h: h[:63],  # one hex digit short
-        lambda h: h[:63] + "g",  # not hex
-        lambda h: h[:30] + "  " + h[32:],  # 64 chars, but whitespace inside
-        lambda h: h[:31] + " " + h[32:],  # 64 chars, odd digit count
+        pytest.param(lambda h: h[:63], id="one-hex-digit-short"),
+        pytest.param(lambda h: h[:63] + "g", id="not-hex"),
+        pytest.param(lambda h: h[:30] + "  " + h[32:], id="whitespace-inside"),  # still 64 chars
+        pytest.param(lambda h: h[:31] + " " + h[32:], id="odd-digit-count"),  # still 64 chars
     ],
 )
 def test_dors_gateway_from_dict_rejects_malformed_leaf_digest(spoil):
@@ -281,22 +281,32 @@ ROOT_HEX = "00" * 32  # a well-formed root
 @pytest.mark.parametrize(
     "spoil",
     [
-        lambda data: data["trees"].__setitem__(0, data["trees"][0][: 3 * 64]),  # a 3-leaf tree
-        lambda data: data["trees"].__setitem__(1, data["trees"][1] + data["trees"][1][:64]),  # t+1 leaves
-        lambda data: data["trees"].__setitem__(1, " " * len(data["trees"][1])),  # all whitespace
-        lambda data: data["trees"].__setitem__(1, " "),  # one space, not an empty string
-        lambda data: data["trees"].pop(),  # too few entries
-        lambda data: data["trees"].append(data["trees"][0]),  # too many entries
-        lambda data: data["trees"].append(""),  # too many, though the extra one is empty
-        lambda data: data["trees"].__setitem__(0, _per_leaf(data["trees"][0])),  # a tree in the per-leaf layout
-        lambda data: data["trees"].__setitem__(0, None),  # a tree as null
-        lambda data: data.update(trees="".join(data["trees"])),  # the trees as one string
-        lambda data: data.update(next_roots=ROOT_HEX),  # next_roots as a string
-        lambda data: data.update(next_roots=[0]),  # a root as a number
-        lambda data: data.update(next_roots=[ROOT_HEX] * 3, trees=data["trees"] + [""] * 3),  # more than f
-        lambda data: data.update(next_roots=[ROOT_HEX]),  # a tree built ahead missing
-        lambda data: data.update(next_roots=[ROOT_HEX], trees=data["trees"] + [data["trees"][0][: 3 * 64]]),
-        # ^ a 3-leaf tree built ahead
+        pytest.param(lambda data: data["trees"].__setitem__(0, data["trees"][0][: 3 * 64]), id="three-leaf-tree"),
+        pytest.param(
+            lambda data: data["trees"].__setitem__(1, data["trees"][1] + data["trees"][1][:64]),
+            id="tree-of-t-plus-one-leaves",
+        ),
+        pytest.param(lambda data: data["trees"].__setitem__(1, " " * len(data["trees"][1])), id="tree-all-whitespace"),
+        pytest.param(lambda data: data["trees"].__setitem__(1, " "), id="tree-one-space-not-empty"),
+        pytest.param(lambda data: data["trees"].pop(), id="too-few-trees"),
+        pytest.param(lambda data: data["trees"].append(data["trees"][0]), id="too-many-trees"),
+        pytest.param(lambda data: data["trees"].append(""), id="too-many-trees-extra-empty"),
+        pytest.param(
+            lambda data: data["trees"].__setitem__(0, _per_leaf(data["trees"][0])), id="tree-in-per-leaf-layout"
+        ),
+        pytest.param(lambda data: data["trees"].__setitem__(0, None), id="tree-as-null"),
+        pytest.param(lambda data: data.update(trees="".join(data["trees"])), id="trees-as-one-string"),
+        pytest.param(lambda data: data.update(next_roots=ROOT_HEX), id="next-roots-as-string"),
+        pytest.param(lambda data: data.update(next_roots=[0]), id="next-root-as-number"),
+        pytest.param(
+            lambda data: data.update(next_roots=[ROOT_HEX] * 3, trees=data["trees"] + [""] * 3),
+            id="more-next-roots-than-f",
+        ),
+        pytest.param(lambda data: data.update(next_roots=[ROOT_HEX]), id="tree-built-ahead-missing"),
+        pytest.param(
+            lambda data: data.update(next_roots=[ROOT_HEX], trees=data["trees"] + [data["trees"][0][: 3 * 64]]),
+            id="three-leaf-tree-built-ahead",
+        ),
     ],
 )
 def test_dors_gateway_from_dict_rejects_malformed_forest(spoil):
@@ -320,14 +330,14 @@ def dors_params(draw):
 @given(params=dors_params(), uid=st.text(min_size=1, max_size=8), mask=st.integers(0, 63))
 def test_dors_forest_round_trips_for_any_params(params, uid, mask):
     """Any subset of the trees, those not held written as "", round-trips.
-    The forest's own roots are not written, and a restored side holds none."""
+    The forest's own roots are not written, and neither a live nor a
+    restored side holds them."""
     _, gateway = dors_auth.dors_provision(uid, MASTER, params)
     data = json.loads(persist.dumps(persist.dors_gateway_to_dict(gateway)))
     assert [len(tree) for tree in data["trees"]] == [64 * params.t] * params.f
     restored = persist.dors_gateway_from_dict(data)
     assert restored.public_key.params == params
-    assert restored.public_key.leaf_digests == gateway.public_key.leaf_digests
-    assert restored.public_key.roots == []
+    assert restored.public_key == gateway.public_key
     assert persist.dors_gateway_to_dict(restored) == data
     data["trees"] = ["" if mask >> i & 1 else tree for i, tree in enumerate(data["trees"])]
     restored = persist.dors_gateway_from_dict(data)
@@ -499,8 +509,11 @@ def test_tree_less_dors_gateway_keeps_no_tree_and_ignores_older_keys():
     assert restored.next_forest.roots == gateway.next_forest.roots
     assert persist.dors_gateway_to_dict(restored, with_forest=False) == bare
     # The roots, dropped count and leaf digests an older entry carries, in
-    # the form they were written in or damaged, are not read.
-    roots = [root.hex() for root in gateway.public_key.roots]
+    # the form they were written in or damaged, are not read. Its roots are
+    # the forest's own, from dors_keygen, since the live side holds none.
+    _, forest, _ = dors_auth.dors_keygen(dors_auth.dors_seed("alice", MASTER), params)
+    roots = [root.hex() for root in forest.roots]
+    assert len(roots) == params.f
     for older in (
         dict(bare, roots=roots, dropped=1, leaf_digests=full["trees"][1:]),
         dict(bare, roots="zz", dropped=-1, leaf_digests="zz"),

@@ -25,7 +25,10 @@ total, as ``difflib`` matches them. A file on one side only counts whole.
 under ``src/``: every value a caller may leave out (see ``option_names``).
 ``options_changed`` names the options the change ``lost`` and ``gained``,
 such as ``sshaf.context_engine.ContextSnapshot.timestamp`` or
-``sshaf.harness.attacks.attack_replay(seed)``.
+``sshaf.harness.attacks.attack_replay(seed)``. ``symbols_changed`` names
+the module-level functions, classes and assigned names (see
+``top_level_definitions``) that the change ``lost`` and ``gained``, such as
+``sshaf.errors.NoSchemeAvailable``.
 
 Exit status: 0 when every run was correct and no operation failed, 1 when a
 run reported ``correct: false`` or ``failed > 0`` or printed no result, 2 on
@@ -143,14 +146,19 @@ def option_names(tree) -> list[str]:
     return names
 
 
-def settable_option_names(root: Path) -> list[str]:
-    """The ``option_names`` of every ``.py`` file under ``root``, each
+def _module_names(root: Path, names_in) -> list[str]:
+    """``names_in(tree)`` of every ``.py`` file under ``root``, each name
     prefixed with its module's dotted path from ``root``, sorted."""
     names = []
     for path in root.rglob("*.py"):
         module = ".".join(path.relative_to(root).with_suffix("").parts)
-        names += [f"{module}.{name}" for name in option_names(ast.parse(path.read_text()))]
+        names += [f"{module}.{name}" for name in names_in(ast.parse(path.read_text()))]
     return sorted(names)
+
+
+def settable_option_names(root: Path) -> list[str]:
+    """The ``option_names`` under ``root``, module-qualified, sorted."""
+    return _module_names(root, option_names)
 
 
 def settable_options(root: Path) -> int:
@@ -158,11 +166,39 @@ def settable_options(root: Path) -> int:
     return len(settable_option_names(root))
 
 
-def options_changed(parent: Path, change: Path) -> dict:
-    """The settable options under ``src/`` that the change ``lost`` and
-    ``gained``, by name, each sorted."""
-    before, after = (Counter(settable_option_names(root / "src")) for root in (parent, change))
+def top_level_definitions(tree):
+    """(statement index, name) of each module-level function, class and
+    assigned name, dunders aside."""
+    for index, stmt in enumerate(tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield index, stmt.name
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield index, target.id
+
+
+def symbol_names(root: Path) -> list[str]:
+    """The ``top_level_definitions`` under ``root``, module-qualified, sorted."""
+    return _module_names(root, lambda tree: [name for _, name in top_level_definitions(tree)])
+
+
+def _changed(names, parent: Path, change: Path) -> dict:
+    """The ``names(root)`` under ``src/`` that the change ``lost`` and
+    ``gained``, each sorted."""
+    before, after = (Counter(names(root / "src")) for root in (parent, change))
     return {"lost": sorted((before - after).elements()), "gained": sorted((after - before).elements())}
+
+
+def options_changed(parent: Path, change: Path) -> dict:
+    """The settable options the change ``lost`` and ``gained``, by name."""
+    return _changed(settable_option_names, parent, change)
+
+
+def symbols_changed(parent: Path, change: Path) -> dict:
+    """The module-level symbols the change ``lost`` and ``gained``, by name."""
+    return _changed(symbol_names, parent, change)
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds) -> dict:
@@ -261,6 +297,7 @@ def main(argv=None) -> int:
         "net_src_lines": net_src_lines(*checkouts.values()),
         "settable_options": {side: settable_options(root / "src") for side, root in checkouts.items()},
         "options_changed": options_changed(*checkouts.values()),
+        "symbols_changed": symbols_changed(*checkouts.values()),
         "workloads": {
             w: bench_workload(checkouts, spec["command"], w, args.seeds, seconds, metrics)
             for w in args.workloads
