@@ -10,8 +10,12 @@ password update: its verifier and the edge's identifier are set at
 registration, so a new password means a new registration. Every session
 rides on a per-session 64-bit interface identifier carried in the low half
 of an IPv6-style address; the identifier rotates on each successful
-agreement, so a captured login packet is stale by the time it can be
-replayed.
+agreement, so a captured login is stale by the time it can be replayed.
+
+The login crosses the link as a ``LoginRequest``, a message like every
+other, and the edge verifies the decoded request. Its tag binds the
+identifier but not the address prefix. Every message here is decoded with
+``link.Reader``, where the framing rules live.
 
 The edge server's user database holds only the current identifier and an
 edge key share. The value that actually verifies card-keyed tags is a
@@ -23,7 +27,6 @@ binding XOR hash(edge_share), and neither half alone is enough.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -32,10 +35,9 @@ from .errors import (
     CardLocked,
     IdentifierMismatch,
     LocalAuthFailed,
-    MalformedPacket,
     TagInvalid,
 )
-from .link import GATEWAY, USER
+from .link import GATEWAY, USER, Reader, pack_uid
 from .primitives import (
     Digest256,
     Key256,
@@ -70,45 +72,6 @@ class InterfaceIdentifier:
     @classmethod
     def from_bytes(cls, raw: bytes) -> "InterfaceIdentifier":
         return cls(int.from_bytes(raw, "big"))
-
-
-@dataclass
-class Ipv6Packet:
-    """Address split as 64-bit prefix || 64-bit interface identifier, with
-    the payload length-prefixed behind it."""
-
-    prefix: int
-    iid_bits: int
-    payload: bytes
-
-    def encode(self) -> bytes:
-        return (
-            self.prefix.to_bytes(8, "big")
-            + self.iid_bits.to_bytes(8, "big")
-            + struct.pack(">I", len(self.payload))
-            + self.payload
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Ipv6Packet":
-        if len(data) < 20:
-            raise MalformedPacket(f"packet truncated at {len(data)} bytes")
-        prefix = int.from_bytes(data[:8], "big")
-        iid_bits = int.from_bytes(data[8:16], "big")
-        (length,) = struct.unpack_from(">I", data, 16)
-        payload = data[20:]
-        if len(payload) != length:
-            raise MalformedPacket(f"payload length {len(payload)} != declared {length}")
-        return cls(prefix, iid_bits, payload)
-
-
-def dhs_encapsulate(request: bytes, iid: InterfaceIdentifier) -> Ipv6Packet:
-    return Ipv6Packet(DEFAULT_PREFIX, iid.iid, request)
-
-
-def dhs_decapsulate(packet_bytes: bytes) -> tuple[InterfaceIdentifier, bytes]:
-    packet = Ipv6Packet.decode(packet_bytes)
-    return InterfaceIdentifier(packet.iid_bits), packet.payload
 
 
 def dhs_generate_iid(uid: str, session_nonce: Nonce128, secret: Key256) -> InterfaceIdentifier:
@@ -164,27 +127,35 @@ class EdgeServer:
 
 
 # --- wire records -------------------------------------------------------------
+# Each decoder reads with a ``link.Reader``; uids are as ``link.pack_uid``
+# writes them.
 
-def _pack_uid(uid: str) -> bytes:
-    raw = uid.encode()
-    return struct.pack(">H", len(raw)) + raw
+@dataclass
+class LoginRequest:
+    """The card's login as it crosses the link: an IPv6-style address, the
+    64-bit ``prefix`` and the card's interface identifier, then a 4-byte
+    length and the record it counts, the uid, ``n_u`` and the card-keyed
+    tag. The tag covers the identifier and ``n_u``, not the prefix, and any
+    prefix decodes."""
 
+    prefix: int
+    iid: InterfaceIdentifier
+    uid: str
+    n_u: Nonce128
+    tag: Digest256
 
-def _unpack_uid(data: bytes) -> tuple[str, int]:
-    if len(data) < 2:
-        raise MalformedPacket("frame ends inside the uid length")
-    end = 2 + int.from_bytes(data[:2], "big")
-    if end > len(data):
-        raise MalformedPacket("uid runs past the end of the frame")
-    try:
-        return data[2:end].decode(), end
-    except UnicodeDecodeError:
-        raise MalformedPacket("uid is not UTF-8") from None
+    def encode(self) -> bytes:
+        record = pack_uid(self.uid) + self.n_u.bytes + self.tag.bytes
+        address = self.prefix.to_bytes(8, "big") + self.iid.to_bytes()
+        return address + len(record).to_bytes(4, "big") + record
 
-
-def _check_length(data: bytes, expected: int, what: str) -> None:
-    if len(data) != expected:
-        raise MalformedPacket(f"{what} is {len(data)} bytes, expected {expected}")
+    @classmethod
+    def decode(cls, data: bytes) -> "LoginRequest":
+        r = Reader(data, "login request")
+        prefix, iid = r.int(8), InterfaceIdentifier(r.int(8))
+        record = Reader(r.take(r.int(4)), "login record")
+        uid, n_u, tag = record.uid(), Nonce128(record.take(16)), Digest256(record.take(32))
+        return r.done(record.done(cls(prefix, iid, uid, n_u, tag)))
 
 
 @dataclass
@@ -193,13 +164,12 @@ class Challenge:
     n_e: Nonce128
 
     def encode(self) -> bytes:
-        return _pack_uid(self.uid) + self.n_e.bytes
+        return pack_uid(self.uid) + self.n_e.bytes
 
     @classmethod
     def decode(cls, data: bytes) -> "Challenge":
-        uid, off = _unpack_uid(data)
-        _check_length(data, off + 16, "challenge")
-        return cls(uid, Nonce128(data[off:]))
+        r = Reader(data, "challenge")
+        return r.done(cls(r.uid(), Nonce128(r.take(16))))
 
 
 @dataclass
@@ -208,13 +178,12 @@ class ConfirmMessage:
     tag: Digest256
 
     def encode(self) -> bytes:
-        return _pack_uid(self.uid) + self.tag.bytes
+        return pack_uid(self.uid) + self.tag.bytes
 
     @classmethod
     def decode(cls, data: bytes) -> "ConfirmMessage":
-        uid, off = _unpack_uid(data)
-        _check_length(data, off + 32, "confirm")
-        return cls(uid, Digest256(data[off:]))
+        r = Reader(data, "confirm")
+        return r.done(cls(r.uid(), Digest256(r.take(32))))
 
 
 @dataclass
@@ -226,8 +195,8 @@ class AckMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "AckMessage":
-        _check_length(data, 32, "ack")
-        return cls(Digest256(data))
+        r = Reader(data, "ack")
+        return r.done(cls(Digest256(r.take(32))))
 
 
 # --- phases --------------------------------------------------------------------
@@ -261,7 +230,7 @@ def _check_password(card: SmartCardState, password: str) -> bool:
     return probe == card.pw_verifier
 
 
-def dhs_login(card: SmartCardState, uid: str, password: str, src: RandomSource) -> Ipv6Packet:
+def dhs_login(card: SmartCardState, uid: str, password: str, src: RandomSource) -> LoginRequest:
     """Phase 4, card side: local password check first; only a successful
     check emits network traffic."""
     if card.failed_attempts >= LOCKOUT_THRESHOLD:
@@ -274,26 +243,22 @@ def dhs_login(card: SmartCardState, uid: str, password: str, src: RandomSource) 
     card.failed_attempts = 0
     n_u = random_nonce(src)
     card.pending_n_u = n_u
-    tag = mac(card.auth_base(), card.current_iid.to_bytes() + n_u.bytes)
-    record = _pack_uid(uid) + n_u.bytes + tag.bytes
-    return dhs_encapsulate(record, card.current_iid)
+    iid = card.current_iid
+    tag = mac(card.auth_base(), iid.to_bytes() + n_u.bytes)
+    return LoginRequest(DEFAULT_PREFIX, iid, uid, n_u, tag)
 
 
-def dhs_edge_verify(edge: EdgeServer, packet_bytes: bytes, src: RandomSource) -> Challenge:
-    """Phase 4, edge side: decapsulate, match the stored identifier, check
-    the card-keyed tag via the binding, then issue a challenge nonce."""
-    iid, record = dhs_decapsulate(packet_bytes)
-    uid, off = _unpack_uid(record)
-    _check_length(record, off + 48, "login record")
-    n_u = Nonce128(record[off : off + 16])
-    tag = Digest256(record[off + 16 :])
+def dhs_edge_verify(edge: EdgeServer, request: LoginRequest, src: RandomSource) -> Challenge:
+    """Phase 4, edge side: match the stored identifier, check the
+    card-keyed tag via the binding, then issue a challenge nonce."""
+    uid, iid = request.uid, request.iid
     entry = edge.db.get(uid)
     if entry is None or entry.current_iid != iid:
         raise IdentifierMismatch(f"unknown or stale identifier for {uid!r}")
-    if tag != mac(edge.auth_base(uid), iid.to_bytes() + n_u.bytes):
+    if request.tag != mac(edge.auth_base(uid), iid.to_bytes() + request.n_u.bytes):
         raise TagInvalid(uid)
     n_e = random_nonce(src)
-    edge.pending[uid] = EdgePending(n_u=n_u, n_e=n_e)
+    edge.pending[uid] = EdgePending(n_u=request.n_u, n_e=n_e)
     return Challenge(uid, n_e)
 
 
@@ -357,8 +322,8 @@ def dhs_handshake(
     link, card: SmartCardState, edge: EdgeServer, password: str, src: RandomSource
 ) -> tuple[Key256, Key256]:
     """Login, edge verification and session agreement over ``link``,
-    returning (card key, edge key). The edge verifies the packet bytes."""
-    packet = link.carry(USER, GATEWAY, dhs_login(card, card.uid, password, src), Ipv6Packet.decode)
-    challenge = dhs_edge_verify(edge, packet.encode(), src)
+    returning (card key, edge key)."""
+    request = link.carry(USER, GATEWAY, dhs_login(card, card.uid, password, src), LoginRequest.decode)
+    challenge = dhs_edge_verify(edge, request, src)
     card_key, edge_key, _ = dhs_session_agree(link, card, edge, challenge)
     return card_key, edge_key

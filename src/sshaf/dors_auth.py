@@ -32,8 +32,8 @@ import hmac
 import struct
 from dataclasses import dataclass, field
 
-from .errors import AuthFailed, ForestExhausted, InvalidParams, MalformedPacket
-from .link import GATEWAY, USER
+from .errors import AuthFailed, ForestExhausted, InvalidParams
+from .link import GATEWAY, USER, Reader
 from .merkle_auth import merkle_root
 from .primitives import (
     Digest256,
@@ -101,14 +101,9 @@ class DorsSignature:
 
     @classmethod
     def decode(cls, data: bytes, params: DorsParams) -> "DorsSignature":
-        expected = 2 + params.k * 2 + params.k * 32
-        if len(data) != expected:
-            raise MalformedPacket(f"signature must be {expected} bytes, got {len(data)}")
-        (tree_index,) = struct.unpack_from(">H", data, 0)
-        indices = list(struct.unpack_from(f">{params.k}H", data, 2))
-        off = 2 + params.k * 2
-        reveals = [Key256(data[off + i * 32 : off + (i + 1) * 32]) for i in range(params.k)]
-        return cls(tree_index, indices, reveals)
+        r, k = Reader(data, "signature"), params.k
+        tree_index, indices = r.int(2), list(struct.unpack(f">{k}H", r.take(2 * k)))
+        return r.done(cls(tree_index, indices, [Key256(r.take(32)) for _ in range(k)]))
 
 
 @dataclass

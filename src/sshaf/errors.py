@@ -88,7 +88,9 @@ class CardLocked(SshafError):
 
 
 class MalformedPacket(SshafError):
-    """Packet framing is truncated or inconsistent."""
+    """A message's bytes are not what its encoder writes. ``link.Reader``
+    raises it for a read past the end, a wrong type tag, a uid that is not
+    UTF-8 or a byte left over."""
 
 
 class IdentifierMismatch(SshafError):

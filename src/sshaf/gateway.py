@@ -142,7 +142,7 @@ class UserDatabase:
 class UserWallet:
     """User-side credential material issued at activation."""
 
-    mht: merkle_auth.MhtUserState | None = None
+    mht: merkle_auth.MhtUserState
     dors: dors_auth.DorsUserSide | None = None
     card: dhs_auth.SmartCardState | None = None
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import dhs_auth, dors_auth, merkle_auth, persist
 from ..errors import InvalidParams, SshafError
@@ -124,7 +124,7 @@ def attack_replay(scheme: str, seed: bytes) -> AttackOutcome:
         for wire, kind in zip(trace.client_messages, ("login", "confirm")):
             try:
                 if kind == "login":
-                    dhs_auth.dhs_edge_verify(gw.edge, wire, gw.src)
+                    dhs_auth.dhs_edge_verify(gw.edge, dhs_auth.LoginRequest.decode(wire), gw.src)
                 else:
                     dhs_auth.dhs_edge_complete(gw.edge, dhs_auth.ConfirmMessage.decode(wire))
                 accepted.append(kind)
@@ -182,20 +182,17 @@ def _dors_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
 def _dhs_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
     accepted = []
     current_iid = gw.edge.db[UID].current_iid
-    old_request = traces[-1].client_messages[0]
-    _, old_record = dhs_auth.dhs_decapsulate(old_request)
-    # Replay the old record under the rotated identifier, and try guessed tags.
-    candidates = [
-        dhs_auth.dhs_encapsulate(old_record, current_iid).encode(),
-        old_request,
-    ]
+    old_request = dhs_auth.LoginRequest.decode(traces[-1].client_messages[0])
+    # Replay the old request under the rotated identifier, and try guessed tags.
+    candidates = [replace(old_request, iid=current_iid), old_request]
     fake_nonce = Nonce128(b"\xbb" * 16)
     for guess_tag in (hash_bytes(b"guess"), hash_bytes(current_iid.to_bytes() + fake_nonce.bytes)):
-        record = b"\x00\x05alice" + fake_nonce.bytes + guess_tag.bytes
-        candidates.append(dhs_auth.dhs_encapsulate(record, current_iid).encode())
-    for wire in candidates:
+        candidates.append(
+            dhs_auth.LoginRequest(dhs_auth.DEFAULT_PREFIX, current_iid, UID, fake_nonce, guess_tag)
+        )
+    for request in candidates:
         try:
-            dhs_auth.dhs_edge_verify(gw.edge, wire, gw.src)
+            dhs_auth.dhs_edge_verify(gw.edge, request, gw.src)
             accepted.append("login-forgery")
         except SshafError:
             pass

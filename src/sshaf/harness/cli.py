@@ -490,6 +490,9 @@ def main(argv=None) -> int:
         # not take: the full parser prints the usage, help or error and exits.
         args = build_parser().parse_args(argv)
         name = args.command
+    if getattr(args, "bluetooth", False) and args.origin == ORIGIN_INTERNET:
+        # A context no request can show is a usage error, before any file is touched.
+        _command_parser(name).error("argument --bluetooth: not allowed with --origin internet")
     try:
         return COMMANDS[name].run(args)
     except SshafError as exc:

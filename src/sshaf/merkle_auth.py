@@ -39,7 +39,7 @@ from .errors import (
     UnknownUser,
     UserAuthFailed,
 )
-from .link import GATEWAY, USER
+from .link import GATEWAY, USER, Reader, pack_uid
 from .primitives import (
     Digest256,
     Key256,
@@ -180,23 +180,13 @@ def mht_verify(root: Digest256, leaf: Digest256, proof: MerkleProof) -> bool:
 
 
 # --- handshake messages --------------------------------------------------
-# Wire layout: 1-byte type tag, variable fields with 2-byte big-endian
-# length prefixes, counters as 8-byte big-endian, digests/nonces raw.
-# Decoders accept exactly the bytes their encoder produces and raise
-# MalformedPacket on anything else. M2 writes each proof sibling after a
-# side byte, which is always 0 (left): a latest-leaf proof has no right
-# sibling, and the decoder rejects any other side byte.
+# Wire layout: 1-byte type tag, uids as ``link.pack_uid`` writes them,
+# counters as 8-byte big-endian, digests/nonces raw. Each decoder reads with
+# a ``link.Reader``. M2 writes each proof sibling after a side byte, which
+# is always 0 (left): a latest-leaf proof has no right sibling, and the
+# decoder rejects any other side byte.
 
 M1_TYPE, M2_TYPE, M3_TYPE, M4_TYPE = 1, 2, 3, 4
-M2_HEADER_LEN = 87  # tag, n_g, root, tag, leaf index, sibling count
-SIBLING_LEN = 33  # side byte, digest
-
-
-def _check_frame(data: bytes, type_tag: int, length: int) -> None:
-    if not data or data[0] != type_tag:
-        raise MalformedPacket(f"not an M{type_tag} frame")
-    if len(data) != length:
-        raise MalformedPacket(f"M{type_tag} frame is {len(data)} bytes, expected {length}")
 
 
 @dataclass
@@ -206,29 +196,12 @@ class MhtM1:
     counter: int
 
     def encode(self) -> bytes:
-        uid_bytes = self.uid.encode()
-        return (
-            bytes([M1_TYPE])
-            + struct.pack(">H", len(uid_bytes))
-            + uid_bytes
-            + self.n_u.bytes
-            + struct.pack(">Q", self.counter)
-        )
+        return bytes([M1_TYPE]) + pack_uid(self.uid) + self.n_u.bytes + struct.pack(">Q", self.counter)
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM1":
-        uid_len = int.from_bytes(data[1:3], "big")
-        _check_frame(data, M1_TYPE, 3 + uid_len + 16 + 8)
-        off = 3
-        try:
-            uid = data[off : off + uid_len].decode()
-        except UnicodeDecodeError:
-            raise MalformedPacket("M1 uid is not UTF-8") from None
-        off += uid_len
-        n_u = Nonce128(data[off : off + 16])
-        off += 16
-        (counter,) = struct.unpack_from(">Q", data, off)
-        return cls(uid, n_u, counter)
+        r = Reader(data, "M1").tagged(M1_TYPE)
+        return r.done(cls(r.uid(), Nonce128(r.take(16)), r.int(8)))
 
 
 @dataclass
@@ -248,17 +221,14 @@ class MhtM2:
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM2":
-        n_sib = int.from_bytes(data[M2_HEADER_LEN - 2 : M2_HEADER_LEN], "big")
-        _check_frame(data, M2_TYPE, M2_HEADER_LEN + SIBLING_LEN * n_sib)
-        n_g, root, tag, leaf_index = struct.unpack_from(">16s32s32sI", data, 1)
-        if any(data[M2_HEADER_LEN::SIBLING_LEN]):
-            raise MalformedPacket("an M2 sibling's side byte is not 0 (left)")
-        siblings = [
-            Digest256(data[off + 1 : off + SIBLING_LEN])
-            for off in range(M2_HEADER_LEN, len(data), SIBLING_LEN)
-        ]
-        proof = MerkleProof(leaf_index, siblings)
-        return cls(Nonce128(n_g), proof, Digest256(root), Digest256(tag))
+        r = Reader(data, "M2").tagged(M2_TYPE)
+        n_g, root, tag = Nonce128(r.take(16)), Digest256(r.take(32)), Digest256(r.take(32))
+        leaf_index, siblings = r.int(4), []
+        for _ in range(r.int(2)):
+            if r.int(1):
+                raise MalformedPacket("an M2 sibling's side byte is not 0 (left)")
+            siblings.append(Digest256(r.take(32)))
+        return r.done(cls(n_g, MerkleProof(leaf_index, siblings), root, tag))
 
 
 @dataclass
@@ -270,8 +240,8 @@ class MhtM3:
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM3":
-        _check_frame(data, M3_TYPE, 33)
-        return cls(Digest256(data[1:]))
+        r = Reader(data, "M3").tagged(M3_TYPE)
+        return r.done(cls(Digest256(r.take(32))))
 
 
 @dataclass
@@ -283,8 +253,8 @@ class MhtM4:
 
     @classmethod
     def decode(cls, data: bytes) -> "MhtM4":
-        _check_frame(data, M4_TYPE, 33)
-        return cls(Digest256(data[1:]))
+        r = Reader(data, "M4").tagged(M4_TYPE)
+        return r.done(cls(Digest256(r.take(32))))
 
 
 # --- protocol state ------------------------------------------------------

@@ -36,12 +36,13 @@ The MHT ``txn_counter``, the DORS counters (``signature_count``,
 ``dors_epochs``), a DHS card's ``failed_attempts``, the clock
 ``sim_minutes`` and the minutes a session or step-up token was made load
 only from non-negative JSON integers. An older session's ``confidence`` is
-ignored. DORS ``params`` load only from JSON integers, and only JSON null
-means a wallet part is absent. Across entries, restore checks that each
-entry keyed by a uid or a session id holds that id; that every wallet has
-its MHT part; that the wallets' parts, the registries, the DORS epochs and
-the edge table with its bindings name the same uids; and that each session
-and step-up token belongs to a uid with a wallet.
+ignored. DORS ``params`` load only from JSON integers. Every wallet holds
+its MHT part; only its DORS and card parts may be absent, and only JSON
+null means absent. Across entries, restore checks that each entry keyed by
+a uid or a session id holds that id; that the wallets' parts, the
+registries, the DORS epochs and the edge table with its bindings name the
+same uids; and that each session and step-up token belongs to a uid with a
+wallet.
 
 Fixed-width values are lowercase hex strings. A DHS interface identifier,
 ``current_iid`` on a card and in the edge table, is 16 hex digits, so its
@@ -313,7 +314,7 @@ def edge_server_from_dict(data: dict) -> dhs_auth.EdgeServer:
 
 def wallet_to_dict(wallet: gw_mod.UserWallet) -> dict:
     return {
-        "mht": mht_state_to_dict(wallet.mht) if wallet.mht else None,
+        "mht": mht_state_to_dict(wallet.mht),
         "dors": dors_user_to_dict(wallet.dors) if wallet.dors else None,
         "card": card_to_dict(wallet.card) if wallet.card else None,
     }
@@ -321,7 +322,7 @@ def wallet_to_dict(wallet: gw_mod.UserWallet) -> dict:
 
 def wallet_from_dict(data: dict) -> gw_mod.UserWallet:
     return gw_mod.UserWallet(
-        mht=None if data["mht"] is None else mht_user_from_dict(data["mht"]),
+        mht=mht_user_from_dict(data["mht"]),
         dors=None if data["dors"] is None else dors_user_from_dict(data["dors"]),
         card=None if data["card"] is None else card_from_dict(data["card"]),
     )
@@ -396,7 +397,7 @@ def _check_consistent(gw: gw_mod.Gateway) -> None:
     if not (
         all(entry.uid == uid for uid, entry in keyed)
         and all(session.session_id == sid for sid, session in gw.sessions.items())
-        and parts["mht"].keys() == gw.wallets.keys() == gw.mht_registry.keys()
+        and gw.wallets.keys() == gw.mht_registry.keys()
         and parts["dors"].keys() == gw.dors_registry.keys() == gw.dors_epochs.keys()
         and parts["card"].keys() | gw._pending_cards.keys() == gw.edge.db.keys() == gw.edge.bindings.keys()
         and all(type(uid) is str and uid in gw.wallets for uid in owners)

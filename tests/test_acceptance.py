@@ -163,7 +163,7 @@ def _run_dhs_100() -> list[bytes]:
     keys, iids = [], set()
     for _ in range(100):
         request = dhs_auth.dhs_login(card, "alice", "pw", src)
-        challenge = dhs_auth.dhs_edge_verify(edge, request.encode(), src)
+        challenge = dhs_auth.dhs_edge_verify(edge, request, src)
         ck, ek, new_iid = dhs_auth.dhs_session_agree(Loopback(), card, edge, challenge)
         assert ck == ek
         assert edge.db["alice"].current_iid == card.current_iid == new_iid

@@ -1023,6 +1023,42 @@ def test_bad_seed_is_a_usage_error_before_any_file(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["login", "--uid", "alice", "--password", "pw-alice"],
+        ["access", "--session", "s", "--device", "porch-camera"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("order", [["--origin", "internet", "--bluetooth"], ["--bluetooth", "--origin", "internet"]])
+def test_internet_origin_with_bluetooth_is_a_usage_error_before_any_file(
+    tmp_path, capsys, monkeypatch, argv, order
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--state", str(tmp_path / "state"), *order])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"sshaf {argv[0]}: error: argument --bluetooth: not allowed with --origin internet" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_internet_origin_with_bluetooth_leaves_a_live_session_and_its_state_as_they_were(tmp_path, capsys):
+    state = tmp_path / "state"
+    bootstrap_user(capsys, str(state))
+    code, out = login(capsys, str(state), 600)
+    assert code == 0
+    session = out.split("session=")[1].split()[0]
+    before = {name: (state / name).read_bytes() for name in state_files(state)}
+    with pytest.raises(SystemExit) as exc:
+        main(["access", "--state", str(state), "--session", session, "--device", "porch-camera",
+              "--origin", "internet", "--bluetooth", "--time", "610"])
+    assert exc.value.code == 2
+    assert "error: argument --bluetooth: not allowed with --origin internet" in capsys.readouterr().err
+    assert {name: (state / name).read_bytes() for name in state_files(state)} == before
+
+
+@pytest.mark.parametrize(
     "caps, error",
     [
         ("dros", "unknown capability 'dros'"),

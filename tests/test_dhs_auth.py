@@ -2,8 +2,6 @@
 rotation, and the lockout rule."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sshaf.errors import (
     AgreeFailed,
@@ -20,14 +18,13 @@ from sshaf.dhs_auth import (
     AckMessage,
     Challenge,
     ConfirmMessage,
+    DEFAULT_PREFIX,
     EdgeServer,
     InterfaceIdentifier,
-    Ipv6Packet,
+    LoginRequest,
     dhs_card_confirm,
-    dhs_decapsulate,
     dhs_edge_complete,
     dhs_edge_verify,
-    dhs_encapsulate,
     dhs_generate_iid,
     dhs_login,
     dhs_register,
@@ -48,7 +45,7 @@ def make_world(seed=b"\x21"):
 
 def run_session(card, edge, src, password="hunter2"):
     request = dhs_login(card, card.uid, password, src)
-    challenge = dhs_edge_verify(edge, request.encode(), src)
+    challenge = dhs_edge_verify(edge, request, src)
     return dhs_session_agree(Loopback(), card, edge, challenge)
 
 
@@ -101,35 +98,38 @@ def test_iid_is_leading_8_bytes_of_digest():
     assert dhs_generate_iid("bob", nonce, secret).to_bytes() == digest.bytes[:8]
 
 
-def test_encapsulate_zero_iid():
-    packet = dhs_encapsulate(b"req", InterfaceIdentifier(0))
-    assert packet.encode()[8:16] == b"\x00" * 8
+NONCE, TAG = Nonce128(b"\x01" * 16), hash_bytes(b"tag")
 
 
-def test_encapsulate_decapsulate_inverse():
+def test_login_request_zero_iid():
+    request = LoginRequest(DEFAULT_PREFIX, InterfaceIdentifier(0), "bob", NONCE, TAG)
+    assert request.encode()[8:16] == b"\x00" * 8
+
+
+def test_login_request_decode_inverts_encode():
     rng = RandomSource.seeded(b"\x03" * 32)
     for _ in range(20):
         iid = InterfaceIdentifier(int.from_bytes(rng.read(8), "big"))
-        payload = rng.read(int.from_bytes(rng.read(2), "big") % 4096)
-        packet = Ipv6Packet(0x20010DB8_0000_0042, iid.iid, payload)
-        out_iid, out_payload = dhs_decapsulate(packet.encode())
-        assert out_iid == iid
-        assert out_payload == payload
+        uid = rng.read(int.from_bytes(rng.read(2), "big") % 4096).hex()
+        request = LoginRequest(0x20010DB8_0000_0042, iid, uid, Nonce128(rng.read(16)), TAG)
+        decoded = LoginRequest.decode(request.encode())
+        assert decoded.iid == iid
+        assert decoded == request
 
 
 def test_prefix_does_not_affect_extracted_iid():
     iid = InterfaceIdentifier(0xDEADBEEF)
-    a = Ipv6Packet(0, iid.iid, b"x").encode()
-    b = Ipv6Packet((1 << 64) - 1, iid.iid, b"x").encode()
-    assert dhs_decapsulate(a)[0] == dhs_decapsulate(b)[0] == iid
+    a = LoginRequest(0, iid, "x", NONCE, TAG).encode()
+    b = LoginRequest((1 << 64) - 1, iid, "x", NONCE, TAG).encode()
+    assert LoginRequest.decode(a).iid == LoginRequest.decode(b).iid == iid
 
 
-def test_truncated_packet_rejected():
-    packet = dhs_encapsulate(b"payload", InterfaceIdentifier(7)).encode()
+def test_truncated_login_request_rejected():
+    packet = LoginRequest(DEFAULT_PREFIX, InterfaceIdentifier(7), "bob", NONCE, TAG).encode()
     with pytest.raises(MalformedPacket):
-        dhs_decapsulate(packet[:12])
+        LoginRequest.decode(packet[:12])
     with pytest.raises(MalformedPacket):
-        dhs_decapsulate(packet[:-2])
+        LoginRequest.decode(packet[:-2])
 
 
 # --- login ------------------------------------------------------------------
@@ -137,8 +137,7 @@ def test_truncated_packet_rejected():
 def test_login_carries_current_iid():
     src, _, edge, card = make_world()
     request = dhs_login(card, "bob", "hunter2", src)
-    iid, _ = dhs_decapsulate(request.encode())
-    assert iid == card.current_iid
+    assert LoginRequest.decode(request.encode()).iid == card.current_iid
 
 
 def test_wrong_password_emits_nothing_and_counts():
@@ -190,18 +189,18 @@ def test_successful_login_resets_strike_counter():
 def test_honest_login_yields_challenge():
     src, _, edge, card = make_world()
     request = dhs_login(card, "bob", "hunter2", src)
-    challenge = dhs_edge_verify(edge, request.encode(), src)
+    challenge = dhs_edge_verify(edge, request, src)
     assert challenge.uid == "bob"
 
 
 def test_stale_iid_rejected_after_session():
     src, _, edge, card = make_world()
     first_request = dhs_login(card, "bob", "hunter2", src)
-    challenge = dhs_edge_verify(edge, first_request.encode(), src)
+    challenge = dhs_edge_verify(edge, first_request, src)
     dhs_session_agree(Loopback(), card, edge, challenge)
-    # Identifier rotated; the recorded login packet is now stale.
+    # Identifier rotated; the recorded login request is now stale.
     with pytest.raises(IdentifierMismatch):
-        dhs_edge_verify(edge, first_request.encode(), src)
+        dhs_edge_verify(edge, first_request, src)
 
 
 def test_forged_tag_rejected():
@@ -210,16 +209,15 @@ def test_forged_tag_rejected():
     raw = bytearray(request.encode())
     raw[-1] ^= 0x01  # flip a tag byte
     with pytest.raises(TagInvalid):
-        dhs_edge_verify(edge, bytes(raw), src)
+        dhs_edge_verify(edge, LoginRequest.decode(bytes(raw)), src)
 
 
 def test_unknown_uid_rejected():
     src, _, edge, card = make_world()
     # Hand-built request for a uid the edge has never seen.
-    record = b"\x00\x07mallory" + b"\x01" * 16 + hash_bytes(b"tag").bytes
-    packet = dhs_encapsulate(record, card.current_iid)
+    request = LoginRequest(DEFAULT_PREFIX, card.current_iid, "mallory", NONCE, TAG)
     with pytest.raises(IdentifierMismatch):
-        dhs_edge_verify(edge, packet.encode(), src)
+        dhs_edge_verify(edge, request, src)
 
 
 # --- session agreement ----------------------------------------------------------
@@ -247,7 +245,7 @@ def test_consecutive_sessions_rotate_keys_and_iids():
 def test_tampered_challenge_nonce_fails_agreement():
     src, _, edge, card = make_world()
     request = dhs_login(card, "bob", "hunter2", src)
-    challenge = dhs_edge_verify(edge, request.encode(), src)
+    challenge = dhs_edge_verify(edge, request, src)
     iid_before = edge.db["bob"].current_iid
     tampered = Challenge(challenge.uid, Nonce128(bytes(16)))
     confirm, _ = dhs_card_confirm(card, tampered)
@@ -259,7 +257,7 @@ def test_tampered_challenge_nonce_fails_agreement():
 def test_bad_ack_leaves_card_iid_unchanged():
     src, _, edge, card = make_world()
     request = dhs_login(card, "bob", "hunter2", src)
-    challenge = dhs_edge_verify(edge, request.encode(), src)
+    challenge = dhs_edge_verify(edge, request, src)
     confirm, session = dhs_card_confirm(card, challenge)
     dhs_edge_complete(edge, confirm)
     iid_before = card.current_iid
@@ -272,7 +270,7 @@ def test_bad_ack_leaves_card_iid_unchanged():
 def test_wire_record_round_trips():
     src, _, edge, card = make_world()
     request = dhs_login(card, "bob", "hunter2", src)
-    challenge = dhs_edge_verify(edge, request.encode(), src)
+    challenge = dhs_edge_verify(edge, request, src)
     assert Challenge.decode(challenge.encode()) == challenge
     confirm, session = dhs_card_confirm(card, challenge)
     assert ConfirmMessage.decode(confirm.encode()) == confirm
@@ -281,47 +279,8 @@ def test_wire_record_round_trips():
 
 
 # --- decoders -------------------------------------------------------------------
-
-PROPERTY = settings(max_examples=200, deadline=None)
-
-digests = st.binary(min_size=32, max_size=32).map(Digest256)
-nonces = st.binary(min_size=16, max_size=16).map(Nonce128)
-uids = st.text(max_size=40)
-messages = st.one_of(
-    st.builds(Challenge, uids, nonces),
-    st.builds(ConfirmMessage, uids, digests),
-    st.builds(AckMessage, digests),
-)
-DECODERS = [Challenge, ConfirmMessage, AckMessage]
-
-
-@PROPERTY
-@given(messages)
-def test_decode_inverts_encode(msg):
-    assert type(msg).decode(msg.encode()) == msg
-
-
-@PROPERTY
-@given(messages, st.data())
-def test_truncated_or_extended_frames_rejected(msg, data):
-    wire = msg.encode()
-    cut = data.draw(st.integers(0, len(wire) - 1))
-    with pytest.raises(MalformedPacket):
-        type(msg).decode(wire[:cut])
-    with pytest.raises(MalformedPacket):
-        type(msg).decode(wire + data.draw(st.binary(min_size=1, max_size=40)))
-
-
-@pytest.mark.parametrize("cls", DECODERS)
-@PROPERTY
-@given(raw=st.binary(max_size=120))
-def test_random_bytes_decode_canonically_or_raise_malformed(cls, raw):
-    try:
-        msg = cls.decode(raw)
-    except MalformedPacket:
-        return
-    assert msg.encode() == raw
-
+# The round-trip, truncation and random-bytes properties of every decoder are
+# in tests/test_link.py; the cases here are the DHS messages' own.
 
 @pytest.mark.parametrize("cls,body_len", [(Challenge, 16), (ConfirmMessage, 32)])
 def test_uid_frames_reject_bad_uid_fields(cls, body_len):
@@ -344,8 +303,8 @@ def test_ack_rejects_trailing_bytes():
         AckMessage.decode(wire + b"\x00")
 
 
-def test_edge_verify_rejects_malformed_login_record():
-    src, _, edge, card = make_world()
+def test_malformed_login_record_is_rejected_at_decode():
+    iid = InterfaceIdentifier(7).to_bytes()
     for record in (
         b"\x00",
         b"\x00\x40bob",
@@ -353,6 +312,6 @@ def test_edge_verify_rejects_malformed_login_record():
         b"\x00\x03bob" + bytes(47),  # short tag
         b"\x00\x03bob" + bytes(49),  # trailing byte
     ):
-        packet = dhs_encapsulate(record, card.current_iid).encode()
+        packet = bytes(8) + iid + len(record).to_bytes(4, "big") + record
         with pytest.raises(MalformedPacket):
-            dhs_edge_verify(edge, packet, src)
+            LoginRequest.decode(packet)

@@ -385,58 +385,13 @@ def test_forgery_succeeds_exactly_when_subset_lands_in_revealed():
     assert landed > 0, "seed produced no in-revealed subsets; weaken nothing, reseed"
 
 
-# --- signature decoder ------------------------------------------------------------
+# --- decoders -------------------------------------------------------------------
+# The round-trip, truncation and random-bytes properties of every decoder,
+# the signature's at small and production parameters, are in
+# tests/test_link.py; the cases here are the DORS messages' own.
 
 PROPERTY = settings(max_examples=200, deadline=None)
-WIRE_PARAMS = [TINY, DorsParams()]
 
-
-def signatures(params):
-    k = params.k
-    return st.builds(
-        DorsSignature,
-        st.integers(0, 2**16 - 1),
-        st.lists(st.integers(0, 2**16 - 1), min_size=k, max_size=k),
-        st.binary(min_size=32 * k, max_size=32 * k).map(
-            lambda raw: [Key256(raw[32 * i : 32 * i + 32]) for i in range(k)]
-        ),
-    )
-
-
-@pytest.mark.parametrize("params", WIRE_PARAMS)
-@PROPERTY
-@given(data=st.data())
-def test_signature_decode_inverts_encode(params, data):
-    sig = data.draw(signatures(params))
-    assert DorsSignature.decode(sig.encode(), params) == sig
-
-
-@pytest.mark.parametrize("params", WIRE_PARAMS)
-@PROPERTY
-@given(data=st.data())
-def test_truncated_or_extended_signatures_rejected(params, data):
-    wire = data.draw(signatures(params)).encode()
-    cut = data.draw(st.integers(0, len(wire) - 1))
-    with pytest.raises(MalformedPacket):
-        DorsSignature.decode(wire[:cut], params)
-    with pytest.raises(MalformedPacket):
-        DorsSignature.decode(wire + data.draw(st.binary(min_size=1, max_size=40)), params)
-
-
-@pytest.mark.parametrize("params", WIRE_PARAMS)
-@PROPERTY
-@given(data=st.data())
-def test_random_bytes_decode_canonically_or_raise_malformed(params, data):
-    size = 2 + params.k * 34
-    raw = data.draw(st.one_of(st.binary(max_size=size + 8), st.binary(min_size=size, max_size=size)))
-    try:
-        sig = DorsSignature.decode(raw, params)
-    except MalformedPacket:
-        return
-    assert sig.encode() == raw
-
-
-# --- challenge decoder -------------------------------------------------------------
 
 @PROPERTY
 @given(raw=st.binary(max_size=40))

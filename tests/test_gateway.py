@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sshaf import persist
+from sshaf.dhs_auth import DEFAULT_PREFIX, LoginRequest
 from sshaf.context_engine import (
     DENY,
     FACTORS,
@@ -66,6 +67,7 @@ from sshaf.gateway import (
     serialize_db,
     store_db,
 )
+from sshaf.link import Loopback
 from sshaf.primitives import METER, Key256, Nonce128, RandomSource, kdf, mac, xor_bytes
 from synthetic import make_synthetic_dataset
 
@@ -198,6 +200,32 @@ def test_internet_login_with_card_uses_dhs():
     result = gw.login("alice", "pw-alice", snapshot)
     assert result.status == GRANT
     assert result.session.scheme == SCHEME_DHS
+
+
+class RewritePrefix(Loopback):
+    """Loopback that hands the edge the card's login under another address
+    prefix."""
+
+    def carry(self, sender, receiver, message, decode):
+        if isinstance(message, LoginRequest):
+            message = dataclasses.replace(message, prefix=message.prefix ^ 0xFFFF << 48)
+        return super().carry(sender, receiver, message, decode)
+
+
+def test_a_login_whose_prefix_is_rewritten_in_flight_is_still_accepted():
+    # The DHS login tag covers the interface identifier and n_u but not the
+    # address prefix, so the edge accepts a rewritten prefix and the run ends
+    # as an untouched one does. ROADMAP's transcript-bound handshakes, which
+    # bind every carried field into the tags and the session key, will make
+    # this rewrite fail the run, and this test flip.
+    gw, twin = make_gateway(), make_gateway()
+    for g in (gw, twin):
+        register_and_activate(g, caps=(CAP_CARD,))
+    link = RewritePrefix()
+    key = gw.run_scheme(SCHEME_DHS, "alice", "pw-alice", link)  # raises unless the keys are equal
+    assert link.carried[0][1].prefix != DEFAULT_PREFIX
+    assert key == twin.run_scheme(SCHEME_DHS, "alice", "pw-alice", Loopback())
+    assert gw.edge.db["alice"].current_iid == gw.wallets["alice"].card.current_iid
 
 
 def test_fresh_local_dors_user_uses_dors():

@@ -489,51 +489,10 @@ def test_handshake_hash_cost_is_logarithmic_in_history():
 
 
 # --- decoders -------------------------------------------------------------------
+# The round-trip, truncation and random-bytes properties of every decoder are
+# in tests/test_link.py; the cases here are the MHT messages' own.
 
-PROPERTY = settings(max_examples=200, deadline=None)
-
-digests = st.binary(min_size=32, max_size=32).map(Digest256)
-nonces = st.binary(min_size=16, max_size=16).map(Nonce128)
-m1s = st.builds(MhtM1, st.text(max_size=40), nonces, st.integers(0, 2**64 - 1))
-proofs = st.builds(
-    MerkleProof,
-    st.integers(0, 2**32 - 1),
-    st.lists(digests, max_size=12),
-)
-m2s = st.builds(MhtM2, nonces, proofs, digests, digests)
-messages = st.one_of(m1s, m2s, st.builds(MhtM3, digests), st.builds(MhtM4, digests))
 DECODERS = [(MhtM1, 1), (MhtM2, 2), (MhtM3, 3), (MhtM4, 4)]
-
-
-@PROPERTY
-@given(messages)
-def test_decode_inverts_encode(msg):
-    assert type(msg).decode(msg.encode()) == msg
-
-
-@PROPERTY
-@given(messages, st.data())
-def test_truncated_or_extended_frames_rejected(msg, data):
-    wire = msg.encode()
-    cut = data.draw(st.integers(0, len(wire) - 1))
-    with pytest.raises(MalformedPacket):
-        type(msg).decode(wire[:cut])
-    with pytest.raises(MalformedPacket):
-        type(msg).decode(wire + data.draw(st.binary(min_size=1, max_size=40)))
-
-
-@pytest.mark.parametrize("cls,type_tag", DECODERS)
-@PROPERTY
-@given(data=st.data())
-def test_random_bytes_decode_canonically_or_raise_malformed(cls, type_tag, data):
-    raw = data.draw(
-        st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(lambda b: bytes([type_tag]) + b))
-    )
-    try:
-        msg = cls.decode(raw)
-    except MalformedPacket:
-        return
-    assert msg.encode() == raw
 
 
 def valid_frames():

@@ -90,6 +90,41 @@ def test_net_src_lines_count_each_changed_file_and_the_total(tmp_path, capsys):
     }
 
 
+PARENT_SRC = '''"""Module docstring."""
+
+# A comment alone on its line.
+def f(a):
+    """Function docstring,
+    on two lines."""
+    b = a + 1  # a trailing comment
+    return b
+'''
+
+
+@pytest.mark.parametrize(
+    "edit, net_src, net_code",
+    [
+        (lambda src: src.replace("Module", "The module's").replace("two lines", "2 lines"), 0, 0),
+        (lambda src: src.replace("alone on its line", "reworded").replace("trailing", "changed"), 0, 0),
+        (lambda src: src.replace("# A comment alone on its line.\n", ""), -1, 0),
+        (lambda src: src.replace("    b = a + 1  # a trailing comment\n", "").replace("return b", "return a"), -1, -1),
+    ],
+    ids=["docstrings", "comments", "comment-line", "statement"],
+)
+def test_net_code_lines_leave_out_comments_and_docstrings(tmp_path, capsys, edit, net_src, net_code):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
+    for root, text in ((parent, PARENT_SRC), (change, edit(PARENT_SRC))):
+        (root / "src").mkdir()
+        (root / "src" / "m.py").write_text(text)
+    assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["net_src_lines"]["net"], report["net_code_lines"]["net"]) == (net_src, net_code)
+
+
+def test_code_lines_are_the_lines_that_hold_code_without_their_comments():
+    assert paired_bench.code_lines(PARENT_SRC) == ["def f(a):", "    b = a + 1", "    return b"]
+
+
 def test_settable_options_count_each_sides_defaults(tmp_path, capsys):
     parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
     for root, text in (

@@ -354,7 +354,7 @@ def test_dhs_entities_round_trip():
     card2 = persist.card_from_dict(persist.card_to_dict(card))
     edge2 = persist.edge_server_from_dict(persist.edge_server_to_dict(edge))
     request = dhs_auth.dhs_login(card2, "bob", "pw", src)
-    challenge = dhs_auth.dhs_edge_verify(edge2, request.encode(), src)
+    challenge = dhs_auth.dhs_edge_verify(edge2, request, src)
     ck, ek, _ = dhs_auth.dhs_session_agree(Loopback(), card2, edge2, challenge)
     assert ck == ek
 

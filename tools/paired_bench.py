@@ -21,6 +21,8 @@ goes to stderr.
 The report also carries ``net_src_lines``: the lines added and removed in the
 ``.py`` files under ``src/`` from PARENT to CHANGE, per changed file and in
 total, as ``difflib`` matches them. A file on one side only counts whole.
+``net_code_lines`` is the same count over the lines that hold code (see
+``code_lines``), so an edit to a comment or a docstring alone counts 0.
 ``settable_options`` counts, for each side, the options of the ``.py`` files
 under ``src/``: every value a caller may leave out (see ``option_names``).
 ``options_changed`` names the options the change ``lost`` and ``gained``,
@@ -40,11 +42,13 @@ from __future__ import annotations
 import argparse
 import ast
 import difflib
+import io
 import json
 import re
 import statistics
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -64,13 +68,36 @@ def _seed_range(text: str) -> list[int]:
     return seeds
 
 
-def _src_lines(checkout: Path, name: str) -> list[str]:
+def _src_text(checkout: Path, name: str) -> str:
     path = checkout / "src" / name
-    return path.read_text().splitlines() if path.is_file() else []
+    return path.read_text() if path.is_file() else ""
 
 
-def net_src_lines(parent: Path, change: Path) -> dict:
-    """Lines added and removed under ``src/`` from ``parent`` to ``change``:
+_LAYOUT_TOKENS = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(text: str) -> list[str]:
+    """The lines of Python source ``text`` that hold code, each without its
+    trailing comment: blank lines, comment-only lines and docstrings (the
+    string that opens a module, class or function body) are left out."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.add((node.body[0].lineno, node.body[0].col_offset))
+    lines, code = text.split("\n"), set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            lines[row - 1] = lines[row - 1][:col].rstrip()
+        elif token.type not in _LAYOUT_TOKENS and token.start not in docstrings:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return [lines[row - 1] for row in sorted(code)]
+
+
+def net_lines(parent: Path, change: Path, lines_of) -> dict:
+    """Lines added and removed under ``src/`` from ``parent`` to ``change``,
+    where ``lines_of`` splits a file's text into the lines compared:
     ``files`` maps each changed file to its counts, and the totals follow."""
     names = sorted({
         path.relative_to(root / "src").as_posix()
@@ -78,7 +105,7 @@ def net_src_lines(parent: Path, change: Path) -> dict:
     })
     files = {}
     for name in names:
-        old, new = _src_lines(parent, name), _src_lines(change, name)
+        old, new = (lines_of(_src_text(root, name)) for root in (parent, change))
         added = removed = 0
         matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
         for tag, i1, i2, j1, j2 in matcher.get_opcodes():
@@ -294,7 +321,8 @@ def main(argv=None) -> int:
         "statistics": "median and quartiles (statistics.quantiles, method='inclusive') over "
         "each side's runs; change_wins counts pairs where the change is better (lower, or "
         "higher where BENCHMARK.json says so); ties count for neither",
-        "net_src_lines": net_src_lines(*checkouts.values()),
+        "net_src_lines": net_lines(*checkouts.values(), str.splitlines),
+        "net_code_lines": net_lines(*checkouts.values(), code_lines),
         "settable_options": {side: settable_options(root / "src") for side, root in checkouts.items()},
         "options_changed": options_changed(*checkouts.values()),
         "symbols_changed": symbols_changed(*checkouts.values()),
