@@ -155,4 +155,5 @@ class AuthenticatedDecryptionFailed(SshafError):
 
 class StateCorrupt(SshafError):
     """A file of a state directory is missing, unreadable, or does not
-    parse or restore: gateway.key, state.json or db.enc."""
+    parse or restore: gateway.key, state.json or db.enc. A state directory
+    that cannot be created fails the same way."""

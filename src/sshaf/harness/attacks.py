@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .. import dhs_auth, dors_auth, merkle_auth, persist
 from ..errors import InvalidParams, SshafError
 from ..gateway import Gateway
-from ..link import GATEWAY, USER, Loopback
+from ..link import USER, Loopback
 from ..primitives import (
     NONCE_LEN,
     Digest256,
@@ -40,7 +40,6 @@ ATTACK_IMPERSONATE = "impersonate"
 ATTACK_SKD = "skd"
 ATTACK_STOLEN = "stolen"
 
-ATTACK_KINDS = (ATTACK_REPLAY, ATTACK_IMPERSONATE, ATTACK_SKD, ATTACK_STOLEN)
 SCHEMES = ("mht", "dors", "dhs")
 
 # The labels the key search tries with the public kdf: the five that derive
@@ -64,7 +63,7 @@ class SessionTrace:
 
     session_key: Key256
     client_messages: list[bytes]
-    public_material: list[bytes] = field(default_factory=list)
+    public_material: list[bytes]
 
 
 # --- honest sessions -------------------------------------------------------------
@@ -255,11 +254,9 @@ def attack_session_key_disclosure(scheme: str, seed: bytes) -> AttackOutcome:
 
 # --- stolen device ------------------------------------------------------------------
 
-def _captured_state(scheme: str, gw: Gateway, include_pending: bool) -> bytes:
+def _captured_state(scheme: str, gw: Gateway) -> bytes:
     if scheme == "mht":
-        return persist.dumps(
-            persist.mht_state_to_dict(gw.mht_registry[UID], include_pending=include_pending)
-        )
+        return persist.dumps(persist.mht_state_to_dict(gw.mht_registry[UID]))
     if scheme == "dors":
         return persist.dumps(persist.dors_gateway_to_dict(gw.dors_registry[UID]))
     # DHS: the edge *database table* alone, per the stolen-database model.
@@ -282,52 +279,13 @@ def _derivation_attempts(scheme: str, captured: dict, traces: list[SessionTrace]
     return _derivable(secrets, traces)
 
 
-class _CaptureAtChallenge(Loopback):
-    """A loopback that captures the gateway's persisted MHT state, pending
-    run included, as it carries the gateway's first message, M2."""
-
-    def __init__(self, gw: Gateway):
-        super().__init__()
-        self.gw, self.blob = gw, b""
-
-    def carry(self, sender, receiver, message, decode):
-        if sender == GATEWAY and not self.blob:
-            self.blob = _captured_state("mht", self.gw, include_pending=True)
-        return super().carry(sender, receiver, message, decode)
-
-
-def attack_stolen_device(scheme: str, seed: bytes, capture_pending: bool = False) -> AttackOutcome:
-    """Capture the gateway-side persisted state after N_SESSIONS sessions and
-    try to recover the past session keys from it plus the transcripts.
-
-    With ``capture_pending`` the capture happens mid-handshake; that window
-    is expected to leak the in-flight key and reports success."""
+def attack_stolen_device(scheme: str, seed: bytes) -> AttackOutcome:
+    """Capture the gateway-side persisted state after N_SESSIONS completed
+    sessions and try to recover the past session keys from it plus the
+    transcripts. A DHS capture must also not let a fresh login through."""
     gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
     traces = [_run_session(gw, scheme) for _ in range(N_SESSIONS)]
-
-    if capture_pending:
-        if scheme != "mht":
-            raise ValueError("pending-window capture is modelled for the mht scheme")
-        link = _CaptureAtChallenge(gw)
-        real_key = gw.run_scheme(scheme, UID, PASSWORD, link)
-        captured = json.loads(link.blob)
-        pend = captured.get("pending")
-        if pend and "n_u" in pend and "n_g" in pend:
-            shared = Key256.from_hex(captured["shared_key"])
-            in_flight = kdf(
-                shared,
-                "sk",
-                bytes.fromhex(pend["n_u"]) + bytes.fromhex(pend["n_g"]) + bytes.fromhex(pend["root"]),
-            )
-            if in_flight == real_key:
-                return AttackOutcome(
-                    True,
-                    "mht: capture during a pending handshake exposes the in-flight "
-                    "session key (documented window)",
-                )
-        return AttackOutcome(False, "mht: pending capture leaked nothing")
-
-    blob = _captured_state(scheme, gw, include_pending=False)
+    blob = _captured_state(scheme, gw)
 
     # Ephemeral nonces and session keys must not sit in persisted bytes.
     hex_blob = blob.decode()
@@ -359,15 +317,22 @@ def attack_stolen_device(scheme: str, seed: bytes, capture_pending: bool = False
 
 # --- the whole matrix --------------------------------------------------------------
 
+# Each attack kind's function, called as ``ATTACKS[kind](scheme, seed)``.
+ATTACKS = {
+    ATTACK_REPLAY: attack_replay,
+    ATTACK_IMPERSONATE: attack_impersonate,
+    ATTACK_SKD: attack_session_key_disclosure,
+    ATTACK_STOLEN: attack_stolen_device,
+}
+ATTACK_KINDS = tuple(ATTACKS)
+
+
 def run_attack_matrix(seed: bytes) -> dict[tuple[str, str], AttackOutcome]:
-    """All four attacks against all three schemes: 12 outcomes."""
-    matrix: dict[tuple[str, str], AttackOutcome] = {}
-    for scheme in SCHEMES:
-        matrix[(ATTACK_REPLAY, scheme)] = attack_replay(scheme, seed)
-        matrix[(ATTACK_IMPERSONATE, scheme)] = attack_impersonate(scheme, seed)
-        matrix[(ATTACK_SKD, scheme)] = attack_session_key_disclosure(scheme, seed=seed)
-        matrix[(ATTACK_STOLEN, scheme)] = attack_stolen_device(scheme, seed=seed)
-    return matrix
+    """Every attack of ``ATTACKS`` against every scheme: 12 outcomes."""
+    return {
+        (kind, scheme): attack(scheme, seed)
+        for scheme in SCHEMES for kind, attack in ATTACKS.items()
+    }
 
 
 # --- small-parameter forgery experiment -----------------------------------------------

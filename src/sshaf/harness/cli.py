@@ -12,7 +12,9 @@ A state directory carries the gateway across invocations in three files:
   session key either: a session is its id, owner and grant minute.
 
 A missing, unreadable or damaged file fails the call with ``StateCorrupt``
-naming it. Benchmarks, attacks, and reports are stateless and fully
+naming it, and a state directory that cannot be created (its path is a
+file, or lies under one) fails it with ``StateCorrupt`` naming the
+directory. Benchmarks, attacks, and reports are stateless and fully
 determined by their seed; only those commands import the scenario, network
 and attack harness.
 
@@ -86,7 +88,10 @@ def _state_corrupt(path: Path, exc: Exception) -> StateCorrupt:
 def _load(state_dir: Path, seed: bytes | None) -> tuple[Gateway, bytes, int]:
     state_path = state_dir / STATE_FILE
     if not state_path.exists():
-        _boot(state_dir, seed)
+        try:
+            _boot(state_dir, seed)
+        except OSError as exc:
+            raise _state_corrupt(state_dir, exc) from exc
     key_path = state_dir / KEY_FILE
     try:
         db_key = Key256.from_hex(key_path.read_text().strip())
@@ -265,15 +270,9 @@ def cmd_attack(args) -> int:
 
     seed = args.seed
     schemes = attacks.SCHEMES if args.scheme == "all" else (args.scheme,)
-    runners = {
-        "replay": lambda s: attacks.attack_replay(s, seed),
-        "impersonate": lambda s: attacks.attack_impersonate(s, seed),
-        "skd": lambda s: attacks.attack_session_key_disclosure(s, seed=seed),
-        "stolen": lambda s: attacks.attack_stolen_device(s, seed=seed),
-    }
     any_success = False
     for scheme in schemes:
-        outcome = runners[args.kind](scheme)
+        outcome = attacks.ATTACKS[args.kind](scheme, seed)
         any_success |= outcome.succeeded
         status = "VULNERABLE" if outcome.succeeded else "resisted"
         print(f"{args.kind}/{scheme}: {status} -- {outcome.detail}")

@@ -1,5 +1,5 @@
 """Deterministic simulated network: integer-millisecond clock, per-link
-latency, optional message drops, and an append-only transcript.
+latency, and an append-only transcript.
 
 Milliseconds here are a declarative cost model, not measurements; every
 assertion downstream is about orderings and exact counters, never about
@@ -9,8 +9,6 @@ absolute wall time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-
-from ..errors import SshafError
 
 LINK_LOCAL = "local"
 LINK_INTERNET = "internet"
@@ -25,20 +23,13 @@ DEFAULT_FACTOR_COST_MS = {
 }
 
 
-class MessageDropped(SshafError):
-    """The simulated link dropped this message."""
-
-
 @dataclass
 class SimConfig:
     seed: bytes
-    drop_rate: float = 0.0
 
     def __post_init__(self):
         if len(self.seed) != 32:
             raise ValueError("seed must be 32 bytes")
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError("drop_rate must lie in [0, 1]")
 
 
 @dataclass
@@ -82,33 +73,20 @@ class SimClock:
 
 
 class SimLink:
-    """Point-to-point message ferry with per-message latency and a
-    deterministic drop stream drawn from the scenario seed."""
+    """Point-to-point message ferry with per-message latency: it delivers
+    every message, and counts and records each one."""
 
-    def __init__(self, config: SimConfig, link: str, clock: SimClock, transcript: Transcript, drop_stream=None):
+    def __init__(self, link: str, clock: SimClock, transcript: Transcript):
         if link not in DEFAULT_LATENCY_MS:
             raise ValueError(f"no latency configured for link {link!r}")
         self.latency_ms = DEFAULT_LATENCY_MS[link]
-        self.drop_rate = config.drop_rate
         self.clock = clock
         self.transcript = transcript
-        self.drop_stream = drop_stream
         self.messages = 0
         self.wire_bytes = 0
 
-    def _dropped(self) -> bool:
-        if self.drop_rate <= 0.0 or self.drop_stream is None:
-            return False
-        draw = int.from_bytes(self.drop_stream.read(4), "big") / 2**32
-        return draw < self.drop_rate
-
     def send(self, sender: str, receiver: str, data: bytes) -> bytes:
         self.clock.advance(self.latency_ms)
-        if self._dropped():
-            self.transcript.add(
-                TranscriptEvent(self.clock.now_ms, sender, receiver, data, "dropped")
-            )
-            raise MessageDropped(f"{sender} -> {receiver}")
         self.messages += 1
         self.wire_bytes += len(data)
         self.transcript.add(

@@ -19,8 +19,8 @@ file carries is ignored and is gone after the next save: the configuration
 count names its tree), a DORS gateway side's ``roots``, ``dropped`` and
 ``leaf_digests``, a card's ``locked`` (its ``failed_attempts`` say it), and
 a session's ``origin``, ``device_grants``, ``scheme`` and ``session_key``.
-Pending handshake material is ephemeral and excluded unless a capture
-explicitly asks for it (that inclusion is the documented attack window).
+Pending handshake material is ephemeral and never written: an MHT run in
+flight, its ``n_u``, ``n_g`` and root, is in no entry.
 
 An MHT gateway side writes its whole leaf log as ``leaves``, one hex string
 per leaf: Tables 1/2 count that entry as the gateway's storage and the
@@ -98,11 +98,10 @@ def _count(value) -> int:
 
 # --- merkle_auth ------------------------------------------------------------
 
-def mht_state_to_dict(state, include_pending: bool = False) -> dict:
+def mht_state_to_dict(state) -> dict:
     """A gateway side writes its leaf log as ``leaves``, a user side its
-    compact history as ``range`` (see the module docstring).
-    ``include_pending`` applies to a gateway side: its run in flight,
-    ``n_u``, ``n_g`` and ``root``, is written too."""
+    compact history as ``range`` (see the module docstring). A run in
+    flight is not written."""
     data = {
         "uid": state.uid,
         "shared_key": state.shared_key.hex(),
@@ -112,9 +111,6 @@ def mht_state_to_dict(state, include_pending: bool = False) -> dict:
         data["leaves"] = _digests_to_hex(state.leaves)
     else:
         data["range"] = _digests_to_hex(state.history.compact_range())
-    if include_pending and state.pending is not None:
-        pend = state.pending
-        data["pending"] = {"n_u": pend.n_u.hex(), "n_g": pend.n_g.hex(), "root": pend.root.hex()}
     return data
 
 

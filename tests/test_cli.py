@@ -521,6 +521,19 @@ def test_missing_or_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys
     assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
 
 
+@pytest.mark.parametrize(
+    "under, error", [(False, "FileExistsError"), (True, "NotADirectoryError")], ids=["file", "under-file"]
+)
+def test_state_directory_that_cannot_be_created_exits_with_state_corrupt(tmp_path, capsys, under, error):
+    blocker = tmp_path / "state"
+    blocker.write_bytes(b"not a directory\n")
+    state = blocker / "inner" if under else blocker
+    code = main(["login", "--state", str(state), "--uid", "a", "--password", "b"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {state}: {error}: ")
+    assert blocker.read_bytes() == b"not a directory\n"
+
+
 # The home's configuration as a state directory once carried it: in
 # state.json, and as an access_policies table in db.enc.
 OLD_CONFIGURATION = {

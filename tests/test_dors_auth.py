@@ -26,7 +26,7 @@ from sshaf.dors_auth import (
     dors_subset,
     dors_verify,
 )
-from sshaf.harness.simnet import LINK_LOCAL, SimClock, SimConfig, SimLink, Transcript
+from sshaf.harness.simnet import LINK_LOCAL, SimClock, SimLink, Transcript
 from sshaf.link import GATEWAY, Loopback
 from sshaf.primitives import METER, Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf
 
@@ -407,7 +407,7 @@ class ChallengeResizingLink(SimLink):
     """Delivers the gateway's challenge frame at a different length."""
 
     def __init__(self, resize):
-        super().__init__(SimConfig(seed=b"\x00" * 32), LINK_LOCAL, SimClock(), Transcript())
+        super().__init__(LINK_LOCAL, SimClock(), Transcript())
         self.resize = resize
 
     def send(self, sender, receiver, data):

@@ -107,14 +107,6 @@ def test_dors_signature_dominates_dors_wire_bytes():
     assert report.wire_bytes >= 16 + 546
 
 
-def test_drop_rate_one_aborts_handshake():
-    config = SimConfig(seed=b"\x42" * 32, drop_rate=1.0)
-    transcript, report = run_scenario(config, "mht", [], LINK_LOCAL)
-    assert report.outcome == "aborted:drop"
-    assert any(e.outcome == "dropped" for e in transcript.events)
-    assert report.messages == 0
-
-
 def test_csv_has_table_layout():
     csv_text = cost_table_to_csv(build_cost_table(TABLE1_ROWS, CONFIG))
     lines = csv_text.strip().splitlines()
@@ -268,7 +260,7 @@ def test_every_module_level_symbol_has_a_caller():
 
 # Settable options in src/sshaf. Raise it only with a CHANGES.md line that
 # names the two callers that need different values.
-OPTION_CEILING = 46
+OPTION_CEILING = 41
 
 
 def test_settable_options_stay_under_their_ceiling():

@@ -1,7 +1,8 @@
 """Each scheme's handshake driver gives the same result over the in-process
 loopback as over the simulated network, every message position of a run
 can be dropped, and every handshake message's decoder accepts exactly the
-bytes its encoder writes."""
+bytes its encoder writes. The drops come from ``DropAt``, a simulated link
+that loses the message at one position."""
 
 from functools import partial
 from typing import Callable, NamedTuple
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from sshaf import dhs_auth, dors_auth, merkle_auth, persist
 from sshaf.errors import Busy, MalformedPacket, UserAuthFailed
-from sshaf.harness.simnet import LINK_LOCAL, MessageDropped, SimClock, SimConfig, SimLink, Transcript
+from sshaf.harness.simnet import LINK_LOCAL, SimClock, SimLink, Transcript
 from sshaf.link import USER, Loopback, Reader
 from sshaf.primitives import Digest256, Key256, Nonce128, RandomSource, random_key
 
@@ -78,29 +79,29 @@ class DhsPair:
 PAIRS = (MhtPair, DorsPair, DhsPair)
 
 
-class DropAt:
-    """Drop stream that drops only the message at ``position``."""
+class MessageDropped(Exception):
+    """The link lost a message."""
+
+
+class DropAt(SimLink):
+    """A simulated link that delivers every message up to ``position`` and
+    loses that one: the run stops there."""
 
     def __init__(self, position):
+        super().__init__(LINK_LOCAL, SimClock(), Transcript())
         self.position = position
-        self.draws = 0
 
-    def read(self, n):
-        drop = self.draws == self.position
-        self.draws += 1
-        return (b"\x00" if drop else b"\xff") * n
-
-
-def sim_link(drop_stream=None, drop_rate=0.0):
-    config = SimConfig(seed=b"\x00" * 32, drop_rate=drop_rate)
-    return SimLink(config, LINK_LOCAL, SimClock(), Transcript(), drop_stream)
+    def send(self, sender, receiver, data):
+        if self.messages == self.position:
+            raise MessageDropped(f"{sender} -> {receiver}")
+        return super().send(sender, receiver, data)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.__name__)
 def test_driver_agrees_over_loopback_and_simlink(pair, seed):
     local, remote = pair(seed), pair(seed)
-    loopback, link = Loopback(), sim_link()
+    loopback, link = Loopback(), SimLink(LINK_LOCAL, SimClock(), Transcript())
     local_keys = local.handshake(loopback)
     remote_keys = remote.handshake(link)
     assert local_keys[0] == local_keys[1]
@@ -116,11 +117,11 @@ def test_driver_agrees_over_loopback_and_simlink(pair, seed):
 @pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.__name__)
 def test_every_drop_position_stops_the_run_there(pair):
     for position in range(pair.MESSAGES):
-        link = sim_link(DropAt(position), drop_rate=0.5)
+        link = DropAt(position)
         with pytest.raises(MessageDropped):
             pair(SEEDS[0]).handshake(link)
         assert link.messages == position
-        assert [e.outcome for e in link.transcript.events] == ["delivered"] * position + ["dropped"]
+        assert [e.outcome for e in link.transcript.events] == ["delivered"] * position
 
 
 class FlipM3(Loopback):
@@ -143,7 +144,7 @@ def assert_next_mht_run_succeeds(pair):
 def test_mht_run_lost_before_the_gateway_commits_leaves_nothing_pending(position):
     pair = MhtPair(SEEDS[0])
     with pytest.raises(MessageDropped):
-        pair.handshake(sim_link(DropAt(position), drop_rate=0.5))
+        pair.handshake(DropAt(position))
     assert pair.user.pending is None
     assert_next_mht_run_succeeds(pair)
 
@@ -162,7 +163,7 @@ def test_mht_run_lost_at_m4_still_blocks_the_next_run():
     # is not built yet.
     pair = MhtPair(SEEDS[0])
     with pytest.raises(MessageDropped):
-        pair.handshake(sim_link(DropAt(3), drop_rate=0.5))
+        pair.handshake(DropAt(3))
     assert pair.user.pending is not None
     with pytest.raises(Busy):
         pair.handshake(Loopback())

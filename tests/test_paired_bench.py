@@ -90,6 +90,22 @@ def test_net_src_lines_count_each_changed_file_and_the_total(tmp_path, capsys):
     }
 
 
+def test_a_helper_moved_from_src_into_tests_counts_in_both_trees(tmp_path, capsys):
+    parent, change = checkout(tmp_path / "p", 2.0), checkout(tmp_path / "c", 1.0)
+    helper = "def drop_at(position):\n    return position\n"
+    for root, src, tests in (
+        (parent, "x = 1\n" + helper, "import m\n"),
+        (change, "x = 1\n", "import m\n" + helper),
+    ):
+        for path, text in ((root / "src" / "m.py", src), (root / "tests" / "test_m.py", tests)):
+            path.parent.mkdir()
+            path.write_text(text)
+    assert paired_bench.main([str(parent), str(change), "--workloads", "w", "--seeds", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["net_src_lines"]["files"] == {"m.py": {"added": 0, "removed": 2, "net": -2}}
+    assert report["net_test_lines"]["files"] == {"test_m.py": {"added": 2, "removed": 0, "net": 2}}
+
+
 PARENT_SRC = '''"""Module docstring."""
 
 # A comment alone on its line.

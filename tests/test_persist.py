@@ -45,7 +45,7 @@ def test_mht_state_round_trip():
     assert persist.mht_user_from_dict(persist.mht_state_to_dict(user)) == user
 
 
-def test_mht_pending_excluded_unless_requested():
+def test_mht_gateway_entry_never_holds_its_pending_nonce():
     registry = {}
     user, gateway = merkle_auth.mht_register(registry, "alice", MASTER)
     src = RandomSource.seeded(b"\x02" * 32)
@@ -54,10 +54,6 @@ def test_mht_pending_excluded_unless_requested():
     assert gateway.pending is not None
     plain = persist.dumps(persist.mht_state_to_dict(gateway)).decode()
     assert m1.n_u.hex() not in plain
-    with_pending = persist.dumps(
-        persist.mht_state_to_dict(gateway, include_pending=True)
-    ).decode()
-    assert m1.n_u.hex() in with_pending
 
 
 def mht_pair(handshakes: int):

@@ -23,6 +23,8 @@ The report also carries ``net_src_lines``: the lines added and removed in the
 total, as ``difflib`` matches them. A file on one side only counts whole.
 ``net_code_lines`` is the same count over the lines that hold code (see
 ``code_lines``), so an edit to a comment or a docstring alone counts 0.
+``net_test_lines`` is the count of ``net_src_lines`` over the ``.py`` files
+under ``tests/``, so code moved from ``src/`` into the tests shows in both.
 ``settable_options`` counts, for each side, the options of the ``.py`` files
 under ``src/``: every value a caller may leave out (see ``option_names``).
 ``options_changed`` names the options the change ``lost`` and ``gained``,
@@ -68,8 +70,8 @@ def _seed_range(text: str) -> list[int]:
     return seeds
 
 
-def _src_text(checkout: Path, name: str) -> str:
-    path = checkout / "src" / name
+def _tree_text(checkout: Path, tree: str, name: str) -> str:
+    path = checkout / tree / name
     return path.read_text() if path.is_file() else ""
 
 
@@ -95,17 +97,18 @@ def code_lines(text: str) -> list[str]:
     return [lines[row - 1] for row in sorted(code)]
 
 
-def net_lines(parent: Path, change: Path, lines_of) -> dict:
-    """Lines added and removed under ``src/`` from ``parent`` to ``change``,
-    where ``lines_of`` splits a file's text into the lines compared:
-    ``files`` maps each changed file to its counts, and the totals follow."""
+def net_lines(parent: Path, change: Path, tree: str, lines_of) -> dict:
+    """Lines added and removed in the ``.py`` files under ``tree`` (``"src"``
+    or ``"tests"``) from ``parent`` to ``change``, where ``lines_of`` splits a
+    file's text into the lines compared: ``files`` maps each changed file to
+    its counts, and the totals follow."""
     names = sorted({
-        path.relative_to(root / "src").as_posix()
-        for root in (parent, change) for path in (root / "src").rglob("*.py")
+        path.relative_to(root / tree).as_posix()
+        for root in (parent, change) for path in (root / tree).rglob("*.py")
     })
     files = {}
     for name in names:
-        old, new = (lines_of(_src_text(root, name)) for root in (parent, change))
+        old, new = (lines_of(_tree_text(root, tree, name)) for root in (parent, change))
         added = removed = 0
         matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
         for tag, i1, i2, j1, j2 in matcher.get_opcodes():
@@ -321,8 +324,9 @@ def main(argv=None) -> int:
         "statistics": "median and quartiles (statistics.quantiles, method='inclusive') over "
         "each side's runs; change_wins counts pairs where the change is better (lower, or "
         "higher where BENCHMARK.json says so); ties count for neither",
-        "net_src_lines": net_lines(*checkouts.values(), str.splitlines),
-        "net_code_lines": net_lines(*checkouts.values(), code_lines),
+        "net_src_lines": net_lines(*checkouts.values(), "src", str.splitlines),
+        "net_code_lines": net_lines(*checkouts.values(), "src", code_lines),
+        "net_test_lines": net_lines(*checkouts.values(), "tests", str.splitlines),
         "settable_options": {side: settable_options(root / "src") for side, root in checkouts.items()},
         "options_changed": options_changed(*checkouts.values()),
         "symbols_changed": symbols_changed(*checkouts.values()),
