@@ -93,7 +93,7 @@ class SmartCardState:
     card_secret: Key256
     current_iid: InterfaceIdentifier
     failed_attempts: int = 0
-    pending_n_u: Nonce128 | None = None
+    pending_n_u: Nonce128 | None = field(default=None, init=False)
 
     def auth_base(self) -> Key256:
         return Key256(hash_bytes(self.card_secret.bytes).bytes)
@@ -118,7 +118,7 @@ class EdgeServer:
 
     db: dict[str, EdgeEntry] = field(default_factory=dict)
     bindings: dict[str, Digest256] = field(default_factory=dict)
-    pending: dict[str, EdgePending] = field(default_factory=dict)
+    pending: dict[str, EdgePending] = field(default_factory=dict, init=False)
 
     def auth_base(self, uid: str) -> Key256:
         entry = self.db[uid]

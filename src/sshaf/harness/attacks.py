@@ -7,6 +7,10 @@ scheme's capability. Every honest session runs through
 ``Gateway.run_scheme``, and the adversary reads and targets the gateway's
 own registries, wallets and edge table.
 
+A recorded session keeps its client messages as the objects the link
+carried, and one function, ``_accepted``, hands every replayed or forged
+client message to the gateway function that receives its class.
+
 Success criteria are operational: an attack succeeds only when the
 adversary gets a forged or replayed message accepted, equates or derives a
 session key it was not given, or finds secret material inside captured
@@ -59,10 +63,12 @@ class AttackOutcome:
 
 @dataclass
 class SessionTrace:
-    """Public wire material plus the established key for one session."""
+    """One session as the adversary saw it: the message objects the user
+    sent, the public material its keys could be derived over, and the key
+    it established."""
 
     session_key: Key256
-    client_messages: list[bytes]
+    client_messages: list
     public_material: list[bytes]
 
 
@@ -83,8 +89,31 @@ def _run_session(gw: Gateway, scheme: str) -> SessionTrace:
     else:
         challenge, confirm = messages[1:3]
         public = [challenge.n_e.bytes, confirm.tag.bytes + challenge.n_e.bytes]
-    client = [message.encode() for sender, message in link.carried if sender == USER]
+    client = [message for sender, message in link.carried if sender == USER]
     return SessionTrace(key, client, public)
+
+
+def _accepted(gw: Gateway, messages: list, challenge: Nonce128 | None) -> list[str]:
+    """Send each client message to the gateway function that receives its
+    class, in order, and return the class names of those it accepted: those
+    whose receiver raised no ``SshafError``. ``challenge`` is the DORS
+    challenge a ``DorsSignature`` answers, and ``None`` for other messages."""
+    receivers = {
+        merkle_auth.MhtM1: lambda m: merkle_auth.mht_auth_challenge(gw.mht_registry, m, gw.src),
+        merkle_auth.MhtM3: lambda m: merkle_auth.mht_auth_finalize(gw.mht_registry, UID, m),
+        dors_auth.DorsSignature:
+            lambda m: dors_auth.dors_gateway_verify(gw.dors_registry[UID], challenge, m),
+        dhs_auth.LoginRequest: lambda m: dhs_auth.dhs_edge_verify(gw.edge, m, gw.src),
+        dhs_auth.ConfirmMessage: lambda m: dhs_auth.dhs_edge_complete(gw.edge, m),
+    }
+    accepted = []
+    for message in messages:
+        try:
+            receivers[type(message)](message)
+        except SshafError:
+            continue
+        accepted.append(type(message).__name__)
+    return accepted
 
 
 # --- replay ---------------------------------------------------------------------
@@ -94,42 +123,8 @@ def attack_replay(scheme: str, seed: bytes) -> AttackOutcome:
     after the session completed."""
     gw = seeded_gateway(seed, f"attack:{scheme}", scheme)
     trace = _run_session(gw, scheme)
-    accepted = []
-
-    if scheme == "mht":
-        for wire in trace.client_messages:
-            try:
-                if wire[0] == merkle_auth.M1_TYPE:
-                    merkle_auth.mht_auth_challenge(
-                        gw.mht_registry, merkle_auth.MhtM1.decode(wire), gw.src
-                    )
-                else:
-                    merkle_auth.mht_auth_finalize(
-                        gw.mht_registry, UID, merkle_auth.MhtM3.decode(wire)
-                    )
-                accepted.append(wire[0])
-            except SshafError:
-                pass
-    elif scheme == "dors":
-        gateway = gw.dors_registry[UID]
-        sig = dors_auth.DorsSignature.decode(trace.client_messages[0], gateway.public_key.params)
-        challenge = Nonce128(trace.public_material[0])
-        try:
-            dors_auth.dors_gateway_verify(gateway, challenge, sig)
-            accepted.append("signature")
-        except SshafError:
-            pass
-    elif scheme == "dhs":
-        for wire, kind in zip(trace.client_messages, ("login", "confirm")):
-            try:
-                if kind == "login":
-                    dhs_auth.dhs_edge_verify(gw.edge, dhs_auth.LoginRequest.decode(wire), gw.src)
-                else:
-                    dhs_auth.dhs_edge_complete(gw.edge, dhs_auth.ConfirmMessage.decode(wire))
-                accepted.append(kind)
-            except SshafError:
-                pass
-
+    challenge = Nonce128(trace.public_material[0]) if scheme == "dors" else None
+    accepted = _accepted(gw, trace.client_messages, challenge)
     if accepted:
         return AttackOutcome(True, f"{scheme}: replayed message accepted: {accepted}")
     return AttackOutcome(False, f"{scheme}: all replayed client messages rejected")
@@ -138,64 +133,45 @@ def attack_replay(scheme: str, seed: bytes) -> AttackOutcome:
 # --- impersonation ----------------------------------------------------------------
 
 def _mht_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
+    # The adversary can open a handshake (uid and counter are public) but
+    # must then produce the keyed response tag. Each candidate answers an
+    # opening of its own: a zero tag, the hash of that opening's public
+    # data (marked None until the opening exists), and each recorded tag.
     accepted = []
-    # The adversary can open a handshake (uid and counter are public)...
-    m1 = merkle_auth.MhtM1(UID, Nonce128(b"\xaa" * 16), gw.mht_registry[UID].txn_counter)
-    m2 = merkle_auth.mht_auth_challenge(gw.mht_registry, m1, gw.src)
-    # ...but must then produce the keyed response tag. Candidate forgeries:
-    candidates = [Digest256(b"\x00" * 32), hash_bytes(m1.n_u.bytes + m2.n_g.bytes + m2.root.bytes)]
-    for trace in traces:
-        candidates.append(merkle_auth.MhtM3.decode(trace.client_messages[1]).tag_u)
-    for tag in candidates:
-        try:
-            merkle_auth.mht_auth_finalize(gw.mht_registry, UID, merkle_auth.MhtM3(tag))
-            accepted.append("m3-forgery")
-        except SshafError:
-            # A failed finalize clears the pending run; reopen for the next try.
-            m1 = merkle_auth.MhtM1(UID, Nonce128(b"\xaa" * 16), gw.mht_registry[UID].txn_counter)
-            m2 = merkle_auth.mht_auth_challenge(gw.mht_registry, m1, gw.src)
+    for tag in [Digest256(bytes(32)), None, *(t.client_messages[1].tag_u for t in traces)]:
+        m1 = merkle_auth.MhtM1(UID, Nonce128(b"\xaa" * 16), gw.mht_registry[UID].txn_counter)
+        m2 = merkle_auth.mht_auth_challenge(gw.mht_registry, m1, gw.src)
+        if tag is None:
+            tag = hash_bytes(m1.n_u.bytes + m2.n_g.bytes + m2.root.bytes)
+        accepted += _accepted(gw, [merkle_auth.MhtM3(tag)], None)
     return accepted
 
 
 def _dors_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
-    accepted = []
+    # Answer a fresh challenge with the last recorded signature's reveals.
     gateway = gw.dors_registry[UID]
-    params = gateway.public_key.params
-    observed = dors_auth.DorsSignature.decode(traces[-1].client_messages[0], params)
+    observed = traces[-1].client_messages[0]
     revealed = dict(zip(observed.subset_indices, observed.reveals))
     challenge = dors_auth.dors_challenge(gw.src)
     message = challenge.bytes + UID.encode()
-    indices = dors_auth.dors_subset(message, gateway.chain, params)
+    indices = dors_auth.dors_subset(message, gateway.chain, gateway.public_key.params)
     fallback = observed.reveals[0]
     forged = dors_auth.DorsSignature(
         observed.tree_index, indices, [revealed.get(i, fallback) for i in indices]
     )
-    try:
-        dors_auth.dors_gateway_verify(gateway, challenge, forged)
-        accepted.append("subset-forgery")
-    except SshafError:
-        pass
-    return accepted
+    return _accepted(gw, [forged], challenge)
 
 
 def _dhs_impersonate(gw: Gateway, traces: list[SessionTrace]) -> list[str]:
-    accepted = []
-    current_iid = gw.edge.db[UID].current_iid
-    old_request = dhs_auth.LoginRequest.decode(traces[-1].client_messages[0])
     # Replay the old request under the rotated identifier, and try guessed tags.
-    candidates = [replace(old_request, iid=current_iid), old_request]
+    current_iid = gw.edge.db[UID].current_iid
+    old_request = traces[-1].client_messages[0]
     fake_nonce = Nonce128(b"\xbb" * 16)
-    for guess_tag in (hash_bytes(b"guess"), hash_bytes(current_iid.to_bytes() + fake_nonce.bytes)):
-        candidates.append(
-            dhs_auth.LoginRequest(dhs_auth.DEFAULT_PREFIX, current_iid, UID, fake_nonce, guess_tag)
-        )
-    for request in candidates:
-        try:
-            dhs_auth.dhs_edge_verify(gw.edge, request, gw.src)
-            accepted.append("login-forgery")
-        except SshafError:
-            pass
-    return accepted
+    guessed = [
+        dhs_auth.LoginRequest(dhs_auth.DEFAULT_PREFIX, current_iid, UID, fake_nonce, tag)
+        for tag in (hash_bytes(b"guess"), hash_bytes(current_iid.to_bytes() + fake_nonce.bytes))
+    ]
+    return _accepted(gw, [replace(old_request, iid=current_iid), old_request, *guessed], None)
 
 
 def attack_impersonate(scheme: str, seed: bytes) -> AttackOutcome:

@@ -46,7 +46,7 @@ class TranscriptEvent:
 
 @dataclass
 class Transcript:
-    events: list[TranscriptEvent] = field(default_factory=list)
+    events: list[TranscriptEvent] = field(default_factory=list, init=False)
 
     def add(self, event: TranscriptEvent) -> None:
         if self.events and event.time_ms < self.events[-1].time_ms:

@@ -262,8 +262,8 @@ class MhtM4:
 @dataclass
 class MhtPendingUser:
     n_u: Nonce128
-    n_g: Nonce128 | None = None
-    candidate_key: Key256 | None = None
+    n_g: Nonce128 | None = field(default=None, init=False)
+    candidate_key: Key256 | None = field(default=None, init=False)
 
 
 @dataclass
@@ -279,7 +279,7 @@ class MhtUserState:
     shared_key: Key256
     txn_counter: int
     history: MerkleHistory
-    pending: MhtPendingUser | None = None
+    pending: MhtPendingUser | None = field(default=None, init=False)
 
 
 @dataclass
@@ -289,7 +289,7 @@ class MhtGatewayState:
     txn_counter: int
     history: MerkleHistory
     leaves: list[Digest256]  # the plain leaf log, which the gateway persists
-    pending: MhtPendingGateway | None = None
+    pending: MhtPendingGateway | None = field(default=None, init=False)
 
 
 def _genesis_leaf(uid: str) -> Digest256:

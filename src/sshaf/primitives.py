@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac as _hmac
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidLabel, MalformedPacket
 
@@ -177,8 +177,8 @@ class CostMeter:
     to ``mac_count``.
     """
 
-    hash_count: int = 0
-    mac_count: int = 0
+    hash_count: int = field(default=0, init=False)
+    mac_count: int = field(default=0, init=False)
 
     def reset(self):
         self.hash_count = 0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sshaf import dors_auth, persist
+from sshaf import dhs_auth, dors_auth, merkle_auth, persist
 from sshaf.context_engine import (
     GRANT,
     IP_HOME,
@@ -26,6 +26,7 @@ from sshaf.harness.attacks import (
     PASSWORD,
     SCHEMES,
     UID,
+    AttackOutcome,
     SessionTrace,
     _derivation_attempts,
     attack_impersonate,
@@ -35,7 +36,7 @@ from sshaf.harness.attacks import (
     forgery_experiment,
     run_attack_matrix,
 )
-from sshaf.primitives import METER, Key256, RandomSource, kdf
+from sshaf.primitives import METER, Digest256, Key256, RandomSource, hash_bytes, kdf
 
 SEED = b"\x05" * 32
 
@@ -142,6 +143,72 @@ def test_stolen_capture_is_the_users_entry_in_the_gateway_state(attacked, scheme
         assert captured == state["dors_registry"][UID]
     else:
         assert captured == {UID: state["edge"]["db"][UID]} == state["edge"]["db"]
+
+
+@pytest.fixture
+def forgetful(monkeypatch):
+    """Each honest session leaves the gateway state as it found it, so the
+    recorded client messages are still fresh when they are replayed."""
+    run = attacks._run_session
+
+    def forgotten(gw, scheme):
+        before = persist.gateway_state_to_dict(gw)
+        trace = run(gw, scheme)
+        persist.restore_gateway_state(gw, before)
+        return trace
+
+    monkeypatch.setattr(attacks, "_run_session", forgotten)
+
+
+# What a gateway that forgets its sessions accepts of a replayed session: the
+# opening, but no confirmation bound to the recorded nonces.
+REPLAYED = {"mht": ["MhtM1"], "dors": ["DorsSignature"], "dhs": ["LoginRequest"]}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_replay_detector_catches_a_gateway_that_forgets_its_sessions(forgetful, scheme):
+    outcome = attack_replay(scheme, SEED)
+    assert outcome == AttackOutcome(True, f"{scheme}: replayed message accepted: {REPLAYED[scheme]}")
+
+
+# One function each scheme's user and gateway both call, made forgeable, and
+# what the impersonation cell then reports accepted. A zero MHT tag is the
+# zero candidate and both recorded tags; the first k DORS leaves are the
+# recorded subset; an unkeyed DHS mac is the guessed hash of iid and nonce.
+WEAKENED = {
+    "mht": (merkle_auth, "_response_tag", lambda key, n_u, n_g, root: Digest256(bytes(32)),
+            ["MhtM3", "MhtM3", "MhtM3"]),
+    "dors": (dors_auth, "dors_subset", lambda message, chain, params: list(range(params.k)),
+             ["DorsSignature"]),
+    "dhs": (dhs_auth, "mac", lambda key, data: hash_bytes(data), ["LoginRequest"]),
+}
+
+
+@pytest.fixture
+def weakened(monkeypatch, request):
+    module, name, weak, accepted = WEAKENED[request.param]
+    monkeypatch.setattr(module, name, weak)
+    return request.param, accepted
+
+
+@pytest.mark.parametrize("weakened", SCHEMES, indirect=True)
+def test_impersonation_detector_catches_a_forgeable_scheme(weakened):
+    scheme, accepted = weakened
+    outcome = attack_impersonate(scheme, SEED)
+    assert outcome == AttackOutcome(True, f"{scheme}: forged message accepted: {accepted}")
+
+
+@pytest.mark.parametrize("weakened", ["dhs"], indirect=True)
+def test_stolen_edge_table_detector_catches_an_unkeyed_dhs_mac(weakened):
+    outcome = attack_stolen_device("dhs", seed=SEED)
+    assert outcome == AttackOutcome(True, "dhs: stolen edge table enabled a fresh login")
+
+
+@pytest.mark.parametrize("weakened", ["dhs"], indirect=True)
+def test_the_attack_command_exits_1_on_a_vulnerable_cell(weakened, capsys):
+    code = cli.main(["attack", "--kind", "impersonate", "--scheme", "dhs", "--seed", SEED.hex()])
+    out = capsys.readouterr().out
+    assert (code, out) == (1, "impersonate/dhs: VULNERABLE -- dhs: forged message accepted: ['LoginRequest']\n")
 
 
 def test_attacks_provision_only_through_the_gateway():

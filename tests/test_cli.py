@@ -813,6 +813,28 @@ def test_overlapping_calls_lose_an_update_but_leave_the_directory_whole(tmp_path
     assert run(capsys, "verify", "--state", str(state), "--uid", "bob", "--decision", "activate")[0] == 0
 
 
+def test_a_card_never_locks_at_the_cli(tmp_path, capsys):
+    """A wrong internet password raises AuthFailed out of ``cmd_login``
+    before ``_save`` runs, so the card's raised ``failed_attempts`` is never
+    saved: four wrong passwords each fail the same way, and the right one
+    then logs in. An in-process ``Gateway`` locks the card from the third.
+    ROADMAP item 21 moves the count to a per-uid budget at the gateway and
+    flips this test."""
+    state = str(tmp_path / "state")
+    bootstrap_user(capsys, state, caps="card")
+    internet = ("--origin", "internet", "--ip-class", "known-external")
+    for minutes in range(600, 604):
+        code = main(["login", "--state", state, "--uid", "alice", "--password", "WRONG",
+                     *internet, "--time", str(minutes)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            1, "", "error: AuthFailed: dhs handshake failed: password check failed\n"
+        )
+    code, out = run(capsys, "login", "--state", state, "--uid", "alice", "--password", "pw-alice",
+                    *internet, "--time", "604")
+    assert (code, "scheme=dhs" in out) == (0, True), out
+
+
 @pytest.fixture
 def writes(monkeypatch):
     """Names of the files each call writes through atomic_write."""
