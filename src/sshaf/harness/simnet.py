@@ -1,5 +1,6 @@
-"""Deterministic simulated network: integer-millisecond clock, per-link
-latency, and an append-only transcript.
+"""Deterministic simulated network: a latency and factor-cost model on an
+integer-millisecond clock. A link counts and times what it carries and
+keeps no transcript of it.
 
 Milliseconds here are a declarative cost model, not measurements; every
 assertion downstream is about orderings and exact counters, never about
@@ -8,7 +9,7 @@ absolute wall time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 LINK_LOCAL = "local"
 LINK_INTERNET = "internet"
@@ -32,66 +33,23 @@ class SimConfig:
             raise ValueError("seed must be 32 bytes")
 
 
-@dataclass
-class TranscriptEvent:
-    time_ms: int
-    sender: str
-    receiver: str
-    data: bytes
-    outcome: str
-
-    def to_line(self) -> str:
-        return f"{self.time_ms}|{self.sender}|{self.receiver}|{self.data.hex()}|{self.outcome}"
-
-
-@dataclass
-class Transcript:
-    events: list[TranscriptEvent] = field(default_factory=list, init=False)
-
-    def add(self, event: TranscriptEvent) -> None:
-        if self.events and event.time_ms < self.events[-1].time_ms:
-            raise ValueError("transcript time must be nondecreasing")
-        self.events.append(event)
-
-    def to_lines(self) -> list[str]:
-        return [e.to_line() for e in self.events]
-
-    def to_bytes(self) -> bytes:
-        return "\n".join(self.to_lines()).encode()
-
-
-class SimClock:
-    """Integer simulated milliseconds, forward only."""
-
-    def __init__(self):
-        self.now_ms = 0
-
-    def advance(self, ms: int) -> None:
-        if ms < 0:
-            raise ValueError("time only moves forward")
-        self.now_ms += ms
-
-
 class SimLink:
-    """Point-to-point message ferry with per-message latency: it delivers
-    every message, and counts and records each one."""
+    """Point-to-point message ferry over the link named ``link``: it
+    delivers every message, adds the link's latency to ``elapsed_ms`` and
+    counts the message and its bytes. It keeps no copy of what it carries."""
 
-    def __init__(self, link: str, clock: SimClock, transcript: Transcript):
+    def __init__(self, link: str):
         if link not in DEFAULT_LATENCY_MS:
             raise ValueError(f"no latency configured for link {link!r}")
         self.latency_ms = DEFAULT_LATENCY_MS[link]
-        self.clock = clock
-        self.transcript = transcript
+        self.elapsed_ms = 0
         self.messages = 0
         self.wire_bytes = 0
 
     def send(self, sender: str, receiver: str, data: bytes) -> bytes:
-        self.clock.advance(self.latency_ms)
+        self.elapsed_ms += self.latency_ms
         self.messages += 1
         self.wire_bytes += len(data)
-        self.transcript.add(
-            TranscriptEvent(self.clock.now_ms, sender, receiver, data, "delivered")
-        )
         return data
 
     def carry(self, sender: str, receiver: str, message, decode):

@@ -127,9 +127,9 @@ class Nonce128(_FixedBytes):
 class RandomSource:
     """Deterministic byte stream: SHA-256 in counter mode over a 32-byte
     seed, so two sources built from the same seed emit bit-identical bytes
-    -- the property every simulation and attack transcript relies on for
-    replayability. Fresh entropy enters only as a seed: the CLI draws one
-    from the OS at first boot and persists it.
+    -- the property the pinned handshake transcripts, the scenarios and the
+    attack matrix rely on for replayability. Fresh entropy enters only as a
+    seed: the CLI draws one from the OS at first boot and persists it.
     """
 
     def __init__(self, seed: bytes):
