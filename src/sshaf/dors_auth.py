@@ -8,17 +8,18 @@ signatures, and both parties sign and verify with the one tree it names,
 tree ``signature_count // r``: the signer rotates exactly every r
 signatures, and the secret key keeps no counter of its own.
 
-A forest's lifecycle at the gateway: ``dors_verify`` accepts a signature
-only from the one tree the chain names. So once a signature verifies with
-a tree, every tree below it is spent, and the gateway drops their leaf
-digests. While the last tree signs, the gateway builds the next epoch's
-forest with ``dors_tree``, ⌈f/r⌉ trees per verified signature, so the
-re-key at ``ForestExhausted`` hands ``dors_provision`` a forest already
-built, and only the genesis and link key remain to derive. The trees, the
-chain and every session key are the same as a forest expanded whole at the
-re-key. A gateway restored without some of its trees holds each as
-``b""``, and builds the tree the chain names with ``dors_tree`` on first
-use.
+A forest's lifecycle: ``dors_keygen`` builds tree 0 alone, and the
+genesis chain value commits to its root. Trees 1..f-1 need no commitment:
+the gateway derives every tree from its own master secret and checks each
+revealed secret only against the leaf digests it built itself, never
+against a key the user sends, so folding their roots into the chain would
+make the user device build every tree for nothing the gateway checks. The
+gateway side keeps the forest seed and builds each later tree with
+``dors_tree`` when its chain first names that tree, dropping the leaf
+digests of the tree before, which ``dors_verify`` can never accept again.
+So a side holds at most one tree: a provision or a re-key builds one, and
+so does each rotation. A side restored without its tree builds it the same
+way on first use.
 
 The handshake wrapper mixes a provisioned link key into the session key
 and ratchets it per run: the chain value itself is recomputable from
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import hmac
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AuthFailed, ForestExhausted, InvalidParams
 from .link import GATEWAY, USER, Reader
@@ -118,20 +119,11 @@ class DorsSecretKey:
 @dataclass
 class DorsPublicKey:
     """``leaf_digests[tree]`` packs that tree's t leaf digests into one
-    t*32-byte string: leaf i is bytes ``32*i .. 32*i+32``."""
+    t*32-byte string: leaf i is bytes ``32*i .. 32*i+32``. A tree not held
+    is ``b""``."""
 
     params: DorsParams
     leaf_digests: list[bytes]
-    roots: list[Digest256]
-
-    def grow(self, seed: Key256, trees: int) -> None:
-        """Append up to ``trees`` more trees of the forest ``seed`` expands,
-        in tree order, stopping at f."""
-        params = self.params
-        for tree in range(len(self.roots), min(params.f, len(self.roots) + trees)):
-            digests, root = dors_tree(seed, tree, params)
-            self.leaf_digests.append(digests)
-            self.roots.append(root)
 
 
 def _leaf_secrets(seed: Key256, tree: int, leaves) -> list[bytes]:
@@ -153,24 +145,13 @@ def dors_tree(seed: Key256, tree: int, params: DorsParams) -> tuple[bytes, Diges
     return b"".join(digests), Digest256(merkle_root(digests))
 
 
-def dors_keygen(
-    seed: Key256, forest: DorsParams | DorsPublicKey
-) -> tuple[DorsSecretKey, DorsPublicKey, ChainState]:
-    """Deterministic key expansion; the initial chain value commits to the
-    whole public forest.
-
-    ``forest`` is the forest's ``DorsParams``, or a ``DorsPublicKey`` that
-    already holds its first trees, as a gateway builds them ahead; only the
-    missing trees are built here, each by ``dors_tree``. A whole forest
-    counts f*(2t-1)+1 hashes and f*t macs on ``METER``.
-    """
-    if isinstance(forest, DorsParams):
-        forest = DorsPublicKey(forest, [], [])
-    params = forest.params
-    pk = DorsPublicKey(params, list(forest.leaf_digests), list(forest.roots))
-    pk.grow(seed, params.f)
-    genesis = hash_bytes(b"dors-genesis" + b"".join(r.bytes for r in pk.roots))
-    return DorsSecretKey(params, seed), pk, ChainState(genesis)
+def dors_keygen(seed: Key256, params: DorsParams) -> tuple[DorsSecretKey, DorsPublicKey, ChainState]:
+    """Deterministic key expansion of tree 0, whose root the initial chain
+    value commits to; the public key holds every other tree as ``b""``.
+    Counts 2t hashes and t macs on ``METER``."""
+    digests, root = dors_tree(seed, 0, params)
+    pk = DorsPublicKey(params, [digests] + [b""] * (params.f - 1))
+    return DorsSecretKey(params, seed), pk, ChainState(hash_bytes(b"dors-genesis" + root.bytes))
 
 
 def subset_of_digest(digest: bytes, params: DorsParams) -> list[int]:
@@ -237,20 +218,15 @@ class DorsUserSide:
 
 @dataclass
 class DorsGatewaySide:
-    """``public_key.leaf_digests`` holds ``b""`` for each spent tree the
-    gateway has dropped, and for each tree a restored side was not given
-    and has not built yet. A side holds no roots of its own forest, which
-    nothing reads after provisioning. ``next_forest`` holds the next
-    epoch's first trees, built ahead while the last tree signs."""
+    """``public_key.leaf_digests`` holds at most one tree: the one the chain
+    named at the last verification, or none after a restore without trees.
+    ``forest_seed`` builds the tree each verification needs."""
 
     uid: str
     public_key: DorsPublicKey
     chain: ChainState
     link_key: Key256
-    next_forest: DorsPublicKey = field(init=False)
-
-    def __post_init__(self):
-        self.next_forest = DorsPublicKey(self.public_key.params, [], [])
+    forest_seed: Key256
 
 
 def dors_seed(uid: str, master_secret: Key256) -> Key256:
@@ -259,20 +235,17 @@ def dors_seed(uid: str, master_secret: Key256) -> Key256:
 
 
 def dors_provision(
-    uid: str, master_secret: Key256, forest: DorsParams | DorsPublicKey | None = None
+    uid: str, master_secret: Key256, params: DorsParams = DorsParams()
 ) -> tuple[DorsUserSide, DorsGatewaySide]:
-    """Expand a per-user forest and link key from the gateway master secret.
-    ``forest`` is as ``dors_keygen`` takes it (``DorsParams()`` when None):
-    trees a gateway built ahead are not built again. The gateway side keeps
-    the forest's leaf digests but not its roots, which only the genesis
-    chain value reads."""
+    """Expand a per-user forest seed, its tree 0 and a link key from the
+    gateway master secret. The gateway side keeps tree 0's leaf digests and
+    the seed that builds the later trees."""
     seed = dors_seed(uid, master_secret)
     link = kdf(master_secret, "dors-link", uid.encode())
-    sk, pk, chain = dors_keygen(seed, forest or DorsParams())
-    gateway_pk = DorsPublicKey(pk.params, pk.leaf_digests, [])
+    sk, pk, chain = dors_keygen(seed, params)
     return (
         DorsUserSide(uid, sk, chain, link),
-        DorsGatewaySide(uid, gateway_pk, ChainState(chain.value, 0), link),
+        DorsGatewaySide(uid, pk, ChainState(chain.value, 0), link, seed),
     )
 
 
@@ -304,9 +277,15 @@ def dors_gateway_verify(
     gateway: DorsGatewaySide, challenge: Nonce128, sig: DorsSignature
 ) -> Key256:
     """Verify and derive the matching session key; the gateway's chain and
-    link key advance only on success."""
+    link key advance only on success. The first verification against a
+    tree builds it and drops the tree held before."""
+    pk = gateway.public_key
+    tree = gateway.chain.signature_count // pk.params.r
+    if tree < pk.params.f and not pk.leaf_digests[tree]:
+        pk.leaf_digests = [b""] * pk.params.f
+        pk.leaf_digests[tree] = dors_tree(gateway.forest_seed, tree, pk.params)[0]
     message = challenge.bytes + gateway.uid.encode()
-    ok, new_chain = dors_verify(gateway.public_key, gateway.chain, message, sig)
+    ok, new_chain = dors_verify(pk, gateway.chain, message, sig)
     if not ok:
         raise AuthFailed("signature rejected; chain not advanced")
     gateway.chain = new_chain

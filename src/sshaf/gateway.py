@@ -410,19 +410,19 @@ class Gateway:
         self.wallets[uid] = wallet
 
     def _provision_dors(self, uid: str, wallet: UserWallet) -> None:
-        """Provision ``uid``'s next DORS epoch. A re-key passes the trees
-        built ahead during the spent forest's last tree; a first provision
-        or an older state's re-key has none, and builds the whole forest."""
+        """Provision ``uid``'s next DORS epoch."""
         epoch = self.dors_epochs.get(uid, 0)
-        previous = self.dors_registry.get(uid)
-        user_side, gateway_side = dors_auth.dors_provision(
-            _forest_uid(uid, epoch), self.master_secret, previous and previous.next_forest
-        )
+        user_side, gateway_side = dors_auth.dors_provision(_forest_uid(uid, epoch), self.master_secret)
         user_side.uid = uid
         gateway_side.uid = uid
         wallet.dors = user_side
         self.dors_registry[uid] = gateway_side
         self.dors_epochs[uid] = epoch + 1
+
+    def dors_forest_seed(self, uid: str) -> Key256:
+        """The seed of ``uid``'s current DORS forest, which a restored
+        gateway side re-derives from the master secret and epoch."""
+        return dors_auth.dors_seed(_forest_uid(uid, self.dors_epochs[uid] - 1), self.master_secret)
 
     def wallet_for(self, uid: str) -> UserWallet:
         wallet = self.wallets.get(uid)
@@ -459,13 +459,17 @@ class Gateway:
             )
         elif scheme == ctx.SCHEME_DORS:
             try:
-                user_key, gw_key = self._dors_handshake(uid, wallet, link)
+                user_key, gw_key = dors_auth.dors_handshake(
+                    link, wallet.dors, self.dors_registry[uid], self.src
+                )
             except ForestExhausted:
-                # A spent forest signals the re-key: provision the next epoch
-                # from the trees built during the last tree, and retry once.
+                # A spent forest signals the re-key: provision the next epoch,
+                # which builds its tree 0, and retry once. The gateway side
+                # builds each later tree when its chain first names it.
                 self._provision_dors(uid, wallet)
-                user_key, gw_key = self._dors_handshake(uid, wallet, link)
-            self._roll_dors_forest(uid)
+                user_key, gw_key = dors_auth.dors_handshake(
+                    link, wallet.dors, self.dors_registry[uid], self.src
+                )
         elif scheme == ctx.SCHEME_DHS:
             user_key, gw_key = dhs_auth.dhs_handshake(
                 link, wallet.card, self.edge, password, self.src
@@ -475,30 +479,6 @@ class Gateway:
         if user_key != gw_key:
             raise AuthFailed("session keys diverged")
         return gw_key
-
-    def _dors_handshake(self, uid: str, wallet: UserWallet, link) -> tuple[Key256, Key256]:
-        """One DORS run, after building the tree the gateway's chain names if
-        it is in the forest and not held, as after a restore without trees."""
-        side = self.dors_registry[uid]
-        pk = side.public_key
-        tree = side.chain.signature_count // pk.params.r
-        if tree < pk.params.f and not pk.leaf_digests[tree]:
-            seed = dors_auth.dors_seed(_forest_uid(uid, self.dors_epochs[uid] - 1), self.master_secret)
-            pk.leaf_digests[tree] = dors_auth.dors_tree(seed, tree, pk.params)[0]
-        return dors_auth.dors_handshake(link, wallet.dors, side, self.src)
-
-    def _roll_dors_forest(self, uid: str) -> None:
-        """After a verified DORS signature: drop the leaf digests of the
-        trees below the one it used, which ``dors_verify`` can never accept
-        again, and, when it used the last tree, build ⌈f/r⌉ trees of the
-        next epoch, so all f are built when the forest is spent."""
-        side = self.dors_registry[uid]
-        params = side.public_key.params
-        tree = (side.chain.signature_count - 1) // params.r
-        side.public_key.leaf_digests[:tree] = [b""] * tree
-        if tree == params.f - 1 and len(side.next_forest.roots) < params.f:
-            seed = dors_auth.dors_seed(_forest_uid(uid, self.dors_epochs[uid]), self.master_secret)
-            side.next_forest.grow(seed, -(-params.f // params.r))
 
     def login(
         self,

@@ -6,10 +6,11 @@ A state directory carries the gateway across invocations in three files:
 - ``db.enc``: the encrypted user database, rewritten by every call except
   ``login``, which changes none of its tables;
 - ``state.json``: the gateway runtime state, rewritten by every call. It
-  holds no DORS tree: each DORS user's entry keeps its params, chain, link
-  key and the roots of the trees built ahead, and a login builds the tree
-  it needs from the gateway's master secret (see ``persist``). It holds no
-  session key either: a session is its id, owner and grant minute.
+  holds no DORS tree: each DORS user's entry keeps its params, chain and
+  link key. ``verify`` provisions a DORS user's forest by building its
+  tree 0 alone, and a login builds the tree its chain names from the
+  gateway's master secret (see ``persist``). It holds no session key
+  either: a session is its id, owner and grant minute.
 
 A missing, unreadable or damaged file fails the call with ``StateCorrupt``
 naming it, and a state directory that cannot be created (its path is a

@@ -16,9 +16,10 @@ file carries is ignored and is gone after the next save: the configuration
 (``weights``, ``devices``, ``internet_allowlist``), ``home_registered``
 (always the edge table's uids), a wallet's ``uid``, a DORS signer's
 ``revealed`` sets, ``active_tree`` and ``used_signatures`` (its chain's
-count names its tree), a DORS gateway side's ``roots``, ``dropped`` and
-``leaf_digests``, a card's ``locked`` (its ``failed_attempts`` say it), and
-a session's ``origin``, ``device_grants``, ``scheme`` and ``session_key``.
+count names its tree), a DORS gateway side's ``roots``, ``dropped``,
+``leaf_digests`` and ``next_roots``, a card's ``locked`` (its
+``failed_attempts`` say it), and a session's ``origin``,
+``device_grants``, ``scheme`` and ``session_key``.
 Pending handshake material is ephemeral and never written: an MHT run in
 flight, its ``n_u``, ``n_g`` and root, is in no entry.
 
@@ -50,18 +51,18 @@ persisted size does not depend on its value; an integer, the form written
 before, still loads. Step-up tokens are written as ``token: [uid,
 minted_minutes]``.
 
-A DORS gateway side is written as its uid, params, chain and link key, and
-``next_roots``, the roots of the next epoch's trees built ahead during the
-last tree, when there are any. ``gateway_state_to_dict(gw)`` also writes its
-``trees``: one string per tree of its forest, then one per next root, each
-the tree's t leaf digests concatenated in leaf order in hex, the packed
-form ``DorsPublicKey.leaf_digests`` holds in memory, or ``""`` for a tree
-the side does not hold. The tree-less form, ``with_forests=False``, is what
-the CLI's ``state.json`` holds, since the gateway derives every tree from
-its own master secret. A side restored from either form holds each tree it
-was not given as ``b""`` and, like a live side, no roots of its own
-forest, and ``Gateway.run_scheme`` builds the tree a login needs just
-before the handshake. Every other entry is the same in either form.
+A DORS gateway side is written as its uid, params, chain and link key.
+``gateway_state_to_dict(gw)`` also writes its ``trees``: one string per tree
+of its forest, each the tree's t leaf digests concatenated in leaf order in
+hex, the packed form ``DorsPublicKey.leaf_digests`` holds in memory, or
+``""`` for a tree the side does not hold, so at most one is not empty. The
+tree-less form, ``with_forests=False``, is what the CLI's ``state.json``
+holds, since the gateway derives every tree from its own master secret. A
+side restored from either form re-derives its forest seed from the master
+secret and its DORS epoch, holds each tree it was not given as ``b""``,
+and builds the tree its chain names at the next verification. An older
+entry's ``next_roots``, the roots of trees once built ahead for the next
+epoch, is not read, and the re-key builds that epoch's tree 0 afresh.
 """
 
 from __future__ import annotations
@@ -194,48 +195,39 @@ def dors_user_from_dict(data: dict) -> dors_auth.DorsUserSide:
 
 
 def dors_gateway_to_dict(side: dors_auth.DorsGatewaySide, with_forest: bool = True) -> dict:
-    """``next_roots`` is written only when trees were built ahead, and
-    ``trees`` only ``with_forest`` (see the module docstring)."""
+    """``trees`` is written only ``with_forest`` (see the module docstring)."""
     data = {
         "uid": side.uid,
         "params": dors_params_to_dict(side.public_key.params),
         "chain": chain_to_dict(side.chain),
         "link_key": side.link_key.hex(),
     }
-    if side.next_forest.roots:
-        data["next_roots"] = _digests_to_hex(side.next_forest.roots)
     if with_forest:
-        data["trees"] = [tree.hex() for tree in side.public_key.leaf_digests + side.next_forest.leaf_digests]
+        data["trees"] = [tree.hex() for tree in side.public_key.leaf_digests]
     return data
 
 
-def dors_gateway_from_dict(data: dict) -> dors_auth.DorsGatewaySide:
-    """Raises ``ValueError`` unless ``next_roots`` holds at most f roots and
-    ``trees``, when given, holds f + len(``next_roots``) strings, each empty
-    or t leaf digests in hex, so a damaged file fails at load, not as a
-    rejected login. A tree not given restores as ``b""``."""
+def dors_gateway_from_dict(data: dict, forest_seed: Key256) -> dors_auth.DorsGatewaySide:
+    """The side of the forest ``forest_seed`` expands. Raises ``ValueError``
+    unless ``trees``, when given, holds f strings, each empty or t leaf
+    digests in hex, so a damaged file fails at load, not as a rejected
+    login. A tree not given restores as ``b""``."""
     params = dors_params_from_dict(data["params"])
-    next_roots = _digests_from_hex(_array(data.get("next_roots", []), str))
-    count, size = params.f + len(next_roots), params.t * DIGEST_LEN
-    texts = _array(data.get("trees", [""] * count), str)
+    size = params.t * DIGEST_LEN
+    texts = _array(data.get("trees", [""] * params.f), str)
     trees = [bytes.fromhex(text) for text in texts]
     # bytes.fromhex skips whitespace, so the decoded length is checked too.
-    if len(next_roots) > params.f or len(trees) != count or any(
+    if len(trees) != params.f or any(
         text and (len(text), len(tree)) != (2 * size, size) for text, tree in zip(texts, trees)
     ):
-        raise ValueError(
-            f"a DORS entry needs at most f={params.f} next_roots and {count} trees, "
-            f"each empty or {2 * size} hex digits"
-        )
-    side = dors_auth.DorsGatewaySide(
+        raise ValueError(f"a DORS entry needs {params.f} trees, each empty or {2 * size} hex digits")
+    return dors_auth.DorsGatewaySide(
         uid=data["uid"],
-        public_key=dors_auth.DorsPublicKey(params, trees[: params.f], []),
+        public_key=dors_auth.DorsPublicKey(params, trees),
         chain=chain_from_dict(data["chain"]),
         link_key=Key256.from_hex(data["link_key"]),
+        forest_seed=forest_seed,
     )
-    side.next_forest.leaf_digests = trees[params.f :]
-    side.next_forest.roots = next_roots
-    return side
 
 
 # --- dhs_auth --------------------------------------------------------------------
@@ -364,12 +356,15 @@ def gateway_state_to_dict(gw: gw_mod.Gateway, with_forests: bool = True) -> dict
 
 def restore_gateway_state(gw: gw_mod.Gateway, data: dict) -> None:
     """Reads the dict in either form; raises ``ValueError`` unless the
-    entries agree (see the module docstring)."""
+    entries agree (see the module docstring), or ``KeyError`` for a DORS
+    entry without an epoch."""
     gw.master_secret = Key256.from_hex(data["master_secret"])
     gw.sim_minutes = _count(data["sim_minutes"])
     gw.mht_registry = {uid: mht_gateway_from_dict(s) for uid, s in data["mht_registry"].items()}
-    gw.dors_registry = {uid: dors_gateway_from_dict(s) for uid, s in data["dors_registry"].items()}
     gw.dors_epochs = {uid: _count(n) for uid, n in data["dors_epochs"].items()}
+    gw.dors_registry = {
+        uid: dors_gateway_from_dict(s, gw.dors_forest_seed(uid)) for uid, s in data["dors_registry"].items()
+    }
     gw.edge = edge_server_from_dict(data["edge"])
     gw.wallets = {uid: wallet_from_dict(w) for uid, w in data["wallets"].items()}
     gw.sessions = {sid: session_from_dict(s) for sid, s in data["sessions"].items()}

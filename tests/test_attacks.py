@@ -257,7 +257,9 @@ def test_forgery_experiment_deterministic():
 GRID_TRIALS = (1, 511, 512, 513, 10000)
 # (seed byte, t, k): successes, then METER hash deltas, at each of
 # GRID_TRIALS, and the METER mac delta, as one dors_challenge plus one
-# dors_subset per trial gives them.
+# dors_subset per trial gives them. The experiment's forest has f = 1,
+# where a genesis over tree 0's root is a genesis over every root, so these
+# pins do not depend on which roots the genesis commits to.
 FORGERY_GRID = {
     (0x06, 16, 4): ((0, 0, 0, 0, 12), (35, 545, 546, 547, 10040), 20),
     (0x06, 4, 2): ((0, 134, 134, 135, 2592), (11, 525, 526, 527, 10014), 6),

@@ -293,8 +293,6 @@ def _session(session_id: str, uid) -> dict:
         _drop_gateway,
         *map(_section_as_array, ["mht_registry", "dors_registry", "wallets", "sessions",
                                  "step_up_tokens", "pending_cards"]),
-        _dors_entry("_dors_next_roots_as_string", next_roots="ab"),
-        _dors_entry("_dors_next_roots_past_f", next_roots=["00" * 32] * 9),
         _dors_entry("_dors_params_t_3", params=dict(DORS_PARAMS, t=3)),
         _gateway_field("_dors_user_params_k_0", "wallets.dors", params=dict(DORS_PARAMS, k=0)),
         _dors_entry("_dors_params_r_1000", params=dict(DORS_PARAMS, r=1000)),
@@ -696,10 +694,12 @@ FOREST_FILE_LOGINS = [
     )
 ]
 
-# SHA-256 of the state.json that CLI wrote after them, less each DORS
-# gateway entry's roots, each session's scheme and key, and the DORS
-# signer's tree counters: the chains, link keys and wallets must agree.
-FOREST_FILE_STATE_JSON_SHA256 = "af95cb7d2496b1342f685fae9a2da7ade4512e07f6dfd0cb4e59a5ecda80c330"
+# SHA-256 of the state.json written after them. Until the re-key's genesis
+# came to commit to the next forest's tree 0 alone, it was the state.json
+# that CLI wrote, less each DORS gateway entry's roots, each session's
+# scheme and key, and the DORS signer's tree counters. Since then the chains
+# and link keys of the re-keyed epoch differ from that CLI's.
+FOREST_FILE_STATE_JSON_SHA256 = "ecfba03cd39317808cf28ec2fc6d9a588cc806b6347c4a918b6da70c93e6d5ef"
 
 
 def test_directory_with_a_forest_file_loads_and_logs_in_as_before(tmp_path, capsys):
@@ -714,31 +714,45 @@ def test_directory_with_a_forest_file_loads_and_logs_in_as_before(tmp_path, caps
     assert state_files(state) == sorted([*STATE_FILES, forest.name])
 
 
-def test_state_directory_without_trees_built_ahead_loads_and_rekeys(tmp_path, capsys, monkeypatch):
-    """A state.json with nothing built ahead, as one was written before trees
-    were built ahead, even six signatures into the last tree: it loads, and
-    the re-key builds the trees the last two logins left unbuilt."""
+# A state directory as the CLI wrote it while the gateway built the next
+# epoch's trees ahead during the last tree (commit 0d031ad): alice,
+# registered with `--capabilities dors` at SEED, after 60 local logins an
+# hour apart from minute 600. Her chain descends from a genesis over all
+# eight roots of her forest, and her entry carries the four roots built
+# ahead as ``next_roots``.
+BUILT_AHEAD_STATE = Path(__file__).parent / "built_ahead_state"
+
+# Her chain values after her next six logins: the four left in her last
+# tree, as that CLI reached them too, then the re-key into a genesis over
+# the next forest's tree 0 alone, and one more. That CLI printed the same
+# six lines, the last six of FOREST_FILE_LOGINS.
+BUILT_AHEAD_CHAINS = [
+    "0240ef327efe3c7d0345b48f00437bcaaf92124b046c80a0b11fbdf3f6e63aba",
+    "d15fc9e851a5c22f31b2735191b287a389609b06e9c28fbdffccdc3b5fad05d4",
+    "8e4ad6b704cbd8eaf7f1d2746ee5f5dc8de3020bf702346405aa43bf464eddc8",
+    "1cd48afba1a49ef6fdcc9f1ef703f726b06c2ae995626ac75cc0a6b7cc999773",
+    "aa1649c4b5f13ac5d849df227a705a7e8c578dbb0d7286d101a0ba671cc16df1",
+    "27f6b05f06b46b7ddf69636781d08489e33ff9e1d7c8730d9194fbbd3955d956",
+]
+
+
+def test_state_directory_with_trees_built_ahead_signs_to_its_epoch_end_and_rekeys(tmp_path, capsys):
     state = tmp_path / "state"
-    bootstrap_user(capsys, str(state), caps="dors")
-    gw, seed, inv = cli._load(state, None)
-    with monkeypatch.context() as patch:
-        patch.setattr(gw_mod.Gateway, "_roll_dors_forest", lambda self, uid: None)
-        for minutes in range(600, 600 + 62 * 60, 60):
-            gw.advance_time(minutes - gw.sim_minutes)
-            result = gw.login("alice", "pw-alice", ContextSnapshot(
-                uid="alice", origin=ORIGIN_LOCAL, ip_class=IP_HOME, bluetooth_present=True,
-                timestamp=minutes,
-            ))
-            assert (result.status, result.session.scheme) == ("grant", "dors")
-        cli._save(state, gw, seed, inv)
+    shutil.copytree(BUILT_AHEAD_STATE, state)
     entry = json.loads((state / "state.json").read_text())["gateway"]["dors_registry"]["alice"]
-    assert (entry["chain"]["signature_count"], "next_roots" in entry) == (62, False)
-    for i in range(62, 66):  # two in the last tree, the re-key, one more
-        code, out = login(capsys, str(state), 600 + 60 * i)
-        assert (code, "scheme=dors" in out) == (0, True), out
-        assert state_files(state) == STATE_FILES
-    entry = json.loads((state / "state.json").read_text())["gateway"]["dors_registry"]["alice"]
-    assert (entry["chain"]["signature_count"], "next_roots" in entry) == (2, False)
+    assert (entry["chain"]["signature_count"], len(entry["next_roots"])) == (60, 4)
+    chains = []
+    for i, expected in zip(range(60, 66), FOREST_FILE_LOGINS[3:], strict=True):
+        assert login(capsys, str(state), 600 + 60 * i) == expected
+        gateway = json.loads((state / "state.json").read_text())["gateway"]
+        entry = gateway["dors_registry"]["alice"]
+        assert "next_roots" not in entry
+        assert gateway["wallets"]["alice"]["dors"]["chain"] == entry["chain"]
+        chains.append(entry["chain"])
+    assert [chain["signature_count"] for chain in chains] == [61, 62, 63, 64, 1, 2]
+    assert [chain["value"] for chain in chains] == BUILT_AHEAD_CHAINS
+    assert gateway["dors_epochs"] == {"alice": 2}
+    assert state_files(state) == STATE_FILES
 
 
 def test_state_json_holds_no_session_key_or_scheme(tmp_path, capsys, monkeypatch):

@@ -24,14 +24,22 @@ from sshaf.dors_auth import (
     dors_respond,
     dors_sign,
     dors_subset,
+    dors_tree,
     dors_verify,
 )
 from sshaf.harness.simnet import LINK_LOCAL, SimLink
 from sshaf.link import GATEWAY, Loopback
+from sshaf.merkle_auth import merkle_root
 from sshaf.primitives import METER, Digest256, Key256, Nonce128, RandomSource, hash_bytes, kdf
 
 SEED = Key256(b"\x55" * 32)
 TINY = DorsParams(t=4, k=2, f=2, r=1)
+
+
+def whole_forest(seed: Key256, params: DorsParams) -> DorsPublicKey:
+    """Every tree of the forest ``seed`` expands, as a verifier that built
+    them all up front would hold."""
+    return DorsPublicKey(params, [dors_tree(seed, tree, params)[0] for tree in range(params.f)])
 
 
 def test_params_validation():
@@ -50,45 +58,48 @@ def test_keygen_deterministic():
     _, pk_a, chain_a = dors_keygen(SEED, TINY)
     _, pk_b, chain_b = dors_keygen(SEED, TINY)
     assert pk_a.leaf_digests == pk_b.leaf_digests
-    assert pk_a.roots == pk_b.roots
     assert chain_a == chain_b
 
 
 def test_keygen_leaf_count():
     _, pk, _ = dors_keygen(SEED, TINY)
-    # Each tree packs its t digests into one t*32-byte string.
-    assert sum(len(tree) // 32 for tree in pk.leaf_digests) == 8  # f*t = 2*4
+    # Tree 0 packs its t digests into one t*32-byte string; tree 1 is not built.
+    assert [len(tree) // 32 for tree in pk.leaf_digests] == [4, 0]
 
 
-# SHA-256 of the packed leaf digests, the roots and the genesis chain value
-# for the production parameters, taken when every leaf was derived and
-# hashed by its own kdf and hash_bytes call.
-PRODUCTION_FOREST_SHA256 = "22f1f00ee68a70ed018198c9beb2307cb59478cc95e3db032b98b17ce35e97b3"
+# SHA-256 of tree 0's packed leaf digests and the genesis chain value for
+# the production parameters. Re-pinned when the genesis came to commit to
+# tree 0's root alone, and keygen to build no other tree; tree 0's bytes
+# are those of the earlier whole forest.
+PRODUCTION_FOREST_SHA256 = "de0c0eb1b6a85dc350708a3a84c17ea1bd47b84f0d4c5d6bac2b9342360cd1bf"
 
 
 def test_production_keygen_bytes_and_counts_are_pinned():
+    """Tree 0 is every leaf derived by its own kdf and hashed by its own
+    hash_bytes call, folded into its Merkle root."""
+    seed, params = Key256(b"\x44" * 32), DorsParams()
     METER.reset()
-    _, pk, chain = dors_keygen(Key256(b"\x44" * 32), DorsParams())
-    assert METER.snapshot() == (4089, 2048)  # f*(2t-1)+1 hashes, f*t macs
-    forest = b"".join(pk.leaf_digests) + b"".join(r.bytes for r in pk.roots) + chain.value.bytes
-    assert hashlib.sha256(forest).hexdigest() == PRODUCTION_FOREST_SHA256
+    _, pk, chain = dors_keygen(seed, params)
+    assert METER.snapshot() == (512, 256)  # one tree's 2t-1 hashes and the genesis, t macs
+    assert pk.leaf_digests[1:] == [b""] * (params.f - 1)
+    secrets = [kdf(seed, "leaf", bytes(2) + leaf.to_bytes(2, "big")) for leaf in range(params.t)]
+    leaves = [hash_bytes(secret.bytes).bytes for secret in secrets]
+    assert pk.leaf_digests[0] == b"".join(leaves)
+    assert chain == ChainState(hash_bytes(b"dors-genesis" + merkle_root(leaves)))
+    assert hashlib.sha256(pk.leaf_digests[0] + chain.value.bytes).hexdigest() == PRODUCTION_FOREST_SHA256
     METER.reset()
-    dors_provision("alice", Key256(b"\x44" * 32))
-    assert METER.snapshot() == (4089, 2050)  # plus the seed and link kdfs
+    dors_provision("alice", seed)
+    assert METER.snapshot() == (512, 258)  # plus the seed and link kdfs
 
 
-def test_keygen_builds_only_the_trees_not_built_ahead():
-    params = DorsParams(t=16, k=4, f=3, r=2)
-    _, whole, genesis = dors_keygen(SEED, params)
-    for built in range(params.f + 1):
-        ahead = DorsPublicKey(params, [], [])
-        ahead.grow(SEED, built)
-        assert ahead.roots == whole.roots[:built]
-        METER.reset()
-        _, pk, chain = dors_keygen(SEED, ahead)
-        missing = params.f - built
-        assert METER.snapshot() == (missing * (2 * params.t - 1) + 1, missing * params.t)
-        assert (pk.leaf_digests, pk.roots, chain) == (whole.leaf_digests, whole.roots, genesis)
+@given(f=st.integers(1, 4))
+def test_genesis_commits_to_tree_0_whatever_f(f):
+    """Tree 0 and the genesis depend on t and k, not on how many trees
+    follow: at f = 1 they are what a genesis over every root gave."""
+    params = DorsParams(t=16, k=4, f=f, r=2)
+    _, pk, chain = dors_keygen(SEED, params)
+    _, single, genesis = dors_keygen(SEED, DorsParams(t=16, k=4, f=1, r=2))
+    assert (pk.leaf_digests[0], chain) == (single.leaf_digests[0], genesis)
 
 
 def test_sign_reveals_equal_per_leaf_kdf():
@@ -161,7 +172,8 @@ def test_automatic_tree_rotation():
 
 def test_revealed_leaves_bounded_by_budget():
     params = DorsParams(t=16, k=4, f=3, r=2)
-    sk, pk, chain = dors_keygen(SEED, params)
+    sk, _, chain = dors_keygen(SEED, params)
+    pk = whole_forest(SEED, params)
     verify_chain = ChainState(chain.value, 0)
     revealed: dict[int, set[int]] = {}
     for i in range(params.f * params.r):
@@ -207,7 +219,8 @@ def test_a_signature_from_the_next_tree_is_rejected_though_the_chain_matches():
     subset the chain selects with secrets the forest publishes, and is still
     rejected, leaving the chain where it was."""
     params = DorsParams(t=16, k=4, f=3, r=2)
-    sk, pk, chain = dors_keygen(SEED, params)
+    sk, _, chain = dors_keygen(SEED, params)
+    pk = whole_forest(SEED, params)
     verify_chain = ChainState(chain.value, 0)
     indices = dors_subset(b"early", chain, params)
     reveals = [kdf(SEED, "leaf", (1).to_bytes(2, "big") + idx.to_bytes(2, "big")) for idx in indices]
@@ -272,7 +285,7 @@ def test_chaining_order_enforced():
     sk, pk, chain = dors_keygen(SEED, params)
     sig1, chain = dors_sign(sk, chain, b"one")
     sig2, chain = dors_sign(sk, chain, b"two")
-    fresh = ChainState(hash_bytes(b"dors-genesis" + b"".join(r.bytes for r in pk.roots)), 0)
+    fresh = ChainState(hash_bytes(b"dors-genesis" + dors_tree(SEED, 0, params)[1].bytes), 0)
     # Out of order: sig2 against the genesis chain fails.
     ok, _ = dors_verify(pk, fresh, b"two", sig2)
     assert not ok
@@ -314,10 +327,13 @@ def test_sequential_handshake_keys_distinct():
     user, gateway = dors_provision("alice", MASTER, params)
     src = RandomSource.seeded(b"\x11" * 32)
     keys = set()
-    for _ in range(params.f * params.r):
+    for n in range(params.f * params.r):
         uk, gk = dors_handshake(Loopback(), user, gateway, src)
         assert uk == gk
         keys.add(uk.bytes)
+        # The gateway side holds only the tree it verified with, built from its seed.
+        held = [bool(tree) for tree in gateway.public_key.leaf_digests]
+        assert held == [tree == n // params.r for tree in range(params.f)]
     assert len(keys) == params.f * params.r
 
 

@@ -1,12 +1,14 @@
-"""The rolling DORS forest against the re-key it replaces.
+"""The DORS forest built one tree at a time, against a reference that keeps
+every tree.
 
-While a user's last tree signs, the gateway builds the next epoch's trees,
-and it drops the leaf digests of spent trees. The reference below is the
-gateway's earlier re-key: nothing is dropped or built ahead, and a spent
-forest is expanded whole by ``dors_provision``. Driven through
+A provision builds a forest's tree 0 alone. The gateway side builds each
+later tree when its chain first names it and drops the tree before, so it
+holds at most one. The reference below builds the same trees at the same
+logins, from the user's forest seed, and drops none. Driven through
 ``Gateway.login`` from the same seed, both must carry the same wire bytes,
-derive the same session keys and reach the same chain values; only where
-in the epoch the hashing happens may differ.
+derive the same session keys, reach the same chain values and charge
+``METER`` the same, login by login. So must a gateway saved and restored
+in either persisted form at any login count.
 """
 
 import copy
@@ -22,7 +24,6 @@ from hypothesis import strategies as st
 from sshaf import dors_auth, persist
 from sshaf import gateway as gw_mod
 from sshaf.context_engine import IP_HOME, ORIGIN_LOCAL, SCHEME_DORS, ContextSnapshot
-from sshaf.errors import ForestExhausted
 from sshaf.gateway import CAP_DORS, Gateway
 from sshaf.primitives import METER, Key256, RandomSource
 
@@ -30,35 +31,32 @@ SEED = b"\x3c" * 32
 UID = "dora"
 PARAMS = dors_auth.DorsParams()  # what the gateway provisions
 EPOCH = PARAMS.f * PARAMS.r  # logins one forest signs
-LAST_TREE = range((PARAMS.f - 1) * PARAMS.r + 1, EPOCH + 1)  # logins signing with it, in an epoch
-# One tree build: t leaf digests and t-1 Merkle nodes; t leaf kdfs, plus the
-# kdf that re-derives the forest's seed, once per building login.
-TREE_COST = (2 * PARAMS.t - 1, PARAMS.t + 1)
+# What a DORS login costs on METER (hashes, macs) when it builds no tree.
+LOGIN_COST = (21, 20)
+# One tree build: t leaf digests and t-1 Merkle nodes, from t leaf kdfs.
+TREE_COST = (2 * PARAMS.t - 1, PARAMS.t)
+# A re-key: one tree, the genesis hash, and the seed and link kdfs.
+REKEY_COST = (TREE_COST[0] + 1, TREE_COST[1] + 2)
 
-# SHA-256 of the 200-login transcript (every carried message, then the
-# session key and chain value of each login), recorded with the re-key that
-# expanded a spent forest whole.
-TRANSCRIPT_200_SHA256 = "78e304c27c330b902ea3d9aaedfeafb489ed3ab20b4d066f83e074d6e36b87f0"
+# SHA-256 of the reference's 200-login transcript (every carried message,
+# then the session key and chain value of each login). Re-pinned when the
+# genesis came to commit to tree 0's root alone: the chain values, and with
+# them the subsets and session keys, moved; the message count and sizes
+# did not.
+TRANSCRIPT_200_SHA256 = "239d3e9a8d0982fab294f1ed18cc1089885e98a1585628eb49704fa4f7772f36"
 
 
-class FullRekeyGateway(Gateway):
-    """The DORS re-key as the gateway ran it before forests rolled."""
+class KeepEveryTreeGateway(Gateway):
+    """Before each handshake, builds the tree the gateway's chain names from
+    the user's forest seed, unless the side holds it, and drops no tree."""
 
     def run_scheme(self, scheme, uid, password, link):
-        assert scheme == SCHEME_DORS
-        wallet = self.wallet_for(uid)
-        try:
-            keys = dors_auth.dors_handshake(link, wallet.dors, self.dors_registry[uid], self.src)
-        except ForestExhausted:
-            wallet.dors, side = dors_auth.dors_provision(
-                f"{uid}#{self.dors_epochs[uid]}", self.master_secret
-            )
-            wallet.dors.uid = side.uid = uid
-            self.dors_registry[uid] = side
-            self.dors_epochs[uid] += 1
-            keys = dors_auth.dors_handshake(link, wallet.dors, side, self.src)
-        assert keys[0] == keys[1]
-        return keys[1]
+        side, seed = self.dors_registry[uid], self.wallets[uid].dors.secret_key.forest_seed
+        params = side.public_key.params
+        tree = side.chain.signature_count // params.r
+        if tree < params.f and not side.public_key.leaf_digests[tree]:
+            side.public_key.leaf_digests[tree] = dors_auth.dors_tree(seed, tree, params)[0]
+        return super().run_scheme(scheme, uid, password, link)
 
 
 class Recorder:
@@ -84,6 +82,7 @@ class Login:
     user_chain: dors_auth.ChainState
     gateway_chain: dors_auth.ChainState
     meter: tuple[int, int]  # hashes, macs
+    held: int  # trees of leaf digests the gateway side holds after it
 
 
 def boot(cls=Gateway) -> Gateway:
@@ -93,9 +92,9 @@ def boot(cls=Gateway) -> Gateway:
     return gw
 
 
-def drive(gw: Gateway, logins: int, each=lambda gw: None) -> list[Login]:
+def drive(gw: Gateway, logins: int) -> list[Login]:
     """``logins`` granted local logins of UID, an hour apart, which all run
-    DORS; ``each`` sees the gateway after every one."""
+    DORS."""
     records = []
     for _ in range(logins):
         gw.advance_time(60)
@@ -106,20 +105,21 @@ def drive(gw: Gateway, logins: int, each=lambda gw: None) -> list[Login]:
             result = gw.login(UID, "pw", snapshot)
         after = METER.snapshot()
         assert (result.status, result.session.scheme) == ("grant", SCHEME_DORS)
+        side = gw.dors_registry[UID]
         records.append(Login(
             tuple(recorder.messages),
             result.session.session_key,
             gw.wallets[UID].dors.chain,
-            gw.dors_registry[UID].chain,
+            side.chain,
             (after[0] - before[0], after[1] - before[1]),
+            sum(map(bool, side.public_key.leaf_digests)),
         ))
-        each(gw)
     return records
 
 
 @cache
 def reference(logins: int = 200) -> tuple[Login, ...]:
-    return tuple(drive(boot(FullRekeyGateway), logins))
+    return tuple(drive(boot(KeepEveryTreeGateway), logins))
 
 
 def transcript_sha256(records) -> str:
@@ -138,130 +138,107 @@ def assert_same_protocol(records, expected) -> None:
         assert login.user_chain == login.gateway_chain == ref.gateway_chain == ref.user_chain
 
 
-def held_trees(gw: Gateway) -> int:
-    """Trees of leaf digests UID's persisted DORS entry holds."""
-    entry = persist.gateway_state_to_dict(gw)["dors_registry"][UID]
-    return sum(map(bool, entry["trees"]))
-
-
 def test_reference_transcript_is_pinned():
     assert transcript_sha256(reference()) == TRANSCRIPT_200_SHA256
 
 
-def test_200_logins_match_the_full_rekey():
-    """Three re-keys and then some: the same transcript, keys and chains,
-    and the METER redistribution login by login."""
-    sizes = []
-
-    def check(gw):
-        sizes.append(held_trees(gw))
-
-    records = drive(boot(), 200, check)
-    expected = reference()
-    assert_same_protocol(records, expected)
+def test_200_logins_match_the_reference_and_hold_one_tree():
+    """Three re-keys and then some: the same transcript, keys, chains and
+    METER counts login by login, while the reference comes to hold all f
+    trees of an epoch and the gateway side never more than one."""
+    records = drive(boot(), 200)
+    assert_same_protocol(records, reference())
     assert transcript_sha256(records) == TRANSCRIPT_200_SHA256
-    assert max(sizes) <= PARAMS.f + 1
+    assert [login.meter for login in records] == [login.meter for login in reference()]
+    assert {login.held for login in records} == {1}
+    assert max(login.held for login in reference()) == PARAMS.f
 
-    whole_forest = (PARAMS.f * (2 * PARAMS.t - 1), PARAMS.f * PARAMS.t)
-    for n, (login, ref) in enumerate(zip(records, expected), start=1):
+
+def test_only_a_rotation_or_rekey_login_builds_a_tree():
+    """Provisioning builds tree 0; each later tree costs exactly one tree
+    on the login that rotates to it, and a re-key one tree and the kdfs and
+    genesis of a provision; every other DORS login builds nothing."""
+    for n, login in enumerate(reference(), start=1):
         signature = (n - 1) % EPOCH + 1  # of the forest this login signs with
-        delta = (login.meter[0] - ref.meter[0], login.meter[1] - ref.meter[1])
         if n > EPOCH and signature == 1:
-            # The re-key login: the reference expands a whole forest here.
-            assert delta == (-whole_forest[0], -whole_forest[1]), n
-        elif signature in LAST_TREE:
-            assert delta == TREE_COST, n
+            extra = REKEY_COST
+        elif signature % PARAMS.r == 1 and signature > 1:
+            extra = TREE_COST
         else:
-            assert delta == (0, 0), n  # no tree is built on the p50 path
+            extra = (0, 0)
+        assert login.meter == (LOGIN_COST[0] + extra[0], LOGIN_COST[1] + extra[1]), n
 
 
-def test_meter_totals_agree_at_each_epoch_boundary():
-    """Over a whole epoch the hashing is the same; the macs differ only by
-    the kdf that re-derives the next epoch's seed at each building login,
-    f of them per epoch with the default one tree per login."""
-    records = drive(boot(), 3 * EPOCH + 1)
-    expected = reference()
-    for epochs in (1, 2, 3):
-        boundary = epochs * EPOCH + 1  # through the re-key login
-        total = [sum(login.meter[i] for login in records[:boundary]) for i in (0, 1)]
-        ref_total = [sum(login.meter[i] for login in expected[:boundary]) for i in (0, 1)]
-        assert total[0] == ref_total[0]
-        assert total[1] == ref_total[1] + epochs * PARAMS.f
+def verify_cost(capabilities) -> tuple[tuple[int, int], Gateway]:
+    """What activating UID with ``capabilities`` costs on METER."""
+    gw = Gateway(RandomSource.seeded(SEED), Key256(b"\x99" * 32))
+    gw.register_user(UID, "Dora", 30, "resident", "pw", capabilities=capabilities)
+    before = METER.snapshot()
+    gw.owner_verify("owner", UID, "activate")
+    after = METER.snapshot()
+    return (after[0] - before[0], after[1] - before[1]), gw
 
 
-def needed_tree(entry: dict) -> int:
-    """The position in ``entry["trees"]`` of the tree the next login signs
-    with: the one its chain names, or at a re-key the next forest's first."""
-    return min(entry["chain"]["signature_count"] // PARAMS.r, PARAMS.f)
+def test_provisioning_builds_one_tree():
+    """Activating a DORS user costs what a re-key does over activating one
+    without DORS, and leaves the gateway side holding tree 0 alone."""
+    (hashes, macs), gw = verify_cost((CAP_DORS,))
+    without, _ = verify_cost(())
+    assert (hashes - without[0], macs - without[1]) == REKEY_COST
+    held = [bool(tree) for tree in gw.dors_registry[UID].public_key.leaf_digests]
+    assert held == [True] + [False] * (PARAMS.f - 1)
 
 
-@settings(max_examples=20, deadline=None)
-@given(logins=st.integers(0, 3 * EPOCH), mask=st.integers(0, (1 << 2 * PARAMS.f) - 1))
-@example(logins=EPOCH, mask=1 << PARAMS.f)  # the re-key, the next forest's first tree blanked
-@example(logins=EPOCH - 1, mask=(1 << 2 * PARAMS.f) - 1)  # the last tree's last login, all blanked
-def test_any_login_count_persists_and_continues_as_the_full_rekey(logins, mask):
-    """After any number of logins in up to three epochs, the gateway state
-    survives a save and load in either form. With every tree in the dict,
-    the next login matches the reference at the cost it has in process. In
-    the tree-less form the CLI stores, the next min(EPOCH + 1, 200 - n)
-    logins, across a re-key, still match the reference; the first builds
-    the tree it signs with, one tree and one ``dors_seed`` kdf more than in
-    process, so two trees when it signs with the last tree. With any subset
-    of the trees blanked (bit i of ``mask`` blanks ``trees[i]``), the same
-    logins match too, and the first costs one tree more than in process if
-    the tree it signs with was blanked, and nothing more otherwise."""
-    gw = boot()
-    records = drive(gw, logins)
-    full = json.loads(persist.dumps(persist.gateway_state_to_dict(gw)))
-    bare = json.loads(persist.dumps(persist.gateway_state_to_dict(gw, with_forests=False)))
-    masked = copy.deepcopy(full)
-    entry = masked["dors_registry"][UID]
-    entry["trees"] = ["" if mask >> i & 1 else tree for i, tree in enumerate(entry["trees"])]
-    assert held_trees(gw) <= PARAMS.f + 1
-
-    def restore(data) -> Gateway:
-        restored = Gateway(RandomSource.seeded(b"\x08" * 32), gw.db_key)
-        persist.restore_gateway_state(restored, data)
-        restored.db, restored.src = gw.db, copy.deepcopy(gw.src)
-        return restored
-
-    whole, treeless, partial = restore(full), restore(bare), restore(masked)
-    assert persist.gateway_state_to_dict(whole) == full
-    assert persist.gateway_state_to_dict(treeless, with_forests=False) == bare
-    assert persist.gateway_state_to_dict(partial) == masked
-    in_process = drive(whole, 1)
-    assert_same_protocol(records + in_process, reference()[: logins + 1])
-    after = drive(treeless, min(EPOCH + 1, 200 - logins))
-    assert_same_protocol(records + after, reference()[: logins + len(after)])
-    assert after[0].meter == tuple(m + c for m, c in zip(in_process[0].meter, TREE_COST))
-    if logins % EPOCH + 1 in LAST_TREE:
-        assert after[0].meter == tuple(m + 2 * c for m, c in zip(reference()[logins].meter, TREE_COST))
-    after = drive(partial, min(EPOCH + 1, 200 - logins))
-    assert_same_protocol(records + after, reference()[: logins + len(after)])
-    blanked = mask >> needed_tree(entry) & 1
-    assert after[0].meter == tuple(m + blanked * c for m, c in zip(in_process[0].meter, TREE_COST))
+# Small enough that a property example crosses several re-keys: an epoch
+# is 6 logins, and 20 logins re-key three times.
+SMALL = dors_auth.DorsParams(t=16, k=4, f=3, r=2)
+SMALL_LOGINS = 20
 
 
-def test_state_without_trees_built_ahead_rekeys_in_full():
-    """A state written before forests rolled holds every tree and nothing
-    built ahead, even in the last tree: it loads, the logins left in the
-    last tree build ahead, and the re-key builds only the rest."""
-    gw = boot()
-    drive(gw, EPOCH - 2)
-    data = persist.gateway_state_to_dict(gw)
-    entry = data["dors_registry"][UID]
-    _, whole = dors_auth.dors_provision(f"{UID}#0", gw.master_secret)
-    entry["trees"] = [tree.hex() for tree in whole.public_key.leaf_digests]
-    del entry["next_roots"]
-    restored = Gateway(RandomSource.seeded(b"\x08" * 32), gw.db_key)
-    persist.restore_gateway_state(restored, data)
-    restored.db = gw.db
-    restored.src = gw.src
-    records = drive(restored, 4)  # two in the last tree, the re-key, one more
-    assert_same_protocol(records, reference()[EPOCH - 2 : EPOCH + 2])
-    rekey = reference()[EPOCH].meter
-    built_before = 2  # by the two logins left in the last tree
-    assert records[2].meter == (
-        rekey[0] - built_before * (2 * PARAMS.t - 1),
-        rekey[1] - built_before * PARAMS.t,
-    )
+def small_forests():
+    """Provisions SMALL forests while active."""
+    return mock.patch.object(dors_auth.dors_provision, "__defaults__", (SMALL,))
+
+
+@cache
+def unbroken_small_run() -> tuple[Login, ...]:
+    with small_forests():
+        records = tuple(drive(boot(), SMALL_LOGINS))
+    # The first login and at least two re-keys sign a forest's first signature.
+    assert sum(login.gateway_chain.signature_count == 1 for login in records) >= 3
+    return records
+
+
+@settings(max_examples=100, deadline=None)
+@given(saves=st.dictionaries(st.integers(0, SMALL_LOGINS - 1), st.booleans()))
+@example(saves={0: False, 5: True, 6: False, 7: False, 12: True})
+def test_saves_and_restores_at_any_login_counts_change_nothing(saves):
+    """Saved before login n (n in ``saves``) and restored into a fresh
+    gateway, with its trees when ``saves[n]`` holds and in the tree-less
+    form the CLI stores otherwise, the gateway runs every login as the
+    unbroken run does: the same wire bytes, keys and chains. The side never
+    holds more than one tree, in memory or in the dict. A tree-less restore
+    costs its next login one tree more, unless that login builds one anyway;
+    a restore with its tree costs nothing."""
+    expected = unbroken_small_run()
+    with small_forests():
+        gw, records = boot(), []
+        for n in range(SMALL_LOGINS):
+            if n in saves:
+                data = json.loads(persist.dumps(persist.gateway_state_to_dict(gw, with_forests=saves[n])))
+                if saves[n]:
+                    assert sum(map(bool, data["dors_registry"][UID]["trees"])) == 1
+                restored = Gateway(RandomSource.seeded(b"\x08" * 32), gw.db_key)
+                persist.restore_gateway_state(restored, data)
+                restored.db, restored.src = gw.db, copy.deepcopy(gw.src)
+                assert persist.gateway_state_to_dict(restored, with_forests=saves[n]) == data
+                gw = restored
+            (login,) = drive(gw, 1)
+            records.append(login)
+            builds_anyway = n % SMALL.r == 0 and n > 0
+            extra = 0 if saves.get(n, True) or builds_anyway else 1
+            ref = expected[n].meter
+            assert login.meter == (ref[0] + extra * (2 * SMALL.t - 1), ref[1] + extra * SMALL.t), n
+            assert login.held == 1
+    assert_same_protocol(records, expected)
+

@@ -85,9 +85,12 @@ TRANSCRIPT_SHA256 = {
         mht_transcript,
         "02979dd8c9f77d54442943c7145af4c21689c85d575a5699baf056c61256f3c2",
     ),
+    # Re-pinned when the genesis came to commit to tree 0's root alone: the
+    # chain values, and with them the subsets and session keys, moved; the
+    # message count and sizes did not.
     "dors": (
         dors_transcript,
-        "ded8d1af7e41687216dcabb758531c7a3d217fcf61a60c37e85116596897dd6b",
+        "a2e35d018ab84c81b93df5f4520b687d2d9303921f6527151b0fdf0383d5d903",
     ),
     "dhs": (
         dhs_transcript,
@@ -163,13 +166,15 @@ def gateway_visits(model) -> str:
 # registrations, wallet uids, DORS revealed sets and session origins and
 # grants, and again when it stopped persisting session keys and schemes,
 # the DORS signer's tree counters, the card's lock flag and the DORS
-# gateway side's roots, and began to write that side's trees by position;
-# each time the decisions and every other persisted field hash as before.
+# gateway side's roots, and began to write that side's trees by position,
+# and again when the DORS genesis came to commit to tree 0 alone and the
+# gateway side to hold one tree; each time the decisions and every other
+# persisted field hash as before.
 GATEWAY_SHA256 = {
-    "no-model": (None, "a34405c50a9f566dda5351c4e6a069f8c4fa9432106e420f543804211a710579"),
+    "no-model": (None, "2496ee0dbb932cc6f769168152766d2273b9a52e1a047610315cd1af231da48d"),
     "synthetic-model": (
         make_synthetic_dataset,
-        "bef1032147512eabaa7e98ab0d7027276b092d76a390b0d9b3c446463710d8dc",
+        "dd258fcb0731826d7ca57f294cd54cac2b5eeeac863f3cfbf6c77068f00751f5",
     ),
 }
 

@@ -206,7 +206,7 @@ def test_dors_sides_round_trip():
     dors_auth.dors_handshake(Loopback(), user, gateway, src)
 
     user2 = persist.dors_user_from_dict(persist.dors_user_to_dict(user))
-    gateway2 = persist.dors_gateway_from_dict(persist.dors_gateway_to_dict(gateway))
+    gateway2 = persist.dors_gateway_from_dict(persist.dors_gateway_to_dict(gateway), gateway.forest_seed)
     assert user2.chain == user.chain
     assert user2.secret_key == user.secret_key
     assert gateway2.public_key.leaf_digests == gateway.public_key.leaf_digests
@@ -220,9 +220,10 @@ def test_dors_sides_round_trip():
 # the test rebuilds it from the current one, so both carry the same leaves.
 # Re-pinned when the entry stopped writing the forest's roots and began to
 # write every tree by position as ``trees``: the same trees, chain and link
-# key as before.
-DORS_GATEWAY_JSON_SHA256 = "54de44c76ead0e8f2d205b9eb5a2d161663be1b90d50f261df3060dc1ccc1a36"
-PER_LEAF_JSON_SHA256 = "c682f007e137de1e5ebb4412f60165dd10d77bbd00b411363f30c4cc621a43a7"
+# key as before. Re-pinned again when the genesis came to commit to tree 0
+# alone and the side to hold tree 0 alone: its chain and link key moved.
+DORS_GATEWAY_JSON_SHA256 = "92dc93849bd586a065451553e2514edc2327dfdc905086dfdfe80d59df2b29e6"
+PER_LEAF_JSON_SHA256 = "ebd4fa6fdcd1c9443d238634af2716569ceb1f7af5ac9e3cbfcc2d77e022b3e9"
 
 
 def production_dors_gateway():
@@ -238,13 +239,13 @@ def _per_leaf(tree: str) -> list[str]:
 def test_dors_gateway_json_bytes_are_pinned():
     gateway = production_dors_gateway()
     data = persist.dors_gateway_to_dict(gateway)
-    t = gateway.public_key.params.t
-    assert all(isinstance(tree, str) and len(tree) == 64 * t for tree in data["trees"])
+    params = gateway.public_key.params
+    assert [len(tree) for tree in data["trees"]] == [64 * params.t] + [0] * (params.f - 1)
     assert hashlib.sha256(persist.dumps(data)).hexdigest() == DORS_GATEWAY_JSON_SHA256
     per_leaf = dict(data, trees=[_per_leaf(tree) for tree in data["trees"]])
     assert hashlib.sha256(persist.dumps(per_leaf)).hexdigest() == PER_LEAF_JSON_SHA256
     assert ["".join(leaves) for leaves in per_leaf["trees"]] == data["trees"]
-    restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(data)))
+    restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(data)), gateway.forest_seed)
     assert persist.dors_gateway_to_dict(restored) == data
 
 
@@ -266,12 +267,9 @@ def test_dors_gateway_from_dict_rejects_malformed_leaf_digest(spoil):
     params = dors_auth.DorsParams(t=16, k=4, f=2, r=2)
     _, gateway = dors_auth.dors_provision("alice", MASTER, params)
     data = persist.dors_gateway_to_dict(gateway)
-    data["trees"][1] = _spoil_leaf(data["trees"][1], 5, spoil)
+    data["trees"][0] = _spoil_leaf(data["trees"][0], 5, spoil)
     with pytest.raises(ValueError):
-        persist.dors_gateway_from_dict(data)
-
-
-ROOT_HEX = "00" * 32  # a well-formed root
+        persist.dors_gateway_from_dict(data, gateway.forest_seed)
 
 
 @pytest.mark.parametrize(
@@ -279,10 +277,10 @@ ROOT_HEX = "00" * 32  # a well-formed root
     [
         pytest.param(lambda data: data["trees"].__setitem__(0, data["trees"][0][: 3 * 64]), id="three-leaf-tree"),
         pytest.param(
-            lambda data: data["trees"].__setitem__(1, data["trees"][1] + data["trees"][1][:64]),
+            lambda data: data["trees"].__setitem__(0, data["trees"][0] + data["trees"][0][:64]),
             id="tree-of-t-plus-one-leaves",
         ),
-        pytest.param(lambda data: data["trees"].__setitem__(1, " " * len(data["trees"][1])), id="tree-all-whitespace"),
+        pytest.param(lambda data: data["trees"].__setitem__(0, " " * len(data["trees"][0])), id="tree-all-whitespace"),
         pytest.param(lambda data: data["trees"].__setitem__(1, " "), id="tree-one-space-not-empty"),
         pytest.param(lambda data: data["trees"].pop(), id="too-few-trees"),
         pytest.param(lambda data: data["trees"].append(data["trees"][0]), id="too-many-trees"),
@@ -292,17 +290,6 @@ ROOT_HEX = "00" * 32  # a well-formed root
         ),
         pytest.param(lambda data: data["trees"].__setitem__(0, None), id="tree-as-null"),
         pytest.param(lambda data: data.update(trees="".join(data["trees"])), id="trees-as-one-string"),
-        pytest.param(lambda data: data.update(next_roots=ROOT_HEX), id="next-roots-as-string"),
-        pytest.param(lambda data: data.update(next_roots=[0]), id="next-root-as-number"),
-        pytest.param(
-            lambda data: data.update(next_roots=[ROOT_HEX] * 3, trees=data["trees"] + [""] * 3),
-            id="more-next-roots-than-f",
-        ),
-        pytest.param(lambda data: data.update(next_roots=[ROOT_HEX]), id="tree-built-ahead-missing"),
-        pytest.param(
-            lambda data: data.update(next_roots=[ROOT_HEX], trees=data["trees"] + [data["trees"][0][: 3 * 64]]),
-            id="three-leaf-tree-built-ahead",
-        ),
     ],
 )
 def test_dors_gateway_from_dict_rejects_malformed_forest(spoil):
@@ -311,7 +298,7 @@ def test_dors_gateway_from_dict_rejects_malformed_forest(spoil):
     data = persist.dors_gateway_to_dict(gateway)
     spoil(data)
     with pytest.raises(ValueError):
-        persist.dors_gateway_from_dict(data)
+        persist.dors_gateway_from_dict(data, gateway.forest_seed)
 
 
 @st.composite
@@ -323,20 +310,20 @@ def dors_params(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(params=dors_params(), uid=st.text(min_size=1, max_size=8), mask=st.integers(0, 63))
-def test_dors_forest_round_trips_for_any_params(params, uid, mask):
-    """Any subset of the trees, those not held written as "", round-trips.
-    The forest's own roots are not written, and neither a live nor a
-    restored side holds them."""
+@given(params=dors_params(), uid=st.text(min_size=1, max_size=8), blank=st.booleans())
+def test_dors_forest_round_trips_for_any_params(params, uid, blank):
+    """A provisioned side writes tree 0 and every other tree as "", and
+    round-trips with tree 0 or without it. The forest's root is not
+    written, and neither a live nor a restored side holds it."""
     _, gateway = dors_auth.dors_provision(uid, MASTER, params)
     data = json.loads(persist.dumps(persist.dors_gateway_to_dict(gateway)))
-    assert [len(tree) for tree in data["trees"]] == [64 * params.t] * params.f
-    restored = persist.dors_gateway_from_dict(data)
-    assert restored.public_key.params == params
-    assert restored.public_key == gateway.public_key
+    assert [len(tree) for tree in data["trees"]] == [64 * params.t] + [0] * (params.f - 1)
+    restored = persist.dors_gateway_from_dict(data, gateway.forest_seed)
+    assert restored == gateway
     assert persist.dors_gateway_to_dict(restored) == data
-    data["trees"] = ["" if mask >> i & 1 else tree for i, tree in enumerate(data["trees"])]
-    restored = persist.dors_gateway_from_dict(data)
+    if blank:
+        data["trees"][0] = ""
+    restored = persist.dors_gateway_from_dict(data, gateway.forest_seed)
     assert restored.public_key.leaf_digests == [bytes.fromhex(tree) for tree in data["trees"]]
     assert persist.dors_gateway_to_dict(restored) == data
 
@@ -438,7 +425,7 @@ def _unread_key_holder(state: dict, key: str) -> dict:
         return state["wallets"]["alice"]["dors"]
     if key == "locked":
         return state["wallets"]["alice"]["card"]
-    if key in ("roots", "dropped", "leaf_digests"):
+    if key in ("roots", "dropped", "leaf_digests", "next_roots"):
         return state["dors_registry"]["alice"]
     (session,) = state["sessions"].values()
     return session
@@ -469,6 +456,8 @@ def _unread_key_holder(state: dict, key: str) -> dict:
         ("dropped", -1),
         ("leaf_digests", ["00" * 32 * 256]),
         ("leaf_digests", "zz"),
+        ("next_roots", ["00" * 32] * 3),
+        ("next_roots", "zz"),
         ("scheme", "dors"),
         ("scheme", 7),
         ("session_key", "00" * 32),
@@ -494,44 +483,22 @@ def test_a_key_restore_no_longer_reads_is_ignored_whatever_it_holds(key, value):
 def test_tree_less_dors_gateway_keeps_no_tree_and_ignores_older_keys():
     params = dors_auth.DorsParams(t=16, k=4, f=3, r=2)
     _, gateway = dors_auth.dors_provision("alice", MASTER, params)
-    gateway.next_forest.grow(dors_auth.dors_seed("alice#1", MASTER), 2)
     full = persist.dors_gateway_to_dict(gateway)
     bare = persist.dors_gateway_to_dict(gateway, with_forest=False)
-    assert bare == {key: full[key] for key in ("uid", "params", "chain", "link_key", "next_roots")}
-    assert len(full["trees"]) == params.f + 2
-    restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(bare)))
-    assert (restored.public_key.leaf_digests, restored.public_key.roots) == ([b""] * params.f, [])
-    assert restored.next_forest.leaf_digests == [b""] * 2
-    assert restored.next_forest.roots == gateway.next_forest.roots
+    assert bare == {key: full[key] for key in ("uid", "params", "chain", "link_key")}
+    restored = persist.dors_gateway_from_dict(json.loads(persist.dumps(bare)), gateway.forest_seed)
+    assert restored.public_key.leaf_digests == [b""] * params.f
     assert persist.dors_gateway_to_dict(restored, with_forest=False) == bare
-    # The roots, dropped count and leaf digests an older entry carries, in
-    # the form they were written in or damaged, are not read. Its roots are
-    # the forest's own, from dors_keygen, since the live side holds none.
-    _, forest, _ = dors_auth.dors_keygen(dors_auth.dors_seed("alice", MASTER), params)
-    roots = [root.hex() for root in forest.roots]
-    assert len(roots) == params.f
+    # The roots, dropped count, leaf digests and next epoch's roots an older
+    # entry carries, in the form they were written in or damaged, are not
+    # read. Its roots are the forest's own.
+    roots = [dors_auth.dors_tree(gateway.forest_seed, tree, params)[1].hex() for tree in range(params.f)]
     for older in (
-        dict(bare, roots=roots, dropped=1, leaf_digests=full["trees"][1:]),
-        dict(bare, roots="zz", dropped=-1, leaf_digests="zz"),
+        dict(bare, roots=roots, dropped=1, leaf_digests=full["trees"][1:], next_roots=roots[:2]),
+        dict(bare, roots="zz", dropped=-1, leaf_digests="zz", next_roots=["zz"] * 4),
     ):
-        assert persist.dors_gateway_to_dict(persist.dors_gateway_from_dict(older), with_forest=False) == bare
-
-
-@pytest.mark.parametrize(
-    "next_roots",
-    [
-        "00" * 32,  # one root as a string
-        ["00" * 32] * 4,  # more built ahead than f
-        ["00" * 15 + "  " + "00" * 16],  # 64 chars, but whitespace inside
-        ["zz" * 32],  # not hex
-    ],
-)
-def test_tree_less_dors_gateway_rejects_malformed_next_roots(next_roots):
-    params = dors_auth.DorsParams(t=16, k=4, f=3, r=2)
-    _, gateway = dors_auth.dors_provision("alice", MASTER, params)
-    data = dict(persist.dors_gateway_to_dict(gateway, with_forest=False), next_roots=next_roots)
-    with pytest.raises(ValueError):
-        persist.dors_gateway_from_dict(data)
+        restored = persist.dors_gateway_from_dict(older, gateway.forest_seed)
+        assert persist.dors_gateway_to_dict(restored, with_forest=False) == bare
 
 
 def test_a_gateway_restored_without_trees_builds_only_the_tree_a_login_needs():
