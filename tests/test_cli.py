@@ -357,6 +357,31 @@ def test_damaged_state_file_exits_with_state_corrupt(tmp_path, capsys, damage):
     assert capsys.readouterr().err.startswith(f"error: StateCorrupt: {path}: ")
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _dors_entry("_dors_next_roots_as_string", next_roots="ab"),
+        _dors_entry("_dors_next_roots_past_f", next_roots=["00" * 32] * 9),
+        _dors_entry("_dors_next_roots_as_numbers", next_roots=[0, 1]),
+        _dors_entry("_dors_next_roots_not_hex", next_roots=["zz" * 32]),
+    ],
+)
+def test_older_next_roots_in_any_form_log_in_as_the_clean_directory(tmp_path, capsys, damage):
+    """The next epoch's roots an entry carried while trees were built ahead
+    are not read, so no form of them fails the load: the login prints what
+    the clean directory prints, and the entry is written without them."""
+    clean, state = tmp_path / "clean", tmp_path / "state"
+    for directory in (clean, state):
+        bootstrap_user(capsys, str(directory), caps="dors")
+    path = state / "state.json"
+    text = path.read_text()
+    path.write_text(damage(json.loads(text), text))
+    code, out = login(capsys, str(state), 600)
+    assert (code, "scheme=dors" in out) == (0, True), out
+    assert (code, out) == login(capsys, str(clean), 600)
+    assert path.read_text() == (clean / "state.json").read_text()
+
+
 # --- the damaged-state invariant ----------------------------------------------------
 
 # A value of each JSON type, and the edge values of the numbers; each node of

@@ -337,6 +337,67 @@ def test_sequential_handshake_keys_distinct():
     assert len(keys) == params.f * params.r
 
 
+def test_a_rejected_signature_at_a_rotation_builds_the_named_tree_once():
+    """The first verification against tree 1 builds it and drops tree 0,
+    even when it rejects; the chain stays put, and the honest retry
+    verifies against the tree already built, building none."""
+    params = DorsParams(t=16, k=4, f=3, r=2)
+    user, gateway = dors_provision("alice", MASTER, params)
+    src = RandomSource.seeded(b"\x14" * 32)
+    for _ in range(params.r):
+        dors_handshake(Loopback(), user, gateway, src)
+    chain = gateway.chain
+    challenge = dors_challenge(src)
+    indices = dors_subset(challenge.bytes + b"alice", chain, params)
+    forged = DorsSignature(1, indices, [Key256(b"\x00" * 32) for _ in indices])
+    METER.reset()
+    with pytest.raises(AuthFailed):
+        dors_gateway_verify(gateway, challenge, forged)
+    # Tree 1's 2t-1 hashes and t kdfs, the subset's hash, the first reveal's.
+    assert METER.snapshot() == (2 * params.t - 1 + 2, params.t)
+    assert gateway.chain == chain
+    assert gateway.public_key.leaf_digests == [b"", dors_tree(gateway.forest_seed, 1, params)[0], b""]
+    sig, user_key = dors_respond(user, challenge)
+    METER.reset()
+    assert dors_gateway_verify(gateway, challenge, sig) == user_key
+    # No tree: the subset's hash, k reveals', the chain's; the session and ratchet kdfs.
+    assert METER.snapshot() == (params.k + 2, 2)
+    assert gateway.chain == user.chain
+
+
+def test_a_gateway_holding_another_tree_builds_the_one_its_chain_names():
+    """A side whose held tree is not the one its chain names, as a restored
+    file may give it, builds the named tree and drops the other."""
+    params = DorsParams(t=16, k=4, f=3, r=2)
+    user, gateway = dors_provision("alice", MASTER, params)
+    gateway.public_key.leaf_digests = [b"", b"", dors_tree(gateway.forest_seed, 2, params)[0]]
+    src = RandomSource.seeded(b"\x15" * 32)
+    uk, gk = dors_handshake(Loopback(), user, gateway, src)
+    assert uk == gk
+    assert gateway.public_key.leaf_digests == [dors_tree(gateway.forest_seed, 0, params)[0], b"", b""]
+
+
+def test_an_exhausted_forest_builds_no_tree_and_rejects():
+    """Past its last tree a chain names no tree: the gateway builds none,
+    keeps the last tree it held, and rejects."""
+    params = DorsParams(t=16, k=4, f=2, r=2)
+    user, gateway = dors_provision("alice", MASTER, params)
+    src = RandomSource.seeded(b"\x16" * 32)
+    for _ in range(params.f * params.r):
+        dors_handshake(Loopback(), user, gateway, src)
+    with pytest.raises(ForestExhausted):
+        dors_respond(user, dors_challenge(src))
+    held, chain = list(gateway.public_key.leaf_digests), gateway.chain
+    challenge = dors_challenge(src)
+    indices = dors_subset(challenge.bytes + b"alice", chain, params)
+    late = DorsSignature(params.f, indices, [Key256(b"\x00" * 32) for _ in indices])
+    METER.reset()
+    with pytest.raises(AuthFailed):
+        dors_gateway_verify(gateway, challenge, late)
+    assert METER.snapshot() == (0, 0)
+    assert (gateway.public_key.leaf_digests, gateway.chain) == (held, chain)
+
+
 def test_desynchronized_chains_fail():
     # Desync shows up as a subset mismatch, so detection odds scale with
     # t and k; 16/4 keeps the chance collision at 1/65536 instead of the

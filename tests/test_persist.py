@@ -458,6 +458,10 @@ def _unread_key_holder(state: dict, key: str) -> dict:
         ("leaf_digests", "zz"),
         ("next_roots", ["00" * 32] * 3),
         ("next_roots", "zz"),
+        ("next_roots", "00" * 32),  # one root as a string
+        ("next_roots", ["00" * 32] * 9),  # more built ahead than f
+        ("next_roots", [0]),
+        ("next_roots", ["00" * 15 + "  " + "00" * 16]),  # 64 chars, whitespace inside
         ("scheme", "dors"),
         ("scheme", 7),
         ("session_key", "00" * 32),
